@@ -4,8 +4,8 @@ Subpackages:
 
 - ``ncalg``      exact noncommutative series, Lyndon-basis Lie projection,
                  dense-matrix operator calculus
-- ``schemes``    named splitting schemes, fractal compositions, shift-time
-                 expansion, JSON catalog
+- ``schemes``    named splitting schemes and their catalog, fractal
+                 compositions, shift-time expansion, JSON serialization
 - ``orders``     order-condition generation, verification, Newton solving
 - ``propagate``  unitary / symplectic / time-ordered stepping and the demo runs
 - ``qmc``        world-line quantum Monte Carlo, exact references, annealing

@@ -147,7 +147,6 @@ def cmd_scheme(args) -> int:
     cat = schemes.catalog()
     if args.action == "list":
         for name, sch in cat.items():
-            sums = sch.slot_sums()
             print(f"{name:14s} slots={''.join(sch.slots)} stages={len(sch.stages)} "
                   f"order={sch.claimed_order} symmetric={sch.symmetric} "
                   f"negative={schemes.has_negative_coefficient(sch)}")
@@ -332,9 +331,8 @@ def cmd_qmc(args) -> int:
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.out:
         Path(str(args.out) + ".json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        traces = qmc.run_traces(model, args.n, sweeps, therm, args.seed)
         names = ["bond_zz", "trotter_corr", "diag_energy", "sigma_x"]
-        rows = list(zip(range(therm, sweeps), *(traces[nm] for nm in names)))
+        rows = list(zip(range(therm, sweeps), *(stats.traces[nm] for nm in names)))
         write_csv(str(args.out) + ".traces.csv", ["sweep"] + names,
                   [(int(r[0]),) + tuple(float(v) for v in r[1:]) for r in rows])
         write_manifest(args.out, "qmc",
@@ -407,12 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="output path (data file; manifest written alongside)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("bch", help="Lie-projected correction terms of a stage product")
     p.add_argument("--stages", required=True, help="e.g. A:x/2,B:x,A:x/2")
     p.add_argument("--order", type=int, required=True)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     common(p)
     p.set_defaults(func=cmd_bch)
 
@@ -475,6 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sweeps", required=True)
     p.add_argument("--therm")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_qmc)
 
@@ -483,6 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--schedule", help="g_start:g_end:stages")
     p.add_argument("--sweeps", type=int, default=60, help="sweeps per stage")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_anneal)
 
@@ -492,6 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweeps", default="0", help="0 = exact enumeration")
     p.add_argument("--observable", choices=["bond_zz", "sigma_x", "diag_energy"],
                    default="bond_zz")
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_extrapolate)
 

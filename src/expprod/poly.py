@@ -26,10 +26,6 @@ def frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def _norm_mono(powers: Iterable[tuple[str, int]]) -> Monomial:
     merged: dict[str, int] = {}
     for name, exp in powers:
@@ -223,7 +219,7 @@ class RationalPoly:
         terms: dict[Monomial, Fraction] = {}
         for entry in doc["monomials"]:
             mono = _norm_mono(tuple((str(v), int(e)) for v, e in entry["powers"].items()))
-            terms[mono] = terms.get(mono, Fraction(0)) + parse_frac(entry["coeff"])
+            terms[mono] = terms.get(mono, Fraction(0)) + Fraction(entry["coeff"])
         return cls(terms)
 
     def __repr__(self) -> str:
@@ -253,7 +249,7 @@ def coeff_to_json(c: Coeff):
 
 def coeff_from_json(doc) -> Coeff:
     if isinstance(doc, str):
-        return parse_frac(doc)
+        return Fraction(doc)
     return as_exact(RationalPoly.from_json(doc))
 
 

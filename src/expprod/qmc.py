@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -70,10 +70,6 @@ class TrotterCouplings:
     delta_n: float
     n: int
 
-    @property
-    def layer_weight(self) -> float:
-        return self.gamma_n
-
 
 def couplings(model: IsingModel, n: int) -> TrotterCouplings:
     """gamma_n = -log(tanh(beta*Gamma/n))/2, delta_n = log(sinh(2*beta*Gamma/n)/2)/2."""
@@ -86,14 +82,6 @@ def couplings(model: IsingModel, n: int) -> TrotterCouplings:
     gamma_n = -0.5 * math.log(math.tanh(u))
     delta_n = 0.5 * math.log(0.5 * math.sinh(2 * u))
     return TrotterCouplings(gamma_n=gamma_n, delta_n=delta_n, n=n)
-
-
-def coupling_derivatives(model: IsingModel, n: int) -> tuple[float, float]:
-    """d(gamma_n)/dGamma and d(delta_n)/dGamma."""
-    u = model.beta * model.gamma / n
-    dgd = -(model.beta / n) / math.sinh(2 * u)
-    ddd = (model.beta / n) / math.tanh(2 * u)
-    return dgd, ddd
 
 
 def sigma_x_estimator_coeffs(model: IsingModel, n: int) -> tuple[float, float]:
@@ -161,7 +149,13 @@ class ObservableStats:
 
 @dataclass
 class RunStats:
-    """Binned means and standard errors of the sampled observables."""
+    """Binned means and standard errors of the sampled observables.
+
+    ``traces`` holds the per-sweep series behind them (one entry per kept
+    sweep): the bond-averaged ``bond_zz``, ``trotter_corr``, ``diag_energy``,
+    ``sigma_x`` and the exact ``config_index`` of the spin field.  It is not
+    part of the JSON record.
+    """
 
     sweeps: int
     therm: int
@@ -175,6 +169,7 @@ class RunStats:
     sigma_x: ObservableStats
     final_action: float
     accumulated_action: float
+    traces: dict[str, np.ndarray] = field(repr=False, compare=False)
 
     def to_json(self) -> dict:
         def obs(o: ObservableStats):
@@ -211,14 +206,12 @@ def _binned(trace: np.ndarray, nbins: int = 20) -> ObservableStats:
 class _Sampler:
     """Single-spin-flip Metropolis on the mapped (d+1)-dimensional system."""
 
-    def __init__(self, model: IsingModel, n: int, rng: np.random.Generator,
-                 config: WorldlineConfig | None = None):
+    def __init__(self, model: IsingModel, n: int, rng: np.random.Generator):
         self.model = model
         self.n = n
-        self.coup = couplings(model, n)
+        self.set_gamma(model.gamma)
         self.rng = rng
-        self.spins = (config.spins.copy() if config is not None
-                      else WorldlineConfig.random(model.sites, n, rng).spins)
+        self.spins = WorldlineConfig.random(model.sites, n, rng).spins
         self.neighbors: list[list[tuple[int, float]]] = [[] for _ in range(model.sites)]
         for i, j, jij in model.bonds:
             self.neighbors[i].append((j, jij))
@@ -230,6 +223,7 @@ class _Sampler:
     def set_gamma(self, gamma: float) -> None:
         self.model = self.model.with_gamma(gamma)
         self.coup = couplings(self.model, self.n)
+        self.sigma_x_coeffs = sigma_x_estimator_coeffs(self.model, self.n)
 
     def sweep(self) -> None:
         s = self.spins
@@ -263,11 +257,14 @@ class _Sampler:
         out["layer_mag"] = list(np.mean(s, axis=0, dtype=float))
         out["trotter_corr"] = float(np.mean(s * np.roll(s, -1, axis=1)))
         diag = 0.0
-        for i, j, jij in self.model.bonds:
-            diag -= jij * float(np.mean(s[i] * s[j]))
+        for (_, _, jij), zz in zip(self.model.bonds, out["bond_zz"]):
+            diag -= jij * zz
         out["diag_energy"] = diag
-        a, b = sigma_x_estimator_coeffs(self.model, self.n)
+        a, b = self.sigma_x_coeffs
         out["sigma_x"] = a * out["trotter_corr"] + b
+        # spin (i, m) is bit i*n + m; a Python int, so exact at any size
+        bits = np.packbits(s.reshape(-1) > 0, bitorder="little")
+        out["config_index"] = int.from_bytes(bits.tobytes(), "little")
         return out
 
     def config(self) -> WorldlineConfig:
@@ -279,7 +276,8 @@ def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
     """Sample the mapped system; one sweep is one flip attempt per spin.
 
     Statistical errors come from 20 equal bins of the post-thermalization
-    trace; the seed fully determines the run.
+    trace, which is also returned whole in ``RunStats.traces``; the seed
+    fully determines the run.
     """
     if not sweeps > therm >= 0:
         raise ValueError("need sweeps > therm >= 0")
@@ -293,6 +291,7 @@ def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
     tc_tr = np.empty(keep)
     de_tr = np.empty(keep)
     sx_tr = np.empty(keep)
+    cfg_tr = []
     for k in range(sweeps):
         sampler.sweep()
         if k >= therm:
@@ -303,6 +302,12 @@ def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
             tc_tr[r] = m["trotter_corr"]
             de_tr[r] = m["diag_energy"]
             sx_tr[r] = m["sigma_x"]
+            cfg_tr.append(m["config_index"])
+    traces = {
+        "bond_zz": bond_tr.mean(axis=1) if nbonds else np.zeros(keep),
+        "trotter_corr": tc_tr, "diag_energy": de_tr, "sigma_x": sx_tr,
+        "config_index": np.array(cfg_tr, dtype=np.int64 if model.sites * n <= 63 else object),
+    }
     return RunStats(
         sweeps=sweeps, therm=therm, n=n, seed=seed,
         acceptance=sampler.accept / max(1, sampler.attempt),
@@ -313,27 +318,14 @@ def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
         sigma_x=_binned(sx_tr),
         final_action=classical_action(model, sampler.coup, sampler.config()),
         accumulated_action=start_action + sampler.action_delta,
+        traces=traces,
     )
 
 
 def run_traces(model: IsingModel, n: int, sweeps: int, therm: int,
                seed: int) -> dict[str, np.ndarray]:
     """Per-sweep observable traces (for CSV dumps and stationarity tests)."""
-    rng = np.random.default_rng(seed)
-    sampler = _Sampler(model, n, rng)
-    traces: dict[str, list] = {"bond_zz": [], "trotter_corr": [], "diag_energy": [],
-                               "sigma_x": [], "config_index": []}
-    for k in range(sweeps):
-        sampler.sweep()
-        if k >= therm:
-            m = sampler.measure()
-            traces["bond_zz"].append(np.mean(m["bond_zz"]) if m["bond_zz"] else 0.0)
-            traces["trotter_corr"].append(m["trotter_corr"])
-            traces["diag_energy"].append(m["diag_energy"])
-            traces["sigma_x"].append(m["sigma_x"])
-            bits = (sampler.spins.reshape(-1) > 0).astype(np.int64)
-            traces["config_index"].append(int((bits * (2 ** np.arange(bits.size))).sum()))
-    return {k: np.asarray(v) for k, v in traces.items()}
+    return metropolis_run(model, n, sweeps, therm, seed).traces
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +636,8 @@ def ground_energy_enumeration(model: IsingModel) -> float:
 def anneal_schedule(g_start: float = 2.5, g_end: float = 1e-4,
                     stages: int = 14) -> list[float]:
     """Geometric field ramp; the tiny end value freezes the Trotter direction."""
+    if stages < 2:
+        raise ValueError("an anneal schedule needs at least 2 stages")
     ratio = (g_end / g_start) ** (1.0 / (stages - 1))
     return [g_start * ratio ** k for k in range(stages)]
 

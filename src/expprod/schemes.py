@@ -12,13 +12,12 @@ exactly 1 at every nesting depth without an algebraic-number tower.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .ncalg import LieCombination, NcSeries, product_log
-from .poly import RationalPoly, as_exact, frac_str, parse_frac
+from .poly import RationalPoly, as_exact, frac_str
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +115,6 @@ def fractal_constant(kind: str, base_order: int) -> AlgebraicConstant:
             lo, hi = Fraction(1, 4), Fraction(1, 2)
         _CONSTANTS[name] = AlgebraicConstant(name, coeffs, lo, hi)
     return _CONSTANTS[name]
-
-
-def constant_registry() -> dict[str, AlgebraicConstant]:
-    return dict(_CONSTANTS)
 
 
 class SymCoeff:
@@ -390,15 +385,15 @@ class Scheme:
         for n, spec in (doc.get("constants") or {}).items():
             if n not in _CONSTANTS:
                 _CONSTANTS[n] = AlgebraicConstant(
-                    n, [parse_frac(c) for c in spec["poly"]],
-                    parse_frac(spec["bracket"][0]), parse_frac(spec["bracket"][1]))
+                    n, [Fraction(c) for c in spec["poly"]],
+                    Fraction(spec["bracket"][0]), Fraction(spec["bracket"][1]))
         stages = []
         for entry in doc["stages"]:
             raw = entry["coeff"]
             if "coeff_poly" in entry:
                 coeff: StageCoeff = SymCoeff(RationalPoly.from_json(entry["coeff_poly"]))
             elif "/" in raw or ("." not in raw and "e" not in raw and "E" not in raw):
-                coeff = parse_frac(raw)
+                coeff = Fraction(raw)
             else:
                 coeff = float(raw)
             if "commutator" in entry:
@@ -539,7 +534,13 @@ def hybrid_fourth() -> Scheme:
                   unmerged=(cap,) + sandwich_a + sandwich_b + sandwich_a + (cap,))
 
 
-def strang3() -> Scheme:
+def timeordered1() -> Scheme:
+    return Scheme(("A", "B", "T"),
+                  (Stage(0, Fraction(1)), Stage(1, Fraction(1)), Stage(2, Fraction(1))),
+                  claimed_order=1, symmetric=False, name="timeordered1")
+
+
+def timeordered2() -> Scheme:
     """Symmetric second-order splitting over three slots T, A, B."""
     return Scheme(("A", "B", "T"),
                   (Stage(2, Fraction(1, 2)), Stage(0, Fraction(1, 2)),
@@ -548,18 +549,8 @@ def strang3() -> Scheme:
                   claimed_order=2, symmetric=True, name="timeordered2")
 
 
-def timeordered1() -> Scheme:
-    return Scheme(("A", "B", "T"),
-                  (Stage(0, Fraction(1)), Stage(1, Fraction(1)), Stage(2, Fraction(1))),
-                  claimed_order=1, symmetric=False, name="timeordered1")
-
-
-def timeordered2() -> Scheme:
-    return strang3()
-
-
 def timeordered4() -> Scheme:
-    sch = quintuple(strang3())
+    sch = quintuple(timeordered2())
     return Scheme(sch.slots, sch.stages, sch.claimed_order, sch.symmetric,
                   name="timeordered4", unmerged=sch.unmerged)
 
@@ -585,14 +576,6 @@ def catalog() -> dict[str, Scheme]:
         "timeordered2": timeordered2(),
         "timeordered4": timeordered4(),
     }
-
-
-def load_catalog_file() -> dict[str, Scheme]:
-    """The shipped catalog of named constructions."""
-    from importlib.resources import files
-
-    doc = json.loads(files("expprod").joinpath("data/catalog.json").read_text())
-    return {name: Scheme.from_json(entry) for name, entry in doc.items()}
 
 
 # ---------------------------------------------------------------------------

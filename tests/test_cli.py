@@ -1,8 +1,12 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from expprod import cli
+from expprod import cli, qmc
+
+MODELS = Path(__file__).resolve().parents[1] / "scripts" / "models"
 
 
 def run(capsys, *argv):
@@ -213,6 +217,34 @@ def test_qmc_writes_traces_and_manifest(tmp_path, chain_model, capsys):
     assert (tmp_path / "run.manifest.json").exists()
 
 
+def test_qmc_out_samples_the_chain_once(tmp_path, chain_model, capsys, monkeypatch):
+    calls = []
+    sweep = qmc._Sampler.sweep
+
+    def counted(self):
+        calls.append(1)
+        sweep(self)
+
+    monkeypatch.setattr(qmc._Sampler, "sweep", counted)
+    code, _, _ = run(capsys, "qmc", "--model", chain_model, "--n", "4",
+                     "--sweeps", "300", "--out", str(tmp_path / "run"))
+    assert code == 0
+    assert len(calls) == 300
+
+
+def test_qmc_out_files_pinned(tmp_path, capsys):
+    # stats and traces of one fixed-seed chain, byte for byte
+    code, _, _ = run(capsys, "qmc", "--model", str(MODELS / "pair.json"), "--n", "8",
+                     "--sweeps", "500", "--seed", "9", "--out", str(tmp_path / "run"))
+    assert code == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("run.json", "run.traces.csv")}
+    assert digests == {
+        "run.json": "b231e1cfa858a809be967505cbafbecd879b26148a43597d37ef39824b000225",
+        "run.traces.csv": "9275e3c3956c3af13858620e43086d89e2c8b17e045626e2530673101902fe84",
+    }
+
+
 def test_qmc_scientific_notation_sweeps(chain_model, capsys):
     code, out, _ = run(capsys, "qmc", "--model", chain_model, "--n", "2",
                        "--sweeps", "1e3", "--therm", "2e2", "--seed", "7")
@@ -231,6 +263,16 @@ def test_anneal_cli(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["energy"] <= -3.0
     assert len(doc["configuration"]) == 4
+
+
+def test_anneal_one_stage_schedule_is_config_error(tmp_path, capsys):
+    model = tmp_path / "frus.json"
+    model.write_text(json.dumps(qmc.frustrated_square().to_json()))
+    code, out, err = run(capsys, "anneal", "--model", str(model),
+                         "--schedule", "2.5:1e-4:1")
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert "at least 2 stages" in err
 
 
 def test_extrapolate_cli(tmp_path, chain_model, capsys):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from expprod.poly import RationalPoly, as_exact, coeff_from_json, coeff_to_json, frac_str, parse_frac
+from expprod.poly import RationalPoly, as_exact, coeff_from_json, coeff_to_json, frac_str
 
 
 def p(name):
@@ -62,7 +62,6 @@ def test_json_round_trip():
 def test_frac_str_decimal_free():
     assert frac_str(Fraction(7, 24)) == "7/24"
     assert frac_str(Fraction(2)) == "2"
-    assert parse_frac("-2/3") == Fraction(-2, 3)
 
 
 @given(st.lists(st.tuples(st.sampled_from("abc"),

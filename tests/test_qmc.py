@@ -189,6 +189,13 @@ def test_detailed_balance_chi2_on_four_configurations():
     assert chi2 < 16.27
 
 
+def test_config_index_exact_beyond_63_spins():
+    # 2 sites x 32 layers = 64 spins: bit 63 must not wrap to a negative index
+    traces = run_traces(PAIR, 32, sweeps=50, therm=0, seed=1)
+    assert len(traces["config_index"]) == 50
+    assert all(0 <= int(v) < 2 ** 64 for v in traces["config_index"])
+
+
 def test_determinism_bit_identical():
     a = metropolis_run(PAIR, 8, sweeps=3000, therm=500, seed=9)
     b = metropolis_run(PAIR, 8, sweeps=3000, therm=500, seed=9)

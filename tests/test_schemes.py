@@ -8,7 +8,7 @@ from expprod.poly import RationalPoly
 from expprod.schemes import (
     CommutatorSpec, Scheme, SymCoeff, catalog, coeff_value,
     evaluation_offsets, evaluation_times, fractal_constant, has_negative_coefficient,
-    hybrid_fourth, hybrid_second, load_catalog_file, merge_adjacent, quintuple, ruth,
+    hybrid_fourth, hybrid_second, merge_adjacent, quintuple, ruth,
     strang, suzuki4, suzuki6, suzuki8, timeordered1, timeordered2, timeordered4,
     triple_jump, trotter,
 )
@@ -310,14 +310,6 @@ def test_scheme_json_shape():
     cap = h["stages"][0]
     assert cap["commutator"] == ["B", ["A", "B"]]
     assert cap["coeff"] == "1/432" and cap["x_power"] == 3
-
-
-def test_catalog_file_matches_constructors():
-    shipped = load_catalog_file()
-    live = catalog()
-    assert set(shipped) == set(live)
-    for name in live:
-        assert shipped[name].to_json() == live[name].to_json()
 
 
 def test_stage_decimal_matches_refined_constant():
