@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -25,6 +26,19 @@ NONCONVERGENCE = 3
 
 class ConfigError(Exception):
     pass
+
+
+def _require_positive(**values) -> None:
+    """Refuse a flag whose value (or any value of a list) is not finite and > 0.
+
+    ``None`` means the flag was not given.  Checked inside the subcommand
+    rather than by an argparse ``type=``, whose errors exit the process.
+    """
+    for name, value in values.items():
+        for v in value if isinstance(value, list) else [value]:
+            if v is not None and not (math.isfinite(v) and v > 0):
+                flag = "--" + name.replace("_", "-")
+                raise ConfigError(f"{flag} must be positive and finite, got {v}")
 
 
 def _fmt(x: float) -> str:
@@ -232,6 +246,7 @@ def cmd_converge(args) -> int:
     else:
         period = propagate.precession_period(_SPIN_GAMMA)
         dts = [period * 2 ** -k for k in range(6, 13)]
+    _require_positive(dt_list=dts, t_final=args.t_final)
     tf = args.t_final or (2.0 if sch.claimed_order >= 6 else 1.0)
     errors = []
     floors = []
@@ -267,36 +282,50 @@ def cmd_converge(args) -> int:
     return status
 
 
+def _emit_trajectory(args, command: str, header: list[str], rows, config: dict) -> int:
+    """Write a sampled trajectory to ``--out`` (or print its first rows).
+
+    A row holding a non-finite value ends the run with exit 3 and JSON
+    diagnostics naming the first such sampled step; no data file is written.
+    Rows are sampled at steps 0, k, 2k, ... and at the last step.
+    """
+    for i, row in enumerate(rows):
+        bad = [name for name, v in zip(header, row) if not math.isfinite(v)]
+        if bad:
+            print(json.dumps({"command": command, "diagnostics": "non-finite result",
+                              "step": min(i * args.sample_every, args.steps),
+                              "t": row[0], "columns": bad}))
+            return NONCONVERGENCE
+    if args.out:
+        write_csv(args.out, header, rows)
+        write_manifest(args.out, command, config)
+    else:
+        for r in rows[:10]:
+            print(",".join(_fmt(v) for v in r))
+    return 0
+
+
 def cmd_precession(args) -> int:
+    _require_positive(dt=args.dt, steps=args.steps, sample_every=args.sample_every)
     method = "perturbative" if args.scheme == "perturbative" else get_scheme(args.scheme)
     rows = propagate.run_precession(method, args.gamma, args.dt, args.steps,
                                     args.sample_every)
-    if args.out:
-        write_csv(args.out, ["t", "energy", "norm"], rows)
-        write_manifest(args.out, "precession",
-                       {"scheme": args.scheme, "gamma": args.gamma, "dt": args.dt,
-                        "steps": args.steps, "sample_every": args.sample_every})
-    else:
-        for r in rows[:10]:
-            print(",".join(_fmt(v) for v in r))
-    return 0
+    return _emit_trajectory(args, "precession", ["t", "energy", "norm"], rows,
+                            {"scheme": args.scheme, "gamma": args.gamma, "dt": args.dt,
+                             "steps": args.steps, "sample_every": args.sample_every})
 
 
 def cmd_umeno(args) -> int:
+    _require_positive(dt=args.dt, steps=args.steps, sample_every=args.sample_every)
     method = "euler" if args.scheme == "euler" else get_scheme(args.scheme)
     rows = propagate.run_umeno(method, args.dt, args.steps, args.sample_every)
-    if args.out:
-        write_csv(args.out, ["t", "energy", "q1", "q2"], rows)
-        write_manifest(args.out, "umeno",
-                       {"scheme": args.scheme, "dt": args.dt, "steps": args.steps,
-                        "sample_every": args.sample_every})
-    else:
-        for r in rows[:10]:
-            print(",".join(_fmt(v) for v in r))
-    return 0
+    return _emit_trajectory(args, "umeno", ["t", "energy", "q1", "q2"], rows,
+                            {"scheme": args.scheme, "dt": args.dt, "steps": args.steps,
+                             "sample_every": args.sample_every})
 
 
 def cmd_timedep(args) -> int:
+    _require_positive(dt=args.dt, steps=args.steps, sample_every=args.sample_every)
     sch = get_scheme(args.scheme)
     if "T" not in sch.slots:
         raise ConfigError("timedep needs a scheme with a T slot (timeordered1/2/4)")
@@ -311,15 +340,9 @@ def cmd_timedep(args) -> int:
         if k % args.sample_every == 0 or k == args.steps:
             rows.append((t, psi.vector[0].real, psi.vector[0].imag,
                          psi.vector[1].real, psi.vector[1].imag, psi.norm))
-    if args.out:
-        write_csv(args.out, ["t", "re0", "im0", "re1", "im1", "norm"], rows)
-        write_manifest(args.out, "timedep",
-                       {"scheme": args.scheme, "dt": args.dt, "steps": args.steps,
-                        "t0": args.t0, "sample_every": args.sample_every})
-    else:
-        for r in rows[:10]:
-            print(",".join(_fmt(v) for v in r))
-    return 0
+    return _emit_trajectory(args, "timedep", ["t", "re0", "im0", "re1", "im1", "norm"], rows,
+                            {"scheme": args.scheme, "dt": args.dt, "steps": args.steps,
+                             "t0": args.t0, "sample_every": args.sample_every})
 
 
 def cmd_qmc(args) -> int:

@@ -51,6 +51,23 @@ def _czero(c) -> bool:
     return c == 0
 
 
+_ZERO = Fraction(0)
+
+
+def _accumulate(out: dict[Word, Coeff], word: Word, delta) -> None:
+    """Add ``delta`` to ``out[word]`` in place, keeping the sum exact.
+
+    The sum is normalised by ``as_exact`` (constant polynomials become
+    Fractions); a sum that is exactly zero removes the word, so stored
+    terms are never zero.
+    """
+    s = as_exact(out.get(word, _ZERO) + delta)
+    if _czero(s):
+        out.pop(word, None)
+    else:
+        out[word] = s
+
+
 class NcSeries:
     """Truncated series: map from words to exact coefficients.
 
@@ -121,12 +138,7 @@ class NcSeries:
         self._compatible(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, Fraction(0)) + c
-            s = as_exact(s)
-            if _czero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
+            _accumulate(out, w, c)
         return NcSeries(self.order, self.labels, out)
 
     def __sub__(self, other: "NcSeries") -> "NcSeries":
@@ -176,15 +188,8 @@ def series_mul(a: NcSeries, b: NcSeries) -> NcSeries:
     for w1, c1 in a.terms.items():
         room = order - len(w1)
         for w2, c2 in b.terms.items():
-            if len(w2) > room:
-                continue
-            w = w1 + w2
-            s = out.get(w, Fraction(0)) + c1 * c2
-            s = as_exact(s)
-            if _czero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
+            if len(w2) <= room:
+                _accumulate(out, w1 + w2, c1 * c2)
     return NcSeries(order, a.labels, out)
 
 
@@ -265,6 +270,15 @@ def stage_exp(g: StageGen, coeff, order: int, labels: Sequence[str] = ("A", "B")
     return series_exp(elem)
 
 
+def stage_product(stages: Sequence[tuple[StageGen, object]], order: int,
+                  labels: Sequence[str] = ("A", "B")) -> NcSeries:
+    """Left-to-right product of stage exponentials, truncated at ``order``."""
+    prod = NcSeries.identity(order, labels)
+    for g, c in stages:
+        prod = series_mul(prod, stage_exp(g, c, order, labels))
+    return prod
+
+
 def product_log(stages: Sequence[tuple[StageGen, object]], order: int,
                 labels: Sequence[str] = ("A", "B")) -> NcSeries:
     """log of the left-to-right product of stage exponentials.
@@ -274,19 +288,7 @@ def product_log(stages: Sequence[tuple[StageGen, object]], order: int,
     """
     if not stages:
         raise ValueError("stage list must be nonempty")
-    prod = NcSeries.identity(order, labels)
-    for g, c in stages:
-        prod = series_mul(prod, stage_exp(g, c, order, labels))
-    return series_log(prod)
-
-
-def stage_product(stages: Sequence[tuple[StageGen, object]], order: int,
-                  labels: Sequence[str] = ("A", "B")) -> NcSeries:
-    """Left-to-right product of stage exponentials without the log."""
-    prod = NcSeries.identity(order, labels)
-    for g, c in stages:
-        prod = series_mul(prod, stage_exp(g, c, order, labels))
-    return prod
+    return series_log(stage_product(stages, order, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -408,22 +410,14 @@ class LieCombination:
             raise ValueError("Lie combinations over different alphabets")
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = as_exact(out.get(w, Fraction(0)) + c)
-            if _czero(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
+            _accumulate(out, w, c)
         return LieCombination(self.labels, out)
 
     def word_expansion(self) -> dict[Word, Coeff]:
         out: dict[Word, Coeff] = {}
         for w, c in self.terms.items():
             for word, mult in lyndon_bracket_expansion(w):
-                s = as_exact(out.get(word, Fraction(0)) + c * mult)
-                if _czero(s):
-                    out.pop(word, None)
-                else:
-                    out[word] = s
+                _accumulate(out, word, c * mult)
         return out
 
     def to_series(self, order: int) -> NcSeries:
@@ -503,11 +497,7 @@ def lie_project(s: NcSeries) -> LieCombination:
                 continue
             result[lw] = c
             for word, mult in lyndon_bracket_expansion(lw):
-                v = as_exact(component.get(word, Fraction(0)) - c * mult)
-                if _czero(v):
-                    component.pop(word, None)
-                else:
-                    component[word] = v
+                _accumulate(component, word, -c * mult)
         leftovers = {w: c for w, c in component.items() if not _czero(c)}
         if leftovers:
             raise NotLieElementError(

@@ -17,9 +17,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ncalg import lie_project, product_log
-from .poly import RationalPoly, as_exact
+from .ncalg import NcSeries, lie_project, lyndon_words, product_log, series_log, stage_product
+from .poly import RationalPoly
 from .schemes import Scheme
+
+# Truncation cap of the exact series work: condition generation and
+# order verification refuse a higher target order.
+MAX_ORDER = 8
+
+
+def _check_order_cap(m: int) -> None:
+    if m > MAX_ORDER:
+        raise ValueError(f"order {m} exceeds the configured truncation cap ({MAX_ORDER})")
 
 
 @dataclass(frozen=True)
@@ -87,8 +96,7 @@ def order_conditions(pattern: str, m: int) -> OrderConditionSet:
     labels = tuple(sorted(set(pattern)))
     if not set(pattern) <= {"A", "B"}:
         raise ValueError("pattern must be over the slots A and B")
-    if m > 8:
-        raise ValueError("target order exceeds the configured truncation cap (8)")
+    _check_order_cap(m)
     params = tuple(f"p{i + 1}" for i in range(len(pattern)))
     stages = [(lab, RationalPoly.var(p)) for lab, p in zip(pattern, params)]
     log = product_log(stages, m, labels)
@@ -100,8 +108,6 @@ def order_conditions(pattern: str, m: int) -> OrderConditionSet:
         equations.append(ConditionEq(1, (j,), poly))
     for degree in range(2, m + 1):
         comp = combo.homogeneous(degree)
-        from .ncalg import lyndon_words
-
         for lw in lyndon_words(len(labels), degree):
             if len(lw) != degree:
                 continue
@@ -119,51 +125,34 @@ def _as_poly(c) -> RationalPoly:
 def verify_order(scheme: Scheme, m: int) -> int:
     """Highest order k <= m at which all correction terms vanish.
 
-    Schemes with purely rational coefficients are checked exactly; anything
-    carrying algebraic or float coefficients is checked against a scaled
-    1e-12 tolerance (the floats enter the series algebra as exact binary
-    rationals, so structural cancellations still happen exactly).
+    One stage product, truncated at degree m, gives both the log and the
+    tolerance scale.  The log must equal the exact flow's: each letter has
+    coefficient 1 at degree 1, every longer word 0.  Schemes with purely
+    rational coefficients are checked exactly.  Anything carrying algebraic
+    or float coefficients enters the series algebra as exact binary
+    rationals, so structural cancellations still happen exactly, but each
+    degree-d residual coefficient need only be within 1e-12 times the
+    largest degree-d coefficient magnitude of the product (at least 1).
     """
-    if m > 8:
-        raise ValueError("verification order exceeds the configured truncation cap (8)")
+    _check_order_cap(m)
     exact = scheme.all_exact()
-    stages = scheme.ncalg_stages()
-    labels = tuple(lab for lab in scheme.slots)
-    log = product_log(stages, m, labels)
-    prod = _stage_product_abs(stages, m, labels)
+    labels = tuple(scheme.slots)
+    prod = stage_product(scheme.ncalg_stages(), m, labels)
+    scale: dict[int, float] = {}
+    for w, c in prod.terms.items():
+        scale[len(w)] = max(scale.get(len(w), 1.0), abs(float(c)))
+    target = NcSeries(m, labels, {(j,): 1 for j in range(len(labels))})
+    residual = series_log(prod) - target
     achieved = 0
     for degree in range(1, m + 1):
-        comp = log.homogeneous(degree)
-        if degree == 1:
-            ok = True
-            for j in range(len(labels)):
-                c = comp.get((j,), Fraction(0))
-                ok &= _is_value(c, Fraction(1), exact, prod.get(degree, 1.0))
-            if not ok:
-                break
-        else:
-            residual = {w: c for w, c in comp.items()
-                        if not _is_value(c, Fraction(0), exact, prod.get(degree, 1.0))}
-            if residual:
-                break
+        if not all(_is_zero(c, exact, scale.get(degree, 1.0))
+                   for c in residual.homogeneous(degree).values()):
+            break
         achieved = degree
     return achieved
 
 
-def _stage_product_abs(stages, m, labels) -> dict[int, float]:
-    """Per-degree magnitude scale of the stage product, for tolerance scaling."""
-    from .ncalg import stage_product
-
-    prod = stage_product(stages, m, labels)
-    scale: dict[int, float] = {}
-    for w, c in prod.terms.items():
-        d = len(w)
-        scale[d] = max(scale.get(d, 1.0), abs(float(c)))
-    return scale
-
-
-def _is_value(c, target: Fraction, exact: bool, scale: float) -> bool:
-    diff = as_exact(c) - target
+def _is_zero(diff, exact: bool, scale: float) -> bool:
     if exact:
         return diff == 0
     return abs(float(diff)) <= 1e-12 * max(1.0, scale)

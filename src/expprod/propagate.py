@@ -467,15 +467,9 @@ def error_slope(dts: Sequence[float], errors: Sequence[float],
 
 
 def spin_error(scheme: Scheme, gamma: float, dt: float, t_final: float) -> float:
-    """Final-state error vs the exact eigendecomposition evolution."""
+    """Final-state error on the precession fixture vs the exact evolution."""
     parts = spin_parts(gamma)
-    h = HermitianPart(parts["A"].matrix + parts["B"].matrix)
-    steps = int(round(t_final / dt))
-    u_step = step_operator(scheme, parts, dt)
-    u_total = np.linalg.matrix_power(u_step, steps)
-    u_exact = h.expfactor(-1j * steps * dt)
-    psi0 = QuantumState.up(2).vector
-    return float(np.linalg.norm(u_total @ psi0 - u_exact @ psi0))
+    return hermitian_pair_error(scheme, parts["A"].matrix, parts["B"].matrix, dt, t_final)
 
 
 def hermitian_pair_error(scheme: Scheme, a: np.ndarray, b: np.ndarray,

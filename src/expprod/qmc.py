@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -451,14 +452,17 @@ def _exact_finite_n(model: IsingModel, n: int) -> ExactObservables:
                             diag_energy=diag_energy, sigma_x=sigma_x)
 
 
-def matrix_trace_z(model: IsingModel, n: int) -> float:
-    """Z_n by the dense product trace Tr[(e^{-beta A/n} e^{-beta B/n})^n]."""
+def _transfer_power(model: IsingModel, n: int) -> np.ndarray:
+    """The dense n-layer product (e^{-beta A/n} e^{-beta B/n})^n."""
     a, b = hamiltonian_parts(model)
-    import scipy.linalg
-
     ea = scipy.linalg.expm(-(model.beta / n) * a)
     eb = scipy.linalg.expm(-(model.beta / n) * b)
-    return float(np.trace(np.linalg.matrix_power(ea @ eb, n)).real)
+    return np.linalg.matrix_power(ea @ eb, n)
+
+
+def matrix_trace_z(model: IsingModel, n: int) -> float:
+    """Z_n by the dense product trace Tr[(e^{-beta A/n} e^{-beta B/n})^n]."""
+    return float(np.trace(_transfer_power(model, n)).real)
 
 
 def matrix_trace_bond_zz(model: IsingModel, n: int) -> list[float]:
@@ -467,12 +471,7 @@ def matrix_trace_bond_zz(model: IsingModel, n: int) -> list[float]:
     Works at any n (the enumeration cap does not apply); by layer cyclicity
     a single insertion equals the layer average.
     """
-    a, b = hamiltonian_parts(model)
-    import scipy.linalg
-
-    ea = scipy.linalg.expm(-(model.beta / n) * a)
-    eb = scipy.linalg.expm(-(model.beta / n) * b)
-    tn = np.linalg.matrix_power(ea @ eb, n)
+    tn = _transfer_power(model, n)
     z = float(np.trace(tn).real)
     out = []
     for i, j, _ in model.bonds:

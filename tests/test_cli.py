@@ -188,6 +188,65 @@ def test_timedep_trajectory(tmp_path, capsys):
     assert final_norm == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["precession", "--sample-every", "0"],
+    ["precession", "--steps", "-5"],
+    ["converge", "--scheme", "suzuki4", "--dt-list", "0"],
+    ["umeno", "--dt", "-1"],
+    ["timedep", "--sample-every", "0"],
+], ids=" ".join)
+def test_non_positive_step_arguments_are_config_errors(tmp_path, capsys, argv):
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == cli.CONFIG_ERROR
+    assert "must be positive" in err
+    assert "Traceback" not in out + err
+    assert not out_path.exists()
+
+
+def test_non_finite_trajectory_exits_3_without_data(tmp_path, capsys):
+    out_path = tmp_path / "u.csv"
+    code, out, _ = run(capsys, "umeno", "--dt", "0.5", "--steps", "2000",
+                       "--sample-every", "100", "--out", str(out_path))
+    assert code == cli.NONCONVERGENCE
+    doc = json.loads(out)
+    assert doc["command"] == "umeno"
+    assert doc["diagnostics"] == "non-finite result"
+    assert doc["step"] % 100 == 0 and doc["t"] == 0.5 * doc["step"]
+    assert not out_path.exists()
+    assert not (tmp_path / "u.csv.manifest.json").exists()
+
+
+# stdout of the exact layer's commands, byte for byte
+PINNED_STDOUT = [
+    (["bch", "--stages", "A:x,B:x", "--order", "6"],
+     "04743b5bc852c51d0f04b6e3d5d39bc80b53d632074f5ef3084b8f7fc38d4d29"),
+    (["bch", "--stages", "A:x/2,B:x,A:x/2", "--order", "6", "--format", "json"],
+     "32494b99adbd3735d596bdc719e18ad0bd466074f14a310fd47c9107ecddf435"),
+    (["solve", "--pattern", "ABABAB", "--order", "3", "--fix", "p6=1",
+      "--guess", "p1=0.33,p2=0.62,p3=0.7,p4=-0.62,p5=-0.05"],
+     "583ba65c9f6d848d5c0fdfcbd56fbaf627b7083e703c91b9e282bf8f3ad1952b"),
+    (["scheme", "check", "suzuki4"],
+     "778d47583dc30c1096bf38473ed78588fe73f5a5c9abed9e98e4b448ff43b07d"),
+    (["scheme", "check", "suzuki6"],
+     "672b85a0cea48ccc8f320e0d3c9bb2b299e55b7ab8463ab62b01101572f1b1bf"),
+    (["scheme", "check", "timeordered4"],
+     "73a2e1396beda2e6ab67dd31ff27e3f990b775e1e6e1f730e465db7d10c237e5"),
+    (["scheme", "check", "hybrid_fourth"],
+     "2173ce71c9cb90d9c8db097ed6f77f79f79614cc7d84a3d23721632ff8d3891d"),
+    (["scheme", "check", "ruth"],
+     "86097392b92ba9fdfbb34cd47b802bba4c9e7ce67772d1872ff1f3c99de40ee3"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
+                         ids=[" ".join(argv[:3]) for argv, _ in PINNED_STDOUT])
+def test_exact_commands_stdout_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # qmc subcommands
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from expprod import ncalg, orders
 from expprod.orders import (
     ConditionEq, OrderConditionSet, evaluate_conditions, family_csv,
     order_conditions, rationalize_solution, ruth_family, solve, verify_order,
@@ -135,6 +136,23 @@ def test_verify_order_is_exact_for_rational_schemes():
 def test_verify_order_cap():
     with pytest.raises(ValueError):
         verify_order(strang(), 9)
+
+
+def test_verify_order_builds_the_stage_product_once(monkeypatch):
+    calls = {"stage_product": 0, "stage_exp": 0}
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ncalg, "stage_exp", counting(ncalg.stage_exp))
+    monkeypatch.setattr(orders, "stage_product", counting(ncalg.stage_product))
+    scheme = suzuki4()
+    assert verify_order(scheme, 5) == 4
+    # one product, one exponential per stage: the log and the scale share it
+    assert calls == {"stage_product": 1, "stage_exp": len(scheme.stages)}
 
 
 # ---------------------------------------------------------------------------
