@@ -1,10 +1,10 @@
 """Command-line front end: everything emits CSV or JSON for plotting.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence
-(with JSON diagnostics on stdout).  Every file-writing run also writes a
-manifest echoing the fully resolved configuration; timestamps live only in
-the manifest, so data files are byte-identical across reruns at a fixed
-seed.
+or an arithmetic error such as an overflow (with JSON diagnostics on
+stdout).  Every file-writing run also writes a manifest echoing the fully
+resolved configuration; timestamps live only in the manifest, so data files
+are byte-identical across reruns at a fixed seed.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def cmd_converge(args) -> int:
     floors = []
     nstages = len(sch.stages)
     for dt in dts:
-        steps = max(1, int(round(tf / dt)))
+        steps = propagate.step_count(tf, dt)
         if args.system == "driven":
             errors.append(propagate.driven_error(sch, dt, tf))
         else:
@@ -330,16 +330,18 @@ def cmd_timedep(args) -> int:
     if "T" not in sch.slots:
         raise ConfigError("timedep needs a scheme with a T slot (timeordered1/2/4)")
     parts = propagate.driven_two_level()
+
+    def row(k: int, psi: propagate.QuantumState) -> tuple:
+        v = psi.vector
+        return (args.t0 + k * args.dt, v[0].real, v[0].imag, v[1].real, v[1].imag, psi.norm)
+
     psi = propagate.QuantumState.up(2)
-    rows = [(0.0, psi.vector[0].real, psi.vector[0].imag,
-             psi.vector[1].real, psi.vector[1].imag, psi.norm)]
-    t = args.t0
-    for k in range(1, args.steps + 1):
-        psi = propagate.timeordered_step(sch, parts, t, args.dt, psi)
-        t += args.dt
-        if k % args.sample_every == 0 or k == args.steps:
-            rows.append((t, psi.vector[0].real, psi.vector[0].imag,
-                         psi.vector[1].real, psi.vector[1].imag, psi.norm))
+    rows = [row(0, psi)]
+    marks = list(range(0, args.steps, args.sample_every)) + [args.steps]
+    for k, k_next in zip(marks, marks[1:]):
+        psi = propagate.run_timeordered(sch, parts, args.t0 + k * args.dt, args.dt,
+                                        k_next - k, psi)
+        rows.append(row(k_next, psi))
     return _emit_trajectory(args, "timedep", ["t", "re0", "im0", "re1", "im1", "norm"], rows,
                             {"scheme": args.scheme, "dt": args.dt, "steps": args.steps,
                              "t0": args.t0, "sample_every": args.sample_every})
@@ -349,6 +351,9 @@ def cmd_qmc(args) -> int:
     model = load_model(args.model)
     sweeps = int(float(args.sweeps))
     therm = int(float(args.therm)) if args.therm is not None else sweeps // 5
+    if sweeps - therm < 2:
+        # one kept sweep is one bin, whose error bar is infinite (not JSON)
+        raise ConfigError("qmc needs at least 2 sweeps after thermalization")
     stats = qmc.metropolis_run(model, args.n, sweeps, therm, args.seed)
     doc = stats.to_json()
     print(json.dumps(doc, indent=2, sort_keys=True))
@@ -563,16 +568,18 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    args = None
     try:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
-    except (ValueError, KeyError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return CONFIG_ERROR
+    except ArithmeticError as exc:
+        print(json.dumps({"command": getattr(args, "command", None),
+                          "diagnostics": f"{type(exc).__name__}: {exc}"}))
+        return NONCONVERGENCE
 
 
 if __name__ == "__main__":

@@ -112,12 +112,6 @@ class NcSeries:
     def homogeneous(self, degree: int) -> dict[Word, Coeff]:
         return {w: c for w, c in self.terms.items() if len(w) == degree}
 
-    def max_degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
-    def min_degree(self) -> int:
-        return min((len(w) for w in self.terms), default=0)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, NcSeries):
             return NotImplemented
@@ -393,9 +387,6 @@ class LieCombination:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def min_degree(self) -> int:
-        return min((len(w) for w in self.terms), default=0)
 
     def homogeneous(self, degree: int) -> "LieCombination":
         return LieCombination(self.labels,

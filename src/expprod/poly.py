@@ -252,10 +252,3 @@ def coeff_from_json(doc) -> Coeff:
         return Fraction(doc)
     return as_exact(RationalPoly.from_json(doc))
 
-
-def coeff_float(c) -> float:
-    if isinstance(c, RationalPoly):
-        if not c.is_const():
-            raise ValueError("cannot take float of a non-constant polynomial")
-        return float(c.const_value())
-    return float(c)

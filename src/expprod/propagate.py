@@ -10,7 +10,6 @@ so every composed step is symplectic.  The deliberately bad baselines
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -18,12 +17,17 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 import scipy.linalg
 
-from .schemes import Scheme, coeff_value, evaluation_times
+from .schemes import CommutatorSpec, Scheme, stage_plan, timeordered2
 
 
 # ---------------------------------------------------------------------------
 # Quantum stepping
 # ---------------------------------------------------------------------------
+
+def _hermitian_exp(w: np.ndarray, v: np.ndarray, z: complex) -> np.ndarray:
+    """exp(z H) for H = v diag(w) v^H (unitary for imaginary z)."""
+    return (v * np.exp(z * w)) @ v.conj().T
+
 
 class HermitianPart:
     """A Hermitian matrix with a cached eigendecomposition for stage factors."""
@@ -43,9 +47,8 @@ class HermitianPart:
         return self.matrix.shape[0]
 
     def expfactor(self, z: complex) -> np.ndarray:
-        """exp(z H) through the eigendecomposition (unitary for imaginary z)."""
-        phases = np.exp(z * self.eigenvalues)
-        return (self.eigenvectors * phases) @ self.eigenvectors.conj().T
+        """exp(z H) through the cached eigendecomposition."""
+        return _hermitian_exp(self.eigenvalues, self.eigenvectors, z)
 
     def reconstruction_error(self) -> float:
         rebuilt = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
@@ -93,21 +96,24 @@ def _bracket_matrix(tree, parts: dict[str, HermitianPart]) -> np.ndarray:
     return left @ right - right @ left
 
 
+def _static_plan(scheme: Scheme) -> list[tuple[str | CommutatorSpec, float, float]]:
+    """The stage plan of a scheme for a time-independent system (no T slot)."""
+    if "T" in scheme.slots:
+        raise ValueError("scheme has a shift-time slot; step it with run_timeordered")
+    return stage_plan(scheme)
+
+
 def stage_unitaries(scheme: Scheme, parts, dt: float) -> list[np.ndarray]:
     """Stage matrices in application (right-to-left) order for exp(-i dt H)."""
-    if "T" in scheme.slots:
-        raise ValueError("scheme has a shift-time slot; use timeordered_step")
+    plan = _static_plan(scheme)
     pm = _parts_map(scheme, parts)
     mats: list[np.ndarray] = []
-    for st in reversed(scheme.stages):
-        c = coeff_value(st.coeff)
-        if st.is_commutator():
-            bracket = _bracket_matrix(st.target.tree, pm)
-            arg = c * (-1j * dt) ** st.target.x_power * bracket
-            mats.append(scipy.linalg.expm(arg))
+    for target, c, _ in plan:
+        if isinstance(target, CommutatorSpec):
+            bracket = _bracket_matrix(target.tree, pm)
+            mats.append(scipy.linalg.expm(c * (-1j * dt) ** target.x_power * bracket))
         else:
-            lab = scheme.slots[st.target]
-            mats.append(pm[lab].expfactor(-1j * c * dt))
+            mats.append(pm[target].expfactor(-1j * c * dt))
     return mats
 
 
@@ -240,21 +246,26 @@ def kick(h: SeparableHamiltonian, dt: float, x: PhasePoint) -> PhasePoint:
 DEFAULT_SLOT_MAP = {"A": "drift", "B": "kick"}
 
 
+def _kick_drift_plan(scheme: Scheme,
+                     slot_map: Mapping[str, str] | None = None) -> list[tuple[str, float]]:
+    """(kind, coeff) per stage in application order, kind 'kick' or 'drift'."""
+    smap = dict(slot_map or DEFAULT_SLOT_MAP)
+    plan = []
+    for target, c, _ in _static_plan(scheme):
+        if isinstance(target, CommutatorSpec):
+            raise ValueError("commutator stages are not supported in classical stepping")
+        kind = smap.get(target)
+        if kind not in ("drift", "kick"):
+            raise ValueError(f"slot {target!r} must map to 'drift' or 'kick', got {kind!r}")
+        plan.append((kind, c))
+    return plan
+
+
 def symplectic_step(scheme: Scheme, h: SeparableHamiltonian, dt: float,
                     x: PhasePoint, slot_map: Mapping[str, str] | None = None) -> PhasePoint:
     """Compose kick/drift maps per the scheme stages (right to left)."""
-    smap = dict(slot_map or DEFAULT_SLOT_MAP)
-    for st in reversed(scheme.stages):
-        if st.is_commutator():
-            raise ValueError("commutator stages are not supported in classical stepping")
-        kind = smap[scheme.slots[st.target]]
-        c = coeff_value(st.coeff)
-        if kind == "drift":
-            x = drift(h, c * dt, x)
-        elif kind == "kick":
-            x = kick(h, c * dt, x)
-        else:
-            raise ValueError(f"slot map entry must be 'drift' or 'kick', got {kind!r}")
+    for kind, c in _kick_drift_plan(scheme, slot_map):
+        x = (drift if kind == "drift" else kick)(h, c * dt, x)
     return x
 
 
@@ -290,11 +301,7 @@ def run_umeno(method, dt: float = 1e-4, steps: int = 1_000_000,
             raise ValueError(f"unknown method {method!r}")
         stepper = None
     else:
-        plan = []
-        smap = DEFAULT_SLOT_MAP
-        for st in reversed(method.stages):
-            plan.append((smap[method.slots[st.target]], coeff_value(st.coeff) * dt))
-        stepper = plan
+        stepper = [(kind, c * dt) for kind, c in _kick_drift_plan(method)]
     p1, p2 = float(x0.p[0]), float(x0.p[1])
     q1, q2 = float(x0.q[0]), float(x0.q[1])
     for k in range(1, steps + 1):
@@ -352,43 +359,28 @@ class TimeDependentParts:
         return mat
 
 
-def _expi(mat: np.ndarray, z: complex) -> np.ndarray:
-    """exp(z * mat) for Hermitian mat, by eigendecomposition (2x2 fast path)."""
-    if mat.shape == (2, 2):
-        # exp(z(c0 I + v.sigma)) = e^{z c0}(cosh(z r) I + sinh(z r)/r v.sigma)
-        c0 = 0.5 * (mat[0, 0] + mat[1, 1])
-        m0 = mat - c0 * np.eye(2)
-        r2 = m0[0, 1] * m0[1, 0] + m0[0, 0] ** 2
-        r = cmath.sqrt(r2)
-        zr = z * r
-        if abs(zr) < 1e-12:
-            ch, shr = 1.0 + zr * zr / 2, z * (1.0 + zr * zr / 6)
-        else:
-            ch, shr = cmath.cosh(zr), cmath.sinh(zr) / r
-        return cmath.exp(z * c0) * (ch * np.eye(2) + shr * m0)
-    w, v = np.linalg.eigh(mat)
-    return (v * np.exp(z * w)) @ v.conj().T
+def run_timeordered(scheme3: Scheme, parts: TimeDependentParts, t0: float,
+                    dt: float, steps: int, psi: QuantumState) -> QuantumState:
+    """``steps`` steps of a three-slot (A, B, T) scheme on a driven system.
+
+    The shift-time slot is consumed into stage offsets tau; in step k each
+    remaining stage applies exp(-i c dt X(t0 + k dt + tau dt)), right to left.
+    """
+    if "T" not in scheme3.slots:
+        raise ValueError("scheme has no shift-time slot")
+    plan = stage_plan(scheme3)
+    v = psi.vector
+    for k in range(steps):
+        for slot, c, tau in plan:
+            w, vecs = np.linalg.eigh(parts.sample(slot, t0 + k * dt + tau * dt))
+            v = _hermitian_exp(w, vecs, -1j * c * dt) @ v
+    return QuantumState(v)
 
 
 def timeordered_step(scheme3: Scheme, parts: TimeDependentParts, t: float,
                      dt: float, psi: QuantumState) -> QuantumState:
-    """One step of a three-slot (A, B, T) scheme on a driven system.
-
-    The shift-time slot is consumed into stage evaluation times; each
-    remaining stage applies exp(-i c dt X(t_eval)), right to left.
-    """
-    v = psi.vector
-    for slot, c, t_eval in evaluation_times(scheme3, t, dt):
-        mat = parts.sample(slot, t_eval)
-        v = _expi(mat, -1j * c * dt) @ v
-    return QuantumState(v)
-
-
-def run_timeordered(scheme3: Scheme, parts: TimeDependentParts, t0: float,
-                    dt: float, steps: int, psi: QuantumState) -> QuantumState:
-    for k in range(steps):
-        psi = timeordered_step(scheme3, parts, t0 + k * dt, dt, psi)
-    return psi
+    """One time-ordered step from time t (``run_timeordered`` with one step)."""
+    return run_timeordered(scheme3, parts, t, dt, 1, psi)
 
 
 def driven_two_level() -> TimeDependentParts:
@@ -472,12 +464,17 @@ def spin_error(scheme: Scheme, gamma: float, dt: float, t_final: float) -> float
     return hermitian_pair_error(scheme, parts["A"].matrix, parts["B"].matrix, dt, t_final)
 
 
+def step_count(t_final: float, dt: float) -> int:
+    """Steps of size dt that approximate t_final; at least one."""
+    return max(1, int(round(t_final / dt)))
+
+
 def hermitian_pair_error(scheme: Scheme, a: np.ndarray, b: np.ndarray,
                          dt: float, t_final: float) -> float:
     """Final-state error for arbitrary Hermitian parts (exact reference)."""
     parts = {"A": HermitianPart(a), "B": HermitianPart(b)}
     h = HermitianPart(a + b)
-    steps = int(round(t_final / dt))
+    steps = step_count(t_final, dt)
     u_step = step_operator(scheme, parts, dt)
     u_total = np.linalg.matrix_power(u_step, steps)
     u_exact = h.expfactor(-1j * steps * dt)
@@ -493,12 +490,8 @@ def driven_error(scheme3: Scheme, dt: float, t_final: float,
     The reference is the second-order time-ordered scheme at dt/refine.
     """
     parts = driven_two_level()
-    steps = int(round(t_final / dt))
-    psi = QuantumState.up(2)
-    psi = run_timeordered(scheme3, parts, 0.0, dt, steps, psi)
-    from .schemes import timeordered2
-
-    ref_scheme = timeordered2()
-    fine = dt / refine
-    ref = run_timeordered(ref_scheme, parts, 0.0, fine, steps * refine, QuantumState.up(2))
+    steps = step_count(t_final, dt)
+    psi = run_timeordered(scheme3, parts, 0.0, dt, steps, QuantumState.up(2))
+    ref = run_timeordered(timeordered2(), parts, 0.0, dt / refine, steps * refine,
+                          QuantumState.up(2))
     return float(np.linalg.norm(psi.vector - ref.vector))

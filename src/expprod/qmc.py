@@ -595,6 +595,8 @@ def anneal(model: IsingModel, n: int, gamma_schedule: Sequence[float],
     to a small floor (the inter-layer coupling diverges at 0).  Returns the
     best layer's diagonal energy and configuration.
     """
+    if sweeps_per_stage < 1:
+        raise ValueError("anneal needs at least 1 sweep per stage")
     sched = [float(g) for g in gamma_schedule]
     if any(b >= a for a, b in zip(sched, sched[1:])):
         raise ValueError("gamma schedule must be strictly decreasing")

@@ -214,19 +214,6 @@ class CommutatorSpec:
         if leaves != self.x_power:
             raise ValueError("x_power must equal the number of bracket leaves")
 
-    def labels_used(self) -> set[str]:
-        out: set[str] = set()
-
-        def walk(t):
-            if isinstance(t, str):
-                out.add(t)
-            else:
-                walk(t[0])
-                walk(t[1])
-
-        walk(self.tree)
-        return out
-
     def to_json(self):
         def conv(t):
             if isinstance(t, str):
@@ -304,9 +291,6 @@ class Scheme:
             elif coeff_add(a.coeff, coeff_mul(Fraction(-1), b.coeff)) != Fraction(0):
                 return False
         return True
-
-    def has_commutator_stages(self) -> bool:
-        return any(st.is_commutator() for st in self.stages)
 
     def all_exact(self) -> bool:
         return all(isinstance(st.coeff, Fraction) for st in self.stages)
@@ -613,7 +597,23 @@ def evaluation_offsets(s: Scheme) -> list[tuple[str, StageCoeff, StageCoeff]]:
     return out
 
 
+def stage_plan(s: Scheme) -> list[tuple[Union[str, CommutatorSpec], float, float]]:
+    """Numeric (target, coeff, tau) records in application (right-to-left) order.
+
+    The target is a slot label, or the CommutatorSpec of a commutator stage.
+    A T slot is consumed through the exact ``evaluation_offsets``; without
+    one, every offset tau is 0.  Every numeric stepper reads a scheme here.
+    """
+    if "T" in s.slots:
+        records = evaluation_offsets(s)
+    else:
+        records = [(st.target if st.is_commutator() else s.slots[st.target], st.coeff, 0)
+                   for st in reversed(s.stages)]
+    return [(target, coeff_value(c), coeff_value(tau)) for target, c, tau in records]
+
+
 def evaluation_times(s: Scheme, t: float, dt: float) -> list[tuple[str, float, float]]:
     """Numeric (slot, coeff, eval_time) records, emitted in application order."""
-    return [(lab, coeff_value(c), t + coeff_value(tau) * dt)
-            for lab, c, tau in evaluation_offsets(s)]
+    if "T" not in s.slots:
+        raise ValueError("scheme has no shift-time slot")
+    return [(lab, c, t + tau * dt) for lab, c, tau in stage_plan(s)]

@@ -2,9 +2,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from expprod import cli, qmc
+from expprod import cli, propagate, qmc, schemes
 
 MODELS = Path(__file__).resolve().parents[1] / "scripts" / "models"
 
@@ -108,6 +109,16 @@ def test_solve_nonconvergence_exit_code(capsys):
     assert doc["converged"] is False
 
 
+def test_solve_overflow_exits_3_with_json(capsys):
+    code, out, err = run(capsys, "solve", "--pattern", "ABABAB", "--order", "3",
+                         "--fix", "p6=1", "--guess", "p1=1e200,p2=1,p3=1,p4=1,p5=1")
+    assert code == cli.NONCONVERGENCE
+    doc = json.loads(out)
+    assert doc["command"] == "solve"
+    assert "OverflowError" in doc["diagnostics"]
+    assert "Traceback" not in out + err
+
+
 def test_family_csv_with_ruth_row(tmp_path, capsys):
     out_path = tmp_path / "family.csv"
     code, _, _ = run(capsys, "family", "--p6", "0.9:1.1:0.1", "--out", str(out_path))
@@ -186,6 +197,115 @@ def test_timedep_trajectory(tmp_path, capsys):
     assert lines[0] == "t,re0,im0,re1,im1,norm"
     final_norm = float(lines[-1].split(",")[-1])
     assert final_norm == pytest.approx(1.0, abs=1e-12)
+
+
+def test_timedep_rows_sit_at_t0_plus_k_dt(tmp_path, capsys):
+    out_path = tmp_path / "td.csv"
+    code, _, _ = run(capsys, "timedep", "--scheme", "timeordered2", "--t0", "0.5",
+                     "--dt", "0.05", "--steps", "7", "--sample-every", "3",
+                     "--out", str(out_path))
+    assert code == 0
+    times = [float(line.split(",")[0]) for line in out_path.read_text().splitlines()[1:]]
+    assert times == [0.5 + k * 0.05 for k in (0, 3, 6, 7)]
+
+
+def test_timedep_final_state_matches_one_run(tmp_path, capsys):
+    out_path = tmp_path / "td.csv"
+    code, _, _ = run(capsys, "timedep", "--scheme", "timeordered4", "--t0", "0.3",
+                     "--dt", "0.02", "--steps", "50", "--sample-every", "7",
+                     "--out", str(out_path))
+    assert code == 0
+    last = [float(v) for v in out_path.read_text().splitlines()[-1].split(",")]
+    ref = propagate.run_timeordered(schemes.timeordered4(), propagate.driven_two_level(),
+                                    0.3, 0.02, 50, propagate.QuantumState.up(2)).vector
+    got = np.array([last[1] + 1j * last[2], last[3] + 1j * last[4]])
+    assert np.max(np.abs(got - ref)) < 1e-12
+
+
+# every scheme through every stepping command: a run either works (exit 0, or
+# 3 when too few converge points clear the floor) or refuses the pairing (2)
+STEPPING_COMMANDS = {
+    "precession": ["precession", "--dt", "0.01", "--steps", "20", "--sample-every", "5"],
+    "umeno": ["umeno", "--dt", "0.01", "--steps", "20", "--sample-every", "5"],
+    "timedep": ["timedep", "--dt", "0.05", "--steps", "4", "--sample-every", "2"],
+    "converge": ["converge", "--dt-list", "0.5,0.25", "--t-final", "0.5"],
+    "converge_driven": ["converge", "--system", "driven", "--dt-list", "0.5,0.25",
+                        "--t-final", "0.5"],
+}
+CATALOG = schemes.catalog()
+
+
+def _pairing_is_valid(command: str, name: str) -> bool:
+    if name in ("perturbative", "euler"):
+        return (command, name) in {("precession", "perturbative"), ("umeno", "euler")}
+    sch = CATALOG[name]
+    timed = "T" in sch.slots
+    if command in ("timedep", "converge_driven"):
+        return timed
+    if command == "umeno":
+        return not timed and not any(st.is_commutator() for st in sch.stages)
+    return not timed
+
+
+@pytest.mark.parametrize("command", sorted(STEPPING_COMMANDS))
+@pytest.mark.parametrize("name", sorted(CATALOG) + ["perturbative", "euler"])
+def test_every_scheme_through_every_stepping_command(tmp_path, capsys, command, name):
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(capsys, *STEPPING_COMMANDS[command], "--scheme", name,
+                         "--out", str(out_path))
+    assert "Traceback" not in out + err
+    if _pairing_is_valid(command, name):
+        assert code in (0, cli.NONCONVERGENCE)
+    else:
+        assert code == cli.CONFIG_ERROR
+        assert not out_path.exists()
+
+
+# data files (and converge's stdout) recorded before the propagation layer
+# read schemes through one stage plan; static stepping must not move a bit
+PINNED_DATA = [
+    (["precession", "--scheme", "trotter"],
+     "75efe383aa4f47e0ab2f24df48c13a4f72750ce987155d5cdd77f143418b3098"),
+    (["precession", "--scheme", "suzuki4"],
+     "2e2b0a4c81c175bd2ada71f75ac42bc686d178524dc679a5c3ebbd39d08edb6c"),
+    (["precession", "--scheme", "hybrid_fourth"],
+     "8ee8afb266fdfe98e33af8028bb37bf382626385710b296bc85e6b4c12caf620"),
+    (["precession", "--scheme", "perturbative"],
+     "552a28747d4321dac05f56e451f763b94d6f6f5159cf8b0f65757805022880c8"),
+    (["umeno", "--scheme", "trotter"],
+     "3d92e1f60156a58907038478df21c0b260283fe43e16b4ef686e0af9610235f7"),
+    (["umeno", "--scheme", "suzuki4"],
+     "9574f84428a8315736831d7a8b5e7b0fd1253dcf5e4705b90da5fc77a2d38df3"),
+    (["umeno", "--scheme", "euler"],
+     "819babb1fd912e55db7e99f2f2abfb6f094b8774b00deab85251baa064282a52"),
+]
+TRAJECTORY_SIZE = ["--dt", "1e-3", "--steps", "2000", "--sample-every", "100"]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_DATA, ids=[" ".join(a) for a, _ in PINNED_DATA])
+def test_static_stepping_data_pinned(tmp_path, capsys, argv, digest):
+    out_path = tmp_path / "out.csv"
+    code, out, _ = run(capsys, *argv, *TRAJECTORY_SIZE, "--out", str(out_path))
+    assert code == 0 and out == ""
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+def test_converge_suzuki8_pinned(tmp_path, capsys):
+    out_path = tmp_path / "conv.csv"
+    code, out, _ = run(capsys, "converge", "--scheme", "suzuki8", "--out", str(out_path))
+    assert code == 0
+    assert (hashlib.sha256(out_path.read_bytes()).hexdigest()
+            == "2d915e0c9a1c0d3c1c3bc0e57d6658305b9081732c5c248b34db389ec46d4431")
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "bf36b215a839c85b0cf879aff4aad20396f312153af0ff0757b6387d451f641c")
+
+
+def test_converge_takes_at_least_one_step(capsys):
+    # a dt beyond twice t_final is one step, not zero steps with a roundoff error
+    code, out, _ = run(capsys, "converge", "--scheme", "strang", "--dt-list", "5,10")
+    doc = json.loads(out)
+    assert code == cli.NONCONVERGENCE
+    assert all(e > 1e-3 for e in doc["error"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -332,6 +452,33 @@ def test_anneal_one_stage_schedule_is_config_error(tmp_path, capsys):
     assert code == cli.CONFIG_ERROR
     assert out == ""
     assert "at least 2 stages" in err
+
+
+def test_anneal_zero_sweeps_is_config_error(capsys):
+    code, out, err = run(capsys, "anneal", "--model", str(MODELS / "frustrated4.json"),
+                         "--sweeps", "0")
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert "at least 1 sweep" in err
+
+
+def _strict_json(text: str):
+    def refuse(name):
+        raise ValueError(f"{name} is not valid JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_qmc_needs_two_kept_sweeps(capsys):
+    pair = str(MODELS / "pair.json")
+    code, out, err = run(capsys, "qmc", "--model", pair, "--n", "4",
+                         "--sweeps", "2", "--therm", "1")
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert "at least 2 sweeps" in err
+    code, out, _ = run(capsys, "qmc", "--model", pair, "--n", "4",
+                       "--sweeps", "3", "--therm", "1")
+    assert code == 0
+    assert _strict_json(out)["sigma_x"]["bins"] == 2
 
 
 def test_extrapolate_cli(tmp_path, chain_model, capsys):

@@ -8,13 +8,13 @@ from expprod.propagate import (
     SeparableHamiltonian, TimeDependentParts, dominant_period, driven_error,
     driven_two_level, drift, error_slope, euler_step,
     hermitian_pair_error, jacobian_determinant, kick, perturbational_composition,
-    perturbative_step, precession_period, run_precession,
-    run_umeno, spin_error, spin_parts, step_operator, symplectic_step,
+    perturbative_step, precession_period, run_precession, run_timeordered,
+    run_umeno, spin_error, spin_parts, step_count, step_operator, symplectic_step,
     timeordered_step, transverse_coupling_coefficient, umeno_hamiltonian,
     unitary_step,
 )
 from expprod.schemes import (
-    hybrid_fourth, ruth, strang, suzuki4, suzuki6, suzuki8,
+    hybrid_fourth, hybrid_second, ruth, strang, suzuki4, suzuki6, suzuki8,
     timeordered1, timeordered2, timeordered4, trotter,
 )
 
@@ -193,6 +193,22 @@ def test_symplectic_jacobian_determinant(scheme):
         assert abs(det - 1.0) < 1e-8
 
 
+@pytest.mark.parametrize("scheme", [hybrid_second(), hybrid_fourth(), timeordered2()],
+                         ids=["hybrid_second", "hybrid_fourth", "timeordered2"])
+def test_classical_stepping_refuses_commutators_and_shift_time(scheme):
+    x = PhasePoint(np.zeros(2), np.array([2.0, 1.0]))
+    with pytest.raises(ValueError):
+        symplectic_step(scheme, umeno_hamiltonian(), 0.01, x)
+    with pytest.raises(ValueError):
+        run_umeno(scheme, dt=0.01, steps=10, sample_every=5)
+
+
+def test_classical_stepping_refuses_an_unmapped_slot():
+    x = PhasePoint(np.zeros(2), np.array([2.0, 1.0]))
+    with pytest.raises(ValueError, match="'B'"):
+        symplectic_step(strang(), umeno_hamiltonian(), 0.01, x, slot_map={"A": "drift"})
+
+
 def test_umeno_run_reproduces_caption():
     rows = run_umeno(trotter(), dt=1e-4, steps=200_000, sample_every=1000)
     assert rows[0][1] == 2.0  # E = 0 + (1/2) * 4 * 1
@@ -325,6 +341,31 @@ def test_non_hermitian_sample_rejected():
                              b=lambda t: np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
         timeordered_step(timeordered2(), bad, 0.0, 0.1, QuantumState.up(2))
+
+
+@pytest.mark.parametrize("g", [timeordered1(), timeordered2(), timeordered4()],
+                         ids=["g1", "g2", "g4"])
+def test_run_timeordered_is_repeated_single_steps(g):
+    parts = driven_two_level()
+    t0, dt = 0.4, 0.03
+    psi = QuantumState.up(2)
+    for k in range(6):
+        psi = timeordered_step(g, parts, t0 + k * dt, dt, psi)
+    run = run_timeordered(g, parts, t0, dt, 6, QuantumState.up(2))
+    assert np.array_equal(run.vector, psi.vector)
+
+
+def test_run_timeordered_needs_a_shift_time_slot():
+    with pytest.raises(ValueError):
+        run_timeordered(strang(), driven_two_level(), 0.0, 0.1, 2, QuantumState.up(2))
+
+
+def test_step_count_is_at_least_one():
+    assert step_count(1.0, 0.25) == 4
+    assert step_count(1.0, 5.0) == step_count(1.0, 10.0) == 1
+    # one step past 2 t_final measures the scheme's error there, not roundoff
+    assert spin_error(strang(), GAMMA, 5.0, 1.0) > 1e-3
+    assert driven_error(timeordered2(), 5.0, 1.0, refine=64) > 1e-3
 
 
 def test_g4_driven_slope():

@@ -8,7 +8,7 @@ from expprod.poly import RationalPoly
 from expprod.schemes import (
     CommutatorSpec, Scheme, SymCoeff, catalog, coeff_value,
     evaluation_offsets, evaluation_times, fractal_constant, has_negative_coefficient,
-    hybrid_fourth, hybrid_second, merge_adjacent, quintuple, ruth,
+    hybrid_fourth, hybrid_second, merge_adjacent, quintuple, ruth, stage_plan,
     strang, suzuki4, suzuki6, suzuki8, timeordered1, timeordered2, timeordered4,
     triple_jump, trotter,
 )
@@ -261,6 +261,29 @@ def test_g4_offsets_exact_in_the_constant():
         if not seen or seen[-1] != poly:
             seen.append(poly)
     assert seen == expected_taus
+
+
+def test_stage_plan_runs_right_to_left_with_zero_offsets():
+    plan = stage_plan(ruth())
+    assert [(lab, c) for lab, c, _ in plan] == [
+        ("B", 1.0), ("A", -1 / 24), ("B", -2 / 3), ("A", 0.75), ("B", 2 / 3), ("A", 7 / 24)]
+    assert all(tau == 0.0 for _, _, tau in plan)
+
+
+def test_stage_plan_keeps_commutator_targets():
+    plan = stage_plan(hybrid_second())
+    assert isinstance(plan[0][0], CommutatorSpec)
+    assert plan[0][1] == -0.5
+    assert [lab for lab, _, _ in plan[1:]] == ["B", "A"]
+
+
+def test_stage_plan_consumes_the_shift_time_slot():
+    plan = stage_plan(timeordered4())
+    offsets = evaluation_offsets(timeordered4())
+    assert [(lab, c, tau) for lab, c, tau in plan] == [
+        (lab, coeff_value(c), coeff_value(tau)) for lab, c, tau in offsets]
+    times = evaluation_times(timeordered4(), 0.3, 0.1)
+    assert times == [(lab, c, 0.3 + tau * 0.1) for lab, c, tau in plan]
 
 
 def test_evaluation_times_requires_t_slot():
