@@ -115,6 +115,8 @@ def parse_range(text: str) -> list[float]:
         while v <= stop + 1e-12:
             grid.append(round(v, 12))
             v += step
+        if not grid:
+            raise ConfigError(f"range {text!r} is empty (start above stop)")
         return grid
     return [float(p) for p in text.split(",")]
 
@@ -181,7 +183,7 @@ def cmd_scheme(args) -> int:
         for slot, extra, coeff in rows:
             print(f"{slot:10s} {_fmt(coeff)} {extra}")
     elif args.action == "check":
-        m = args.order or sch.claimed_order + 1
+        m = sch.claimed_order + 1 if args.order is None else args.order
         achieved = orders.verify_order(sch, m)
         print(json.dumps({"scheme": args.name, "claimed": sch.claimed_order,
                           "verified": achieved}))
@@ -400,6 +402,10 @@ def cmd_extrapolate(args) -> int:
     model = load_model(args.model)
     n_list = [int(v) for v in args.n_list.split(",")]
     sweeps = int(float(args.sweeps))
+    if sweeps and sweeps - sweeps // 5 < 2:
+        # as in cmd_qmc: one kept sweep is one bin, whose error bar is infinite
+        raise ConfigError("extrapolate needs --sweeps 0 (exact enumeration) "
+                          "or at least 2 sweeps after thermalization")
     result = qmc.trotter_extrapolate(model, n_list, sweeps, args.seed,
                                      observable=args.observable)
     doc = {

@@ -9,13 +9,17 @@ in play.
 
 The module provides the series product/log/exp, products of stage
 exponentials, and the rewrite of homogeneous Lie elements into the
-Lyndon basis of the free Lie algebra.  A handful of dense-matrix
-utilities (commutator powers, the directional derivative of expm)
-back the numeric identities exercised by the tests.
+Lyndon basis of the free Lie algebra.  A product of stage exponentials
+is formed in integers: its degree-d coefficients are numerators over the
+one denominator ``Q^d * d!``, ``Q`` the lcm of the stage elements'
+coefficient denominators, and become exact rationals once at the end.
+A handful of dense-matrix utilities (commutator powers, the directional
+derivative of expm) back the numeric identities exercised by the tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -199,7 +203,7 @@ def series_exp(elem: NcSeries) -> NcSeries:
         power = series_mul(power, elem)
         if not power.terms:
             break
-        result = result + power.scale(Fraction(1, _factorial(k)))
+        result = result + power.scale(Fraction(1, math.factorial(k)))
         if k >= elem.order:
             break
     return result
@@ -219,14 +223,6 @@ def series_log(s: NcSeries) -> NcSeries:
         sign = Fraction(1, k) if k % 2 == 1 else Fraction(-1, k)
         result = result + power.scale(sign)
     return result
-
-
-@lru_cache(maxsize=None)
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 StageGen = Union[Generator, "LieCombination", str, int]
@@ -249,6 +245,19 @@ def _element_words(g: StageGen, labels: Sequence[str]) -> dict[Word, Coeff]:
     return {(gid,): Fraction(1)}
 
 
+def _stage_element(g: StageGen, coeff, labels: Sequence[str]) -> dict[Word, Coeff]:
+    """Words of the stage element c * G with their exact coefficients."""
+    coeff = as_exact(coeff)
+    return {w: as_exact(c * coeff) for w, c in _element_words(g, labels).items()}
+
+
+def _denominator(c: Coeff) -> int:
+    """Denominator of a Fraction; for a polynomial, the lcm of its coefficients'."""
+    if isinstance(c, RationalPoly):
+        return math.lcm(*(v.denominator for v in c.terms.values()))
+    return c.denominator
+
+
 def stage_exp(g: StageGen, coeff, order: int, labels: Sequence[str] = ("A", "B")) -> NcSeries:
     """Taylor expansion of a single stage exponential exp(c * G), truncated.
 
@@ -258,19 +267,50 @@ def stage_exp(g: StageGen, coeff, order: int, labels: Sequence[str] = ("A", "B")
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
-    coeff = as_exact(coeff)
-    words = _element_words(g, labels)
-    elem = NcSeries(order, labels, {w: as_exact(c * coeff) for w, c in words.items()})
-    return series_exp(elem)
+    return series_exp(NcSeries(order, labels, _stage_element(g, coeff, labels)))
 
 
 def stage_product(stages: Sequence[tuple[StageGen, object]], order: int,
                   labels: Sequence[str] = ("A", "B")) -> NcSeries:
-    """Left-to-right product of stage exponentials, truncated at ``order``."""
-    prod = NcSeries.identity(order, labels)
+    """Left-to-right product of stage exponentials, truncated at ``order``.
+
+    The product is carried in integers.  With ``Q`` the lcm of the
+    denominators of every stage element's coefficients, the degree-d
+    coefficient of a word w is an integer numerator ``N[d][w]`` over the
+    fixed denominator ``Q^d * d!``.  A stage exponential's degree-e term
+    ``a_u`` enters as ``m_u = a_u * Q^e * e!``, which is integral: its k-th
+    power part has denominators dividing ``Q^k * k!`` with k <= e.
+    Multiplying by the stage is then ``N[d+e][w+u] += N[d][w] * m_u *
+    C(d+e, e)``, with no gcd, and each word is divided by its denominator
+    once at the end.  Symbolic coefficients ride along as polynomials with
+    integral coefficients.
+    """
+    stages = list(stages)
+    q = math.lcm(*(_denominator(a) for g, c in stages
+                   for a in _stage_element(g, c, labels).values()))
+    dens = [q ** d * math.factorial(d) for d in range(order + 1)]
+    prod: list[dict[Word, object]] = [{(): 1}] + [{} for _ in range(order)]
     for g, c in stages:
-        prod = series_mul(prod, stage_exp(g, c, order, labels))
-    return prod
+        factor: list[list[tuple[Word, object]]] = [[] for _ in range(order + 1)]
+        for u, a in stage_exp(g, c, order, labels).terms.items():
+            if u:
+                scale = dens[len(u)]
+                factor[len(u)].append(
+                    (u, a * scale if isinstance(a, RationalPoly)
+                     else a.numerator * (scale // a.denominator)))
+        # target degree d from the top down, so prod[d - e] is still the old product
+        for d in range(order, 0, -1):
+            out = prod[d]
+            for e in range(1, d + 1):
+                if not factor[e] or not prod[d - e]:
+                    continue
+                terms = [(u, m * math.comb(d, e)) for u, m in factor[e]]
+                for w, n in prod[d - e].items():
+                    for u, m in terms:
+                        key = w + u
+                        out[key] = out.get(key, 0) + n * m
+    return NcSeries(order, labels, {w: n * Fraction(1, dens[len(w)])
+                                    for level in prod for w, n in level.items()})
 
 
 def product_log(stages: Sequence[tuple[StageGen, object]], order: int,
@@ -519,8 +559,6 @@ def left_minus_ad_power(a: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     Left multiplication commutes with its own inner derivation, so the
     binomial theorem applies term by term.
     """
-    from math import comb
-
     out = np.zeros_like(np.asarray(x, dtype=complex))
     apow = np.eye(a.shape[0], dtype=complex)
     apowers = [apow]
@@ -528,7 +566,7 @@ def left_minus_ad_power(a: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
         apowers.append(apowers[-1] @ a)
     for k in range(n + 1):
         term = apowers[n - k] @ delta_power(a, x, k)
-        out = out + (-1) ** k * comb(n, k) * term
+        out = out + (-1) ** k * math.comb(n, k) * term
     return out
 
 

@@ -23,10 +23,12 @@ from .schemes import Scheme
 
 # Truncation cap of the exact series work: condition generation and
 # order verification refuse a higher target order.
-MAX_ORDER = 8
+MAX_ORDER = 9
 
 
-def _check_order_cap(m: int) -> None:
+def _check_order(m: int) -> None:
+    if m < 1:
+        raise ValueError("target order must be >= 1")
     if m > MAX_ORDER:
         raise ValueError(f"order {m} exceeds the configured truncation cap ({MAX_ORDER})")
 
@@ -89,14 +91,12 @@ def order_conditions(pattern: str, m: int) -> OrderConditionSet:
     degree 2..m there is one equation per Lyndon word of that length,
     namely the word's coefficient in the log of the product.
     """
-    if m < 1:
-        raise ValueError("target order must be >= 1")
+    _check_order(m)
     if len(pattern) < m:
         raise ValueError("pattern shorter than the target order is infeasible")
     labels = tuple(sorted(set(pattern)))
     if not set(pattern) <= {"A", "B"}:
         raise ValueError("pattern must be over the slots A and B")
-    _check_order_cap(m)
     params = tuple(f"p{i + 1}" for i in range(len(pattern)))
     stages = [(lab, RationalPoly.var(p)) for lab, p in zip(pattern, params)]
     log = product_log(stages, m, labels)
@@ -134,7 +134,7 @@ def verify_order(scheme: Scheme, m: int) -> int:
     degree-d residual coefficient need only be within 1e-12 times the
     largest degree-d coefficient magnitude of the product (at least 1).
     """
-    _check_order_cap(m)
+    _check_order(m)
     exact = scheme.all_exact()
     labels = tuple(scheme.slots)
     prod = stage_product(scheme.ncalg_stages(), m, labels)

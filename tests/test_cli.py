@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,21 @@ def test_scheme_show_and_check(capsys):
     assert json.loads(out) == {"scheme": "suzuki4", "claimed": 4, "verified": 4}
 
 
+def test_scheme_check_suzuki8_at_its_default_order(capsys):
+    # the default order is claimed + 1 = 9, within the truncation cap
+    code, out, _ = run(capsys, "scheme", "check", "suzuki8")
+    assert code == 0
+    assert json.loads(out) == {"scheme": "suzuki8", "claimed": 8, "verified": 8}
+
+
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_scheme_check_non_positive_order_is_config_error(capsys, order):
+    code, out, err = run(capsys, "scheme", "check", "suzuki4", "--order", order)
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert "target order must be >= 1" in err
+
+
 def test_scheme_unknown_name(capsys):
     code, _, err = run(capsys, "scheme", "show", "nope")
     assert code == cli.CONFIG_ERROR
@@ -128,6 +144,19 @@ def test_family_csv_with_ruth_row(tmp_path, capsys):
     ruth_row = [ln for ln in lines[1:] if ln.startswith("1,")]
     assert ruth_row and ruth_row[0].endswith("true")
     assert (tmp_path / "family.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--p6", "1:0.5:0.1"],
+    ["converge", "--scheme", "strang", "--dt-list", "1:0.5:0.1"],
+])
+def test_descending_range_is_config_error(tmp_path, capsys, argv):
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert "is empty" in err
+    assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +385,8 @@ PINNED_STDOUT = [
      "2173ce71c9cb90d9c8db097ed6f77f79f79614cc7d84a3d23721632ff8d3891d"),
     (["scheme", "check", "ruth"],
      "86097392b92ba9fdfbb34cd47b802bba4c9e7ce67772d1872ff1f3c99de40ee3"),
+    (["scheme", "check", "suzuki8", "--order", "8"],
+     "a162c65fe7733bb9cfb832c67683a0adc06b3030c16a02699e41faae35067423"),
 ]
 
 
@@ -491,6 +522,19 @@ def test_extrapolate_cli(tmp_path, chain_model, capsys):
     doc = json.loads(out)
     assert doc["dominant_power"] in (1, 2)
     assert abs(doc["c0"] - 0.5169083255250205) < 2e-3
+
+
+def test_extrapolate_needs_two_kept_sweeps(capsys):
+    pair = str(MODELS / "pair.json")
+    code, out, err = run(capsys, "extrapolate", "--model", pair,
+                         "--n-list", "4,6,8", "--sweeps", "1")
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert "at least 2 sweeps" in err
+    code, out, _ = run(capsys, "extrapolate", "--model", pair,
+                       "--n-list", "4,6,8", "--sweeps", "2")
+    assert code == 0
+    assert all(math.isfinite(e) for e in _strict_json(out)["errors"])
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from expprod.ncalg import (
     delta_power, frechet_exp, left_minus_ad_power, lie_project, lyndon_words,
     product_log, series_exp, series_log, series_mul, stage_exp, stage_product,
 )
+from expprod.poly import RationalPoly
+from expprod.schemes import hybrid_fourth, ruth, suzuki6, timeordered4
 
 AB = ("A", "B")
 
@@ -81,6 +83,50 @@ def test_series_mul_associative():
     b = stage_exp("B", Fraction(-1, 3), 4, AB)
     c = stage_exp("A", Fraction(2, 5), 4, AB)
     assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
+
+
+# ---------------------------------------------------------------------------
+# stage_product
+# ---------------------------------------------------------------------------
+
+def _folded_product(stages, order, labels):
+    prod = NcSeries.identity(order, labels)
+    for g, c in stages:
+        prod = series_mul(prod, stage_exp(g, c, order, labels))
+    return prod
+
+
+def _symbolic_stages(pattern):
+    return [(lab, RationalPoly.var(f"p{i + 1}")) for i, lab in enumerate(pattern)]
+
+
+@pytest.mark.parametrize("stages,order,labels", [
+    pytest.param(ruth().ncalg_stages(), 4, AB, id="ruth-rational"),
+    pytest.param(suzuki6().ncalg_stages(), 5, AB, id="suzuki6-algebraic"),
+    pytest.param(hybrid_fourth().ncalg_stages(), 5, AB, id="hybrid_fourth-lie"),
+    pytest.param(timeordered4().ncalg_stages(), 4, tuple(timeordered4().slots),
+                 id="timeordered4-three-letters"),
+    pytest.param(_symbolic_stages("ABABAB"), 4, AB, id="ABABAB-symbolic"),
+])
+def test_stage_product_is_the_folded_product(stages, order, labels):
+    prod = stage_product(stages, order, labels)
+    folded = _folded_product(stages, order, labels)
+    assert prod.terms == folded.terms
+    assert all(type(prod.terms[w]) is type(c) for w, c in folded.terms.items())
+
+
+def test_stage_product_mixes_coefficient_kinds():
+    # distinct denominators, a zero stage and a polynomial with fractional
+    # coefficients; the Lie stage's word coefficients bring in a denominator
+    # (11) that no stage coefficient has, so Q must come from the elements
+    lie = LieCombination.from_bracket(("A", ("A", "B")), AB, Fraction(1, 11))
+    stages = [("A", RationalPoly.var("p1") * Fraction(5, 6) + Fraction(1, 2)),
+              ("B", Fraction(2, 7)), ("A", 0), (lie, Fraction(2, 5)), ("B", 3)]
+    assert stage_product(stages, 6, AB) == _folded_product(stages, 6, AB)
+
+
+def test_stage_product_of_no_stages_is_the_identity():
+    assert stage_product([], 3, AB) == NcSeries.identity(3, AB)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from expprod import ncalg, orders
 from expprod.orders import (
-    ConditionEq, OrderConditionSet, evaluate_conditions, family_csv,
+    MAX_ORDER, ConditionEq, OrderConditionSet, evaluate_conditions, family_csv,
     order_conditions, rationalize_solution, ruth_family, solve, verify_order,
 )
 from expprod.poly import RationalPoly
@@ -135,7 +135,12 @@ def test_verify_order_is_exact_for_rational_schemes():
 
 def test_verify_order_cap():
     with pytest.raises(ValueError):
-        verify_order(strang(), 9)
+        verify_order(strang(), MAX_ORDER + 1)
+
+
+def test_verify_order_needs_a_positive_order():
+    with pytest.raises(ValueError, match="target order must be >= 1"):
+        verify_order(strang(), 0)
 
 
 def test_verify_order_builds_the_stage_product_once(monkeypatch):
