@@ -102,23 +102,27 @@ def parse_assignments(text: str) -> dict[str, float]:
 
 
 def parse_range(text: str) -> list[float]:
-    """'start:stop:step' inclusive grid, or a comma list."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"bad range {text!r}; expected start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ConfigError("range step must be positive")
-        grid = []
-        v = start
-        while v <= stop + 1e-12:
-            grid.append(round(v, 12))
-            v += step
-        if not grid:
-            raise ConfigError(f"range {text!r} is empty (start above stop)")
-        return grid
-    return [float(p) for p in text.split(",")]
+    """'start:stop:step' inclusive grid, or a comma list; every entry finite."""
+    grid = ":" in text
+    parts = text.split(":" if grid else ",")
+    if grid and len(parts) != 3:
+        raise ConfigError(f"bad range {text!r}; expected start:stop:step")
+    values = [float(p) for p in parts]
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"range {text!r} has a non-finite entry")
+    if not grid:
+        return values
+    start, stop, step = values
+    if step <= 0:
+        raise ConfigError("range step must be positive")
+    points = []
+    v = start
+    while v <= stop + 1e-12:
+        points.append(round(v, 12))
+        v += step
+    if not points:
+        raise ConfigError(f"range {text!r} is empty (start above stop)")
+    return points
 
 
 def load_model(path: str) -> qmc.IsingModel:

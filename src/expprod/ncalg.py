@@ -7,23 +7,24 @@ of x it multiplies.  Coefficients are exact rationals, promoted to
 polynomials over named parameters when symbolic stage coefficients are
 in play.
 
-The module provides the series product/log/exp, products of stage
-exponentials, and the rewrite of homogeneous Lie elements into the
-Lyndon basis of the free Lie algebra.  A product of stage exponentials
-is formed in integers: its degree-d coefficients are numerators over the
-one denominator ``Q^d * d!``, ``Q`` the lcm of the stage elements'
-coefficient denominators, and become exact rationals once at the end.
-A handful of dense-matrix utilities (commutator powers, the directional
-derivative of expm) back the numeric identities exercised by the tests.
+The module provides stage exponentials, their products and the series
+logarithm, and the rewrite of homogeneous Lie elements into the Lyndon
+basis of the free Lie algebra.  All three series operations run on one
+integer kernel: a degree-d coefficient is a numerator over ``Q^d * d!``
+(``Q`` the lcm of the input's coefficient denominators), two such series
+multiply with a binomial weight and no gcd, and each word becomes an
+exact rational once at the end.  ``series_mul`` is the plain Fraction
+product, kept as the reference.  A handful of dense-matrix utilities
+(commutator powers, the directional derivative of expm) back the numeric
+identities exercised by the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -35,18 +36,6 @@ Word = tuple[int, ...]
 
 class NotLieElementError(ValueError):
     """Raised when a series component is not an element of the free Lie algebra."""
-
-
-@dataclass(frozen=True)
-class Generator:
-    """A single letter of the algebra's alphabet."""
-
-    id: int
-    label: str
-
-
-def generators(labels: Sequence[str]) -> tuple[Generator, ...]:
-    return tuple(Generator(i, lab) for i, lab in enumerate(labels))
 
 
 def _czero(c) -> bool:
@@ -102,16 +91,9 @@ class NcSeries:
     def identity(cls, order: int, labels: Sequence[str]) -> "NcSeries":
         return cls(order, labels, {(): Fraction(1)})
 
-    @classmethod
-    def zero(cls, order: int, labels: Sequence[str]) -> "NcSeries":
-        return cls(order, labels, {})
-
     # -- inspection ----------------------------------------------------
     def constant_term(self) -> Coeff:
         return self.terms.get((), Fraction(0))
-
-    def coefficient(self, word: Iterable[int]) -> Coeff:
-        return self.terms.get(tuple(word), Fraction(0))
 
     def homogeneous(self, degree: int) -> dict[Word, Coeff]:
         return {w: c for w, c in self.terms.items() if len(w) == degree}
@@ -131,26 +113,6 @@ class NcSeries:
             raise ValueError("series over different generator alphabets")
         if self.order != other.order:
             raise ValueError("series with mismatched truncation orders")
-
-    def __add__(self, other: "NcSeries") -> "NcSeries":
-        self._compatible(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _accumulate(out, w, c)
-        return NcSeries(self.order, self.labels, out)
-
-    def __sub__(self, other: "NcSeries") -> "NcSeries":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c) -> "NcSeries":
-        c = as_exact(c)
-        if _czero(c):
-            return NcSeries.zero(self.order, self.labels)
-        return NcSeries(self.order, self.labels,
-                        {w: as_exact(v * c) for w, v in self.terms.items()})
-
-    def __mul__(self, other: "NcSeries") -> "NcSeries":
-        return series_mul(self, other)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -191,41 +153,7 @@ def series_mul(a: NcSeries, b: NcSeries) -> NcSeries:
     return NcSeries(order, a.labels, out)
 
 
-def series_exp(elem: NcSeries) -> NcSeries:
-    """exp of a series with zero constant term (truncated, exact)."""
-    if not _czero(elem.constant_term()):
-        raise ValueError("exp requires a series with zero constant term")
-    result = NcSeries.identity(elem.order, elem.labels)
-    power = NcSeries.identity(elem.order, elem.labels)
-    k = 0
-    while True:
-        k += 1
-        power = series_mul(power, elem)
-        if not power.terms:
-            break
-        result = result + power.scale(Fraction(1, math.factorial(k)))
-        if k >= elem.order:
-            break
-    return result
-
-
-def series_log(s: NcSeries) -> NcSeries:
-    """Series logarithm: sum_{k>=1} (-1)^{k+1} (s - I)^k / k, truncated."""
-    if as_exact(s.constant_term()) != Fraction(1):
-        raise ValueError("series logarithm requires constant term exactly 1")
-    u = s - NcSeries.identity(s.order, s.labels)
-    result = NcSeries.zero(s.order, s.labels)
-    power = NcSeries.identity(s.order, s.labels)
-    for k in range(1, s.order + 1):
-        power = series_mul(power, u)
-        if not power.terms:
-            break
-        sign = Fraction(1, k) if k % 2 == 1 else Fraction(-1, k)
-        result = result + power.scale(sign)
-    return result
-
-
-StageGen = Union[Generator, "LieCombination", str, int]
+StageGen = Union["LieCombination", str, int]
 
 
 def _element_words(g: StageGen, labels: Sequence[str]) -> dict[Word, Coeff]:
@@ -234,12 +162,7 @@ def _element_words(g: StageGen, labels: Sequence[str]) -> dict[Word, Coeff]:
         if tuple(labels) != g.labels:
             raise ValueError("Lie combination over a different alphabet")
         return g.word_expansion()
-    if isinstance(g, Generator):
-        gid = g.id
-    elif isinstance(g, str):
-        gid = tuple(labels).index(g)
-    else:
-        gid = int(g)
+    gid = tuple(labels).index(g) if isinstance(g, str) else int(g)
     if not 0 <= gid < len(labels):
         raise ValueError(f"generator id {gid} outside alphabet")
     return {(gid,): Fraction(1)}
@@ -258,59 +181,138 @@ def _denominator(c: Coeff) -> int:
     return c.denominator
 
 
+def _integral(c, scale):
+    """``c * scale`` where that is integral: an int, or a polynomial with
+    integral coefficients."""
+    return c * scale if isinstance(c, RationalPoly) else int(c * scale)
+
+
+# A graded series: entry d maps each word of length d to its numerator over
+# q^d d!, for d = 0..order.
+Graded = list[dict[Word, object]]
+
+
+def _graded(order: int, const=None) -> Graded:
+    return [{} if const is None else {(): const}] + [{} for _ in range(order)]
+
+
+def _numerators(terms: Mapping[Word, Coeff], q: int, order: int) -> Graded:
+    """``terms`` over ``q^d d!``; ``q`` must clear every denominator, and
+    words past ``order`` drop out."""
+    x = _graded(order)
+    for w, c in terms.items():
+        if len(w) <= order and not _czero(c):
+            x[len(w)][w] = _integral(c, q ** len(w) * math.factorial(len(w)))
+    return x
+
+
+def _muladd(out: Graded, a: Graded, b: Graded, top: int) -> Graded:
+    """Add ``a * (b - b[0])`` into ``out`` at degrees ``top`` down to 1.
+
+    Over ``q^d d!`` a degree-(d-e) numerator times a degree-e one is the
+    degree-d numerator divided by ``C(d, e)``, so the step is ``out[w+u] +=
+    a_w * b_u * C(d, e)`` in integers (or polynomials with integral
+    coefficients), with no gcd.  ``b``'s degree-0 part is never read, and
+    target degrees run from the top down, so ``out`` may be ``a`` itself:
+    then ``a`` becomes ``a * b`` for ``b`` with constant term 1.
+    """
+    for d in range(top, 0, -1):
+        level = out[d]
+        for e in range(1, d + 1):
+            if not b[e] or not a[d - e]:
+                continue
+            terms = [(u, m * math.comb(d, e)) for u, m in b[e].items()]
+            for w, n in a[d - e].items():
+                for u, m in terms:
+                    key = w + u
+                    level[key] = level.get(key, 0) + n * m
+    return out
+
+
+def _power_sum(x: Graded, weights: Sequence[int]) -> Graded:
+    """``sum_k weights[k] * (x - x[0])^k`` by Horner's rule, k = 0..order.
+
+    The partial sum still to be multiplied by ``x^k`` is needed only up to
+    degree ``order - k``, so each step truncates there.
+    """
+    order = len(x) - 1
+    acc = _graded(order, weights[order])
+    for k in range(order - 1, -1, -1):
+        acc = _muladd(_graded(order), acc, x, order - k)
+        if weights[k]:
+            acc[0][()] = weights[k]
+    return acc
+
+
+def _to_series(x: Graded, q: int, den: int, labels: Sequence[str]) -> NcSeries:
+    """Divide each degree-d numerator by ``q^d d! den``, once per word."""
+    terms = {}
+    for d, level in enumerate(x):
+        inv = Fraction(1, q ** d * math.factorial(d) * den)
+        terms.update((w, n * inv) for w, n in level.items())
+    return NcSeries(len(x) - 1, labels, terms)
+
+
+def _log_series(x: Graded, q: int, labels: Sequence[str]) -> NcSeries:
+    """log of ``x`` (constant term 1): weights ``(-1)^(k+1) L/k`` over
+    ``L = lcm(1..order)``."""
+    lcm = math.lcm(*range(1, len(x)))
+    weights = [0] + [(-1) ** (k + 1) * (lcm // k) for k in range(1, len(x))]
+    return _to_series(_power_sum(x, weights), q, lcm, labels)
+
+
+def _exp_numerators(g: StageGen, coeff, q: int, order: int, labels: Sequence[str]) -> Graded:
+    """exp(c * G) over ``q^d d! order!``: weights ``order!/k!``."""
+    elem = _numerators(_stage_element(g, coeff, labels), q, order)
+    return _power_sum(elem, [math.factorial(order) // math.factorial(k) for k in range(order + 1)])
+
+
 def stage_exp(g: StageGen, coeff, order: int, labels: Sequence[str] = ("A", "B")) -> NcSeries:
     """Taylor expansion of a single stage exponential exp(c * G), truncated.
 
-    ``G`` is a generator letter or a homogeneous Lie combination; the word
-    degree carries the power of x, so ``coeff`` is the pure numeric or
-    symbolic multiplier of the stage.
+    ``G`` is a generator letter or a Lie combination; the word degree
+    carries the power of x, so ``coeff`` is the pure numeric or symbolic
+    multiplier of the stage.
     """
     if order < 1:
         raise ValueError("truncation order must be >= 1")
-    return series_exp(NcSeries(order, labels, _stage_element(g, coeff, labels)))
+    q = math.lcm(*map(_denominator, _stage_element(g, coeff, labels).values()))
+    exp = _exp_numerators(g, coeff, q, order, labels)
+    return _to_series(exp, q, math.factorial(order), labels)
 
 
-def stage_product(stages: Sequence[tuple[StageGen, object]], order: int,
-                  labels: Sequence[str] = ("A", "B")) -> NcSeries:
-    """Left-to-right product of stage exponentials, truncated at ``order``.
+def _product_numerators(stages, order: int, labels: Sequence[str]) -> tuple[Graded, int]:
+    """Left-to-right product of stage exponentials over ``Q^d d!``.
 
-    The product is carried in integers.  With ``Q`` the lcm of the
-    denominators of every stage element's coefficients, the degree-d
-    coefficient of a word w is an integer numerator ``N[d][w]`` over the
-    fixed denominator ``Q^d * d!``.  A stage exponential's degree-e term
-    ``a_u`` enters as ``m_u = a_u * Q^e * e!``, which is integral: its k-th
-    power part has denominators dividing ``Q^k * k!`` with k <= e.
-    Multiplying by the stage is then ``N[d+e][w+u] += N[d][w] * m_u *
-    C(d+e, e)``, with no gcd, and each word is divided by its denominator
-    once at the end.  Symbolic coefficients ride along as polynomials with
-    integral coefficients.
+    ``Q`` is the lcm of the denominators of every stage element's
+    coefficients.  A stage exponential's degree-e term ``a_u`` enters as
+    ``a_u * Q^e * e!``, which is integral: its k-th power part has
+    denominators dividing ``Q^k * k!`` with k <= e.  So the exponential's
+    numerators over ``Q^e e! order!`` divide exactly by ``order!``.
     """
     stages = list(stages)
     q = math.lcm(*(_denominator(a) for g, c in stages
                    for a in _stage_element(g, c, labels).values()))
-    dens = [q ** d * math.factorial(d) for d in range(order + 1)]
-    prod: list[dict[Word, object]] = [{(): 1}] + [{} for _ in range(order)]
+    scale = Fraction(1, math.factorial(order))
+    prod = _graded(order, 1)
     for g, c in stages:
-        factor: list[list[tuple[Word, object]]] = [[] for _ in range(order + 1)]
-        for u, a in stage_exp(g, c, order, labels).terms.items():
-            if u:
-                scale = dens[len(u)]
-                factor[len(u)].append(
-                    (u, a * scale if isinstance(a, RationalPoly)
-                     else a.numerator * (scale // a.denominator)))
-        # target degree d from the top down, so prod[d - e] is still the old product
-        for d in range(order, 0, -1):
-            out = prod[d]
-            for e in range(1, d + 1):
-                if not factor[e] or not prod[d - e]:
-                    continue
-                terms = [(u, m * math.comb(d, e)) for u, m in factor[e]]
-                for w, n in prod[d - e].items():
-                    for u, m in terms:
-                        key = w + u
-                        out[key] = out.get(key, 0) + n * m
-    return NcSeries(order, labels, {w: n * Fraction(1, dens[len(w)])
-                                    for level in prod for w, n in level.items()})
+        factor = [{u: _integral(m, scale) for u, m in level.items()}
+                  for level in _exp_numerators(g, c, q, order, labels)]
+        _muladd(prod, prod, factor, order)
+    return prod, q
+
+
+def stage_product(stages: Sequence[tuple[StageGen, object]], order: int,
+                  labels: Sequence[str] = ("A", "B")) -> NcSeries:
+    """Left-to-right product of stage exponentials, truncated at ``order``."""
+    return _to_series(*_product_numerators(stages, order, labels), 1, labels)
+
+
+def product_and_log(stages: Sequence[tuple[StageGen, object]], order: int,
+                    labels: Sequence[str] = ("A", "B")) -> tuple[NcSeries, NcSeries]:
+    """The stage product and its logarithm, both from the product's numerators."""
+    prod, q = _product_numerators(stages, order, labels)
+    return _to_series(prod, q, 1, labels), _log_series(prod, q, labels)
 
 
 def product_log(stages: Sequence[tuple[StageGen, object]], order: int,
@@ -322,7 +324,15 @@ def product_log(stages: Sequence[tuple[StageGen, object]], order: int,
     """
     if not stages:
         raise ValueError("stage list must be nonempty")
-    return series_log(stage_product(stages, order, labels))
+    return product_and_log(stages, order, labels)[1]
+
+
+def series_log(s: NcSeries) -> NcSeries:
+    """Series logarithm: sum_{k>=1} (-1)^{k+1} (s - I)^k / k, truncated."""
+    if as_exact(s.constant_term()) != Fraction(1):
+        raise ValueError("series logarithm requires constant term exactly 1")
+    q = math.lcm(*map(_denominator, s.terms.values()))
+    return _log_series(_numerators(s.terms, q, s.order), q, s.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +435,6 @@ class LieCombination:
     def __hash__(self):
         return hash((self.labels, frozenset(self.terms.items())))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def homogeneous(self, degree: int) -> "LieCombination":
         return LieCombination(self.labels,
                               {w: c for w, c in self.terms.items() if len(w) == degree})
@@ -435,14 +442,6 @@ class LieCombination:
     def scale(self, c) -> "LieCombination":
         c = as_exact(c)
         return LieCombination(self.labels, {w: as_exact(v * c) for w, v in self.terms.items()})
-
-    def __add__(self, other: "LieCombination") -> "LieCombination":
-        if self.labels != other.labels:
-            raise ValueError("Lie combinations over different alphabets")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            _accumulate(out, w, c)
-        return LieCombination(self.labels, out)
 
     def word_expansion(self) -> dict[Word, Coeff]:
         out: dict[Word, Coeff] = {}

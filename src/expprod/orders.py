@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ncalg import NcSeries, lie_project, lyndon_words, product_log, series_log, stage_product
+from .ncalg import lie_project, lyndon_words, product_and_log, product_log
 from .poly import RationalPoly
 from .schemes import Scheme
 
@@ -137,16 +137,16 @@ def verify_order(scheme: Scheme, m: int) -> int:
     _check_order(m)
     exact = scheme.all_exact()
     labels = tuple(scheme.slots)
-    prod = stage_product(scheme.ncalg_stages(), m, labels)
+    prod, log = product_and_log(scheme.ncalg_stages(), m, labels)
     scale: dict[int, float] = {}
     for w, c in prod.terms.items():
         scale[len(w)] = max(scale.get(len(w), 1.0), abs(float(c)))
-    target = NcSeries(m, labels, {(j,): 1 for j in range(len(labels))})
-    residual = series_log(prod) - target
+    target = {(j,): 1 for j in range(len(labels))}
+    residual = {w: log.terms.get(w, 0) - target.get(w, 0) for w in log.terms.keys() | target}
     achieved = 0
     for degree in range(1, m + 1):
         if not all(_is_zero(c, exact, scale.get(degree, 1.0))
-                   for c in residual.homogeneous(degree).values()):
+                   for w, c in residual.items() if len(w) == degree):
             break
         achieved = degree
     return achieved

@@ -39,6 +39,8 @@ class IsingModel:
             if key in seen:
                 raise ValueError(f"duplicate bond {key}")
             seen.add(key)
+        if not all(math.isfinite(v) for v in (self.gamma, self.beta, *(w for *_, w in self.bonds))):
+            raise ValueError("transverse field, inverse temperature and bond weights must be finite")
         if self.gamma < 0:
             raise ValueError("transverse field must be >= 0")
         if self.beta <= 0:
@@ -639,6 +641,8 @@ def anneal_schedule(g_start: float = 2.5, g_end: float = 1e-4,
     """Geometric field ramp; the tiny end value freezes the Trotter direction."""
     if stages < 2:
         raise ValueError("an anneal schedule needs at least 2 stages")
+    if not all(math.isfinite(g) and g > 0 for g in (g_start, g_end)):
+        raise ValueError(f"anneal schedule ends must be finite and positive, got {g_start}:{g_end}")
     ratio = (g_end / g_start) ** (1.0 / (stages - 1))
     return [g_start * ratio ** k for k in range(stages)]
 

@@ -301,7 +301,7 @@ class Scheme:
                       self.claimed_order, self.symmetric)
 
     # -- series view ----------------------------------------------------
-    def ncalg_stages(self, exact: bool = True):
+    def ncalg_stages(self):
         """Stage list for the series algebra; floats become exact binary rationals.
 
         Symbolic coefficients are evaluated in rational arithmetic at the

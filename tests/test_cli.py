@@ -159,6 +159,16 @@ def test_descending_range_is_config_error(tmp_path, capsys, argv):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("p6", ["1,inf", "1:2:nan"])
+def test_non_finite_range_is_config_error(tmp_path, capsys, p6):
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(capsys, "family", "--p6", p6, "--out", str(out_path))
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert "non-finite" in err
+    assert not out_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # converge
 # ---------------------------------------------------------------------------
@@ -387,11 +397,22 @@ PINNED_STDOUT = [
      "86097392b92ba9fdfbb34cd47b802bba4c9e7ce67772d1872ff1f3c99de40ee3"),
     (["scheme", "check", "suzuki8", "--order", "8"],
      "a162c65fe7733bb9cfb832c67683a0adc06b3030c16a02699e41faae35067423"),
+    # a three-letter check at the truncation cap prints the default-order line
+    (["scheme", "check", "timeordered4", "--order", "9"],
+     "73a2e1396beda2e6ab67dd31ff27e3f990b775e1e6e1f730e465db7d10c237e5"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", PINNED_STDOUT,
-                         ids=[" ".join(argv[:3]) for argv, _ in PINNED_STDOUT])
+def _pinned_ids(entries):
+    """First three words of each command; the whole command once those repeat."""
+    ids: list[str] = []
+    for argv, _ in entries:
+        short = " ".join(argv[:3])
+        ids.append(" ".join(argv) if short in ids else short)
+    return ids
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT, ids=_pinned_ids(PINNED_STDOUT))
 def test_exact_commands_stdout_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -483,6 +504,32 @@ def test_anneal_one_stage_schedule_is_config_error(tmp_path, capsys):
     assert code == cli.CONFIG_ERROR
     assert out == ""
     assert "at least 2 stages" in err
+
+
+@pytest.mark.parametrize("schedule", ["1:nan:5", "inf:1:3", "1:-0.5:5"])
+def test_anneal_bad_schedule_is_config_error(tmp_path, capsys, schedule):
+    out_path = tmp_path / "anneal.json"
+    code, out, err = run(capsys, "anneal", "--model", str(MODELS / "frustrated4.json"),
+                         f"--schedule={schedule}", "--out", str(out_path))
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert "finite and positive" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", [["qmc", "--n", "4", "--sweeps", "20"],
+                                     ["extrapolate", "--n-list", "4,6", "--sweeps", "0"]])
+@pytest.mark.parametrize("model", [
+    {"sites": 2, "bonds": [[0, 1, 1.0]], "gamma": float("nan"), "beta": 1.0},
+    {"sites": 2, "bonds": [[0, 1, float("inf")]], "gamma": 1.0, "beta": 1.0},
+], ids=["nan-gamma", "inf-bond"])
+def test_non_finite_model_is_config_error(tmp_path, capsys, command, model):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    code, out, err = run(capsys, command[0], "--model", str(path), *command[1:])
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert "must be finite" in err
 
 
 def test_anneal_zero_sweeps_is_config_error(capsys):

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from expprod.ncalg import (
     LieCombination, NcSeries, NotLieElementError, commutator, conjugation_series,
     delta_power, frechet_exp, left_minus_ad_power, lie_project, lyndon_words,
-    product_log, series_exp, series_log, series_mul, stage_exp, stage_product,
+    product_and_log, product_log, series_log, series_mul, stage_exp, stage_product,
 )
+from expprod.orders import verify_order
 from expprod.poly import RationalPoly
 from expprod.schemes import hybrid_fourth, ruth, suzuki6, timeordered4
 
@@ -89,11 +90,43 @@ def test_series_mul_associative():
 # stage_product
 # ---------------------------------------------------------------------------
 
+def _fraction_exp(elem):
+    """Reference exp: sum_k elem^k / k! by Fraction ``series_mul``."""
+    total = dict(NcSeries.identity(elem.order, elem.labels).terms)
+    power = NcSeries.identity(elem.order, elem.labels)
+    for k in range(1, elem.order + 1):
+        power = series_mul(power, elem)
+        for w, c in power.terms.items():
+            total[w] = total.get(w, 0) + c * Fraction(1, math.factorial(k))
+    return NcSeries(elem.order, elem.labels, total)
+
+
+def _fraction_log(s):
+    """Reference log: sum_k (-1)^(k+1) (s - I)^k / k by Fraction ``series_mul``."""
+    u = NcSeries(s.order, s.labels, {w: c for w, c in s.terms.items() if w})
+    total, power = {}, NcSeries.identity(s.order, s.labels)
+    for k in range(1, s.order + 1):
+        power = series_mul(power, u)
+        for w, c in power.terms.items():
+            total[w] = total.get(w, 0) + c * Fraction((-1) ** (k + 1), k)
+    return NcSeries(s.order, s.labels, total)
+
+
+def _fraction_stage_exp(g, c, order, labels):
+    words = g.word_expansion() if isinstance(g, LieCombination) else {(labels.index(g),): 1}
+    return _fraction_exp(NcSeries(order, labels, {w: v * c for w, v in words.items()}))
+
+
 def _folded_product(stages, order, labels):
     prod = NcSeries.identity(order, labels)
     for g, c in stages:
-        prod = series_mul(prod, stage_exp(g, c, order, labels))
+        prod = series_mul(prod, _fraction_stage_exp(g, c, order, labels))
     return prod
+
+
+def _same_terms(got, want):
+    assert got.terms == want.terms
+    assert all(type(got.terms[w]) is type(c) for w, c in want.terms.items())
 
 
 def _symbolic_stages(pattern):
@@ -109,10 +142,29 @@ def _symbolic_stages(pattern):
     pytest.param(_symbolic_stages("ABABAB"), 4, AB, id="ABABAB-symbolic"),
 ])
 def test_stage_product_is_the_folded_product(stages, order, labels):
-    prod = stage_product(stages, order, labels)
     folded = _folded_product(stages, order, labels)
-    assert prod.terms == folded.terms
-    assert all(type(prod.terms[w]) is type(c) for w, c in folded.terms.items())
+    _same_terms(stage_product(stages, order, labels), folded)
+    _same_terms(product_log(stages, order, labels), _fraction_log(folded))
+    for g, c in stages:
+        _same_terms(stage_exp(g, c, order, labels), _fraction_stage_exp(g, c, order, labels))
+
+
+@pytest.mark.parametrize("stages", [hybrid_fourth().ncalg_stages(), _symbolic_stages("ABABA")],
+                         ids=["hybrid_fourth-lie", "ABABA-symbolic"])
+def test_product_and_log_share_one_product(stages):
+    prod, log = product_and_log(stages, 5, AB)
+    assert prod == stage_product(stages, 5, AB)
+    assert log == series_log(prod) == product_log(stages, 5, AB)
+
+
+def test_stage_longer_than_the_truncation_order():
+    # a degree-3 commutator stage at order 2 has no term below the cut
+    g = LieCombination.from_bracket(("B", ("A", "B")), AB)
+    assert stage_exp(g, Fraction(1, 432), 2, AB) == NcSeries.identity(2, AB)
+    stages = hybrid_fourth().ncalg_stages()
+    for order in (1, 2, 3):
+        _same_terms(stage_product(stages, order, AB), _folded_product(stages, order, AB))
+    assert verify_order(hybrid_fourth(), 2) == 2
 
 
 def test_stage_product_mixes_coefficient_kinds():
@@ -246,7 +298,7 @@ def test_lie_closure_random_products(stages, order):
        st.integers(min_value=1, max_value=5))
 def test_exp_log_round_trip(stages, order):
     prod = stage_product(stages, order, AB)
-    assert series_exp(series_log(prod)) == prod
+    assert stage_exp(lie_project(series_log(prod)), 1, order, AB) == prod
 
 
 @settings(max_examples=30, deadline=None)

@@ -144,7 +144,7 @@ def test_verify_order_needs_a_positive_order():
 
 
 def test_verify_order_builds_the_stage_product_once(monkeypatch):
-    calls = {"stage_product": 0, "stage_exp": 0}
+    calls = {"product_and_log": 0, "_product_numerators": 0}
 
     def counting(fn):
         def wrapper(*args, **kwargs):
@@ -152,12 +152,11 @@ def test_verify_order_builds_the_stage_product_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(ncalg, "stage_exp", counting(ncalg.stage_exp))
-    monkeypatch.setattr(orders, "stage_product", counting(ncalg.stage_product))
-    scheme = suzuki4()
-    assert verify_order(scheme, 5) == 4
-    # one product, one exponential per stage: the log and the scale share it
-    assert calls == {"stage_product": 1, "stage_exp": len(scheme.stages)}
+    monkeypatch.setattr(ncalg, "_product_numerators", counting(ncalg._product_numerators))
+    monkeypatch.setattr(orders, "product_and_log", counting(ncalg.product_and_log))
+    assert verify_order(suzuki4(), 5) == 4
+    # one call builds the product once; the log and the scale share it
+    assert calls == {"product_and_log": 1, "_product_numerators": 1}
 
 
 # ---------------------------------------------------------------------------

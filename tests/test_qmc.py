@@ -29,6 +29,13 @@ def test_model_validation():
         IsingModel(sites=1, bonds=(), gamma=1.0, beta=0.0)
 
 
+@pytest.mark.parametrize("gamma,beta,weight", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
+                                               (1.0, 1.0, -math.inf)])
+def test_model_refuses_non_finite_values(gamma, beta, weight):
+    with pytest.raises(ValueError, match="must be finite"):
+        IsingModel(sites=2, bonds=((0, 1, weight),), gamma=gamma, beta=beta)
+
+
 def test_model_json_round_trip():
     doc = PAIR.to_json()
     assert doc == {"sites": 2, "bonds": [[0, 1, 1.0]], "gamma": 1.0, "beta": 1.0}
