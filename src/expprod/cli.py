@@ -22,6 +22,7 @@ from .poly import frac_str
 
 CONFIG_ERROR = 2
 NONCONVERGENCE = 3
+MAX_RANGE_POINTS = 10_000
 
 
 class ConfigError(Exception):
@@ -39,6 +40,20 @@ def _require_positive(**values) -> None:
             if v is not None and not (math.isfinite(v) and v > 0):
                 flag = "--" + name.replace("_", "-")
                 raise ConfigError(f"{flag} must be positive and finite, got {v}")
+
+
+def _require_finite(**values) -> None:
+    """Refuse a flag whose value is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
+def _sweep_count(name: str, text: str) -> int:
+    """A sweep count, scientific notation ('1e4') included; it must be finite."""
+    value = float(text)
+    _require_finite(**{name: value})
+    return int(value)
 
 
 def _fmt(x: float) -> str:
@@ -62,22 +77,28 @@ def write_manifest(out: str, command: str, config: dict) -> None:
 
 
 def parse_stage_coeff(text: str) -> Fraction:
-    """Coefficient grammar: 'x', 'x/2', '7x/24', '-x', '1/2', '0.75'."""
+    """Coefficient grammar: 'x', 'x/2', '7x/24', '-x', '1/2', '0.75'.
+
+    A zero denominator or a non-finite value is a ConfigError.
+    """
     t = text.strip().replace(" ", "")
-    if "x" in t:
-        num, _, den = t.partition("/")
-        num = num.replace("x", "").replace("*", "")
-        if num in ("", "+"):
-            num = "1"
-        elif num == "-":
-            num = "-1"
-        value = Fraction(num)
-        if den:
-            value /= Fraction(den)
-        return value
-    if "/" in t or "." not in t:
-        return Fraction(t)
-    return Fraction(float(t)).limit_denominator(10 ** 12)
+    try:
+        if "x" in t:
+            num, _, den = t.partition("/")
+            num = num.replace("x", "").replace("*", "")
+            if num in ("", "+"):
+                num = "1"
+            elif num == "-":
+                num = "-1"
+            value = Fraction(num)
+            if den:
+                value /= Fraction(den)
+            return value
+        if "/" in t or "." not in t:
+            return Fraction(t)
+        return Fraction(float(t)).limit_denominator(10 ** 12)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"bad stage coefficient {text!r}: {exc}") from None
 
 
 def parse_stages(text: str) -> list[tuple[str, Fraction]]:
@@ -97,7 +118,13 @@ def parse_assignments(text: str) -> dict[str, float]:
         name, _, value = item.partition("=")
         if not name or not value:
             raise ConfigError(f"bad assignment {item!r}; expected name=value")
-        out[name.strip()] = float(Fraction(value) if "/" in value else value)
+        try:
+            number = float(Fraction(value) if "/" in value else value)
+            if not math.isfinite(number):
+                raise ValueError("the value must be finite")
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigError(f"bad assignment {item!r}: {exc}") from None
+        out[name.strip()] = number
     return out
 
 
@@ -118,6 +145,8 @@ def parse_range(text: str) -> list[float]:
     points = []
     v = start
     while v <= stop + 1e-12:
+        if len(points) == MAX_RANGE_POINTS:  # also ends a step below float resolution
+            raise ConfigError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
         points.append(round(v, 12))
         v += step
     if not points:
@@ -298,9 +327,11 @@ def _emit_trajectory(args, command: str, header: list[str], rows, config: dict) 
     for i, row in enumerate(rows):
         bad = [name for name, v in zip(header, row) if not math.isfinite(v)]
         if bad:
+            # strict JSON: a non-finite time is written as null
+            t = row[0] if math.isfinite(row[0]) else None
             print(json.dumps({"command": command, "diagnostics": "non-finite result",
                               "step": min(i * args.sample_every, args.steps),
-                              "t": row[0], "columns": bad}))
+                              "t": t, "columns": bad}, allow_nan=False))
             return NONCONVERGENCE
     if args.out:
         write_csv(args.out, header, rows)
@@ -313,6 +344,7 @@ def _emit_trajectory(args, command: str, header: list[str], rows, config: dict) 
 
 def cmd_precession(args) -> int:
     _require_positive(dt=args.dt, steps=args.steps, sample_every=args.sample_every)
+    _require_finite(gamma=args.gamma)
     method = "perturbative" if args.scheme == "perturbative" else get_scheme(args.scheme)
     rows = propagate.run_precession(method, args.gamma, args.dt, args.steps,
                                     args.sample_every)
@@ -332,6 +364,7 @@ def cmd_umeno(args) -> int:
 
 def cmd_timedep(args) -> int:
     _require_positive(dt=args.dt, steps=args.steps, sample_every=args.sample_every)
+    _require_finite(t0=args.t0)
     sch = get_scheme(args.scheme)
     if "T" not in sch.slots:
         raise ConfigError("timedep needs a scheme with a T slot (timeordered1/2/4)")
@@ -355,8 +388,8 @@ def cmd_timedep(args) -> int:
 
 def cmd_qmc(args) -> int:
     model = load_model(args.model)
-    sweeps = int(float(args.sweeps))
-    therm = int(float(args.therm)) if args.therm is not None else sweeps // 5
+    sweeps = _sweep_count("sweeps", args.sweeps)
+    therm = _sweep_count("therm", args.therm) if args.therm is not None else sweeps // 5
     if sweeps - therm < 2:
         # one kept sweep is one bin, whose error bar is infinite (not JSON)
         raise ConfigError("qmc needs at least 2 sweeps after thermalization")
@@ -405,7 +438,7 @@ def cmd_anneal(args) -> int:
 def cmd_extrapolate(args) -> int:
     model = load_model(args.model)
     n_list = [int(v) for v in args.n_list.split(",")]
-    sweeps = int(float(args.sweeps))
+    sweeps = _sweep_count("sweeps", args.sweeps)
     if sweeps and sweeps - sweeps // 5 < 2:
         # as in cmd_qmc: one kept sweep is one bin, whose error bar is infinite
         raise ConfigError("extrapolate needs --sweeps 0 (exact enumeration) "

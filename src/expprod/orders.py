@@ -128,9 +128,10 @@ def verify_order(scheme: Scheme, m: int) -> int:
     One stage product, truncated at degree m, gives both the log and the
     tolerance scale.  The log must equal the exact flow's: each letter has
     coefficient 1 at degree 1, every longer word 0.  Schemes with purely
-    rational coefficients are checked exactly.  Anything carrying algebraic
-    or float coefficients enters the series algebra as exact binary
-    rationals, so structural cancellations still happen exactly, but each
+    rational coefficients are checked exactly.  A scheme with polynomial
+    (algebraic-constant) coefficients enters the series algebra at the exact
+    binary values of its constants' decimals (``Scheme.ncalg_stages``), so
+    structural cancellations still happen exactly, but each
     degree-d residual coefficient need only be within 1e-12 times the
     largest degree-d coefficient magnitude of the product (at least 1).
     """
@@ -169,10 +170,14 @@ def solve(conds: OrderConditionSet, fixed: Mapping[str, object] | None = None,
 
     ``fixed`` pins parameters (the usual way to cut a one-parameter family
     down to isolated points); ``guess`` must cover every free parameter.
+    A name in either that the conditions lack is a ValueError.
     Non-convergence is reported, not raised.
     """
     fixed = dict(fixed or {})
     guess = dict(guess or {})
+    unknown = sorted((fixed.keys() | guess.keys()) - set(conds.parameters))
+    if unknown:
+        raise ValueError(f"parameters {unknown} are not in the pattern")
     free = [p for p in conds.parameters if p not in fixed]
     missing = [p for p in free if p not in guess]
     if missing:

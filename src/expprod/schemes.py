@@ -5,19 +5,22 @@ the product of exponentials is written on paper; application to a state
 runs right to left.  Stage coefficients are exact rationals where
 possible.  The fractal constructions introduce algebraic constants
 (real roots of small odd-degree polynomials); their stage coefficients
-are kept as exact polynomials in those named constants, with a
-17-significant-digit decimal for numeric work, so per-slot sums stay
+are exact polynomials in those named constants, so every coefficient is
+a ``poly.Coeff`` normalised by ``as_exact`` and per-slot sums stay
 exactly 1 at every nesting depth without an algebraic-number tower.
+Numeric work reads each constant's 17-significant-digit decimal through
+``coeff_value``, once per scheme in ``stage_plan``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 from .ncalg import LieCombination, NcSeries, product_log
-from .poly import RationalPoly, as_exact, frac_str
+from .poly import Coeff, RationalPoly, as_exact, frac_str
 
 
 # ---------------------------------------------------------------------------
@@ -117,80 +120,14 @@ def fractal_constant(kind: str, base_order: int) -> AlgebraicConstant:
     return _CONSTANTS[name]
 
 
-class SymCoeff:
-    """Exact polynomial in named algebraic constants, plus its float value."""
+def coeff_value(c: Coeff) -> float:
+    """Float value of a stage coefficient; no other code turns one into a float.
 
-    __slots__ = ("poly", "value")
-
-    def __init__(self, poly: RationalPoly):
-        self.poly = poly
-        self.value = float(poly.evaluate({n: _CONSTANTS[n].value for n in poly.variables()}))
-
-    @classmethod
-    def of(cls, constant: AlgebraicConstant) -> "SymCoeff":
-        return cls(RationalPoly.var(constant.name))
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SymCoeff):
-            return self.poly == other.poly
-        if isinstance(other, (int, Fraction)):
-            return self.poly == RationalPoly.const(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.poly)
-
-    def __repr__(self) -> str:
-        return f"SymCoeff({self.poly!r})"
-
-    def refined_value(self, digits: int = 30) -> Fraction:
-        eps = Fraction(1, 10 ** digits)
-        return self.poly.evaluate({n: _CONSTANTS[n].refined(eps) for n in self.poly.variables()})
-
-
-StageCoeff = Union[Fraction, SymCoeff, float]
-
-
-def _sym(value) -> RationalPoly:
-    if isinstance(value, SymCoeff):
-        return value.poly
-    if isinstance(value, (int, Fraction)):
-        return RationalPoly.const(value)
-    raise TypeError(f"no exact form for {value!r}")
-
-
-def coeff_mul(a: StageCoeff, b: StageCoeff) -> StageCoeff:
-    if isinstance(a, float) or isinstance(b, float):
-        return coeff_value(a) * coeff_value(b)
-    if isinstance(a, SymCoeff) or isinstance(b, SymCoeff):
-        prod = as_exact(_sym(a) * _sym(b))
-        return prod if isinstance(prod, Fraction) else SymCoeff(prod)
-    return a * b
-
-
-def coeff_add(a: StageCoeff, b: StageCoeff) -> StageCoeff:
-    if isinstance(a, float) or isinstance(b, float):
-        return coeff_value(a) + coeff_value(b)
-    if isinstance(a, SymCoeff) or isinstance(b, SymCoeff):
-        s = as_exact(_sym(a) + _sym(b))
-        return s if isinstance(s, Fraction) else SymCoeff(s)
-    return a + b
-
-
-def coeff_value(c: StageCoeff) -> float:
-    if isinstance(c, SymCoeff):
-        return c.value
+    A polynomial is evaluated at each constant's 17-significant-digit value.
+    """
+    if isinstance(c, RationalPoly):
+        return float(c.evaluate({n: _CONSTANTS[n].value for n in c.variables()}))
     return float(c)
-
-
-def coeff_pow(c: StageCoeff, n: int) -> StageCoeff:
-    out: StageCoeff = Fraction(1)
-    for _ in range(n):
-        out = coeff_mul(out, c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +186,17 @@ class Stage:
     """One exponential factor: a slot index or commutator, and a coefficient."""
 
     target: Union[int, CommutatorSpec]
-    coeff: StageCoeff
+    coeff: Coeff
 
     def is_commutator(self) -> bool:
         return isinstance(self.target, CommutatorSpec)
 
-    def scaled(self, factor: StageCoeff) -> "Stage":
+    def scaled(self, factor: Coeff) -> "Stage":
+        # factor on the left: a polynomial factor multiplies directly instead
+        # of going through Fraction's operator fallback
         if self.is_commutator():
-            return Stage(self.target, coeff_mul(self.coeff, coeff_pow(factor, self.target.x_power)))
-        return Stage(self.target, coeff_mul(self.coeff, factor))
+            factor = factor ** self.target.x_power
+        return Stage(self.target, as_exact(factor * self.coeff))
 
 
 @dataclass(frozen=True)
@@ -271,51 +210,49 @@ class Scheme:
     name: str = ""
     unmerged: tuple[Stage, ...] | None = None
 
-    def slot_sums(self) -> dict[str, StageCoeff]:
-        sums: dict[str, StageCoeff] = {lab: Fraction(0) for lab in self.slots}
+    def slot_sums(self) -> dict[str, Coeff]:
+        sums: dict[str, Coeff] = {lab: Fraction(0) for lab in self.slots}
         for st in self.stages:
             if not st.is_commutator():
                 lab = self.slots[st.target]
-                sums[lab] = coeff_add(sums[lab], st.coeff)
+                sums[lab] = as_exact(sums[lab] + st.coeff)
         return sums
 
     def is_palindromic(self) -> bool:
-        n = len(self.stages)
-        for i in range(n // 2 + 1):
-            a, b = self.stages[i], self.stages[n - 1 - i]
-            if a.target != b.target:
-                return False
-            if isinstance(a.coeff, float) or isinstance(b.coeff, float):
-                if coeff_value(a.coeff) != coeff_value(b.coeff):
-                    return False
-            elif coeff_add(a.coeff, coeff_mul(Fraction(-1), b.coeff)) != Fraction(0):
-                return False
-        return True
+        return self.stages == self.stages[::-1]
 
     def all_exact(self) -> bool:
         return all(isinstance(st.coeff, Fraction) for st in self.stages)
 
-    def scale(self, factor: StageCoeff) -> "Scheme":
+    def scale(self, factor: Coeff) -> "Scheme":
         """The scheme with x replaced by factor*x (commutators pick up factor^x_power)."""
         return Scheme(self.slots, tuple(st.scaled(factor) for st in self.stages),
                       self.claimed_order, self.symmetric)
 
+    @cached_property
+    def _plan(self) -> tuple[tuple[Union[str, CommutatorSpec], float, float], ...]:
+        """The records of ``stage_plan``, cached on the (frozen) scheme."""
+        if "T" in self.slots:
+            records = evaluation_offsets(self)
+        else:
+            records = [(st.target if st.is_commutator() else self.slots[st.target], st.coeff, 0)
+                       for st in reversed(self.stages)]
+        return tuple((target, coeff_value(c), coeff_value(tau)) for target, c, tau in records)
+
     # -- series view ----------------------------------------------------
     def ncalg_stages(self):
-        """Stage list for the series algebra; floats become exact binary rationals.
+        """Stage list for the series algebra, every coefficient a Fraction.
 
-        Symbolic coefficients are evaluated in rational arithmetic at the
-        binary-exact values of their constants, so merged and unmerged stage
-        lists produce bit-identical series.
+        Polynomial coefficients are evaluated in rational arithmetic at the
+        binary-exact values of their constants' 17-digit decimals, so merged
+        and unmerged stage lists produce bit-identical series.
         """
         out = []
         for st in self.stages:
             coeff = st.coeff
-            if isinstance(coeff, SymCoeff):
-                point = {n: Fraction(_CONSTANTS[n].value) for n in coeff.poly.variables()}
-                coeff = Fraction(coeff.poly.evaluate(point))
-            elif isinstance(coeff, float):
-                coeff = Fraction(coeff)
+            if isinstance(coeff, RationalPoly):
+                coeff = coeff.evaluate({n: Fraction(_CONSTANTS[n].value)
+                                        for n in coeff.variables()})
             if st.is_commutator():
                 gen = LieCombination.from_bracket(st.target.tree, self.slots)
                 out.append((gen, coeff))
@@ -338,14 +275,12 @@ class Scheme:
             else:
                 entry["slot"] = st.target
             c = st.coeff
-            if isinstance(c, Fraction):
-                entry["coeff"] = frac_str(c)
-            elif isinstance(c, SymCoeff):
-                entry["coeff"] = f"{c.value:.17g}"
-                entry["coeff_poly"] = c.poly.to_json()
-                constants |= c.poly.variables()
+            if isinstance(c, RationalPoly):
+                entry["coeff"] = f"{coeff_value(c):.17g}"
+                entry["coeff_poly"] = c.to_json()
+                constants |= c.variables()
             else:
-                entry["coeff"] = f"{c:.17g}"
+                entry["coeff"] = frac_str(c)
             stages.append(entry)
         doc = {
             "slots": list(self.slots),
@@ -373,13 +308,9 @@ class Scheme:
                     Fraction(spec["bracket"][0]), Fraction(spec["bracket"][1]))
         stages = []
         for entry in doc["stages"]:
-            raw = entry["coeff"]
-            if "coeff_poly" in entry:
-                coeff: StageCoeff = SymCoeff(RationalPoly.from_json(entry["coeff_poly"]))
-            elif "/" in raw or ("." not in raw and "e" not in raw and "E" not in raw):
-                coeff = Fraction(raw)
-            else:
-                coeff = float(raw)
+            # "coeff" alone is read exactly, a decimal string included
+            coeff = (as_exact(RationalPoly.from_json(entry["coeff_poly"]))
+                     if "coeff_poly" in entry else Fraction(entry["coeff"]))
             if "commutator" in entry:
                 target: Union[int, CommutatorSpec] = CommutatorSpec.from_json(
                     entry["commutator"], int(entry["x_power"]))
@@ -400,22 +331,13 @@ def merge_adjacent(stages: Sequence[Stage]) -> tuple[Stage, ...]:
     for st in stages:
         if (merged and not st.is_commutator() and not merged[-1].is_commutator()
                 and merged[-1].target == st.target):
-            merged[-1] = Stage(st.target, coeff_add(merged[-1].coeff, st.coeff))
+            merged[-1] = Stage(st.target, as_exact(merged[-1].coeff + st.coeff))
         else:
             merged.append(st)
-    return tuple(st for st in merged
-                 if st.is_commutator() or not _coeff_is_zero(st.coeff))
+    return tuple(st for st in merged if st.coeff != 0)
 
 
-def _coeff_is_zero(c: StageCoeff) -> bool:
-    if isinstance(c, Fraction):
-        return c == 0
-    if isinstance(c, SymCoeff):
-        return c.poly.is_zero()
-    return c == 0.0
-
-
-def compose(base: Scheme, factors: Sequence[StageCoeff], order: int,
+def compose(base: Scheme, factors: Sequence[Coeff], order: int,
             name: str = "") -> Scheme:
     """Flattened product base(f1 x) base(f2 x) ... with same-slot merging."""
     raw: list[Stage] = []
@@ -448,10 +370,9 @@ def triple_jump(base: Scheme) -> Scheme:
         raise ValueError("triple jump requires a symmetric base scheme")
     if base.claimed_order % 2:
         raise ValueError("triple jump requires an even-order base scheme")
-    s = SymCoeff.of(fractal_constant("triple", base.claimed_order))
-    middle = coeff_add(Fraction(1), coeff_mul(Fraction(-2), s))
+    s = RationalPoly.var(fractal_constant("triple", base.claimed_order).name)
     name = f"triple_jump({base.name})" if base.name else ""
-    return compose(base, [s, middle, s], base.claimed_order + 2, name=name)
+    return compose(base, [s, 1 - 2 * s, s], base.claimed_order + 2, name=name)
 
 
 def quintuple(base: Scheme) -> Scheme:
@@ -460,10 +381,9 @@ def quintuple(base: Scheme) -> Scheme:
         raise ValueError("quintuple composition requires a symmetric base scheme")
     if base.claimed_order % 2:
         raise ValueError("quintuple composition requires an even-order base scheme")
-    s = SymCoeff.of(fractal_constant("quintuple", base.claimed_order))
-    middle = coeff_add(Fraction(1), coeff_mul(Fraction(-4), s))
+    s = RationalPoly.var(fractal_constant("quintuple", base.claimed_order).name)
     name = f"quintuple({base.name})" if base.name else ""
-    return compose(base, [s, s, middle, s, s], base.claimed_order + 2, name=name)
+    return compose(base, [s, s, 1 - 4 * s, s, s], base.claimed_order + 2, name=name)
 
 
 def suzuki4() -> Scheme:
@@ -566,7 +486,7 @@ def catalog() -> dict[str, Scheme]:
 # Shift-time evaluation
 # ---------------------------------------------------------------------------
 
-def evaluation_offsets(s: Scheme) -> list[tuple[str, StageCoeff, StageCoeff]]:
+def evaluation_offsets(s: Scheme) -> list[tuple[str, Coeff, Coeff]]:
     """Expand a scheme with a T slot into (slot, coeff, tau) records.
 
     The stage list is scanned right to left (application order); tau
@@ -576,40 +496,29 @@ def evaluation_offsets(s: Scheme) -> list[tuple[str, StageCoeff, StageCoeff]]:
     if "T" not in s.slots:
         raise ValueError("scheme has no shift-time slot")
     t_index = s.slots.index("T")
-    tsum = Fraction(0)
-    for st in s.stages:
-        if not st.is_commutator() and st.target == t_index:
-            tsum = coeff_add(tsum, st.coeff)
-    if isinstance(tsum, float):
-        if abs(tsum - 1.0) > 1e-12:
-            raise ValueError("T-stage coefficients must sum to 1")
-    elif tsum != Fraction(1):
+    if s.slot_sums()["T"] != 1:
         raise ValueError("T-stage coefficients must sum to 1")
-    out: list[tuple[str, StageCoeff, StageCoeff]] = []
-    tau: StageCoeff = Fraction(0)
+    out: list[tuple[str, Coeff, Coeff]] = []
+    tau: Coeff = Fraction(0)
     for st in reversed(s.stages):
         if st.is_commutator():
             raise ValueError("commutator stages are not supported with a T slot")
         if st.target == t_index:
-            tau = coeff_add(tau, st.coeff)
+            tau = as_exact(tau + st.coeff)
         else:
             out.append((s.slots[st.target], st.coeff, tau))
     return out
 
 
-def stage_plan(s: Scheme) -> list[tuple[Union[str, CommutatorSpec], float, float]]:
+def stage_plan(s: Scheme) -> tuple[tuple[Union[str, CommutatorSpec], float, float], ...]:
     """Numeric (target, coeff, tau) records in application (right-to-left) order.
 
     The target is a slot label, or the CommutatorSpec of a commutator stage.
     A T slot is consumed through the exact ``evaluation_offsets``; without
-    one, every offset tau is 0.  Every numeric stepper reads a scheme here.
+    one, every offset tau is 0.  Every numeric stepper reads a scheme here;
+    the records are computed once per scheme instance.
     """
-    if "T" in s.slots:
-        records = evaluation_offsets(s)
-    else:
-        records = [(st.target if st.is_commutator() else s.slots[st.target], st.coeff, 0)
-                   for st in reversed(s.stages)]
-    return [(target, coeff_value(c), coeff_value(tau)) for target, c, tau in records]
+    return s._plan
 
 
 def evaluation_times(s: Scheme, t: float, dt: float) -> list[tuple[str, float, float]]:

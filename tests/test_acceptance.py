@@ -17,7 +17,7 @@ from expprod import orders, propagate, qmc
 from expprod.ncalg import lie_project, product_log
 from expprod.poly import RationalPoly
 from expprod.schemes import (
-    SymCoeff, evaluation_offsets, hybrid_fourth, ruth, strang, suzuki4, suzuki6,
+    evaluation_offsets, hybrid_fourth, ruth, strang, suzuki4, suzuki6,
     suzuki8, timeordered1, timeordered2, timeordered4, trotter,
 )
 
@@ -192,7 +192,7 @@ def test_criterion_6_timeordered_correctness():
                     1 - s2 * Fraction(3, 2), 1 - s2 * Fraction(1, 2)]
         seen = []
         for _, _, tau in evaluation_offsets(timeordered4()):
-            poly = tau.poly if isinstance(tau, SymCoeff) else RationalPoly.const(tau)
+            poly = tau if isinstance(tau, RationalPoly) else RationalPoly.const(tau)
             if not seen or seen[-1] != poly:
                 seen.append(poly)
         assert seen == expected

@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expprod import cli, propagate, qmc, schemes
 
@@ -123,6 +128,17 @@ def test_solve_nonconvergence_exit_code(capsys):
     assert code == cli.NONCONVERGENCE
     doc = json.loads(out)
     assert doc["converged"] is False
+
+
+@pytest.mark.parametrize("extra", [
+    ["--fix", "p9=1", "--guess", "p1=0.33,p2=0.62,p3=0.7,p4=-0.62,p5=-0.05,p6=1"],
+    ["--fix", "p6=1", "--guess", "p1=0.33,p2=0.62,p3=0.7,p4=-0.62,p5=-0.05,zz=4"],
+], ids=["fix", "guess"])
+def test_solve_refuses_names_the_pattern_lacks(capsys, extra):
+    code, out, err = run(capsys, "solve", "--pattern", "ABABAB", "--order", "3", *extra)
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert ("'p9'" if "p9=1" in extra else "'zz'") in err
 
 
 def test_solve_overflow_exits_3_with_json(capsys):
@@ -376,6 +392,14 @@ def test_non_finite_trajectory_exits_3_without_data(tmp_path, capsys):
     assert not (tmp_path / "u.csv.manifest.json").exists()
 
 
+def test_non_finite_time_is_strict_json_null(capsys):
+    code, out, _ = run(capsys, "umeno", "--dt", "1e308", "--steps", "10",
+                       "--sample-every", "5")
+    assert code == cli.NONCONVERGENCE
+    doc = _strict_json(out)
+    assert doc["t"] is None and "t" in doc["columns"]
+
+
 # stdout of the exact layer's commands, byte for byte
 PINNED_STDOUT = [
     (["bch", "--stages", "A:x,B:x", "--order", "6"],
@@ -400,6 +424,18 @@ PINNED_STDOUT = [
     # a three-letter check at the truncation cap prints the default-order line
     (["scheme", "check", "timeordered4", "--order", "9"],
      "73a2e1396beda2e6ab67dd31ff27e3f990b775e1e6e1f730e465db7d10c237e5"),
+    (["scheme", "list"],
+     "a307e5b37aea94a6e1ebf5eeac400e71a0efa1b918899f1f523134412f9ed4b9"),
+    (["scheme", "show", "suzuki8"],
+     "f28bd294153c4c978c8cfe4281671c7978d537456178f7e77d0baef1809adddf"),
+    (["scheme", "show", "timeordered4"],
+     "46aa46f307ce86f751126231ad41c9dcd9b5f17861f9e916760823779bf7570c"),
+    (["scheme", "show", "hybrid_fourth"],
+     "11d49a8a2f1d5c278d8c4ba88119b4cbca8cddded4883244def4c9f2aad02353"),
+    (["scheme", "flatten", "suzuki6"],
+     "9f172af21ee198018d3e408224bde82e034ac3e61ff2ae9f9b90f61b61816509"),
+    (["scheme", "flatten", "triple_jump4"],
+     "2a20dcfc7df3a811445d8b928899d0d06a27382d0d363d08e2fbf590fa303722"),
 ]
 
 
@@ -622,3 +658,99 @@ def test_csv_floats_have_17_significant_digits(tmp_path, capsys):
     assert "\r" not in body
     first_dt = body.splitlines()[1].split(",")[0]
     assert len(first_dt.replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+
+# ---------------------------------------------------------------------------
+# invalid numeric flags and fuzzed command lines
+# ---------------------------------------------------------------------------
+
+_GUESS = "p1=0.33,p2=0.62,p3=0.7,p4=-0.62,p5=-0.05"
+_PAIR = str(MODELS / "pair.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bch", "--stages", "A:1/0,B:x", "--order", "3"],
+    ["bch", "--stages", "A:inf", "--order", "3"],
+    ["solve", "--pattern", "ABABAB", "--order", "3", "--fix", "p6=1/0", "--guess", _GUESS],
+    ["solve", "--pattern", "ABABAB", "--order", "3", "--fix", "p6=1",
+     "--guess", "p1=inf,p2=0.62,p3=0.7,p4=-0.62,p5=-0.05"],
+    ["qmc", "--model", _PAIR, "--n", "4", "--sweeps", "inf"],
+    ["qmc", "--model", _PAIR, "--n", "4", "--sweeps", "20", "--therm", "inf"],
+    ["extrapolate", "--model", _PAIR, "--n-list", "2,3,4", "--sweeps", "inf"],
+    ["precession", "--gamma", "nan", "--dt", "0.01", "--steps", "20", "--sample-every", "10"],
+    ["precession", "--gamma", "inf", "--dt", "0.01", "--steps", "20", "--sample-every", "10"],
+    ["timedep", "--t0", "nan", "--steps", "20"],
+    ["converge", "--scheme", "strang", "--dt-list", "0.1:1e308:0.1"],
+], ids=lambda argv: " ".join(Path(a).name if a.endswith(".json") else a for a in argv))
+def test_invalid_numeric_flags_are_config_errors(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any numeric work
+        code, out, err = run(capsys, *argv)
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert "config error" in err and "Traceback" not in err
+
+
+# One cheap, valid command line per subcommand.  A fuzzed run replaces one
+# value, or one ','/':'/'='-separated piece of it, with a hostile token.
+_FUZZ_BASE = [
+    ["bch", "--stages", "A:x/2,B:x,A:x/2", "--order", "3", "--format", "json"],
+    ["scheme", "check", "strang", "--order", "3"],
+    ["solve", "--pattern", "ABA", "--order", "2", "--fix", "p3=0.5", "--guess", "p1=0.4,p2=0.9"],
+    ["family", "--p6", "1,1.1"],
+    ["converge", "--scheme", "strang", "--dt-list", "0.1:0.2:0.1", "--t-final", "0.5"],
+    ["precession", "--scheme", "strang", "--gamma", "0.75", "--dt", "0.01", "--steps", "20",
+     "--sample-every", "10"],
+    ["umeno", "--scheme", "strang", "--dt", "0.01", "--steps", "20", "--sample-every", "10"],
+    ["timedep", "--scheme", "timeordered2", "--dt", "0.01", "--steps", "20", "--t0", "0",
+     "--sample-every", "10"],
+    ["qmc", "--model", _PAIR, "--n", "4", "--sweeps", "20", "--therm", "4", "--seed", "1"],
+    ["anneal", "--model", str(MODELS / "frustrated4.json"), "--n", "4",
+     "--schedule", "2:0.5:3", "--sweeps", "5", "--seed", "1"],
+    ["extrapolate", "--model", _PAIR, "--n-list", "2,3,4", "--sweeps", "0",
+     "--observable", "bond_zz", "--seed", "1"],
+]
+_FUZZ_TOKENS = ["0", "-1", "nan", "inf", "-inf", "1e308", "1/0", "abc", ""]
+
+
+def _fuzz_cases():
+    """(base, value index, piece index or None for the whole value)."""
+    cases = []
+    for base in _FUZZ_BASE:
+        for i, arg in enumerate(base[1:], start=1):
+            if arg.startswith("--"):
+                continue
+            pieces = re.split(r"[,:=]", arg)
+            cases.append((base, i, None))
+            if len(pieces) > 1:
+                cases.extend((base, i, k) for k in range(len(pieces)))
+    return cases
+
+
+def _fuzzed(base, index, piece, token):
+    argv = list(base)
+    if piece is None:
+        argv[index] = token
+    else:
+        parts = re.split(r"([,:=])", argv[index])
+        parts[2 * piece] = token
+        argv[index] = "".join(parts)
+    return argv
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_fuzz_cases()), st.sampled_from(_FUZZ_TOKENS))
+def test_fuzzed_command_lines_keep_the_exit_contract(case, token):
+    argv = _fuzzed(*case, token)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refusing a value
+            code = exc.code
+    assert code in (0, cli.CONFIG_ERROR, cli.NONCONVERGENCE), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == cli.NONCONVERGENCE:
+        _strict_json(out.getvalue())

@@ -6,7 +6,7 @@ from expprod import schemes
 from expprod.ncalg import product_log
 from expprod.poly import RationalPoly
 from expprod.schemes import (
-    CommutatorSpec, Scheme, SymCoeff, catalog, coeff_value,
+    CommutatorSpec, Scheme, catalog, coeff_value,
     evaluation_offsets, evaluation_times, fractal_constant, has_negative_coefficient,
     hybrid_fourth, hybrid_second, merge_adjacent, quintuple, ruth, stage_plan,
     strang, suzuki4, suzuki6, suzuki8, timeordered1, timeordered2, timeordered4,
@@ -15,7 +15,7 @@ from expprod.schemes import (
 
 
 def sym_or_frac(c):
-    return c.poly if isinstance(c, SymCoeff) else RationalPoly.const(c)
+    return c if isinstance(c, RationalPoly) else RationalPoly.const(c)
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +128,8 @@ def test_fractal_requires_symmetric_even_base():
 def test_slot_sums_exactly_one(make):
     sch = make()
     for label, total in sch.slot_sums().items():
-        if isinstance(total, SymCoeff):
-            assert total.poly == RationalPoly.const(1)
-        else:
-            assert total == 1
+        # polynomial sums collapse exactly to the rational 1
+        assert isinstance(total, Fraction) and total == 1
 
 
 @pytest.mark.parametrize("make", [strang, suzuki4, suzuki6, suzuki8, hybrid_fourth,
@@ -161,8 +159,8 @@ def test_flatten_preserves_the_product(make, order):
 
 
 def test_symmetric_log_has_no_even_terms_to_degree8():
-    # exact cancellation holds even with float coefficients, since the
-    # series algebra runs on their exact binary values
+    # exact cancellation holds even with algebraic coefficients, since the
+    # series algebra runs on the exact binary values of their constants
     for sch in (strang(), suzuki4()):
         log = product_log(sch.ncalg_stages(), 8, sch.slots)
         for degree in (2, 4, 6, 8):
@@ -316,10 +314,7 @@ def test_scheme_json_round_trip(name, make):
     assert len(back.stages) == len(sch.stages)
     for a, b in zip(back.stages, sch.stages):
         assert a.target == b.target
-        if isinstance(b.coeff, SymCoeff):
-            assert isinstance(a.coeff, SymCoeff) and a.coeff.poly == b.coeff.poly
-        else:
-            assert a.coeff == b.coeff
+        assert type(a.coeff) is type(b.coeff) and a.coeff == b.coeff
 
 
 def test_scheme_json_shape():
@@ -335,9 +330,20 @@ def test_scheme_json_shape():
     assert cap["coeff"] == "1/432" and cap["x_power"] == 3
 
 
+def test_plain_json_coefficients_are_read_exactly():
+    doc = {"slots": ["A", "B"], "order": 1, "symmetric": False,
+           "stages": [{"slot": 0, "coeff": "0.75"}, {"slot": 1, "coeff": "1e-1"},
+                      {"slot": 0, "coeff": "1/4"}]}
+    coeffs = [st.coeff for st in Scheme.from_json(doc).stages]
+    assert all(isinstance(c, Fraction) for c in coeffs)
+    assert coeffs == [Fraction(3, 4), Fraction(1, 10), Fraction(1, 4)]
+
+
 def test_stage_decimal_matches_refined_constant():
-    # decimal/value of a symbolic coefficient agrees with the refined root
+    # the float of a symbolic coefficient agrees with its value at the refined roots
+    eps = Fraction(1, 10 ** 30)
     for st in suzuki6().stages[:8]:
-        if isinstance(st.coeff, SymCoeff):
-            refined = st.coeff.refined_value(digits=30)
-            assert abs(float(refined) - st.coeff.value) < 1e-15
+        if isinstance(st.coeff, RationalPoly):
+            refined = st.coeff.evaluate({n: schemes._CONSTANTS[n].refined(eps)
+                                         for n in st.coeff.variables()})
+            assert abs(float(refined) - coeff_value(st.coeff)) < 1e-15
