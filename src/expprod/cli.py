@@ -174,6 +174,8 @@ def get_scheme(name: str) -> schemes.Scheme:
 # ---------------------------------------------------------------------------
 
 def cmd_bch(args) -> int:
+    if not 1 <= args.order <= orders.MAX_ORDER:
+        raise ConfigError(f"--order must lie in 1..{orders.MAX_ORDER}, got {args.order}")
     stages = parse_stages(args.stages)
     labels = tuple(sorted({s for s, _ in stages}))
     log = ncalg.product_log(stages, args.order, labels)
@@ -441,7 +443,7 @@ def cmd_extrapolate(args) -> int:
     sweeps = _sweep_count("sweeps", args.sweeps)
     if sweeps and sweeps - sweeps // 5 < 2:
         # as in cmd_qmc: one kept sweep is one bin, whose error bar is infinite
-        raise ConfigError("extrapolate needs --sweeps 0 (exact enumeration) "
+        raise ConfigError("extrapolate needs --sweeps 0 (exact finite-n reference) "
                           "or at least 2 sweeps after thermalization")
     result = qmc.trotter_extrapolate(model, n_list, sweeps, args.seed,
                                      observable=args.observable)
@@ -559,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extrapolate", help="Trotter extrapolation n -> infinity")
     p.add_argument("--model", required=True)
     p.add_argument("--n-list", required=True, help="comma list, e.g. 4,8,16")
-    p.add_argument("--sweeps", default="0", help="0 = exact enumeration")
+    p.add_argument("--sweeps", default="0", help="0 = exact finite-n reference")
     p.add_argument("--observable", choices=["bond_zz", "sigma_x", "diag_energy"],
                    default="bond_zz")
     p.add_argument("--seed", type=int, default=0)
@@ -570,21 +572,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Fold --config file values in as defaults (CLI flags win)."""
-    if "--config" not in argv:
+    """Fold --config file values in as defaults (CLI flags win).
+
+    The file is named as ``--config PATH`` or ``--config=PATH``.
+    """
+    idx = next((k for k, a in enumerate(argv)
+                if a == "--config" or a.startswith("--config=")), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        raise ConfigError("--config needs a file path")
+    _, joined, path = argv[idx].partition("=")
+    if not joined:
+        try:
+            path = argv[idx + 1]
+        except IndexError:
+            raise ConfigError("--config needs a file path")
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
-    rest = argv[:idx] + argv[idx + 2:]
+    rest = argv[:idx] + argv[idx + (1 if joined else 2):]
     if not rest:
         raise ConfigError("config file given but no subcommand")
     command = rest[0]

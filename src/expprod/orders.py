@@ -159,10 +159,6 @@ def _is_zero(diff, exact: bool, scale: float) -> bool:
     return abs(float(diff)) <= 1e-12 * max(1.0, scale)
 
 
-def evaluate_conditions(conds: OrderConditionSet, assignment: Mapping[str, object]):
-    return [eq.poly.evaluate(assignment) for eq in conds.equations]
-
-
 def solve(conds: OrderConditionSet, fixed: Mapping[str, object] | None = None,
           guess: Mapping[str, float] | None = None,
           tol: float = 1e-13, max_iter: int = 200) -> SolveReport:

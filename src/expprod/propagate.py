@@ -377,12 +377,6 @@ def run_timeordered(scheme3: Scheme, parts: TimeDependentParts, t0: float,
     return QuantumState(v)
 
 
-def timeordered_step(scheme3: Scheme, parts: TimeDependentParts, t: float,
-                     dt: float, psi: QuantumState) -> QuantumState:
-    """One time-ordered step from time t (``run_timeordered`` with one step)."""
-    return run_timeordered(scheme3, parts, t, dt, 1, psi)
-
-
 def driven_two_level() -> TimeDependentParts:
     """A(t) = sigma_z, B(t) = cos(t) sigma_x."""
     sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)

@@ -4,10 +4,12 @@ The quantum partition function maps onto a classical Ising system with one
 extra periodic axis of n layers: intra-layer couplings are scaled by beta/n
 and the transverse field becomes a ferromagnetic inter-layer coupling
 gamma_n = -log(tanh(beta*Gamma/n))/2.  Sampling is plain single-spin-flip
-Metropolis on the mapped system; a pair of exact references (configuration
-enumeration at finite n, dense diagonalization at n = infinity) anchors
-every estimator, and a least-squares fit in 1/n extrapolates away the
-finite-n systematic error.
+Metropolis on the mapped system.  One exact reference anchors every
+estimator: a symmetric eigendecomposition of the symmetrised transfer
+matrix at finite n, or of the Hamiltonian at n = infinity, read out through
+one density matrix.  Configuration enumeration stays as an independent
+oracle, and a least-squares fit in 1/n extrapolates away the finite-n
+systematic error.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -325,43 +326,40 @@ def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
     )
 
 
-def run_traces(model: IsingModel, n: int, sweeps: int, therm: int,
-               seed: int) -> dict[str, np.ndarray]:
-    """Per-sweep observable traces (for CSV dumps and stationarity tests)."""
-    return metropolis_run(model, n, sweeps, therm, seed).traces
-
-
 # ---------------------------------------------------------------------------
 # Exact references
 # ---------------------------------------------------------------------------
 
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+def _basis_spins(sites: int) -> np.ndarray:
+    """The +-1 spin table: row s holds sigma_z of every site in basis state s.
+
+    Site 0 is the most significant bit of s, as in a Kronecker product
+    written left to right; bit 0 is spin up (+1).
+    """
+    bits = (np.arange(1 << sites)[:, None] >> np.arange(sites - 1, -1, -1)) & 1
+    return 1.0 - 2.0 * bits
 
 
-def _site_operator(op: np.ndarray, site: int, sites: int) -> np.ndarray:
-    out = np.array([[1.0]])
-    for k in range(sites):
-        out = np.kron(out, op if k == site else np.eye(2))
-    return out
+def _ising_diagonal(model: IsingModel, spins: np.ndarray) -> np.ndarray:
+    """Diagonal of A = -sum J_ij sigma_z^i sigma_z^j over the basis states."""
+    diag = np.zeros(len(spins))
+    for i, j, jij in model.bonds:
+        diag -= jij * (spins[:, i] * spins[:, j])
+    return diag
 
 
 def hamiltonian_parts(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
     """Dense A (diagonal Ising) and B (transverse field) with H = A + B."""
-    dim = 2 ** model.sites
-    a = np.zeros((dim, dim))
-    for i, j, jij in model.bonds:
-        a -= jij * _site_operator(_PAULI_Z, i, model.sites) @ _site_operator(
-            _PAULI_Z, j, model.sites)
-    b = np.zeros((dim, dim))
-    for i in range(model.sites):
-        b -= model.gamma * _site_operator(_PAULI_X, i, model.sites)
+    spins = _basis_spins(model.sites)
+    a = np.diag(_ising_diagonal(model, spins))
+    b = np.zeros_like(a)
+    b -= model.gamma * (spins @ spins.T == model.sites - 2)  # one spin apart
     return a, b
 
 
 @dataclass
 class ExactObservables:
-    z: float
+    log_z: float
     bond_zz: list[float]
     trotter_corr: float | None
     diag_energy: float
@@ -369,44 +367,65 @@ class ExactObservables:
 
 
 def exact_reference(model: IsingModel, n: int | None = None) -> ExactObservables:
-    """Exact observables: enumeration at finite n, diagonalization at n = None.
+    """Exact observables at Trotter number n, or of e^{-beta H} at n = None.
 
-    Finite n sums all 2^(sites*n) world-line configurations (capped at 24
-    spins); the quantum reference diagonalizes the dense Hamiltonian
-    (capped at 2^sites = 4096).
+    One symmetric eigendecomposition V diag(w) V^T serves both: of H = A + B
+    at n = None, with weights e^{-beta (w - w_min)}; of the symmetrised
+    transfer matrix S = e^{-beta A/2n} e^{-beta B/n} e^{-beta A/2n} at finite
+    n, with A and B shifted to be >= 0 so that no entry overflows, and
+    weights (w / w_max)^n, since Z_n = Tr S^n.  The density matrix
+    rho = V diag(weights) V^T / sum(weights) gives bond_zz and diag_energy
+    from its diagonal and sigma_x at n = None from its one-flip entries.  At
+    finite n, trotter_corr is Tr[S^{n-1} e^{-beta A/2n} (e^{-beta B/n} o C)
+    e^{-beta A/2n}] / Tr S^n with C[s, s'] = sum_i s_i s'_i / sites, and
+    sigma_x follows from it.  Capped at 2^sites <= 4096.
     """
+    if model.sites > 12:
+        raise ValueError("exact reference capped at 2^sites <= 4096")
+    spins = _basis_spins(model.sites)
+    overlap = spins @ spins.T  # sites - 2 * (number of differing spins)
     if n is None:
-        return _exact_quantum(model)
-    return _exact_finite_n(model, n)
+        a, b = hamiltonian_parts(model)
+        w, v = np.linalg.eigh(a + b)
+        weights = np.exp(-model.beta * (w - w.min()))
+        log_scale = -model.beta * w.min()
+    else:
+        couplings(model, n)  # refuses n < 1 and a zero field
+        # per site e^{-u} e^{u sigma_x} = [[c, s], [s, c]], so e^{-beta B/n} is
+        # e^{u sites} flip, flip = c^(equal spins) s^(differing spins)
+        u = model.beta * model.gamma / n
+        c, s = (1 + math.exp(-2 * u)) / 2, -math.expm1(-2 * u) / 2
+        flip = c ** ((model.sites + overlap) / 2) * s ** ((model.sites - overlap) / 2)
+        a_diag = _ising_diagonal(model, spins)
+        half = np.exp(-(model.beta / (2 * n)) * (a_diag - a_diag.min()))
+        w, v = np.linalg.eigh(half[:, None] * flip * half)
+        top = w.max()
+        ratio = np.clip(w / top, 0.0, None)  # S is positive definite
+        weights = ratio ** n
+        log_scale = model.beta * (model.gamma * model.sites - a_diag.min()) + n * math.log(top)
+    total = float(weights.sum())
+    rho = (v * weights) @ v.T / total
+    occupation = np.diag(rho)
+    bond_zz = [float(occupation @ (spins[:, i] * spins[:, j])) for i, j, _ in model.bonds]
+    diag_energy = -sum(jij * zz for (_, _, jij), zz in zip(model.bonds, bond_zz))
+    if n is None:
+        trotter_corr = None
+        sigma_x = float(rho[overlap == model.sites - 2].sum()) / model.sites
+    else:
+        corr = half[:, None] * (flip * overlap / model.sites) * half
+        trotter_corr = float(np.sum((v * ratio ** (n - 1)) @ v.T * corr)) / (top * total)
+        a, b = sigma_x_estimator_coeffs(model, n)
+        sigma_x = a * trotter_corr + b
+    return ExactObservables(log_z=log_scale + math.log(total), bond_zz=bond_zz,
+                            trotter_corr=trotter_corr, diag_energy=diag_energy,
+                            sigma_x=sigma_x)
 
 
-def _exact_quantum(model: IsingModel) -> ExactObservables:
-    dim = 2 ** model.sites
-    if dim > 4096:
-        raise ValueError("diagonalization capped at 2^sites <= 4096")
-    a, b = hamiltonian_parts(model)
-    w, v = np.linalg.eigh(a + b)
-    w0 = w - w.min()
-    boltz = np.exp(-model.beta * w0)
-    z_shifted = float(boltz.sum())
+def enumeration_reference(model: IsingModel, n: int) -> ExactObservables:
+    """The finite-n observables by summing all 2^(sites*n) configurations.
 
-    def thermal(op: np.ndarray) -> float:
-        return float(np.einsum("ij,ji->", (v * boltz) @ v.conj().T, op).real / z_shifted)
-
-    bond_zz = []
-    for i, j, _ in model.bonds:
-        op = _site_operator(_PAULI_Z, i, model.sites) @ _site_operator(_PAULI_Z, j, model.sites)
-        bond_zz.append(thermal(op))
-    diag_energy = thermal(a)
-    sx = 0.0
-    for i in range(model.sites):
-        sx += thermal(_site_operator(_PAULI_X, i, model.sites))
-    z = z_shifted * math.exp(-model.beta * w.min())
-    return ExactObservables(z=z, bond_zz=bond_zz, trotter_corr=None,
-                            diag_energy=diag_energy, sigma_x=sx / model.sites)
-
-
-def _exact_finite_n(model: IsingModel, n: int) -> ExactObservables:
+    An oracle independent of ``exact_reference``, capped at 24 spins.
+    """
     nspin = model.sites * n
     if nspin > 24:
         raise ValueError("finite-n enumeration capped at sites*n <= 24")
@@ -443,43 +462,20 @@ def _exact_finite_n(model: IsingModel, n: int) -> ExactObservables:
             for m in range(n):
                 tc += bit(i, m) * bit(i, m + 1)
         tc_acc += float(np.dot(weights, tc / (model.sites * n)))
-    const = math.exp(nspin * coup.delta_n) if nspin * coup.delta_n > -700 else 0.0
-    z = z_acc * const  # restore the dropped delta_n constant for the true Z
     bond_zz = list(zz_acc / z_acc)
     trotter_corr = tc_acc / z_acc
     diag_energy = -sum(jij * zz for (_, _, jij), zz in zip(model.bonds, bond_zz))
     a, b = sigma_x_estimator_coeffs(model, n)
     sigma_x = a * trotter_corr + b
-    return ExactObservables(z=z, bond_zz=bond_zz, trotter_corr=trotter_corr,
-                            diag_energy=diag_energy, sigma_x=sigma_x)
-
-
-def _transfer_power(model: IsingModel, n: int) -> np.ndarray:
-    """The dense n-layer product (e^{-beta A/n} e^{-beta B/n})^n."""
-    a, b = hamiltonian_parts(model)
-    ea = scipy.linalg.expm(-(model.beta / n) * a)
-    eb = scipy.linalg.expm(-(model.beta / n) * b)
-    return np.linalg.matrix_power(ea @ eb, n)
-
-
-def matrix_trace_z(model: IsingModel, n: int) -> float:
-    """Z_n by the dense product trace Tr[(e^{-beta A/n} e^{-beta B/n})^n]."""
-    return float(np.trace(_transfer_power(model, n)).real)
+    # the dropped delta_n constant restores the true Z
+    return ExactObservables(log_z=math.log(z_acc) + nspin * coup.delta_n, bond_zz=bond_zz,
+                            trotter_corr=trotter_corr, diag_energy=diag_energy,
+                            sigma_x=sigma_x)
 
 
 def matrix_trace_bond_zz(model: IsingModel, n: int) -> list[float]:
-    """Finite-n <sigma_z sigma_z> per bond by operator insertion in the trace.
-
-    Works at any n (the enumeration cap does not apply); by layer cyclicity
-    a single insertion equals the layer average.
-    """
-    tn = _transfer_power(model, n)
-    z = float(np.trace(tn).real)
-    out = []
-    for i, j, _ in model.bonds:
-        op = _site_operator(_PAULI_Z, i, model.sites) @ _site_operator(_PAULI_Z, j, model.sites)
-        out.append(float(np.trace(op @ tn).real) / z)
-    return out
+    """Finite-n <sigma_z sigma_z> per bond, read from ``exact_reference``."""
+    return exact_reference(model, n).bond_zz
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +532,7 @@ def trotter_extrapolate(model: IsingModel, n_list: Sequence[int], sweeps: int,
                         observable: str = "bond_zz") -> ExtrapolationResult:
     """Extrapolate a QMC observable to n -> infinity.
 
-    ``sweeps = 0`` uses the exact finite-n enumeration instead of sampling
+    ``sweeps = 0`` uses the exact finite-n reference instead of sampling
     (no statistical error); otherwise one independent chain per n.
     """
     values, errors = [], []
@@ -629,11 +625,7 @@ def anneal(model: IsingModel, n: int, gamma_schedule: Sequence[float],
 
 def ground_energy_enumeration(model: IsingModel) -> float:
     """Brute-force minimum of the diagonal energy over all 2^sites layers."""
-    best = math.inf
-    for code in range(1 << model.sites):
-        layer = np.array([1 if (code >> i) & 1 else -1 for i in range(model.sites)])
-        best = min(best, diagonal_energy(model, layer))
-    return best
+    return float(_ising_diagonal(model, _basis_spins(model.sites)).min())
 
 
 def anneal_schedule(g_start: float = 2.5, g_end: float = 1e-4,

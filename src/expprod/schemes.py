@@ -519,10 +519,3 @@ def stage_plan(s: Scheme) -> tuple[tuple[Union[str, CommutatorSpec], float, floa
     the records are computed once per scheme instance.
     """
     return s._plan
-
-
-def evaluation_times(s: Scheme, t: float, dt: float) -> list[tuple[str, float, float]]:
-    """Numeric (slot, coeff, eval_time) records, emitted in application order."""
-    if "T" not in s.slots:
-        raise ValueError("scheme has no shift-time slot")
-    return [(lab, c, t + tau * dt) for lab, c, tau in stage_plan(s)]

@@ -78,7 +78,7 @@ def test_criterion_3_ruth_reproduction():
         conds = orders.order_conditions("ABABAB", 3)
         point = {"p1": Fraction(7, 24), "p2": Fraction(2, 3), "p3": Fraction(3, 4),
                  "p4": Fraction(-2, 3), "p5": Fraction(-1, 24), "p6": Fraction(1)}
-        residuals = orders.evaluate_conditions(conds, point)
+        residuals = [eq.poly.evaluate(point) for eq in conds.equations]
         assert all(r == 0 for r in residuals)
         q = point["p2"] * point["p3"] + point["p2"] * point["p5"] + point["p4"] * point["p5"]
         assert 2 * q == 1
@@ -182,7 +182,7 @@ def test_criterion_6_timeordered_correctness():
         psi = propagate.QuantumState(np.array([0.6, 0.8]))
         for g, twin in [(timeordered1(), trotter()), (timeordered2(), strang()),
                         (timeordered4(), suzuki4())]:
-            out = propagate.timeordered_step(g, parts_static, 0.2, 0.04, psi)
+            out = propagate.run_timeordered(g, parts_static, 0.2, 0.04, 1, psi)
             ref = propagate.unitary_step(twin, pm, 0.04, psi)
             assert np.linalg.norm(out.vector - ref.vector) <= 1e-12
 
@@ -209,12 +209,20 @@ def test_criterion_8_qmc_exactness_ladder():
     with criterion(8, "enumeration / trace / sampling / extrapolation ladder", 600.0):
         single = qmc.IsingModel(sites=1, bonds=(), gamma=1.0, beta=1.0)
         pair = qmc.IsingModel(sites=2, bonds=((0, 1, 1.0),), gamma=1.0, beta=1.0)
-        for model, n in [(single, 2), (single, 4), (pair, 2), (pair, 4), (pair, 8)]:
-            en = qmc.exact_reference(model, n)
-            zt = qmc.matrix_trace_z(model, n)
-            assert abs(en.z - zt) <= 1e-12 * abs(zt)
+        frustrated4 = qmc.frustrated_square()
+        chain6 = qmc.ferromagnetic_chain(6, beta=2.0, gamma=1.0)
+        for model, n in [(single, 2), (single, 4), (pair, 2), (pair, 4), (pair, 8),
+                         (frustrated4, 2), (frustrated4, 4), (chain6, 3)]:
+            en = qmc.enumeration_reference(model, n)
+            tr = qmc.exact_reference(model, n)
+            for got, want in [(tr.log_z, en.log_z), (tr.trotter_corr, en.trotter_corr),
+                              (tr.diag_energy, en.diag_energy), (tr.sigma_x, en.sigma_x),
+                              *zip(tr.bond_zz, en.bond_zz)]:
+                # relative, except that a correlation (in [-1, 1]) far below 1
+                # is held to 1e-12 absolute: the enumeration resolves no more
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
-        traces = qmc.run_traces(single, 2, sweeps=60000, therm=5000, seed=7)
+        traces = qmc.metropolis_run(single, 2, sweeps=60000, therm=5000, seed=7).traces
         cfg = traces["config_index"][::10]
         counts = np.bincount(cfg, minlength=4).astype(float)
         c = qmc.couplings(single, 2)

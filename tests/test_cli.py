@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expprod import cli, propagate, qmc, schemes
+from expprod import cli, orders, propagate, qmc, schemes
 
 MODELS = Path(__file__).resolve().parents[1] / "scripts" / "models"
 
@@ -62,6 +62,20 @@ def test_bch_bad_stage_grammar(capsys):
     code, _, err = run(capsys, "bch", "--stages", "Ax", "--order", "3")
     assert code == cli.CONFIG_ERROR
     assert "config error" in err
+
+
+@pytest.mark.parametrize("order", [0, -2, orders.MAX_ORDER + 1, 30])
+def test_bch_order_outside_the_cap_is_config_error(capsys, order):
+    code, out, err = run(capsys, "bch", "--stages", "A:x,B:x", "--order", str(order))
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert f"1..{orders.MAX_ORDER}" in err
+
+
+def test_bch_runs_at_the_cap(capsys):
+    code, out, _ = run(capsys, "bch", "--stages", "A:x,B:x", "--order", str(orders.MAX_ORDER))
+    assert code == 0
+    assert len(out.splitlines()) == orders.MAX_ORDER
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +634,19 @@ def test_extrapolate_needs_two_kept_sweeps(capsys):
     assert all(math.isfinite(e) for e in _strict_json(out)["errors"])
 
 
+@pytest.mark.parametrize("observable", ["bond_zz", "sigma_x", "diag_energy"])
+def test_extrapolate_cold_model_is_finite(tmp_path, capsys, observable):
+    # beta * J = 800: enumerated layer weights e^{800} overflow to NaN
+    cold = tmp_path / "cold.json"
+    cold.write_text(json.dumps({"sites": 2, "bonds": [[0, 1, 1.0]],
+                                "gamma": 0.01, "beta": 800.0}))
+    code, out, _ = run(capsys, "extrapolate", "--model", str(cold), "--n-list", "2,3,4",
+                       "--sweeps", "0", "--observable", observable)
+    assert code == 0
+    doc = _strict_json(out)
+    assert all(math.isfinite(v) for v in [doc["c0"], doc["c1"], doc["c2"], *doc["values"]])
+
+
 # ---------------------------------------------------------------------------
 # config files and error paths
 # ---------------------------------------------------------------------------
@@ -643,6 +670,17 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "precession")
     assert code == cli.CONFIG_ERROR
     assert "bogus_key" in err
+
+
+@pytest.mark.parametrize("form", ["separate", "joined"])
+def test_config_file_flag_forms_are_equivalent(tmp_path, capsys, form):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dt": -1}))
+    flag = ["--config", str(cfg)] if form == "separate" else [f"--config={cfg}"]
+    code, out, err = run(capsys, *flag, "precession", "--steps", "10", "--sample-every", "5")
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert "--dt must be positive" in err
 
 
 def test_missing_model_file(capsys):
@@ -710,7 +748,7 @@ _FUZZ_BASE = [
     ["extrapolate", "--model", _PAIR, "--n-list", "2,3,4", "--sweeps", "0",
      "--observable", "bond_zz", "--seed", "1"],
 ]
-_FUZZ_TOKENS = ["0", "-1", "nan", "inf", "-inf", "1e308", "1/0", "abc", ""]
+_FUZZ_TOKENS = ["0", "-1", "99", "nan", "inf", "-inf", "1e308", "1/0", "abc", ""]
 
 
 def _fuzz_cases():
@@ -738,7 +776,7 @@ def _fuzzed(base, index, piece, token):
     return argv
 
 
-@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@settings(max_examples=700, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(_fuzz_cases()), st.sampled_from(_FUZZ_TOKENS))
 def test_fuzzed_command_lines_keep_the_exit_contract(case, token):
     argv = _fuzzed(*case, token)

@@ -4,7 +4,7 @@ import pytest
 
 from expprod import ncalg, orders
 from expprod.orders import (
-    MAX_ORDER, ConditionEq, OrderConditionSet, evaluate_conditions, family_csv,
+    MAX_ORDER, ConditionEq, OrderConditionSet, family_csv,
     order_conditions, rationalize_solution, ruth_family, solve, verify_order,
 )
 from expprod.poly import RationalPoly
@@ -60,7 +60,7 @@ def test_second_order_condition_reduces_to_q_form():
 def test_third_order_conditions_satisfied_by_known_point():
     conds = order_conditions("ABABAB", 3)
     assert len(conds.equations) == 5
-    assert all(v == 0 for v in evaluate_conditions(conds, RUTH_POINT))
+    assert all(eq.poly.evaluate(RUTH_POINT) == 0 for eq in conds.equations)
     # the reduced cubic identities hold at the known point:
     # 3(p1 + 2 p3 p4 p5) = 1 and 3(2 p2 p3 p4 + p6) = 1
     p = RUTH_POINT

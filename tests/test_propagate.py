@@ -10,7 +10,7 @@ from expprod.propagate import (
     hermitian_pair_error, jacobian_determinant, kick, perturbational_composition,
     perturbative_step, precession_period, run_precession, run_timeordered,
     run_umeno, spin_error, spin_parts, step_count, step_operator, symplectic_step,
-    timeordered_step, transverse_coupling_coefficient, umeno_hamiltonian,
+    transverse_coupling_coefficient, umeno_hamiltonian,
     unitary_step,
 )
 from expprod.schemes import (
@@ -318,7 +318,7 @@ def static_parts() -> TimeDependentParts:
 ], ids=["g1", "g2", "g4"])
 def test_time_independent_parts_reduce_to_plain_steppers(g, twin):
     psi = QuantumState(np.array([0.6, 0.8]))
-    out = timeordered_step(g, static_parts(), 0.3, 0.05, psi)
+    out = run_timeordered(g, static_parts(), 0.3, 0.05, 1, psi)
     ref = unitary_step(twin, spin_parts(GAMMA), 0.05, psi)
     assert np.linalg.norm(out.vector - ref.vector) < 1e-12
 
@@ -328,7 +328,7 @@ def test_g2_driven_stage_arguments_at_midpoint():
     parts = driven_two_level()
     t, dt = 0.7, 0.05
     psi = QuantumState.up(2)
-    out = timeordered_step(timeordered2(), parts, t, dt, psi)
+    out = run_timeordered(timeordered2(), parts, t, dt, 1, psi)
     mid = t + dt / 2
     a = HermitianPart(parts.sample("A", mid))
     b = HermitianPart(parts.sample("B", mid))
@@ -340,7 +340,7 @@ def test_non_hermitian_sample_rejected():
     bad = TimeDependentParts(a=lambda t: np.array([[0, 1], [0, 0]], dtype=complex),
                              b=lambda t: np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
-        timeordered_step(timeordered2(), bad, 0.0, 0.1, QuantumState.up(2))
+        run_timeordered(timeordered2(), bad, 0.0, 0.1, 1, QuantumState.up(2))
 
 
 @pytest.mark.parametrize("g", [timeordered1(), timeordered2(), timeordered4()],
@@ -350,7 +350,7 @@ def test_run_timeordered_is_repeated_single_steps(g):
     t0, dt = 0.4, 0.03
     psi = QuantumState.up(2)
     for k in range(6):
-        psi = timeordered_step(g, parts, t0 + k * dt, dt, psi)
+        psi = run_timeordered(g, parts, t0 + k * dt, dt, 1, psi)
     run = run_timeordered(g, parts, t0, dt, 6, QuantumState.up(2))
     assert np.array_equal(run.vector, psi.vector)
 

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +9,17 @@ import pytest
 from expprod.qmc import (
     FrozenTrotterError, IsingModel, WorldlineConfig,
     anneal, anneal_schedule, classical_action, couplings, diagonal_energy,
-    exact_reference, extrapolate_values, ferromagnetic_chain, frustrated_square,
-    ground_energy_enumeration, matrix_trace_bond_zz, matrix_trace_z,
-    metropolis_run, run_traces, trotter_extrapolate,
+    enumeration_reference, exact_reference, extrapolate_values, ferromagnetic_chain,
+    frustrated_square, ground_energy_enumeration, hamiltonian_parts, matrix_trace_bond_zz,
+    metropolis_run, trotter_extrapolate,
 )
 
+MODELS = Path(__file__).resolve().parent.parent / "scripts" / "models"
 SINGLE = IsingModel(sites=1, bonds=(), gamma=1.0, beta=1.0)
 PAIR = IsingModel(sites=2, bonds=((0, 1, 1.0),), gamma=1.0, beta=1.0)
+FRUSTRATED4 = IsingModel.from_json(json.loads((MODELS / "frustrated4.json").read_text()))
+CHAIN6 = IsingModel.from_json(json.loads((MODELS / "chain6.json").read_text()))
+COLD = IsingModel(sites=2, bonds=((0, 1, 1.0),), gamma=0.01, beta=800.0)
 
 
 # ---------------------------------------------------------------------------
@@ -132,16 +138,90 @@ def test_action_dimension_mismatch():
 def test_single_spin_sigma_x_closed_form():
     ref = exact_reference(SINGLE)   # n = infinity
     assert ref.sigma_x == pytest.approx(math.tanh(1.0), abs=1e-12)
-    assert ref.z == pytest.approx(2 * math.cosh(1.0), rel=1e-12)
+    assert ref.log_z == pytest.approx(math.log(2 * math.cosh(1.0)), rel=1e-12)
 
 
-@pytest.mark.parametrize("model,n", [(SINGLE, 2), (SINGLE, 3), (PAIR, 2), (PAIR, 4)])
+def _assert_same_observables(a, b):
+    # correlations lie in [-1, 1]: frustrated4's trotter_corr is ~1e-11 at
+    # n = 3, below the enumeration's own resolution, so 1e-12 also counts
+    # as an absolute bound
+    close = functools.partial(pytest.approx, rel=1e-12, abs=1e-12)
+    assert a.log_z == close(b.log_z)
+    assert a.bond_zz == close(b.bond_zz)
+    assert a.trotter_corr == close(b.trotter_corr)
+    assert a.diag_energy == close(b.diag_energy)
+    assert a.sigma_x == close(b.sigma_x)
+
+
+@pytest.mark.parametrize("model,n", [(SINGLE, 2), (SINGLE, 3), (PAIR, 2), (PAIR, 4),
+                                     (SINGLE, 8), (PAIR, 8), (FRUSTRATED4, 2),
+                                     (FRUSTRATED4, 3), (FRUSTRATED4, 5), (CHAIN6, 2),
+                                     (CHAIN6, 3)])
 def test_enumeration_matches_matrix_product_trace(model, n):
-    en = exact_reference(model, n)
-    assert en.z == pytest.approx(matrix_trace_z(model, n), rel=1e-12)
-    if model.bonds:
-        zz = matrix_trace_bond_zz(model, n)
-        assert en.bond_zz[0] == pytest.approx(zz[0], rel=1e-12)
+    ref = exact_reference(model, n)
+    _assert_same_observables(ref, enumeration_reference(model, n))
+    assert matrix_trace_bond_zz(model, n) == ref.bond_zz
+
+
+def test_exact_reference_reaches_large_trotter_numbers():
+    def fields(ref):
+        return [ref.log_z, ref.bond_zz[0], ref.diag_energy, ref.sigma_x]
+
+    quantum = fields(exact_reference(PAIR))
+    v64, v256 = fields(exact_reference(PAIR, 64)), fields(exact_reference(PAIR, 256))
+    assert all(abs(b - q) < abs(a - q) for q, a, b in zip(quantum, v64, v256))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 256])
+def test_exact_reference_is_finite_on_a_cold_model(n):
+    # beta * J = 800: the unshifted layer weights e^{800} overflow
+    ref = exact_reference(COLD, n)
+    fields = [ref.log_z, ref.trotter_corr, ref.diag_energy, ref.sigma_x, *ref.bond_zz]
+    assert all(math.isfinite(v) for v in fields)
+    assert -1 - 1e-12 <= ref.bond_zz[0] <= 1 + 1e-12
+
+
+def _kron_parts(model):
+    """H = A + B from Kronecker products of single-site Pauli matrices."""
+    def site(op, k):
+        out = np.array([[1.0]])
+        for m in range(model.sites):
+            out = np.kron(out, op if m == k else np.eye(2))
+        return out
+
+    pz = np.array([[1.0, 0.0], [0.0, -1.0]])
+    px = np.array([[0.0, 1.0], [1.0, 0.0]])
+    dim = 2 ** model.sites
+    a = np.zeros((dim, dim))
+    for i, j, jij in model.bonds:
+        a -= jij * site(pz, i) @ site(pz, j)
+    b = np.zeros((dim, dim))
+    for i in range(model.sites):
+        b -= model.gamma * site(px, i)
+    return a, b
+
+
+_TABLE_MODELS = pytest.mark.parametrize("model", [
+    SINGLE, PAIR, FRUSTRATED4, CHAIN6, ferromagnetic_chain(8),
+    IsingModel(sites=3, bonds=((0, 1, -0.3), (1, 2, 0.7)), gamma=0.0, beta=2.0),
+    IsingModel(sites=5, bonds=((0, 4, 1.5), (1, 3, -2.0)), gamma=0.3, beta=1.0),
+], ids=["single", "pair", "frustrated4", "chain6", "chain8", "zero_field", "sparse5"])
+
+
+@_TABLE_MODELS
+def test_hamiltonian_parts_bit_identical_to_kron_build(model):
+    for got, want in zip(hamiltonian_parts(model), _kron_parts(model)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@_TABLE_MODELS
+def test_ground_energy_enumeration_matches_a_loop_over_layers(model):
+    best = math.inf
+    for code in range(1 << model.sites):
+        layer = np.array([1 if (code >> i) & 1 else -1 for i in range(model.sites)])
+        best = min(best, diagonal_energy(model, layer))
+    assert ground_energy_enumeration(model) == best
 
 
 def test_finite_n_approaches_quantum_monotonically():
@@ -153,13 +233,15 @@ def test_finite_n_approaches_quantum_monotonically():
 def test_enumeration_cap():
     big = IsingModel(sites=5, bonds=(), gamma=1.0, beta=1.0)
     with pytest.raises(ValueError):
-        exact_reference(big, 6)
+        enumeration_reference(big, 6)
 
 
 def test_diagonalization_cap():
     big = IsingModel(sites=13, bonds=(), gamma=1.0, beta=1.0)
     with pytest.raises(ValueError):
         exact_reference(big)
+    with pytest.raises(ValueError):
+        exact_reference(big, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +265,7 @@ def test_pair_matches_exact_reference_within_3_sigma():
 
 
 def test_detailed_balance_chi2_on_four_configurations():
-    traces = run_traces(SINGLE, 2, sweeps=60000, therm=5000, seed=7)
+    traces = metropolis_run(SINGLE, 2, sweeps=60000, therm=5000, seed=7).traces
     cfg = traces["config_index"][::10]
     counts = np.bincount(cfg, minlength=4).astype(float)
     c = couplings(SINGLE, 2)
@@ -198,7 +280,7 @@ def test_detailed_balance_chi2_on_four_configurations():
 
 def test_config_index_exact_beyond_63_spins():
     # 2 sites x 32 layers = 64 spins: bit 63 must not wrap to a negative index
-    traces = run_traces(PAIR, 32, sweeps=50, therm=0, seed=1)
+    traces = metropolis_run(PAIR, 32, sweeps=50, therm=0, seed=1).traces
     assert len(traces["config_index"]) == 50
     assert all(0 <= int(v) < 2 ** 64 for v in traces["config_index"])
 

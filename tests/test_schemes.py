@@ -7,7 +7,7 @@ from expprod.ncalg import product_log
 from expprod.poly import RationalPoly
 from expprod.schemes import (
     CommutatorSpec, Scheme, catalog, coeff_value,
-    evaluation_offsets, evaluation_times, fractal_constant, has_negative_coefficient,
+    evaluation_offsets, fractal_constant, has_negative_coefficient,
     hybrid_fourth, hybrid_second, merge_adjacent, quintuple, ruth, stage_plan,
     strang, suzuki4, suzuki6, suzuki8, timeordered1, timeordered2, timeordered4,
     triple_jump, trotter,
@@ -239,14 +239,14 @@ def test_quintuple_negative_values():
 # ---------------------------------------------------------------------------
 
 def test_g1_evaluation_times():
-    out = evaluation_times(timeordered1(), t=0.0, dt=0.5)
-    assert [(lab, tau) for lab, _, tau in out] == [("B", 0.5), ("A", 0.5)]
+    out = [(lab, 0.0 + tau * 0.5) for lab, _, tau in stage_plan(timeordered1())]
+    assert out == [("B", 0.5), ("A", 0.5)]
 
 
 def test_g2_evaluation_times_all_midpoint():
-    out = evaluation_times(timeordered2(), t=1.0, dt=0.2)
-    assert all(abs(te - 1.1) < 1e-15 for _, _, te in out)
-    assert [lab for lab, _, _ in out] == ["A", "B", "A"]
+    plan = stage_plan(timeordered2())
+    assert all(abs(1.0 + tau * 0.2 - 1.1) < 1e-15 for _, _, tau in plan)
+    assert [lab for lab, _, _ in plan] == ["A", "B", "A"]
 
 
 def test_g4_offsets_exact_in_the_constant():
@@ -280,13 +280,11 @@ def test_stage_plan_consumes_the_shift_time_slot():
     offsets = evaluation_offsets(timeordered4())
     assert [(lab, c, tau) for lab, c, tau in plan] == [
         (lab, coeff_value(c), coeff_value(tau)) for lab, c, tau in offsets]
-    times = evaluation_times(timeordered4(), 0.3, 0.1)
-    assert times == [(lab, c, 0.3 + tau * 0.1) for lab, c, tau in plan]
 
 
 def test_evaluation_times_requires_t_slot():
     with pytest.raises(ValueError):
-        evaluation_times(strang(), 0.0, 0.1)
+        evaluation_offsets(strang())
 
 
 def test_t_coefficients_must_sum_to_one():
@@ -294,7 +292,7 @@ def test_t_coefficients_must_sum_to_one():
                  (schemes.Stage(2, Fraction(1, 2)), schemes.Stage(0, Fraction(1))),
                  claimed_order=1, symmetric=False)
     with pytest.raises(ValueError):
-        evaluation_times(bad, 0.0, 0.1)
+        evaluation_offsets(bad)
 
 
 # ---------------------------------------------------------------------------
