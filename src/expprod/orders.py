@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ncalg import lie_project, lyndon_words, product_and_log, product_log
-from .poly import RationalPoly
+from .poly import CompiledPolys, RationalPoly
 from .schemes import Scheme
 
 # Truncation cap of the exact series work: condition generation and
@@ -168,6 +168,12 @@ def solve(conds: OrderConditionSet, fixed: Mapping[str, object] | None = None,
     down to isolated points); ``guess`` must cover every free parameter.
     A name in either that the conditions lack is a ValueError.
     Non-convergence is reported, not raised.
+
+    Residuals are exact integer evaluations at the float iterate: the
+    condition polynomials are compiled once (``poly.CompiledPolys``), and
+    each residual is the correctly rounded float of its exact value there.
+    An iterate whose exact residual exceeds the float range raises
+    OverflowError.  The Jacobian is evaluated in floats.
     """
     fixed = dict(fixed or {})
     guess = dict(guess or {})
@@ -182,6 +188,7 @@ def solve(conds: OrderConditionSet, fixed: Mapping[str, object] | None = None,
     fixed_f = {p: float(v) for p, v in fixed.items()}
 
     grads = [[eq.poly.derivative(p) for p in free] for eq in conds.equations]
+    compiled = CompiledPolys((eq.poly for eq in conds.equations), conds.parameters)
 
     def assignment(vec):
         a = dict(fixed_f)
@@ -189,11 +196,12 @@ def solve(conds: OrderConditionSet, fixed: Mapping[str, object] | None = None,
         return a
 
     def residuals(vec):
-        # Exact rational evaluation at the (exact binary) float point kills
-        # the cancellation noise floor; accuracy is then limited only by
-        # the float resolution of the iterate itself.
-        a = {p: Fraction(v) for p, v in assignment(vec).items()}
-        return np.array([float(eq.poly.evaluate(a)) for eq in conds.equations])
+        # Exact evaluation at the (exact binary) float point kills the
+        # cancellation noise floor; accuracy is then limited only by the
+        # float resolution of the iterate itself.
+        a = assignment(vec)
+        values = [a[p] for p in conds.parameters]
+        return np.array([n / d for n, d in compiled.ratios(values)])
 
     r = residuals(x)
     best = float(np.max(np.abs(r))) if r.size else 0.0
@@ -246,9 +254,9 @@ def rationalize_solution(conds: OrderConditionSet, solution: Mapping[str, float]
     """Snap a float solution to small rationals if they satisfy the system exactly."""
     candidate = {p: Fraction(solution[p]).limit_denominator(max_denominator)
                  for p in conds.parameters}
-    for eq in conds.equations:
-        if eq.poly.evaluate(candidate) != 0:
-            return None
+    compiled = CompiledPolys((eq.poly for eq in conds.equations), conds.parameters)
+    if any(n for n, _ in compiled.ratios(candidate.values())):
+        return None
     return candidate
 
 

@@ -4,11 +4,13 @@ Coefficients throughout the series algebra are either plain
 :class:`fractions.Fraction` values or :class:`RationalPoly` instances in
 named parameters.  Arithmetic never leaves exact rationals; a polynomial
 that collapses to a constant is demoted back to a ``Fraction`` by
-:func:`as_exact`.
+:func:`as_exact`.  :class:`CompiledPolys` evaluates a fixed set of
+polynomials exactly, in integers, at many points.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -230,6 +232,68 @@ class RationalPoly:
             body = "*".join(f"{v}^{e}" if e > 1 else v for v, e in mono)
             parts.append(frac_str(c) if not body else f"{frac_str(c)}*{body}")
         return " + ".join(parts)
+
+
+def _powers(base: int, top: int) -> list[int]:
+    row = [1]
+    for _ in range(top):
+        row.append(row[-1] * base)
+    return row
+
+
+class CompiledPolys:
+    """Polynomials compiled once for exact evaluation at many points.
+
+    Polynomial k keeps integer coefficients over the lcm D_k of its
+    denominators, each with ``(variable index, exponent)`` pairs over
+    ``variables`` and its shortfall from the top degree t_k.  A point
+    (floats, ints or Fractions) is taken as integer numerators over one
+    common denominator Q, the lcm of the values' denominators: a power of
+    two for floats.  Every monomial is shifted up to degree t_k, so the value
+    of polynomial k is one integer over D_k Q^t_k, and ``n / d`` of that pair
+    is the correctly rounded float of the exact value (raising OverflowError
+    where ``float(Fraction)`` does).
+    """
+
+    __slots__ = ("_polys", "_top_exp", "_top_degree")
+
+    def __init__(self, polys: Iterable[RationalPoly], variables: Iterable[str]):
+        index = {name: i for i, name in enumerate(variables)}
+        self._top_exp = [0] * len(index)
+        self._polys = []
+        for poly in polys:
+            den = math.lcm(*(c.denominator for c in poly.terms.values()))
+            top = poly.total_degree()
+            terms = []
+            for mono, c in poly.terms.items():
+                powers = tuple((index[var], exp) for var, exp in mono)
+                for i, exp in powers:
+                    self._top_exp[i] = max(self._top_exp[i], exp)
+                terms.append((c.numerator * (den // c.denominator), powers,
+                              top - sum(exp for _, exp in mono)))
+            self._polys.append((den, top, terms))
+        self._top_degree = max((top for _, top, _ in self._polys), default=0)
+
+    def ratios(self, values: Iterable) -> list[tuple[int, int]]:
+        """(numerator, denominator) of each polynomial at ``values``, in order.
+
+        Inf and NaN values raise like ``Fraction(value)``.
+        """
+        ratios = [v.as_integer_ratio() for v in values]
+        if len(ratios) != len(self._top_exp):
+            raise ValueError(f"expected {len(self._top_exp)} values, got {len(ratios)}")
+        q = math.lcm(*(d for _, d in ratios))
+        pows = [_powers(n * (q // d), top) for (n, d), top in zip(ratios, self._top_exp)]
+        q_pows = _powers(q, self._top_degree)
+        out = []
+        for den, top, terms in self._polys:
+            total = 0
+            for c, powers, short in terms:
+                for i, exp in powers:
+                    c *= pows[i][exp]
+                total += c * q_pows[short]
+            out.append((total, den * q_pows[top]))
+        return out
 
 
 def as_exact(value) -> Coeff:

@@ -424,7 +424,10 @@ def exact_reference(model: IsingModel, n: int | None = None) -> ExactObservables
 def enumeration_reference(model: IsingModel, n: int) -> ExactObservables:
     """The finite-n observables by summing all 2^(sites*n) configurations.
 
-    An oracle independent of ``exact_reference``, capped at 24 spins.
+    An oracle independent of ``exact_reference``, capped at 24 spins.  The
+    weights are e^(action - shift), with shift the running maximum of the
+    action over the chunks so far; the sums are rescaled when it grows, so
+    no weight overflows however cold the model.
     """
     nspin = model.sites * n
     if nspin > 24:
@@ -433,6 +436,7 @@ def enumeration_reference(model: IsingModel, n: int) -> ExactObservables:
     count = 1 << nspin
     chunk = min(count, 1 << 20)
     nbonds = len(model.bonds)
+    shift = -math.inf
     z_acc = 0.0
     zz_acc = np.zeros(nbonds)
     tc_acc = 0.0
@@ -450,7 +454,12 @@ def enumeration_reference(model: IsingModel, n: int) -> ExactObservables:
                 action += (model.beta / n) * jij * (bit(i, m) * bit(j, m))
             for i in range(model.sites):
                 action += coup.gamma_n * (bit(i, m) * bit(i, m + 1))
-        weights = np.exp(action)
+        top = float(action.max())
+        if top > shift:
+            rescale = math.exp(shift - top)
+            z_acc, zz_acc, tc_acc = z_acc * rescale, zz_acc * rescale, tc_acc * rescale
+            shift = top
+        weights = np.exp(action - shift)
         z_acc += float(weights.sum())
         for bidx, (i, j, _) in enumerate(model.bonds):
             acc = np.zeros(idx.size)
@@ -468,9 +477,9 @@ def enumeration_reference(model: IsingModel, n: int) -> ExactObservables:
     a, b = sigma_x_estimator_coeffs(model, n)
     sigma_x = a * trotter_corr + b
     # the dropped delta_n constant restores the true Z
-    return ExactObservables(log_z=math.log(z_acc) + nspin * coup.delta_n, bond_zz=bond_zz,
-                            trotter_corr=trotter_corr, diag_energy=diag_energy,
-                            sigma_x=sigma_x)
+    return ExactObservables(log_z=shift + math.log(z_acc) + nspin * coup.delta_n,
+                            bond_zz=bond_zz, trotter_corr=trotter_corr,
+                            diag_energy=diag_energy, sigma_x=sigma_x)
 
 
 def matrix_trace_bond_zz(model: IsingModel, n: int) -> list[float]:

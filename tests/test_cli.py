@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from expprod import cli, orders, propagate, qmc, schemes
 
-MODELS = Path(__file__).resolve().parents[1] / "scripts" / "models"
+ROOT = Path(__file__).resolve().parents[1]
+MODELS = ROOT / "scripts" / "models"
 
 
 def run(capsys, *argv):
@@ -174,6 +178,27 @@ def test_family_csv_with_ruth_row(tmp_path, capsys):
     ruth_row = [ln for ln in lines[1:] if ln.startswith("1,")]
     assert ruth_row and ruth_row[0].endswith("true")
     assert (tmp_path / "family.csv.manifest.json").exists()
+
+
+def test_family_csv_pinned(tmp_path, capsys):
+    # the benchmark's grid, byte for byte: Newton residuals must not move a bit
+    out_path = tmp_path / "family.csv"
+    code, _, _ = run(capsys, "family", "--p6", "0.2:1.4:0.2", "--out", str(out_path))
+    assert code == 0
+    assert (hashlib.sha256(out_path.read_bytes()).hexdigest()
+            == "63d60a9d3756f69a516e9b2a2a2d629ff485f5a32b3c8728b15816dcfb3f8f28")
+
+
+def test_ruth_family_demo_script_pinned(tmp_path):
+    # the README grid (22 converged, 3 flagged rows), run as shipped
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "ruth_family_demo.py"),
+                           str(tmp_path)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    text = (tmp_path / "family.csv").read_text()
+    assert [row.rsplit(",", 1)[1] for row in text.splitlines()[1:]].count("true") == 22
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "e163b1c8d58b05a3a50e13f5cf41f34a76ae62b6c474cce66de8633bf74f6652")
 
 
 @pytest.mark.parametrize("argv", [

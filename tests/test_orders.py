@@ -1,13 +1,16 @@
+import functools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expprod import ncalg, orders
 from expprod.orders import (
     MAX_ORDER, ConditionEq, OrderConditionSet, family_csv,
     order_conditions, rationalize_solution, ruth_family, solve, verify_order,
 )
-from expprod.poly import RationalPoly
+from expprod.poly import CompiledPolys, RationalPoly
 from expprod.schemes import (
     hybrid_fourth, hybrid_second, ruth, strang, suzuki4, trotter,
 )
@@ -222,6 +225,92 @@ def test_rationalize_solution():
     assert rationalize_solution(conds, sol) == RUTH_POINT
     sol["p1"] += 1e-3
     assert rationalize_solution(conds, sol) is None
+
+
+# ---------------------------------------------------------------------------
+# exact residual kernel
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _kernel_cases():
+    """(conditions, kernel) for the third-order family and one order-4 pattern."""
+    cases = []
+    for pattern, m in (("ABABAB", 3), ("ABABABA", 4)):
+        conds = order_conditions(pattern, m)
+        cases.append((conds, CompiledPolys((eq.poly for eq in conds.equations),
+                                           conds.parameters)))
+    return cases
+
+
+def _float_or_overflow(value):
+    """The exact bits of a float residual (sign of zero included), or the overflow."""
+    try:
+        return float(value()).hex()
+    except OverflowError:
+        return "OverflowError"
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                   2.2250738585072014e-308, 1e-300, -1e-300, 1e300, -1e300,
+                   1.7976931348623157e308, 1.0, -1.0 / 3.0]
+_POINT_VALUE = st.one_of(
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.floats(-4.0, 4.0),
+    st.floats(1e290, 1.7976931348623157e308) | st.floats(-1.7976931348623157e308, -1e290),
+    st.floats(-1e-290, 1e-290),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_POINT_VALUE, min_size=7, max_size=7))
+def test_compiled_residuals_bit_identical_to_fraction_evaluation(values):
+    for conds, kernel in _kernel_cases():
+        point = values[:len(conds.parameters)]
+        exact = {p: Fraction(v) for p, v in zip(conds.parameters, point)}
+        for eq, (n, d) in zip(conds.equations, kernel.ratios(point)):
+            assert (_float_or_overflow(lambda: n / d)
+                    == _float_or_overflow(lambda: eq.poly.evaluate(exact)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.fractions(max_denominator=10 ** 6), min_size=7, max_size=7))
+def test_compiled_polys_exact_at_fraction_points(values):
+    for conds, kernel in _kernel_cases():
+        point = values[:len(conds.parameters)]
+        exact = dict(zip(conds.parameters, point))
+        for eq, (n, d) in zip(conds.equations, kernel.ratios(point)):
+            assert Fraction(n, d) == eq.poly.evaluate(exact)
+
+
+def test_compiled_polys_refuse_bad_points():
+    conds, kernel = _kernel_cases()[0]
+    # non-finite values raise as Fraction(value) does
+    for bad, error in ((math.inf, OverflowError), (math.nan, ValueError)):
+        values = [bad, 1.0, 1.0, 1.0, 1.0, 1.0]
+        with pytest.raises(error):
+            Fraction(bad)
+        with pytest.raises(error):
+            kernel.ratios(values)
+    with pytest.raises(ValueError, match="expected 6 values, got 5"):
+        kernel.ratios([1.0] * 5)
+
+
+def test_solve_and_rationalize_make_no_fraction_evaluation(monkeypatch):
+    calls = []
+    evaluate = RationalPoly.evaluate
+
+    def counted(self, assignment):
+        calls.append(any(isinstance(v, Fraction) for v in assignment.values()))
+        return evaluate(self, assignment)
+
+    monkeypatch.setattr(RationalPoly, "evaluate", counted)
+    conds = order_conditions("ABABAB", 3)
+    report = solve(conds, fixed={"p6": 1.0},
+                   guess={k: float(v) + 0.01 for k, v in RUTH_POINT.items() if k != "p6"})
+    assert report.converged
+    assert rationalize_solution(conds, report.solution) == RUTH_POINT
+    assert calls and not any(calls)  # the float Jacobian only
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ def _assert_same_observables(a, b):
 @pytest.mark.parametrize("model,n", [(SINGLE, 2), (SINGLE, 3), (PAIR, 2), (PAIR, 4),
                                      (SINGLE, 8), (PAIR, 8), (FRUSTRATED4, 2),
                                      (FRUSTRATED4, 3), (FRUSTRATED4, 5), (CHAIN6, 2),
-                                     (CHAIN6, 3)])
+                                     (CHAIN6, 3), (COLD, 2), (COLD, 3)])
 def test_enumeration_matches_matrix_product_trace(model, n):
     ref = exact_reference(model, n)
     _assert_same_observables(ref, enumeration_reference(model, n))
