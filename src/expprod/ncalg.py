@@ -16,7 +16,8 @@ multiply with a binomial weight and no gcd, and each word becomes an
 exact rational once at the end.  ``series_mul`` is the plain Fraction
 product, kept as the reference.  A handful of dense-matrix utilities
 (commutator powers, the directional derivative of expm) back the numeric
-identities exercised by the tests.
+identities exercised by the tests; ``frechet_exp`` alone needs scipy,
+which comes with the ``test`` extra.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .poly import Coeff, RationalPoly, as_exact, coeff_from_json, coeff_to_json
 
@@ -584,8 +584,12 @@ def frechet_exp(a: np.ndarray, da: np.ndarray) -> np.ndarray:
     """Directional derivative of the matrix exponential at A along dA.
 
     Computed by the doubled-dimension block trick: expm([[A, dA], [0, A]])
-    carries the derivative in its upper-right block.
+    carries the derivative in its upper-right block.  The block matrix is
+    not normal, so this takes scipy's ``expm``; scipy comes with the
+    ``test`` extra and is imported here only.
     """
+    import scipy.linalg
+
     a = np.asarray(a)
     da = np.asarray(da)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

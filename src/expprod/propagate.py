@@ -1,11 +1,13 @@
 """Apply splitting schemes to concrete dynamics.
 
-Quantum side: stage exponentials of Hermitian parts are built from cached
-eigendecompositions, so every stage is unitary to roundoff and the norm
-cannot drift.  Classical side: kick and drift are the exact flows of the
-potential-only and kinetic-only Hamiltonians (the generators are nilpotent),
-so every composed step is symplectic.  The deliberately bad baselines
-(first-order perturbative updates) are kept verbatim for comparison runs.
+Quantum side: every stage exponential comes from an eigendecomposition of
+a Hermitian matrix: letter stages from the cached one of their part,
+commutator stages from the bracket brought to Hermitian form.  So every
+stage is unitary to roundoff and the norm cannot drift.  Classical side:
+kick and drift are the exact flows of the potential-only and kinetic-only
+Hamiltonians (the generators are nilpotent), so every composed step is
+symplectic.  The deliberately bad baselines (first-order perturbative
+updates) are kept verbatim for comparison runs.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
+from .ncalg import commutator
 from .schemes import CommutatorSpec, Scheme, stage_plan, timeordered2
 
 
@@ -91,9 +93,7 @@ def _parts_map(scheme: Scheme, parts) -> dict[str, HermitianPart]:
 def _bracket_matrix(tree, parts: dict[str, HermitianPart]) -> np.ndarray:
     if isinstance(tree, str):
         return parts[tree].matrix
-    left = _bracket_matrix(tree[0], parts)
-    right = _bracket_matrix(tree[1], parts)
-    return left @ right - right @ left
+    return commutator(_bracket_matrix(tree[0], parts), _bracket_matrix(tree[1], parts))
 
 
 def _static_plan(scheme: Scheme) -> list[tuple[str | CommutatorSpec, float, float]]:
@@ -104,14 +104,22 @@ def _static_plan(scheme: Scheme) -> list[tuple[str | CommutatorSpec, float, floa
 
 
 def stage_unitaries(scheme: Scheme, parts, dt: float) -> list[np.ndarray]:
-    """Stage matrices in application (right-to-left) order for exp(-i dt H)."""
+    """Stage matrices in application (right-to-left) order for exp(-i dt H).
+
+    A commutator stage with L leaves applies exp(c (-i dt)^L K), where the
+    bracket K of Hermitian parts is i^(L-1) times a Hermitian matrix; it is
+    taken as exp(-i c dt^L H) with H = (-i)^(L-1) K.  ``eigh`` reads one
+    triangle of H, so the factor is unitary whatever roundoff K carries.
+    """
     plan = _static_plan(scheme)
     pm = _parts_map(scheme, parts)
     mats: list[np.ndarray] = []
     for target, c, _ in plan:
         if isinstance(target, CommutatorSpec):
-            bracket = _bracket_matrix(target.tree, pm)
-            mats.append(scipy.linalg.expm(c * (-1j * dt) ** target.x_power * bracket))
+            leaves = target.x_power
+            h = (-1j) ** (leaves - 1) * _bracket_matrix(target.tree, pm)
+            w, v = np.linalg.eigh(h)
+            mats.append(_hermitian_exp(w, v, -1j * c * dt ** leaves))
         else:
             mats.append(pm[target].expfactor(-1j * c * dt))
     return mats
@@ -412,10 +420,11 @@ def transverse_coupling_coefficient(x: float, eps: float = 1e-6) -> float:
         return 1.0
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     sz = np.array([[1.0, 0.0], [0.0, -1.0]])
-    mid = scipy.linalg.expm(x * sz)
+    mid = HermitianPart(sz).expfactor(x)
+    sx_part = HermitianPart(sx)
 
     def sigx_component(gamma: float) -> float:
-        cap = scipy.linalg.expm(0.5 * x * gamma * sx)
+        cap = sx_part.expfactor(0.5 * x * gamma)
         phi = _principal_log_symmetric(cap @ mid @ cap)
         return float(np.trace(sx @ phi).real) / 2.0
 
@@ -423,15 +432,11 @@ def transverse_coupling_coefficient(x: float, eps: float = 1e-6) -> float:
     return derivative / x
 
 
-def coth(x: float) -> float:
-    return math.cosh(x) / math.sinh(x)
-
-
 def perturbational_composition(x_grid: Sequence[float]) -> list[tuple[float, float, float]]:
     """Rows (x, analytic x*coth x, numerically extracted coefficient)."""
     rows = []
     for x in x_grid:
-        analytic = 1.0 if x == 0 else x * coth(x)
+        analytic = 1.0 if x == 0 else x / math.tanh(x)
         rows.append((float(x), analytic, transverse_coupling_coefficient(float(x))))
     return rows
 

@@ -817,3 +817,49 @@ def test_fuzzed_command_lines_keep_the_exit_contract(case, token):
     assert "Traceback" not in err.getvalue(), argv
     if code == cli.NONCONVERGENCE:
         _strict_json(out.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# scipy is a test dependency only: every command runs without it
+# ---------------------------------------------------------------------------
+
+_PAIR = str(MODELS / "pair.json")
+_NO_SCIPY_COMMANDS = [
+    ["bch", "--stages", "A:x/2,B:x,A:x/2", "--order", "3"],
+    ["scheme", "check", "suzuki4"],
+    ["solve", "--pattern", "ABABAB", "--order", "3", "--fix", "p6=1",
+     "--guess", "p1=0.33,p2=0.62,p3=0.7,p4=-0.62,p5=-0.05"],
+    ["family", "--p6", "0.9:1.1:0.1"],
+    ["precession", "--scheme", "hybrid_fourth", "--dt", "0.01", "--steps", "200",
+     "--sample-every", "50"],
+    ["converge", "--scheme", "hybrid_second", "--dt-list", "0.1,0.05,0.025"],
+    ["umeno", "--dt", "0.01", "--steps", "200", "--sample-every", "50"],
+    ["timedep", "--dt", "0.05", "--steps", "40"],
+    ["qmc", "--model", _PAIR, "--n", "4", "--sweeps", "200", "--seed", "1"],
+    ["anneal", "--model", _PAIR, "--n", "4", "--schedule", "2:0.1:3", "--sweeps", "20"],
+    ["extrapolate", "--model", _PAIR, "--n-list", "4,6,8", "--sweeps", "0"],
+]
+
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from expprod import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_cli_runs_with_scipy_blocked(capsys):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT,
+                           json.dumps(_NO_SCIPY_COMMANDS)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    blocked = json.loads(proc.stdout)
+    unblocked = [run(capsys, *argv)[0] for argv in _NO_SCIPY_COMMANDS]
+    assert blocked == unblocked
+    assert unblocked == [0] * len(_NO_SCIPY_COMMANDS)

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from expprod.propagate import (
     HermitianPart, LogBranchError, PhasePoint, QuantumState,
@@ -9,12 +11,12 @@ from expprod.propagate import (
     driven_two_level, drift, error_slope, euler_step,
     hermitian_pair_error, jacobian_determinant, kick, perturbational_composition,
     perturbative_step, precession_period, run_precession, run_timeordered,
-    run_umeno, spin_error, spin_parts, step_count, step_operator, symplectic_step,
-    transverse_coupling_coefficient, umeno_hamiltonian,
+    run_umeno, spin_error, spin_parts, stage_unitaries, step_count, step_operator,
+    symplectic_step, transverse_coupling_coefficient, umeno_hamiltonian,
     unitary_step,
 )
 from expprod.schemes import (
-    hybrid_fourth, hybrid_second, ruth, strang, suzuki4, suzuki6, suzuki8,
+    CommutatorSpec, Scheme, Stage, hybrid_fourth, hybrid_second, ruth, strang, suzuki4, suzuki6, suzuki8,
     timeordered1, timeordered2, timeordered4, trotter,
 )
 
@@ -299,6 +301,38 @@ def test_hybrid_fourth_slope_on_random_hermitian_pairs():
     errs = [hermitian_pair_error(hybrid_fourth(), a, b, dt, 1.6) for dt in dts]
     slope, _ = error_slope(dts, errs, floor=1e-12)
     assert slope == pytest.approx(4.0, abs=0.2)
+
+
+@pytest.mark.parametrize("tree,leaves", [
+    (("A", "B"), 2),
+    (("B", ("A", "B")), 3),
+    ((("A", "B"), ("A", ("A", "B"))), 5),
+    (("A", ("A", ("A", ("B", "A")))), 5),
+], ids=["AB", "B_AB", "AB_A_AB", "A_A_A_BA"])
+@pytest.mark.parametrize("coeff", [Fraction(-1, 2), Fraction(3, 7)])
+def test_commutator_stage_matches_expm(tree, leaves, coeff):
+    rng = np.random.default_rng(11)
+
+    def rand_herm(n):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        h = (m + m.conj().T) / 2
+        return h / np.linalg.norm(h, 2)
+
+    a, b = rand_herm(5), rand_herm(5)
+    dt = 0.7
+    scheme = Scheme(("A", "B"), (Stage(CommutatorSpec(tree, x_power=leaves), coeff),),
+                    claimed_order=1, symmetric=False)
+    (factor,) = stage_unitaries(scheme, {"A": a, "B": b}, dt)
+
+    def bracket(t):
+        if isinstance(t, str):
+            return a if t == "A" else b
+        x, y = bracket(t[0]), bracket(t[1])
+        return x @ y - y @ x
+
+    reference = scipy.linalg.expm(float(coeff) * (-1j * dt) ** leaves * bracket(tree))
+    assert np.linalg.norm(factor.conj().T @ factor - np.eye(5)) < 1e-13
+    assert np.linalg.norm(factor - reference) < 1e-13
 
 
 # ---------------------------------------------------------------------------
