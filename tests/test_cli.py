@@ -394,6 +394,29 @@ def test_converge_suzuki8_pinned(tmp_path, capsys):
             == "bf36b215a839c85b0cf879aff4aad20396f312153af0ff0757b6387d451f641c")
 
 
+# time-ordered output recorded while every stage factor had its own eigh call;
+# building them per chunk of steps must not move a bit
+PINNED_TIMEORDERED = [
+    (["timedep", "--scheme", "timeordered4", "--dt", "0.01", "--steps", "250"],
+     "2ba0c7035e134057cb87253a36065d982abf0b4be0a885905c4fafa39e0d4599",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["converge", "--scheme", "timeordered4", "--system", "driven",
+      "--dt-list", "0.25,0.125,0.0625"],
+     "449af0efa73fa7f71860830baaf10dcc5864b80b7a6822da34b3e72d3a0a586c",
+     "2b41d87c7fe1be4dfe1a9eaeb01aac2c0ecd6183a9d181a30fb2ce3406f8bf88"),
+]
+
+
+@pytest.mark.parametrize("argv,file_digest,stdout_digest", PINNED_TIMEORDERED,
+                         ids=[a[0] for a, _, _ in PINNED_TIMEORDERED])
+def test_timeordered_output_pinned(tmp_path, capsys, argv, file_digest, stdout_digest):
+    out_path = tmp_path / "out.csv"
+    code, out, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == file_digest
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+
+
 def test_converge_takes_at_least_one_step(capsys):
     # a dt beyond twice t_final is one step, not zero steps with a roundoff error
     code, out, _ = run(capsys, "converge", "--scheme", "strang", "--dt-list", "5,10")

@@ -16,8 +16,8 @@ from expprod.propagate import (
     unitary_step,
 )
 from expprod.schemes import (
-    CommutatorSpec, Scheme, Stage, hybrid_fourth, hybrid_second, ruth, strang, suzuki4, suzuki6, suzuki8,
-    timeordered1, timeordered2, timeordered4, trotter,
+    CommutatorSpec, Scheme, Stage, hybrid_fourth, hybrid_second, ruth, stage_plan, strang, suzuki4,
+    suzuki6, suzuki8, timeordered1, timeordered2, timeordered4, trotter,
 )
 
 GAMMA = 0.75
@@ -53,6 +53,24 @@ def test_zero_dt_is_identity():
     psi = QuantumState.up(2)
     out = unitary_step(strang(), spin_parts(GAMMA), 0.0, psi)
     assert np.allclose(out.vector, psi.vector)
+
+
+@pytest.mark.parametrize("scheme", [suzuki4(), hybrid_fourth()], ids=["suzuki4", "hybrid_fourth"])
+def test_unitary_step_matches_the_stage_factors(scheme):
+    # letter stages act in the parts' eigenbases, commutator stages as factors
+    rng = np.random.default_rng(3)
+
+    def rand_herm(n):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return (m + m.conj().T) / 2
+
+    parts = {"A": HermitianPart(rand_herm(12)), "B": HermitianPart(rand_herm(12))}
+    psi = QuantumState(rng.normal(size=12) + 1j * rng.normal(size=12))
+    ref = psi.vector
+    for m in stage_unitaries(scheme, parts, 0.05):
+        ref = m @ ref
+    out = unitary_step(scheme, parts, 0.05, psi)
+    assert np.linalg.norm(out.vector - ref) < 1e-13 * np.linalg.norm(ref)
 
 
 def test_precession_returns_after_one_period():
@@ -375,6 +393,89 @@ def test_non_hermitian_sample_rejected():
                              b=lambda t: np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
         run_timeordered(timeordered2(), bad, 0.0, 0.1, 1, QuantumState.up(2))
+
+
+def _turns_bad(part, start):
+    # Hermitian before ``start``, a nilpotent (non-Hermitian) matrix from it on
+    bad = np.array([[0, 1], [0, 0]], dtype=complex)
+    return lambda t: part(t) if t < start else bad
+
+
+@pytest.mark.parametrize("g", [timeordered1(), timeordered2(), timeordered4()],
+                         ids=["g1", "g2", "g4"])
+@pytest.mark.parametrize("a_start,b_start", [
+    (7.0, 6.0),   # B goes bad first (a later stage than A in g2 and g4)
+    (6.0, 7.0),   # A goes bad first (a later stage than B in g1)
+    (6.0, 6.0),   # both at once: the earlier stage in application order is named
+])
+def test_refusal_names_the_first_bad_sample_in_application_order(g, a_start, b_start):
+    # the first bad sample lies 600 steps in, past the first chunk of factors
+    # (1024 of them at N = 2), and the part that goes bad first need not sit
+    # first in a step
+    base = driven_two_level()
+    parts = TimeDependentParts(a=_turns_bad(base.a, a_start), b=_turns_bad(base.b, b_start))
+    t0, dt, steps = 0.0, 0.01, 800
+    start = {"A": a_start, "B": b_start}
+    expected = next((slot, t0 + k * dt + tau * dt)
+                    for k in range(steps) for slot, _, tau in stage_plan(g)
+                    if t0 + k * dt + tau * dt >= start[slot])
+    with pytest.raises(ValueError) as err:
+        run_timeordered(g, parts, t0, dt, steps, QuantumState.up(2))
+    assert str(err.value) == f"part {expected[0]} is not Hermitian at t={expected[1]}"
+
+
+def test_stacked_hermitian_check_agrees_with_one_matrix_at_a_time():
+    # a tolerance placed between the stacked and the one-matrix norm of the
+    # defect, where the two round differently, gets the one-matrix verdict
+    from expprod.propagate import _not_hermitian
+
+    rng = np.random.default_rng(5)
+    stack = 0.1 * (rng.normal(size=(400, 3, 3)) + 1j * rng.normal(size=(400, 3, 3)))
+    assert np.linalg.norm(stack, axis=(-2, -1)).max() < 1  # so the bound is the tolerance
+    stacked = np.linalg.norm(stack - stack.conj().swapaxes(-1, -2), axis=(-2, -1))
+    checked = 0
+    for i, (m, defect) in enumerate(zip(stack, stacked)):
+        one = np.linalg.norm(m - m.conj().T)
+        if one != defect:
+            tol = min(one, defect)
+            assert _not_hermitian(stack, tol)[i] == (one > tol)
+            checked += 1
+    assert checked > 20
+
+
+def _random_driven_parts(n: int, seed: int) -> TimeDependentParts:
+    rng = np.random.default_rng(seed)
+
+    def herm():
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return (m + m.conj().T) / (2 * n)
+
+    a0, a1, b0, b1 = herm(), herm(), herm(), herm()
+    return TimeDependentParts(a=lambda t: a0 + math.cos(t) * a1,
+                              b=lambda t: b0 + math.sin(2 * t) * b1)
+
+
+@pytest.mark.parametrize("n", [2, 24])
+def test_run_timeordered_across_chunk_boundaries_is_bit_identical(n):
+    # a chunk holds _CHUNK_BYTES of factors: 2 chunks and some at n = 2
+    # (boundaries fall inside steps, since 15 stages do not divide a chunk), and
+    # less than one step per chunk at n = 24
+    from expprod.propagate import _CHUNK_BYTES
+
+    g = timeordered4()
+    stages = len(stage_plan(g))
+    per_chunk = max(1, _CHUNK_BYTES // (16 * n * n))
+    steps = 2 * per_chunk // stages + 3
+    assert steps * stages > 2 * per_chunk
+    parts = _random_driven_parts(n, seed=n)
+    t0, dt = 0.3, 0.02
+    psi0 = QuantumState(np.eye(n, dtype=complex)[0])
+    psi = psi0
+    for k in range(steps):
+        psi = run_timeordered(g, parts, t0 + k * dt, dt, 1, psi)
+    run = run_timeordered(g, parts, t0, dt, steps, psi0)
+    assert np.array_equal(run.vector, psi.vector)
+    assert np.array_equal(run_timeordered(g, parts, t0, dt, 0, psi0).vector, psi0.vector)
 
 
 @pytest.mark.parametrize("g", [timeordered1(), timeordered2(), timeordered4()],
