@@ -163,10 +163,10 @@ def load_model(path: str) -> qmc.IsingModel:
 
 
 def get_scheme(name: str) -> schemes.Scheme:
-    cat = schemes.catalog()
-    if name not in cat:
+    """Build the one catalog scheme a command names."""
+    if name not in schemes.CATALOG:
         raise ConfigError(f"unknown scheme {name!r}; see `expprod scheme list`")
-    return cat[name]
+    return schemes.CATALOG[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +195,8 @@ def cmd_bch(args) -> int:
 
 
 def cmd_scheme(args) -> int:
-    cat = schemes.catalog()
     if args.action == "list":
-        for name, sch in cat.items():
+        for name, sch in schemes.catalog().items():
             print(f"{name:14s} slots={''.join(sch.slots)} stages={len(sch.stages)} "
                   f"order={sch.claimed_order} symmetric={sch.symmetric} "
                   f"negative={schemes.has_negative_coefficient(sch)}")
@@ -315,7 +314,7 @@ def cmd_converge(args) -> int:
     if args.out:
         write_csv(args.out, ["dt", "error"], rows)
         write_manifest(args.out, "converge", {"scheme": args.scheme, "system": args.system,
-                                              "t_final": tf})
+                                              "dt": dts, "t_final": tf})
     return status
 
 
@@ -369,7 +368,7 @@ def cmd_timedep(args) -> int:
     _require_finite(t0=args.t0)
     sch = get_scheme(args.scheme)
     if "T" not in sch.slots:
-        raise ConfigError("timedep needs a scheme with a T slot (timeordered1/2/4)")
+        raise ConfigError("timedep needs a scheme with a T slot (slots=ABT in `scheme list`)")
     parts = propagate.driven_two_level()
 
     def row(k: int, psi: propagate.QuantumState) -> tuple:
@@ -432,7 +431,7 @@ def cmd_anneal(args) -> int:
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
         write_manifest(args.out, "anneal",
-                       {"model": args.model, "n": args.n, "schedule": args.schedule,
+                       {"model": args.model, "n": args.n, "schedule": sched,
                         "sweeps": args.sweeps, "seed": args.seed})
     return 0
 

@@ -302,28 +302,23 @@ def kick(h: SeparableHamiltonian, dt: float, x: PhasePoint) -> PhasePoint:
     return PhasePoint(x.p - dt * h.grad_v(x.q), x.q)
 
 
-DEFAULT_SLOT_MAP = {"A": "drift", "B": "kick"}
-
-
-def _kick_drift_plan(scheme: Scheme,
-                     slot_map: Mapping[str, str] | None = None) -> list[tuple[str, float]]:
-    """(kind, coeff) per stage in application order, kind 'kick' or 'drift'."""
-    smap = dict(slot_map or DEFAULT_SLOT_MAP)
+def _kick_drift_plan(scheme: Scheme) -> list[tuple[str, float]]:
+    """(kind, coeff) per stage in application order: slot A drifts, slot B kicks."""
     plan = []
     for target, c, _ in _static_plan(scheme):
         if isinstance(target, CommutatorSpec):
             raise ValueError("commutator stages are not supported in classical stepping")
-        kind = smap.get(target)
-        if kind not in ("drift", "kick"):
-            raise ValueError(f"slot {target!r} must map to 'drift' or 'kick', got {kind!r}")
+        kind = {"A": "drift", "B": "kick"}.get(target)
+        if kind is None:
+            raise ValueError(f"slot {target!r} has no classical flow (A drifts, B kicks)")
         plan.append((kind, c))
     return plan
 
 
 def symplectic_step(scheme: Scheme, h: SeparableHamiltonian, dt: float,
-                    x: PhasePoint, slot_map: Mapping[str, str] | None = None) -> PhasePoint:
+                    x: PhasePoint) -> PhasePoint:
     """Compose kick/drift maps per the scheme stages (right to left)."""
-    for kind, c in _kick_drift_plan(scheme, slot_map):
+    for kind, c in _kick_drift_plan(scheme):
         x = (drift if kind == "drift" else kick)(h, c * dt, x)
     return x
 

@@ -10,6 +10,10 @@ a ``poly.Coeff`` normalised by ``as_exact`` and per-slot sums stay
 exactly 1 at every nesting depth without an algebraic-number tower.
 Numeric work reads each constant's 17-significant-digit decimal through
 ``coeff_value``, once per scheme in ``stage_plan``.
+
+``CATALOG`` is the one list of scheme names: it maps each name to a
+zero-argument constructor whose scheme carries that name, so a caller
+builds only the scheme it asks for; ``catalog()`` builds them all.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
-from .ncalg import LieCombination, NcSeries, product_log
+from .ncalg import LieCombination
 from .poly import Coeff, RationalPoly, as_exact, frac_str
 
 
@@ -97,6 +101,8 @@ def _fractal_poly(mult: int, power: int) -> list[Fraction]:
 
 
 _CONSTANTS: dict[str, AlgebraicConstant] = {}
+# outer copies of the base at s x in each fractal composition
+_OUTER_COPIES = {"triple": 2, "quintuple": 4}
 
 
 def fractal_constant(kind: str, base_order: int) -> AlgebraicConstant:
@@ -107,7 +113,7 @@ def fractal_constant(kind: str, base_order: int) -> AlgebraicConstant:
     """
     if base_order < 2 or base_order % 2:
         raise ValueError("fractal promotion needs an even base order >= 2")
-    mult = {"triple": 2, "quintuple": 4}[kind]
+    mult = _OUTER_COPIES[kind]
     name = f"{kind}_order{base_order}"
     if name not in _CONSTANTS:
         power = base_order + 1
@@ -206,9 +212,7 @@ class Scheme:
     slots: tuple[str, ...]
     stages: tuple[Stage, ...]
     claimed_order: int
-    symmetric: bool
     name: str = ""
-    unmerged: tuple[Stage, ...] | None = None
 
     def slot_sums(self) -> dict[str, Coeff]:
         sums: dict[str, Coeff] = {lab: Fraction(0) for lab in self.slots}
@@ -221,13 +225,19 @@ class Scheme:
     def is_palindromic(self) -> bool:
         return self.stages == self.stages[::-1]
 
+    @property
+    def symmetric(self) -> bool:
+        """S(x) S(-x) = 1: the stages read the same both ways and are all odd in x."""
+        return self.is_palindromic() and all(
+            st.target.x_power % 2 for st in self.stages if st.is_commutator())
+
     def all_exact(self) -> bool:
         return all(isinstance(st.coeff, Fraction) for st in self.stages)
 
     def scale(self, factor: Coeff) -> "Scheme":
         """The scheme with x replaced by factor*x (commutators pick up factor^x_power)."""
         return Scheme(self.slots, tuple(st.scaled(factor) for st in self.stages),
-                      self.claimed_order, self.symmetric)
+                      self.claimed_order)
 
     @cached_property
     def _plan(self) -> tuple[tuple[Union[str, CommutatorSpec], float, float], ...]:
@@ -244,8 +254,8 @@ class Scheme:
         """Stage list for the series algebra, every coefficient a Fraction.
 
         Polynomial coefficients are evaluated in rational arithmetic at the
-        binary-exact values of their constants' 17-digit decimals, so merged
-        and unmerged stage lists produce bit-identical series.
+        binary-exact values of their constants' 17-digit decimals, so a merged
+        stage list and its unmerged source produce bit-identical series.
         """
         out = []
         for st in self.stages:
@@ -259,9 +269,6 @@ class Scheme:
             else:
                 out.append((self.slots[st.target], coeff))
         return out
-
-    def log_series(self, order: int) -> NcSeries:
-        return product_log(self.ncalg_stages(), order, self.slots)
 
     # -- serialization ----------------------------------------------------
     def to_json(self) -> dict:
@@ -318,7 +325,7 @@ class Scheme:
                 target = int(entry["slot"])
             stages.append(Stage(target, coeff))
         return cls(tuple(doc["slots"]), tuple(stages), int(doc["order"]),
-                   bool(doc["symmetric"]), name=doc.get("name", ""))
+                   name=doc.get("name", ""))
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +344,21 @@ def merge_adjacent(stages: Sequence[Stage]) -> tuple[Stage, ...]:
     return tuple(st for st in merged if st.coeff != 0)
 
 
-def compose(base: Scheme, factors: Sequence[Coeff], order: int,
-            name: str = "") -> Scheme:
-    """Flattened product base(f1 x) base(f2 x) ... with same-slot merging."""
-    raw: list[Stage] = []
-    for f in factors:
-        raw.extend(base.scale(f).stages)
-    merged = merge_adjacent(raw)
-    symmetric = list(factors) == list(reversed(list(factors))) and base.symmetric
-    return Scheme(base.slots, merged, order, symmetric, name=name,
-                  unmerged=tuple(raw))
+def fractal(base: Scheme, kind: str, name: str = "") -> Scheme:
+    """Promote a symmetric order-2k scheme to order 2k+2 by recursive composition.
+
+    ``triple`` is the triple jump base(s x) base((1-2s) x) base(s x);
+    ``quintuple`` is the five-copy base(s x)^2 base((1-4s) x) base(s x)^2,
+    with s the ``fractal_constant`` of that kind.  The product is flattened
+    with same-slot merging.
+    """
+    if not base.symmetric or base.claimed_order % 2:
+        raise ValueError(f"{kind} composition requires a symmetric even-order base scheme")
+    mult = _OUTER_COPIES[kind]
+    s = RationalPoly.var(fractal_constant(kind, base.claimed_order).name)
+    side = [s] * (mult // 2)
+    raw = [st for f in side + [1 - mult * s] + side for st in base.scale(f).stages]
+    return Scheme(base.slots, merge_adjacent(raw), base.claimed_order + 2, name)
 
 
 # ---------------------------------------------------------------------------
@@ -355,53 +367,13 @@ def compose(base: Scheme, factors: Sequence[Coeff], order: int,
 
 def trotter() -> Scheme:
     return Scheme(("A", "B"), (Stage(0, Fraction(1)), Stage(1, Fraction(1))),
-                  claimed_order=1, symmetric=False, name="trotter")
+                  claimed_order=1, name="trotter")
 
 
 def strang() -> Scheme:
     return Scheme(("A", "B"),
                   (Stage(0, Fraction(1, 2)), Stage(1, Fraction(1)), Stage(0, Fraction(1, 2))),
-                  claimed_order=2, symmetric=True, name="strang")
-
-
-def triple_jump(base: Scheme) -> Scheme:
-    """Promote a symmetric order-2k scheme by the three-copy composition."""
-    if not base.symmetric:
-        raise ValueError("triple jump requires a symmetric base scheme")
-    if base.claimed_order % 2:
-        raise ValueError("triple jump requires an even-order base scheme")
-    s = RationalPoly.var(fractal_constant("triple", base.claimed_order).name)
-    name = f"triple_jump({base.name})" if base.name else ""
-    return compose(base, [s, 1 - 2 * s, s], base.claimed_order + 2, name=name)
-
-
-def quintuple(base: Scheme) -> Scheme:
-    """Promote a symmetric order-2k scheme by the five-copy composition."""
-    if not base.symmetric:
-        raise ValueError("quintuple composition requires a symmetric base scheme")
-    if base.claimed_order % 2:
-        raise ValueError("quintuple composition requires an even-order base scheme")
-    s = RationalPoly.var(fractal_constant("quintuple", base.claimed_order).name)
-    name = f"quintuple({base.name})" if base.name else ""
-    return compose(base, [s, s, 1 - 4 * s, s, s], base.claimed_order + 2, name=name)
-
-
-def suzuki4() -> Scheme:
-    sch = quintuple(strang())
-    return Scheme(sch.slots, sch.stages, sch.claimed_order, sch.symmetric,
-                  name="suzuki4", unmerged=sch.unmerged)
-
-
-def suzuki6() -> Scheme:
-    sch = quintuple(suzuki4())
-    return Scheme(sch.slots, sch.stages, sch.claimed_order, sch.symmetric,
-                  name="suzuki6", unmerged=sch.unmerged)
-
-
-def suzuki8() -> Scheme:
-    sch = quintuple(suzuki6())
-    return Scheme(sch.slots, sch.stages, sch.claimed_order, sch.symmetric,
-                  name="suzuki8", unmerged=sch.unmerged)
+                  claimed_order=2, name="strang")
 
 
 def ruth() -> Scheme:
@@ -410,7 +382,7 @@ def ruth() -> Scheme:
         (Stage(0, Fraction(7, 24)), Stage(1, Fraction(2, 3)),
          Stage(0, Fraction(3, 4)), Stage(1, Fraction(-2, 3)),
          Stage(0, Fraction(-1, 24)), Stage(1, Fraction(1))),
-        claimed_order=3, symmetric=False, name="ruth")
+        claimed_order=3, name="ruth")
 
 
 def hybrid_second() -> Scheme:
@@ -418,30 +390,28 @@ def hybrid_second() -> Scheme:
     comm = CommutatorSpec(("A", "B"), x_power=2)
     return Scheme(("A", "B"),
                   (Stage(0, Fraction(1)), Stage(1, Fraction(1)), Stage(comm, Fraction(-1, 2))),
-                  claimed_order=2, symmetric=False, name="hybrid_second")
+                  claimed_order=2, name="hybrid_second")
 
 
 def hybrid_fourth() -> Scheme:
     """Fourth-order product with nested-commutator end caps.
 
     The interior is the symmetric A-B-A / B-A-B / A-B-A sandwich at a third
-    of the step each; the caps carry (1/432) x^3 [B,[A,B]].
+    of the step each (no two neighbours share a slot); the caps carry
+    (1/432) x^3 [B,[A,B]].
     """
-    comm = CommutatorSpec(("B", ("A", "B")), x_power=3)
-    cap = Stage(comm, Fraction(1, 432))
-    third = Fraction(1, 3)
-    sandwich_a = (Stage(0, third / 2), Stage(1, third), Stage(0, third / 2))
-    sandwich_b = (Stage(1, third / 2), Stage(0, third), Stage(1, third / 2))
-    inner = merge_adjacent(sandwich_a + sandwich_b + sandwich_a)
-    return Scheme(("A", "B"), (cap,) + inner + (cap,),
-                  claimed_order=4, symmetric=True, name="hybrid_fourth",
-                  unmerged=(cap,) + sandwich_a + sandwich_b + sandwich_a + (cap,))
+    cap = Stage(CommutatorSpec(("B", ("A", "B")), x_power=3), Fraction(1, 432))
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    inner = [(0, sixth), (1, third), (0, sixth), (1, sixth), (0, third),
+             (1, sixth), (0, sixth), (1, third), (0, sixth)]
+    return Scheme(("A", "B"), (cap, *(Stage(t, c) for t, c in inner), cap),
+                  claimed_order=4, name="hybrid_fourth")
 
 
 def timeordered1() -> Scheme:
     return Scheme(("A", "B", "T"),
                   (Stage(0, Fraction(1)), Stage(1, Fraction(1)), Stage(2, Fraction(1))),
-                  claimed_order=1, symmetric=False, name="timeordered1")
+                  claimed_order=1, name="timeordered1")
 
 
 def timeordered2() -> Scheme:
@@ -450,36 +420,36 @@ def timeordered2() -> Scheme:
                   (Stage(2, Fraction(1, 2)), Stage(0, Fraction(1, 2)),
                    Stage(1, Fraction(1)),
                    Stage(0, Fraction(1, 2)), Stage(2, Fraction(1, 2))),
-                  claimed_order=2, symmetric=True, name="timeordered2")
+                  claimed_order=2, name="timeordered2")
 
 
-def timeordered4() -> Scheme:
-    sch = quintuple(timeordered2())
-    return Scheme(sch.slots, sch.stages, sch.claimed_order, sch.symmetric,
-                  name="timeordered4", unmerged=sch.unmerged)
+# The one list of scheme names, in `scheme list` order: name -> constructor of
+# the scheme carrying that name.  A fractal entry builds its base on demand.
+CATALOG: dict[str, Callable[[], Scheme]] = {
+    "trotter": trotter,
+    "strang": strang,
+    "triple_jump4": lambda: fractal(strang(), "triple", "triple_jump4"),
+    "suzuki4": lambda: fractal(strang(), "quintuple", "suzuki4"),
+    "suzuki6": lambda: fractal(CATALOG["suzuki4"](), "quintuple", "suzuki6"),
+    "suzuki8": lambda: fractal(CATALOG["suzuki6"](), "quintuple", "suzuki8"),
+    "ruth": ruth,
+    "hybrid_second": hybrid_second,
+    "hybrid_fourth": hybrid_fourth,
+    "timeordered1": timeordered1,
+    "timeordered2": timeordered2,
+    "timeordered4": lambda: fractal(timeordered2(), "quintuple", "timeordered4"),
+}
+
+
+def catalog() -> dict[str, Scheme]:
+    """Every scheme of ``CATALOG``, built."""
+    return {name: make() for name, make in CATALOG.items()}
 
 
 def has_negative_coefficient(s: Scheme) -> bool:
     """True iff any non-commutator stage coefficient is negative."""
     return any(coeff_value(st.coeff) < 0
                for st in s.stages if not st.is_commutator())
-
-
-def catalog() -> dict[str, Scheme]:
-    return {
-        "trotter": trotter(),
-        "strang": strang(),
-        "triple_jump4": triple_jump(strang()),
-        "suzuki4": suzuki4(),
-        "suzuki6": suzuki6(),
-        "suzuki8": suzuki8(),
-        "ruth": ruth(),
-        "hybrid_second": hybrid_second(),
-        "hybrid_fourth": hybrid_fourth(),
-        "timeordered1": timeordered1(),
-        "timeordered2": timeordered2(),
-        "timeordered4": timeordered4(),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,12 @@ from expprod import orders, propagate, qmc
 from expprod.ncalg import lie_project, product_log
 from expprod.poly import RationalPoly
 from expprod.schemes import (
-    evaluation_offsets, hybrid_fourth, ruth, strang, suzuki4, suzuki6,
-    suzuki8, timeordered1, timeordered2, timeordered4, trotter,
+    CATALOG, evaluation_offsets, hybrid_fourth, ruth, strang, timeordered1,
+    timeordered2, trotter,
 )
+
+suzuki4, suzuki6, suzuki8, timeordered4 = (
+    CATALOG[name] for name in ("suzuki4", "suzuki6", "suzuki8", "timeordered4"))
 
 
 @contextmanager

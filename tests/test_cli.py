@@ -124,6 +124,25 @@ def test_scheme_unknown_name(capsys):
     assert code == cli.CONFIG_ERROR
 
 
+def test_scheme_show_prints_the_catalog_name(capsys):
+    code, out, _ = run(capsys, "scheme", "show", "triple_jump4")
+    assert code == 0
+    assert json.loads(out)["name"] == "triple_jump4"
+
+
+def test_commands_build_only_the_scheme_they_name(capsys, monkeypatch):
+    def unbuildable():
+        raise AssertionError("suzuki8 was built")
+
+    monkeypatch.setitem(schemes.CATALOG, "suzuki8", unbuildable)
+    code, _, _ = run(capsys, "timedep", "--scheme", "timeordered2", "--steps", "4",
+                     "--sample-every", "2")
+    assert code == 0
+    code, out, _ = run(capsys, "scheme", "check", "suzuki4")
+    assert code == 0
+    assert json.loads(out)["verified"] == 4
+
+
 # ---------------------------------------------------------------------------
 # solve / family
 # ---------------------------------------------------------------------------
@@ -310,7 +329,8 @@ def test_timedep_final_state_matches_one_run(tmp_path, capsys):
                      "--out", str(out_path))
     assert code == 0
     last = [float(v) for v in out_path.read_text().splitlines()[-1].split(",")]
-    ref = propagate.run_timeordered(schemes.timeordered4(), propagate.driven_two_level(),
+    ref = propagate.run_timeordered(schemes.CATALOG["timeordered4"](),
+                                    propagate.driven_two_level(),
                                     0.3, 0.02, 50, propagate.QuantumState.up(2)).vector
     got = np.array([last[1] + 1j * last[2], last[3] + 1j * last[4]])
     assert np.max(np.abs(got - ref)) < 1e-12
@@ -592,6 +612,23 @@ def test_anneal_cli(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["energy"] <= -3.0
     assert len(doc["configuration"]) == 4
+
+
+def test_manifests_echo_the_resolved_configuration(tmp_path, capsys):
+    conv = tmp_path / "conv.csv"
+    code, _, _ = run(capsys, "converge", "--scheme", "strang", "--dt-list", "0.1,0.05",
+                     "--out", str(conv))
+    assert code == 0
+    manifest = json.loads((tmp_path / "conv.csv.manifest.json").read_text())
+    assert manifest["config"]["dt"] == [0.1, 0.05]
+    model = tmp_path / "frus.json"
+    model.write_text(json.dumps(qmc.frustrated_square().to_json()))
+    ann = tmp_path / "anneal.json"
+    code, _, _ = run(capsys, "anneal", "--model", str(model), "--sweeps", "2",
+                     "--out", str(ann))
+    assert code == 0
+    manifest = json.loads((tmp_path / "anneal.json.manifest.json").read_text())
+    assert manifest["config"]["schedule"] == qmc.anneal_schedule()
 
 
 def test_anneal_one_stage_schedule_is_config_error(tmp_path, capsys):

@@ -13,7 +13,9 @@ from expprod.ncalg import (
 )
 from expprod.orders import verify_order
 from expprod.poly import RationalPoly
-from expprod.schemes import hybrid_fourth, ruth, suzuki6, timeordered4
+from expprod.schemes import CATALOG, hybrid_fourth, ruth
+
+suzuki6, timeordered4 = CATALOG["suzuki6"], CATALOG["timeordered4"]
 
 AB = ("A", "B")
 

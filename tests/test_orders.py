@@ -12,8 +12,10 @@ from expprod.orders import (
 )
 from expprod.poly import CompiledPolys, RationalPoly
 from expprod.schemes import (
-    hybrid_fourth, hybrid_second, ruth, strang, suzuki4, trotter,
+    CATALOG, hybrid_fourth, hybrid_second, ruth, strang, trotter,
 )
+
+suzuki4 = CATALOG["suzuki4"]
 
 RUTH_POINT = {"p1": Fraction(7, 24), "p2": Fraction(2, 3), "p3": Fraction(3, 4),
               "p4": Fraction(-2, 3), "p5": Fraction(-1, 24), "p6": Fraction(1)}

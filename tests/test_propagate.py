@@ -16,9 +16,12 @@ from expprod.propagate import (
     unitary_step,
 )
 from expprod.schemes import (
-    CommutatorSpec, Scheme, Stage, hybrid_fourth, hybrid_second, ruth, stage_plan, strang, suzuki4,
-    suzuki6, suzuki8, timeordered1, timeordered2, timeordered4, trotter,
+    CATALOG, CommutatorSpec, Scheme, Stage, hybrid_fourth, hybrid_second, ruth, stage_plan,
+    strang, timeordered1, timeordered2, trotter,
 )
+
+suzuki4, suzuki6, suzuki8, timeordered4 = (
+    CATALOG[name] for name in ("suzuki4", "suzuki6", "suzuki8", "timeordered4"))
 
 GAMMA = 0.75
 
@@ -224,9 +227,12 @@ def test_classical_stepping_refuses_commutators_and_shift_time(scheme):
 
 
 def test_classical_stepping_refuses_an_unmapped_slot():
+    # A drifts and B kicks; a slot with any other label has no classical flow
     x = PhasePoint(np.zeros(2), np.array([2.0, 1.0]))
-    with pytest.raises(ValueError, match="'B'"):
-        symplectic_step(strang(), umeno_hamiltonian(), 0.01, x, slot_map={"A": "drift"})
+    leapfrog_ac = Scheme(("A", "C"), (Stage(0, Fraction(1, 2)), Stage(1, Fraction(1)),
+                                      Stage(0, Fraction(1, 2))), claimed_order=2)
+    with pytest.raises(ValueError, match="'C'"):
+        symplectic_step(leapfrog_ac, umeno_hamiltonian(), 0.01, x)
 
 
 def test_umeno_run_reproduces_caption():
@@ -339,7 +345,7 @@ def test_commutator_stage_matches_expm(tree, leaves, coeff):
     a, b = rand_herm(5), rand_herm(5)
     dt = 0.7
     scheme = Scheme(("A", "B"), (Stage(CommutatorSpec(tree, x_power=leaves), coeff),),
-                    claimed_order=1, symmetric=False)
+                    claimed_order=1)
     (factor,) = stage_unitaries(scheme, {"A": a, "B": b}, dt)
 
     def bracket(t):

@@ -6,12 +6,14 @@ from expprod import schemes
 from expprod.ncalg import product_log
 from expprod.poly import RationalPoly
 from expprod.schemes import (
-    CommutatorSpec, Scheme, catalog, coeff_value,
-    evaluation_offsets, fractal_constant, has_negative_coefficient,
-    hybrid_fourth, hybrid_second, merge_adjacent, quintuple, ruth, stage_plan,
-    strang, suzuki4, suzuki6, suzuki8, timeordered1, timeordered2, timeordered4,
-    triple_jump, trotter,
+    CATALOG, CommutatorSpec, Scheme, catalog, coeff_value,
+    evaluation_offsets, fractal, fractal_constant, has_negative_coefficient,
+    hybrid_fourth, hybrid_second, merge_adjacent, ruth, stage_plan,
+    strang, timeordered1, timeordered2, trotter,
 )
+
+triple_jump4, suzuki4, suzuki6, timeordered4 = (
+    CATALOG[name] for name in ("triple_jump4", "suzuki4", "suzuki6", "timeordered4"))
 
 
 def sym_or_frac(c):
@@ -81,7 +83,7 @@ def test_constant_defining_polynomial_has_sign_change():
 # ---------------------------------------------------------------------------
 
 def test_triple_jump_merged_coefficients():
-    tj = triple_jump(strang())
+    tj = triple_jump4()
     s = RationalPoly.var("triple_order2")
     expected = [
         (0, s * Fraction(1, 2)),
@@ -98,14 +100,14 @@ def test_triple_jump_merged_coefficients():
 
 
 def test_triple_jump_middle_coefficient_is_negative_past_excursion():
-    tj = triple_jump(strang())
+    tj = triple_jump4()
     middle_b = coeff_value(tj.stages[3].coeff)
     assert abs(middle_b - (1 - 2 * 1.351207191959657)) < 1e-14
     assert middle_b == pytest.approx(-1.702414383919, abs=1e-12)
 
 
 def test_quintuple_merged_coefficients():
-    s4 = quintuple(strang())
+    s4 = fractal(strang(), "quintuple")
     s2 = RationalPoly.var("quintuple_order2")
     a_coeffs = [sym_or_frac(st.coeff) for st in s4.stages if st.target == 0]
     b_coeffs = [sym_or_frac(st.coeff) for st in s4.stages if st.target == 1]
@@ -117,45 +119,61 @@ def test_quintuple_merged_coefficients():
 
 def test_fractal_requires_symmetric_even_base():
     with pytest.raises(ValueError):
-        triple_jump(trotter())
+        fractal(trotter(), "triple")
     with pytest.raises(ValueError):
-        quintuple(ruth())
+        fractal(ruth(), "quintuple")
 
 
-@pytest.mark.parametrize("make", [trotter, strang, ruth, suzuki4, suzuki6, suzuki8,
-                                  hybrid_second, hybrid_fourth,
-                                  timeordered1, timeordered2, timeordered4])
-def test_slot_sums_exactly_one(make):
-    sch = make()
+@pytest.mark.parametrize("name", ["trotter", "strang", "ruth", "suzuki4", "suzuki6", "suzuki8",
+                                  "hybrid_second", "hybrid_fourth",
+                                  "timeordered1", "timeordered2", "timeordered4"])
+def test_slot_sums_exactly_one(name):
+    sch = CATALOG[name]()
     for label, total in sch.slot_sums().items():
         # polynomial sums collapse exactly to the rational 1
         assert isinstance(total, Fraction) and total == 1
 
 
-@pytest.mark.parametrize("make", [strang, suzuki4, suzuki6, suzuki8, hybrid_fourth,
-                                  timeordered2, timeordered4])
-def test_symmetric_schemes_are_palindromic(make):
-    sch = make()
+@pytest.mark.parametrize("name", ["strang", "suzuki4", "suzuki6", "suzuki8", "hybrid_fourth",
+                                  "timeordered2", "timeordered4"])
+def test_symmetric_schemes_are_palindromic(name):
+    sch = CATALOG[name]()
     assert sch.symmetric and sch.is_palindromic()
 
 
+def test_symmetric_is_read_off_the_stage_list():
+    assert {name: sch.symmetric for name, sch in catalog().items()} == {
+        "trotter": False, "strang": True, "triple_jump4": True, "suzuki4": True,
+        "suzuki6": True, "suzuki8": True, "ruth": False, "hybrid_second": False,
+        "hybrid_fourth": True, "timeordered1": False, "timeordered2": True,
+        "timeordered4": True}
+    # a palindrome is not enough: a stage even in x breaks S(x) S(-x) = 1
+    even = schemes.Stage(CommutatorSpec(("A", "B"), x_power=2), Fraction(1))
+    assert not Scheme(("A", "B"), (even,), claimed_order=1).symmetric
+
+
 # ---------------------------------------------------------------------------
-# flatten correctness: merged product == nested unmerged product
+# flatten correctness: merged product == product of the scaled base copies
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("make,order", [
-    (lambda: triple_jump(strang()), 5),
-    (suzuki4, 5),
-    (hybrid_fourth, 5),
-    (suzuki6, 3),
-])
-def test_flatten_preserves_the_product(make, order):
-    sch = make()
-    assert sch.unmerged is not None
-    merged_log = product_log(sch.ncalg_stages(), order, sch.slots)
-    raw = Scheme(sch.slots, tuple(sch.unmerged), sch.claimed_order, sch.symmetric)
-    raw_log = product_log(raw.ncalg_stages(), order, sch.slots)
-    assert merged_log == raw_log
+FLATTEN_CASES = [
+    ("triple_jump4", strang, "triple", 5),
+    ("suzuki4", strang, "quintuple", 5),
+    ("suzuki6", suzuki4, "quintuple", 3),
+    ("timeordered4", timeordered2, "quintuple", 3),
+]
+
+
+@pytest.mark.parametrize("name,base,kind,order", FLATTEN_CASES,
+                         ids=[f"{case[0]}-{case[3]}" for case in FLATTEN_CASES])
+def test_flatten_preserves_the_product(name, base, kind, order):
+    sch, b = CATALOG[name](), base()
+    s = RationalPoly.var(fractal_constant(kind, b.claimed_order).name)
+    weights = [s, 1 - 2 * s, s] if kind == "triple" else [s, s, 1 - 4 * s, s, s]
+    raw = [st for f in weights for st in b.scale(f).stages]
+    assert len(raw) > len(sch.stages)  # the flattened list did merge
+    raw_log = product_log(Scheme(b.slots, tuple(raw), 0).ncalg_stages(), order, b.slots)
+    assert product_log(sch.ncalg_stages(), order, sch.slots) == raw_log
 
 
 def test_symmetric_log_has_no_even_terms_to_degree8():
@@ -196,7 +214,8 @@ def test_hybrid_fourth_end_caps():
 
 
 def test_hybrid_fourth_is_exactly_fourth_order():
-    log = hybrid_fourth().log_series(5)
+    h = hybrid_fourth()
+    log = product_log(h.ncalg_stages(), 5, h.slots)
     assert log.homogeneous(1) == {(0,): Fraction(1), (1,): Fraction(1)}
     for degree in (2, 3, 4):
         assert not log.homogeneous(degree)
@@ -218,7 +237,7 @@ def test_has_negative_coefficient():
     assert not has_negative_coefficient(trotter())
     assert not has_negative_coefficient(strang())
     assert not has_negative_coefficient(hybrid_fourth())  # caps are commutators
-    assert has_negative_coefficient(triple_jump(strang()))
+    assert has_negative_coefficient(triple_jump4())
     assert has_negative_coefficient(suzuki4())
     assert has_negative_coefficient(ruth())
 
@@ -290,7 +309,7 @@ def test_evaluation_times_requires_t_slot():
 def test_t_coefficients_must_sum_to_one():
     bad = Scheme(("A", "B", "T"),
                  (schemes.Stage(2, Fraction(1, 2)), schemes.Stage(0, Fraction(1))),
-                 claimed_order=1, symmetric=False)
+                 claimed_order=1)
     with pytest.raises(ValueError):
         evaluation_offsets(bad)
 
@@ -306,6 +325,7 @@ def test_scheme_json_round_trip(name, make):
     sch = make
     doc = sch.to_json()
     back = Scheme.from_json(doc)
+    assert back.name == sch.name == name  # each scheme is named by its catalog key
     assert back.slots == sch.slots
     assert back.claimed_order == sch.claimed_order
     assert back.symmetric == sch.symmetric
