@@ -1,10 +1,14 @@
 """Command-line front end: everything emits CSV or JSON for plotting.
 
+A command parses its flags, calls the library and writes what it returns;
+the numerics, such as the convergence study and the rule for which steps a
+trajectory records, live in ``propagate`` and the other library modules.
 Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence
 or an arithmetic error such as an overflow (with JSON diagnostics on
-stdout).  Every file-writing run also writes a manifest echoing the fully
-resolved configuration; timestamps live only in the manifest, so data files
-are byte-identical across reruns at a fixed seed.
+stdout).  Every file-writing run also writes a manifest echoing every
+parsed flag, with the values the run resolved in place of defaults;
+timestamps live only in the manifest, so data files are byte-identical
+across reruns at a fixed seed.
 """
 
 from __future__ import annotations
@@ -67,13 +71,12 @@ def write_csv(path: str, header: list[str], rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def write_manifest(out: str, command: str, config: dict) -> None:
-    doc = {
-        "command": command,
-        "config": config,
-        "written_at": datetime.now(timezone.utc).isoformat(),
-    }
-    Path(str(out) + ".manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def write_manifest(args, **resolved) -> None:
+    """``<out>.manifest.json``: every parsed flag, overridden by the values the run resolved."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "config", "out")}
+    doc = {"command": args.command, "config": {**config, **resolved},
+           "written_at": datetime.now(timezone.utc).isoformat()}
+    Path(f"{args.out}.manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def parse_stage_coeff(text: str) -> Fraction:
@@ -180,22 +183,21 @@ def cmd_bch(args) -> int:
     labels = tuple(sorted({s for s, _ in stages}))
     log = ncalg.product_log(stages, args.order, labels)
     combo = ncalg.lie_project(log)
-    lines = []
-    for degree in range(1, args.order + 1):
-        part = combo.homogeneous(degree)
-        lines.append(f"degree {degree}: {part.pretty()}")
+    lines = [f"degree {d}: {combo.homogeneous(d).pretty()}" for d in range(1, args.order + 1)]
     if args.format == "json":
         print(json.dumps(combo.to_json(), indent=2))
     else:
         print("\n".join(lines))
     if args.out:
         Path(args.out).write_text(json.dumps(combo.to_json(), indent=2) + "\n")
-        write_manifest(args.out, "bch", {"stages": args.stages, "order": args.order})
+        write_manifest(args)
     return 0
 
 
 def cmd_scheme(args) -> int:
     if args.action == "list":
+        if args.out:
+            raise ConfigError("scheme list writes no file; --out needs show, flatten or check")
         for name, sch in schemes.catalog().items():
             print(f"{name:14s} slots={''.join(sch.slots)} stages={len(sch.stages)} "
                   f"order={sch.claimed_order} symmetric={sch.symmetric} "
@@ -225,7 +227,7 @@ def cmd_scheme(args) -> int:
             return NONCONVERGENCE
     if args.out:
         Path(args.out).write_text(json.dumps(sch.to_json(), indent=2) + "\n")
-        write_manifest(args.out, "scheme", {"action": args.action, "name": args.name})
+        write_manifest(args)
     return 0
 
 
@@ -251,8 +253,7 @@ def cmd_solve(args) -> int:
     print(json.dumps(doc, indent=2))
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
-        write_manifest(args.out, "solve", {"pattern": args.pattern, "order": args.order,
-                                           "fix": args.fix, "guess": args.guess})
+        write_manifest(args)
     return 0 if report.converged else NONCONVERGENCE
 
 
@@ -262,81 +263,47 @@ def cmd_family(args) -> int:
     csv_text = orders.family_csv(points)
     if args.out:
         Path(args.out).write_text(csv_text, newline="\n")
-        write_manifest(args.out, "family", {"p6": args.p6})
+        write_manifest(args)
     else:
         sys.stdout.write(csv_text)
     return 0
 
 
-_SPIN_GAMMA = 0.75
-
-
 def cmd_converge(args) -> int:
     sch = get_scheme(args.scheme)
-    if args.dt_list:
-        dts = parse_range(args.dt_list)
-    elif args.system == "driven":
-        dts = [1.0 / 4, 1.0 / 8, 1.0 / 16, 1.0 / 32]
-    elif sch.claimed_order >= 6:
-        dts = [2 ** (-k / 2) for k in range(0, 9)]
-    else:
-        period = propagate.precession_period(_SPIN_GAMMA)
-        dts = [period * 2 ** -k for k in range(6, 13)]
+    dts = parse_range(args.dt_list) if args.dt_list else None
     _require_positive(dt_list=dts, t_final=args.t_final)
-    tf = args.t_final or (2.0 if sch.claimed_order >= 6 else 1.0)
-    errors = []
-    floors = []
-    nstages = len(sch.stages)
-    for dt in dts:
-        steps = propagate.step_count(tf, dt)
-        if args.system == "driven":
-            errors.append(propagate.driven_error(sch, dt, tf))
-        else:
-            errors.append(propagate.spin_error(sch, _SPIN_GAMMA, dt, tf))
-        floors.append(max(1e-13, 2 * 2.2e-16 * nstages * steps))
-    scale = 1.25 if args.system == "spin" else 1.0
-    usable = [(dt, e) for dt, e, f in zip(dts, errors, floors)
-              if e > f and dt * scale <= 1.0]
+    study = propagate.convergence(sch, args.system, dts, args.t_final)
     doc: dict = {"scheme": args.scheme, "system": args.system,
-                 "dt": dts, "error": errors}
-    rows = list(zip(dts, errors))
-    status = 0
-    if len(usable) >= 2:
-        slope, _ = propagate.error_slope([d for d, _ in usable], [e for _, e in usable],
-                                         floor=0.0)
-        doc["slope"] = slope
-        doc["points_used"] = len(usable)
-    else:
-        doc["slope"] = None
+                 "dt": study.dts, "error": study.errors, "slope": study.slope}
+    if study.slope is None:
         doc["diagnostics"] = "fewer than 2 points above the roundoff floor"
-        status = NONCONVERGENCE
+    else:
+        doc["points_used"] = study.points_used
     print(json.dumps(doc))
     if args.out:
-        write_csv(args.out, ["dt", "error"], rows)
-        write_manifest(args.out, "converge", {"scheme": args.scheme, "system": args.system,
-                                              "dt": dts, "t_final": tf})
-    return status
+        write_csv(args.out, ["dt", "error"], zip(study.dts, study.errors))
+        write_manifest(args, dt=study.dts, t_final=study.t_final)
+    return NONCONVERGENCE if study.slope is None else 0
 
 
-def _emit_trajectory(args, command: str, header: list[str], rows, config: dict) -> int:
+def _emit_trajectory(args, header: list[str], rows) -> int:
     """Write a sampled trajectory to ``--out`` (or print its first rows).
 
     A row holding a non-finite value ends the run with exit 3 and JSON
     diagnostics naming the first such sampled step; no data file is written.
-    Rows are sampled at steps 0, k, 2k, ... and at the last step.
     """
-    for i, row in enumerate(rows):
+    for step, row in zip(propagate.sample_marks(args.steps, args.sample_every), rows):
         bad = [name for name, v in zip(header, row) if not math.isfinite(v)]
         if bad:
             # strict JSON: a non-finite time is written as null
             t = row[0] if math.isfinite(row[0]) else None
-            print(json.dumps({"command": command, "diagnostics": "non-finite result",
-                              "step": min(i * args.sample_every, args.steps),
-                              "t": t, "columns": bad}, allow_nan=False))
+            print(json.dumps({"command": args.command, "diagnostics": "non-finite result",
+                              "step": step, "t": t, "columns": bad}, allow_nan=False))
             return NONCONVERGENCE
     if args.out:
         write_csv(args.out, header, rows)
-        write_manifest(args.out, command, config)
+        write_manifest(args)
     else:
         for r in rows[:10]:
             print(",".join(_fmt(v) for v in r))
@@ -349,18 +316,14 @@ def cmd_precession(args) -> int:
     method = "perturbative" if args.scheme == "perturbative" else get_scheme(args.scheme)
     rows = propagate.run_precession(method, args.gamma, args.dt, args.steps,
                                     args.sample_every)
-    return _emit_trajectory(args, "precession", ["t", "energy", "norm"], rows,
-                            {"scheme": args.scheme, "gamma": args.gamma, "dt": args.dt,
-                             "steps": args.steps, "sample_every": args.sample_every})
+    return _emit_trajectory(args, ["t", "energy", "norm"], rows)
 
 
 def cmd_umeno(args) -> int:
     _require_positive(dt=args.dt, steps=args.steps, sample_every=args.sample_every)
     method = "euler" if args.scheme == "euler" else get_scheme(args.scheme)
     rows = propagate.run_umeno(method, args.dt, args.steps, args.sample_every)
-    return _emit_trajectory(args, "umeno", ["t", "energy", "q1", "q2"], rows,
-                            {"scheme": args.scheme, "dt": args.dt, "steps": args.steps,
-                             "sample_every": args.sample_every})
+    return _emit_trajectory(args, ["t", "energy", "q1", "q2"], rows)
 
 
 def cmd_timedep(args) -> int:
@@ -369,22 +332,8 @@ def cmd_timedep(args) -> int:
     sch = get_scheme(args.scheme)
     if "T" not in sch.slots:
         raise ConfigError("timedep needs a scheme with a T slot (slots=ABT in `scheme list`)")
-    parts = propagate.driven_two_level()
-
-    def row(k: int, psi: propagate.QuantumState) -> tuple:
-        v = psi.vector
-        return (args.t0 + k * args.dt, v[0].real, v[0].imag, v[1].real, v[1].imag, psi.norm)
-
-    psi = propagate.QuantumState.up(2)
-    rows = [row(0, psi)]
-    marks = list(range(0, args.steps, args.sample_every)) + [args.steps]
-    for k, k_next in zip(marks, marks[1:]):
-        psi = propagate.run_timeordered(sch, parts, args.t0 + k * args.dt, args.dt,
-                                        k_next - k, psi)
-        rows.append(row(k_next, psi))
-    return _emit_trajectory(args, "timedep", ["t", "re0", "im0", "re1", "im1", "norm"], rows,
-                            {"scheme": args.scheme, "dt": args.dt, "steps": args.steps,
-                             "t0": args.t0, "sample_every": args.sample_every})
+    rows = propagate.run_driven(sch, args.dt, args.steps, args.sample_every, args.t0)
+    return _emit_trajectory(args, ["t", "re0", "im0", "re1", "im1", "norm"], rows)
 
 
 def cmd_qmc(args) -> int:
@@ -403,9 +352,7 @@ def cmd_qmc(args) -> int:
         rows = list(zip(range(therm, sweeps), *(stats.traces[nm] for nm in names)))
         write_csv(str(args.out) + ".traces.csv", ["sweep"] + names,
                   [(int(r[0]),) + tuple(float(v) for v in r[1:]) for r in rows])
-        write_manifest(args.out, "qmc",
-                       {"model": args.model, "n": args.n, "sweeps": sweeps,
-                        "therm": therm, "seed": args.seed})
+        write_manifest(args, sweeps=sweeps, therm=therm)
     return 0
 
 
@@ -430,9 +377,7 @@ def cmd_anneal(args) -> int:
     print(json.dumps(doc, indent=2))
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
-        write_manifest(args.out, "anneal",
-                       {"model": args.model, "n": args.n, "schedule": sched,
-                        "sweeps": args.sweeps, "seed": args.seed})
+        write_manifest(args, schedule=sched)
     return 0
 
 
@@ -457,10 +402,7 @@ def cmd_extrapolate(args) -> int:
     print(json.dumps(doc, indent=2))
     if args.out:
         Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
-        write_manifest(args.out, "extrapolate",
-                       {"model": args.model, "n_list": args.n_list,
-                        "sweeps": sweeps, "seed": args.seed,
-                        "observable": args.observable})
+        write_manifest(args, sweeps=sweeps)
     return 0
 
 

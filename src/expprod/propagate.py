@@ -14,6 +14,10 @@ kick and drift are the exact flows of the potential-only and kinetic-only
 Hamiltonians (the generators are nilpotent), so every composed step is
 symplectic.  The deliberately bad baselines (first-order perturbative
 updates) are kept verbatim for comparison runs.
+
+The ``cli`` commands only call this module and write what it returns: every
+trajectory run records rows at the steps ``sample_marks`` names, and
+``convergence`` is the one empirical-order study (dt grids, floor, fit).
 """
 
 from __future__ import annotations
@@ -48,25 +52,10 @@ def _hermitian_exp(w: np.ndarray, v: np.ndarray, z) -> np.ndarray:
     return (v * np.exp(z * w)) @ v.conj().swapaxes(-1, -2)
 
 
-def _is_hermitian(m: np.ndarray, tol: float) -> bool:
-    """||m - m^H|| <= tol max(1, ||m||) in the Frobenius norm."""
-    return not np.linalg.norm(m - m.conj().T) > tol * max(1.0, np.linalg.norm(m))
-
-
 def _not_hermitian(stack: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the matrices of a (K, N, N) stack that fail ``_is_hermitian``.
-
-    The stacked Frobenius norms sum in another order than ``np.linalg.norm``
-    of one matrix, so the few matrices within roundoff of the bound are
-    decided by ``_is_hermitian`` itself: the verdict is the same as checking
-    the matrices one at a time.
-    """
+    """Mask of the m in a (K, N, N) stack with ||m - m^H|| > tol max(1, ||m||) (Frobenius)."""
     asym = np.linalg.norm(stack - stack.conj().swapaxes(-1, -2), axis=(-2, -1))
-    bound = tol * np.maximum(1.0, np.linalg.norm(stack, axis=(-2, -1)))
-    bad = asym > bound
-    for i in np.flatnonzero(np.abs(asym - bound) <= 1e-9 * bound):
-        bad[i] = not _is_hermitian(stack[i], tol)
-    return bad
+    return asym > tol * np.maximum(1.0, np.linalg.norm(stack, axis=(-2, -1)))
 
 
 class HermitianPart:
@@ -76,7 +65,7 @@ class HermitianPart:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("Hamiltonian part must be a square matrix")
-        if not _is_hermitian(m, 1e-12):
+        if _not_hermitian(m[None], 1e-12)[0]:
             raise ValueError("matrix is not Hermitian within 1e-12")
         self.matrix = m
         self.label = label
@@ -213,9 +202,14 @@ def precession_period(gamma: float) -> float:
     return math.pi / math.sqrt(1.0 + gamma * gamma)
 
 
+def sample_marks(steps: int, every: int) -> list[int]:
+    """The steps a trajectory records a row at: 0, every, 2 every, ..., steps."""
+    return list(range(0, steps, every)) + [steps]
+
+
 def run_precession(method, gamma: float, dt: float, steps: int,
                    sample_every: int = 1000):
-    """Evolve the up-spin state; record (t, <H>, ||psi||) every sample.
+    """Evolve the up-spin state; record (t, <H>, ||psi||) at ``sample_marks``.
 
     ``method`` is a two-slot Scheme or the string "perturbative".  The
     energy expectation is the raw quadratic form (no renormalization), so
@@ -231,11 +225,12 @@ def run_precession(method, gamma: float, dt: float, steps: int,
         m_step = np.eye(2, dtype=complex) - 1j * dt * h
     else:
         m_step = step_operator(method, parts, dt)
-    for k in range(1, steps + 1):
-        psi = m_step @ psi
-        if k % sample_every == 0 or k == steps:
-            energy = float((psi.conj() @ (h @ psi)).real)
-            rows.append((k * dt, energy, float(np.linalg.norm(psi))))
+    marks = sample_marks(steps, sample_every)
+    for k, k_next in zip(marks, marks[1:]):
+        for _ in range(k_next - k):
+            psi = m_step @ psi
+        energy = float((psi.conj() @ (h @ psi)).real)
+        rows.append((k_next * dt, energy, float(np.linalg.norm(psi))))
     return rows
 
 
@@ -344,7 +339,7 @@ UMENO_IC = PhasePoint(np.zeros(2), np.array([2.0, 1.0]))
 
 def run_umeno(method, dt: float = 1e-4, steps: int = 1_000_000,
               sample_every: int = 1000, x0: PhasePoint = UMENO_IC):
-    """Time series (t, E, q1, q2) for the chaotic two-dof demo.
+    """Time series (t, E, q1, q2) at ``sample_marks`` for the chaotic two-dof demo.
 
     ``method`` is a two-slot Scheme (kick/drift composition) or "euler".
     """
@@ -358,23 +353,24 @@ def run_umeno(method, dt: float = 1e-4, steps: int = 1_000_000,
         stepper = [(kind, c * dt) for kind, c in _kick_drift_plan(method)]
     p1, p2 = float(x0.p[0]), float(x0.p[1])
     q1, q2 = float(x0.q[0]), float(x0.q[1])
-    for k in range(1, steps + 1):
-        if stepper is None:
-            dp1 = -dt * q1 * q2 * q2
-            dp2 = -dt * q1 * q1 * q2
-            q1, q2 = q1 + dt * p1, q2 + dt * p2
-            p1, p2 = p1 + dp1, p2 + dp2
-        else:
-            for kind, c in stepper:
-                if kind == "kick":
-                    p1 -= c * q1 * q2 * q2
-                    p2 -= c * q1 * q1 * q2
-                else:
-                    q1 += c * p1
-                    q2 += c * p2
-        if k % sample_every == 0 or k == steps:
-            energy = 0.5 * (p1 * p1 + p2 * p2) + 0.5 * q1 * q1 * q2 * q2
-            rows.append((k * dt, energy, q1, q2))
+    marks = sample_marks(steps, sample_every)
+    for k, k_next in zip(marks, marks[1:]):
+        for _ in range(k_next - k):
+            if stepper is None:
+                dp1 = -dt * q1 * q2 * q2
+                dp2 = -dt * q1 * q1 * q2
+                q1, q2 = q1 + dt * p1, q2 + dt * p2
+                p1, p2 = p1 + dp1, p2 + dp2
+            else:
+                for kind, c in stepper:
+                    if kind == "kick":
+                        p1 -= c * q1 * q2 * q2
+                        p2 -= c * q1 * q1 * q2
+                    else:
+                        q1 += c * p1
+                        q2 += c * p2
+        energy = 0.5 * (p1 * p1 + p2 * p2) + 0.5 * q1 * q1 * q2 * q2
+        rows.append((k_next * dt, energy, q1, q2))
     return rows
 
 
@@ -457,6 +453,25 @@ def driven_two_level() -> TimeDependentParts:
     return TimeDependentParts(a=lambda t: sz, b=lambda t: math.cos(t) * sx)
 
 
+def run_driven(scheme3: Scheme, dt: float, steps: int, sample_every: int = 10,
+               t0: float = 0.0):
+    """Rows (t, Re psi_0, Im psi_0, Re psi_1, Im psi_1, ||psi||) at ``sample_marks``
+    of the driven two-level system from the up state; row k sits at t0 + k dt."""
+    parts = driven_two_level()
+    psi = QuantumState.up(2)
+
+    def row(k: int) -> tuple:
+        v = psi.vector
+        return (t0 + k * dt, v[0].real, v[0].imag, v[1].real, v[1].imag, psi.norm)
+
+    rows = [row(0)]
+    marks = sample_marks(steps, sample_every)
+    for k, k_next in zip(marks, marks[1:]):
+        psi = run_timeordered(scheme3, parts, t0 + k * dt, dt, k_next - k, psi)
+        rows.append(row(k_next))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Perturbational composition
 # ---------------------------------------------------------------------------
@@ -510,16 +525,11 @@ def perturbational_composition(x_grid: Sequence[float]) -> list[tuple[float, flo
 # Empirical-order sweeps
 # ---------------------------------------------------------------------------
 
-def error_slope(dts: Sequence[float], errors: Sequence[float],
-                floor: float = 1e-13) -> tuple[float, list[tuple[float, float]]]:
-    """Log-log slope of error vs dt, clipping points below the roundoff floor."""
-    pts = [(dt, e) for dt, e in zip(dts, errors) if e > floor]
-    if len(pts) < 2:
-        raise ValueError("not enough error points above the roundoff floor")
-    lx = np.log([p[0] for p in pts])
-    ly = np.log([p[1] for p in pts])
-    slope = float(np.polyfit(lx, ly, 1)[0])
-    return slope, pts
+def error_slope(dts: Sequence[float], errors: Sequence[float]) -> float:
+    """Least-squares slope of log(error) against log(dt)."""
+    if len(dts) < 2:
+        raise ValueError("a slope needs at least 2 points")
+    return float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
 
 
 def spin_error(scheme: Scheme, gamma: float, dt: float, t_final: float) -> float:
@@ -559,3 +569,51 @@ def driven_error(scheme3: Scheme, dt: float, t_final: float,
     ref = run_timeordered(timeordered2(), parts, 0.0, dt / refine, steps * refine,
                           QuantumState.up(2))
     return float(np.linalg.norm(psi.vector - ref.vector))
+
+
+@dataclass(frozen=True)
+class Convergence:
+    """An error-vs-dt study; ``slope`` is None when fewer than 2 points are fit."""
+
+    dts: list[float]
+    errors: list[float]
+    t_final: float
+    slope: float | None
+    points_used: int
+
+
+_SPIN_GAMMA = 0.75
+# ||H|| in the fit's step cap dt ||H|| <= 1: sqrt(1 + 0.75^2) on the spin fixture
+_FIT_NORM = {"spin": 1.25, "driven": 1.0}
+
+
+def convergence(scheme: Scheme, system: str = "spin", dts: Sequence[float] | None = None,
+                t_final: float | None = None) -> Convergence:
+    """Final-state error at each dt (``spin_error`` at gamma 0.75 or ``driven_error``)
+    and the log-log slope of error against dt.
+
+    Defaults: dt 1/4 ... 1/32 driven; spin 2^(-k/2), k = 0..8, from order 6
+    on, else the precession period times 2^-k, k = 6..12; t_final 2 from
+    order 6 on, else 1.  The fit keeps the points with dt ||H|| <= 1 whose error
+    tops the roundoff floor max(1e-13, 2 eps stages steps), eps = float64 epsilon.
+    """
+    if system not in _FIT_NORM:
+        raise ValueError(f"unknown system {system!r}; expected 'spin' or 'driven'")
+    high = scheme.claimed_order >= 6
+    if dts is None and system == "driven":
+        dts = [1.0 / 4, 1.0 / 8, 1.0 / 16, 1.0 / 32]
+    elif dts is None:
+        dts = ([2 ** (-k / 2) for k in range(0, 9)] if high
+               else [precession_period(_SPIN_GAMMA) * 2 ** -k for k in range(6, 13)])
+    if t_final is None:
+        t_final = 2.0 if high else 1.0
+    errors, kept = [], []
+    for dt in dts:
+        err = (driven_error(scheme, dt, t_final) if system == "driven"
+               else spin_error(scheme, _SPIN_GAMMA, dt, t_final))
+        errors.append(err)
+        floor = max(1e-13, 2 * 2.2e-16 * len(scheme.stages) * step_count(t_final, dt))
+        if err > floor and dt * _FIT_NORM[system] <= 1.0:
+            kept.append((dt, err))
+    slope = error_slope(*zip(*kept)) if len(kept) >= 2 else None
+    return Convergence(list(dts), errors, t_final, slope, len(kept))

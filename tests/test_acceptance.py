@@ -92,30 +92,20 @@ def test_criterion_3_ruth_reproduction():
             assert abs(report.solution[name] - float(exact)) <= 1e-13
 
 
-def _clipped_slope(scheme, dts, t_final, gamma=0.75, scale=1.25):
-    kept_d, kept_e = [], []
-    nstages = len(scheme.stages)
-    for dt in dts:
-        steps = max(1, int(round(t_final / dt)))
-        err = propagate.spin_error(scheme, gamma, dt, t_final)
-        floor = max(1e-13, 2 * 2.2e-16 * nstages * steps)
-        if err > floor and dt * scale <= 1.0:
-            kept_d.append(dt)
-            kept_e.append(err)
-    slope, _ = propagate.error_slope(kept_d, kept_e, floor=0.0)
-    return slope
-
-
 def test_criterion_4_empirical_orders():
     period = propagate.precession_period(0.75)
     with criterion(4, "global-error slopes for all named schemes", 60.0):
         low = [period * 2 ** -k for k in range(6, 13)]
         wide = [2 ** (-k / 2) for k in range(0, 9)]
-        assert _clipped_slope(strang(), low, 1.0) == pytest.approx(2.0, abs=0.2)
-        assert _clipped_slope(suzuki4(), low, 1.0) == pytest.approx(4.0, abs=0.2)
-        assert _clipped_slope(ruth(), low, 1.0) == pytest.approx(3.0, abs=0.2)
-        assert _clipped_slope(suzuki6(), wide, 2.0) == pytest.approx(6.0, abs=0.2)
-        assert _clipped_slope(suzuki8(), wide, 2.0) == pytest.approx(8.0, abs=0.3)
+
+        def slope(scheme, dts, t_final):
+            return propagate.convergence(scheme, dts=dts, t_final=t_final).slope
+
+        assert slope(strang(), low, 1.0) == pytest.approx(2.0, abs=0.2)
+        assert slope(suzuki4(), low, 1.0) == pytest.approx(4.0, abs=0.2)
+        assert slope(ruth(), low, 1.0) == pytest.approx(3.0, abs=0.2)
+        assert slope(suzuki6(), wide, 2.0) == pytest.approx(6.0, abs=0.2)
+        assert slope(suzuki8(), wide, 2.0) == pytest.approx(8.0, abs=0.3)
 
         rng = np.random.default_rng(7)
 
@@ -128,13 +118,11 @@ def test_criterion_4_empirical_orders():
         dts = [0.4 * 2 ** (-k / 2) for k in range(0, 8)]
         errs = [propagate.hermitian_pair_error(hybrid_fourth(), a, b, dt, 1.6)
                 for dt in dts]
-        slope, _ = propagate.error_slope(dts, errs, floor=1e-12)
-        assert slope == pytest.approx(4.0, abs=0.2)
+        assert propagate.error_slope(dts, errs) == pytest.approx(4.0, abs=0.2)
 
-        dts = [1 / 4, 1 / 8, 1 / 16, 1 / 32]
-        errs = [propagate.driven_error(timeordered4(), dt, 1.0) for dt in dts]
-        slope, _ = propagate.error_slope(dts, errs, floor=1e-12)
-        assert slope == pytest.approx(4.0, abs=0.2)
+        driven = propagate.convergence(timeordered4(), "driven",
+                                       [1 / 4, 1 / 8, 1 / 16, 1 / 32], 1.0)
+        assert driven.slope == pytest.approx(4.0, abs=0.2)
 
 
 def test_criterion_5_structure_preservation():

@@ -119,6 +119,15 @@ def test_scheme_check_non_positive_order_is_config_error(capsys, order):
     assert "target order must be >= 1" in err
 
 
+def test_scheme_list_refuses_out(tmp_path, capsys):
+    out_path = tmp_path / "list.txt"
+    code, out, err = run(capsys, "scheme", "list", "--out", str(out_path))
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert "--out" in err
+    assert not out_path.exists()
+
+
 def test_scheme_unknown_name(capsys):
     code, _, err = run(capsys, "scheme", "show", "nope")
     assert code == cli.CONFIG_ERROR
@@ -620,7 +629,14 @@ def test_manifests_echo_the_resolved_configuration(tmp_path, capsys):
                      "--out", str(conv))
     assert code == 0
     manifest = json.loads((tmp_path / "conv.csv.manifest.json").read_text())
-    assert manifest["config"]["dt"] == [0.1, 0.05]
+    assert manifest["command"] == "converge"
+    assert manifest["config"] == {"scheme": "strang", "system": "spin", "dt_list": "0.1,0.05",
+                                  "dt": [0.1, 0.05], "t_final": 1.0}
+    check = tmp_path / "suzuki4.json"
+    code, _, _ = run(capsys, "scheme", "check", "suzuki4", "--order", "5", "--out", str(check))
+    assert code == 0
+    manifest = json.loads((tmp_path / "suzuki4.json.manifest.json").read_text())
+    assert manifest["config"] == {"action": "check", "name": "suzuki4", "order": 5}
     model = tmp_path / "frus.json"
     model.write_text(json.dumps(qmc.frustrated_square().to_json()))
     ann = tmp_path / "anneal.json"
@@ -822,6 +838,8 @@ _FUZZ_BASE = [
     ["solve", "--pattern", "ABA", "--order", "2", "--fix", "p3=0.5", "--guess", "p1=0.4,p2=0.9"],
     ["family", "--p6", "1,1.1"],
     ["converge", "--scheme", "strang", "--dt-list", "0.1:0.2:0.1", "--t-final", "0.5"],
+    # no --t-final: a fuzzed 99 would make the dt/1024 reference ~200k steps
+    ["converge", "--scheme", "timeordered2", "--system", "driven", "--dt-list", "0.25,0.5"],
     ["precession", "--scheme", "strang", "--gamma", "0.75", "--dt", "0.01", "--steps", "20",
      "--sample-every", "10"],
     ["umeno", "--scheme", "strang", "--dt", "0.01", "--steps", "20", "--sample-every", "10"],

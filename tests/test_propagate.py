@@ -6,13 +6,13 @@ import pytest
 import scipy.linalg
 
 from expprod.propagate import (
-    HermitianPart, LogBranchError, PhasePoint, QuantumState,
-    SeparableHamiltonian, TimeDependentParts, dominant_period, driven_error,
+    UMENO_IC, HermitianPart, LogBranchError, PhasePoint, QuantumState,
+    SeparableHamiltonian, TimeDependentParts, convergence, dominant_period, driven_error,
     driven_two_level, drift, error_slope, euler_step,
     hermitian_pair_error, jacobian_determinant, kick, perturbational_composition,
     perturbative_step, precession_period, run_precession, run_timeordered,
-    run_umeno, spin_error, spin_parts, stage_unitaries, step_count, step_operator,
-    symplectic_step, transverse_coupling_coefficient, umeno_hamiltonian,
+    run_umeno, sample_marks, spin_error, spin_parts, stage_unitaries, step_count,
+    step_operator, symplectic_step, transverse_coupling_coefficient, umeno_hamiltonian,
     unitary_step,
 )
 from expprod.schemes import (
@@ -253,6 +253,27 @@ def test_umeno_euler_energy_grows():
     assert es[-1] > es[0]
 
 
+@pytest.mark.parametrize("name", ["trotter", "strang", "ruth", "suzuki4", "triple_jump4"])
+def test_umeno_float_loop_matches_symplectic_step(name):
+    # run_umeno inlines the kick/drift maps in floats; the generic composition
+    # sampled at steps 0, 300, ..., 1800 and the last step must agree with it
+    scheme, h, dt = CATALOG[name](), umeno_hamiltonian(), 1e-3
+    x = UMENO_IC
+    expected = [(0.0, h.energy(x), x.q[0], x.q[1])]
+    for k in range(1, 2001):
+        x = symplectic_step(scheme, h, dt, x)
+        if k % 300 == 0 or k == 2000:
+            expected.append((k * dt, h.energy(x), x.q[0], x.q[1]))
+    rows = run_umeno(scheme, dt=dt, steps=2000, sample_every=300)
+    np.testing.assert_allclose(rows, expected, rtol=1e-12, atol=0)
+
+
+def test_sample_marks_end_at_the_last_step():
+    assert sample_marks(7, 3) == [0, 3, 6, 7]
+    assert sample_marks(6, 3) == [0, 3, 6]
+    assert sample_marks(2, 5) == [0, 2]
+
+
 def test_time_reversibility_of_symmetric_schemes():
     h = umeno_hamiltonian()
     x0 = PhasePoint(np.array([0.4, -0.2]), np.array([1.5, 0.7]))
@@ -271,45 +292,30 @@ def test_time_reversibility_of_symmetric_schemes():
 # empirical order
 # ---------------------------------------------------------------------------
 
-def spin_slope(scheme, ks, tf, scale=1.25):
-    dts = [tf * 2 ** -k for k in ks] if tf > 1 else [
-        precession_period(GAMMA) * 2 ** -k for k in ks]
-    nstages = len(scheme.stages)
-    kept_d, kept_e = [], []
-    for dt in dts:
-        steps = max(1, int(round((1.0 if tf <= 1 else tf) / dt)))
-        err = spin_error(scheme, GAMMA, dt, 1.0 if tf <= 1 else tf)
-        floor = max(1e-13, 2 * 2.2e-16 * nstages * steps)
-        if err > floor and dt * scale <= 1.0:
-            kept_d.append(dt)
-            kept_e.append(err)
-    slope, _ = error_slope(kept_d, kept_e, floor=0.0)
-    return slope
-
-
 def test_low_order_slopes():
-    assert spin_slope(strang(), range(6, 13), 1.0) == pytest.approx(2.0, abs=0.2)
-    assert spin_slope(ruth(), range(6, 13), 1.0) == pytest.approx(3.0, abs=0.2)
-    assert spin_slope(suzuki4(), range(6, 13), 1.0) == pytest.approx(4.0, abs=0.2)
+    # the default grid: the precession period times 2^-k, k = 6..12, to t_final 1
+    assert convergence(strang()).slope == pytest.approx(2.0, abs=0.2)
+    assert convergence(ruth()).slope == pytest.approx(3.0, abs=0.2)
+    assert convergence(suzuki4()).slope == pytest.approx(4.0, abs=0.2)
 
 
 def test_high_order_slopes():
-    def wide_slope(scheme):
-        dts = [2 ** (-k / 2) for k in range(0, 9)]
-        nstages = len(scheme.stages)
-        kept_d, kept_e = [], []
-        for dt in dts:
-            steps = max(1, int(round(2.0 / dt)))
-            err = spin_error(scheme, GAMMA, dt, 2.0)
-            floor = max(1e-13, 2 * 2.2e-16 * nstages * steps)
-            if err > floor and dt * 1.25 <= 1.0:
-                kept_d.append(dt)
-                kept_e.append(err)
-        slope, _ = error_slope(kept_d, kept_e, floor=0.0)
-        return slope
+    # the default grid: 2^(-k/2), k = 0..8, to t_final 2
+    assert convergence(suzuki6()).slope == pytest.approx(6.0, abs=0.2)
+    assert convergence(suzuki8()).slope == pytest.approx(8.0, abs=0.3)
 
-    assert wide_slope(suzuki6()) == pytest.approx(6.0, abs=0.2)
-    assert wide_slope(suzuki8()) == pytest.approx(8.0, abs=0.3)
+
+def test_convergence_fits_only_points_above_the_floor_and_under_the_cap():
+    # dt = 1 is above the spin cap 1/1.25 at an error of 8e-9, and suzuki8's
+    # 251 stages put the floor of its 8 steps at dt = 1/4 (8.8e-13) above its
+    # error there (1.9e-13), though that error clears 1e-13
+    study = convergence(suzuki8(), dts=[1.0, 0.5, 2 ** -1.5, 0.25], t_final=2.0)
+    assert study.points_used == 2 and study.t_final == 2.0
+    assert 1e-13 < study.errors[-1] < 8.8e-13
+    assert study.slope == error_slope(study.dts[1:3], study.errors[1:3])
+    assert convergence(strang(), dts=[5.0, 10.0]).slope is None
+    with pytest.raises(ValueError, match="unknown system"):
+        convergence(strang(), system="dense")
 
 
 def test_hybrid_fourth_slope_on_random_hermitian_pairs():
@@ -323,8 +329,7 @@ def test_hybrid_fourth_slope_on_random_hermitian_pairs():
     a, b = rand_herm(3), rand_herm(3)
     dts = [0.4 * 2 ** (-k / 2) for k in range(0, 8)]
     errs = [hermitian_pair_error(hybrid_fourth(), a, b, dt, 1.6) for dt in dts]
-    slope, _ = error_slope(dts, errs, floor=1e-12)
-    assert slope == pytest.approx(4.0, abs=0.2)
+    assert error_slope(dts, errs) == pytest.approx(4.0, abs=0.2)
 
 
 @pytest.mark.parametrize("tree,leaves", [
@@ -430,25 +435,6 @@ def test_refusal_names_the_first_bad_sample_in_application_order(g, a_start, b_s
     assert str(err.value) == f"part {expected[0]} is not Hermitian at t={expected[1]}"
 
 
-def test_stacked_hermitian_check_agrees_with_one_matrix_at_a_time():
-    # a tolerance placed between the stacked and the one-matrix norm of the
-    # defect, where the two round differently, gets the one-matrix verdict
-    from expprod.propagate import _not_hermitian
-
-    rng = np.random.default_rng(5)
-    stack = 0.1 * (rng.normal(size=(400, 3, 3)) + 1j * rng.normal(size=(400, 3, 3)))
-    assert np.linalg.norm(stack, axis=(-2, -1)).max() < 1  # so the bound is the tolerance
-    stacked = np.linalg.norm(stack - stack.conj().swapaxes(-1, -2), axis=(-2, -1))
-    checked = 0
-    for i, (m, defect) in enumerate(zip(stack, stacked)):
-        one = np.linalg.norm(m - m.conj().T)
-        if one != defect:
-            tol = min(one, defect)
-            assert _not_hermitian(stack, tol)[i] == (one > tol)
-            checked += 1
-    assert checked > 20
-
-
 def _random_driven_parts(n: int, seed: int) -> TimeDependentParts:
     rng = np.random.default_rng(seed)
 
@@ -510,10 +496,10 @@ def test_step_count_is_at_least_one():
 
 
 def test_g4_driven_slope():
-    dts = [1 / 4, 1 / 8, 1 / 16, 1 / 32]
-    errs = [driven_error(timeordered4(), dt, 1.0) for dt in dts]
-    slope, _ = error_slope(dts, errs, floor=1e-12)
-    assert slope == pytest.approx(4.0, abs=0.2)
+    # the default driven grid: 1/4 ... 1/32 to t_final 1
+    study = convergence(timeordered4(), "driven")
+    assert study.dts == [1 / 4, 1 / 8, 1 / 16, 1 / 32]
+    assert study.slope == pytest.approx(4.0, abs=0.2)
 
 
 # ---------------------------------------------------------------------------
