@@ -195,9 +195,13 @@ def cmd_bch(args) -> int:
 
 
 def cmd_scheme(args) -> int:
+    if args.order is not None and args.action != "check":
+        raise ConfigError(f"--order needs scheme check; scheme {args.action} takes none")
     if args.action == "list":
         if args.out:
             raise ConfigError("scheme list writes no file; --out needs show, flatten or check")
+        if args.name is not None:
+            raise ConfigError("scheme list takes no scheme name; show, flatten or check take one")
         for name, sch in schemes.catalog().items():
             print(f"{name:14s} slots={''.join(sch.slots)} stages={len(sch.stages)} "
                   f"order={sch.claimed_order} symmetric={sch.symmetric} "

@@ -3,8 +3,13 @@
 The quantum partition function maps onto a classical Ising system with one
 extra periodic axis of n layers: intra-layer couplings are scaled by beta/n
 and the transverse field becomes a ferromagnetic inter-layer coupling
-gamma_n = -log(tanh(beta*Gamma/n))/2.  Sampling is plain single-spin-flip
-Metropolis on the mapped system.  One exact reference anchors every
+gamma_n = -log(tanh(beta*Gamma/n))/2.  One evaluator reads the mapped
+system: for a (..., sites, n) stack of spin fields it sums, in integers,
+each bond over the layers and each spin times its ring neighbour; the
+action, the sampled observables and the enumeration all come from it.  At
+n = 1 a layer is its own ring neighbour, so the ring term is a constant
+that no flip changes.  Sampling is plain single-spin-flip Metropolis on
+the mapped system.  One exact reference anchors every
 estimator: a symmetric eigendecomposition of the symmetrised transfer
 matrix at finite n, or of the Hamiltonian at n = infinity, read out through
 one density matrix.  Configuration enumeration stays as an independent
@@ -17,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -61,6 +67,12 @@ class IsingModel:
     def with_gamma(self, gamma: float) -> "IsingModel":
         return IsingModel(self.sites, self.bonds, gamma, self.beta)
 
+    @cached_property
+    def bond_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays of the bonds' first and second sites, in bond order."""
+        ends = np.array([(i, j) for i, j, _ in self.bonds], dtype=np.intp).reshape(-1, 2)
+        return ends[:, 0], ends[:, 1]
+
 
 class FrozenTrotterError(ValueError):
     """Gamma = 0 makes the inter-layer coupling infinite (layers lock)."""
@@ -100,48 +112,31 @@ def sigma_x_estimator_coeffs(model: IsingModel, n: int) -> tuple[float, float]:
     return a, b
 
 
-@dataclass
-class WorldlineConfig:
-    """Classical spin field sigma[site, layer] in {-1, +1}, periodic in layers."""
-
-    spins: np.ndarray
-
-    def __post_init__(self):
-        self.spins = np.asarray(self.spins, dtype=np.int8)
-        if self.spins.ndim != 2:
-            raise ValueError("spin field must be sites x layers")
-        if not np.all(np.abs(self.spins) == 1):
-            raise ValueError("spins must be +-1")
-
-    @property
-    def sites(self) -> int:
-        return self.spins.shape[0]
-
-    @property
-    def layers(self) -> int:
-        return self.spins.shape[1]
-
-    @classmethod
-    def random(cls, sites: int, layers: int, rng: np.random.Generator) -> "WorldlineConfig":
-        return cls(rng.integers(0, 2, size=(sites, layers)).astype(np.int8) * 2 - 1)
+def _worldline_sums(model: IsingModel, spins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bond layer sums sum_m s_i^m s_j^m, shape (..., bonds), and the ring
+    sum sum_{i,m} s_i^m s_i^(m+1), shape (...), of a (..., sites, n) stack of
+    +-1 int8 spin fields, exact in int64; at n = 1 the ring sum is sites."""
+    i, j = model.bond_ends
+    pairs = np.take(spins, i, axis=-2) * np.take(spins, j, axis=-2)
+    bond = np.einsum("...bm->...b", pairs, dtype=np.int64)
+    ring = np.einsum("...im->...", spins * np.roll(spins, -1, axis=-1), dtype=np.int64)
+    return bond, ring
 
 
 def classical_action(model: IsingModel, coup: TrotterCouplings,
-                     config: WorldlineConfig) -> float:
-    """Log-weight of a configuration (the constant delta_n term is dropped).
+                     spins: np.ndarray) -> float:
+    """Log-weight of a sites x n spin field (the constant delta_n term is dropped).
 
     action = (beta/n) sum_m sum_bonds J_ij s_i^m s_j^m
              + gamma_n sum_m sum_i s_i^m s_i^(m+1)
     """
-    s = config.spins
-    n = coup.n
-    if config.layers != n or config.sites != model.sites:
+    if spins.shape != (model.sites, coup.n):
         raise ValueError("configuration dimensions do not match model and n")
+    bond, ring = _worldline_sums(model, spins)
     intra = 0.0
-    for i, j, jij in model.bonds:
-        intra += jij * float(np.sum(s[i] * s[j]))
-    inter = float(np.sum(s * np.roll(s, -1, axis=1)))
-    return (model.beta / n) * intra + coup.gamma_n * inter
+    for (_, _, jij), b in zip(model.bonds, bond.tolist()):
+        intra += jij * b
+    return (model.beta / coup.n) * intra + coup.gamma_n * float(ring)
 
 
 @dataclass
@@ -215,7 +210,7 @@ class _Sampler:
         self.n = n
         self.set_gamma(model.gamma)
         self.rng = rng
-        self.spins = WorldlineConfig.random(model.sites, n, rng).spins
+        self.spins = rng.integers(0, 2, size=(model.sites, n)).astype(np.int8) * 2 - 1
         self.neighbors: list[list[tuple[int, float]]] = [[] for _ in range(model.sites)]
         for i, j, jij in model.bonds:
             self.neighbors[i].append((j, jij))
@@ -233,7 +228,8 @@ class _Sampler:
         s = self.spins
         n = self.n
         kb = self.model.beta / n
-        g = self.coup.gamma_n
+        # at n = 1 a layer is its own ring neighbour: s*s = 1 whatever the flip
+        g = self.coup.gamma_n if n > 1 else 0.0
         rand = self.rng.random(self.model.sites * n)
         idx = 0
         for i in range(self.model.sites):
@@ -256,10 +252,11 @@ class _Sampler:
 
     def measure(self) -> dict:
         s = self.spins
+        bond, ring = _worldline_sums(self.model, s)
         out: dict = {}
-        out["bond_zz"] = [float(np.mean(s[i] * s[j])) for i, j, _ in self.model.bonds]
+        out["bond_zz"] = (bond / self.n).tolist()
         out["layer_mag"] = list(np.mean(s, axis=0, dtype=float))
-        out["trotter_corr"] = float(np.mean(s * np.roll(s, -1, axis=1)))
+        out["trotter_corr"] = float(ring) / s.size
         diag = 0.0
         for (_, _, jij), zz in zip(self.model.bonds, out["bond_zz"]):
             diag -= jij * zz
@@ -270,9 +267,6 @@ class _Sampler:
         bits = np.packbits(s.reshape(-1) > 0, bitorder="little")
         out["config_index"] = int.from_bytes(bits.tobytes(), "little")
         return out
-
-    def config(self) -> WorldlineConfig:
-        return WorldlineConfig(self.spins.copy())
 
 
 def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
@@ -287,7 +281,7 @@ def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
         raise ValueError("need sweeps > therm >= 0")
     rng = np.random.default_rng(seed)
     sampler = _Sampler(model, n, rng)
-    start_action = classical_action(model, sampler.coup, sampler.config())
+    start_action = classical_action(model, sampler.coup, sampler.spins)
     nbonds = len(model.bonds)
     keep = sweeps - therm
     bond_tr = np.empty((keep, nbonds))
@@ -320,7 +314,7 @@ def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
         trotter_corr=_binned(tc_tr),
         diag_energy=_binned(de_tr),
         sigma_x=_binned(sx_tr),
-        final_action=classical_action(model, sampler.coup, sampler.config()),
+        final_action=classical_action(model, sampler.coup, sampler.spins),
         accumulated_action=start_action + sampler.action_delta,
         traces=traces,
     )
@@ -340,18 +334,19 @@ def _basis_spins(sites: int) -> np.ndarray:
     return 1.0 - 2.0 * bits
 
 
-def _ising_diagonal(model: IsingModel, spins: np.ndarray) -> np.ndarray:
-    """Diagonal of A = -sum J_ij sigma_z^i sigma_z^j over the basis states."""
-    diag = np.zeros(len(spins))
+def diagonal_energy(model: IsingModel, layers: np.ndarray) -> np.ndarray:
+    """Ising energy -sum J_ij s_i s_j of each layer of a (..., sites) stack;
+    over the ``_basis_spins`` table, the diagonal of A."""
+    energy = np.zeros(np.shape(layers)[:-1])
     for i, j, jij in model.bonds:
-        diag -= jij * (spins[:, i] * spins[:, j])
-    return diag
+        energy -= jij * (layers[..., i] * layers[..., j])
+    return energy
 
 
 def hamiltonian_parts(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
     """Dense A (diagonal Ising) and B (transverse field) with H = A + B."""
     spins = _basis_spins(model.sites)
-    a = np.diag(_ising_diagonal(model, spins))
+    a = np.diag(diagonal_energy(model, spins))
     b = np.zeros_like(a)
     b -= model.gamma * (spins @ spins.T == model.sites - 2)  # one spin apart
     return a, b
@@ -396,7 +391,7 @@ def exact_reference(model: IsingModel, n: int | None = None) -> ExactObservables
         u = model.beta * model.gamma / n
         c, s = (1 + math.exp(-2 * u)) / 2, -math.expm1(-2 * u) / 2
         flip = c ** ((model.sites + overlap) / 2) * s ** ((model.sites - overlap) / 2)
-        a_diag = _ising_diagonal(model, spins)
+        a_diag = diagonal_energy(model, spins)
         half = np.exp(-(model.beta / (2 * n)) * (a_diag - a_diag.min()))
         w, v = np.linalg.eigh(half[:, None] * flip * half)
         top = w.max()
@@ -435,25 +430,18 @@ def enumeration_reference(model: IsingModel, n: int) -> ExactObservables:
     coup = couplings(model, n)
     count = 1 << nspin
     chunk = min(count, 1 << 20)
-    nbonds = len(model.bonds)
+    bond_j = np.array([w for *_, w in model.bonds])
     shift = -math.inf
     z_acc = 0.0
-    zz_acc = np.zeros(nbonds)
+    zz_acc = np.zeros(len(model.bonds))
     tc_acc = 0.0
     # spin (i, m) lives at bit i*n + m; chunks keep memory flat
     for start in range(0, count, chunk):
-        idx = np.arange(start, min(start + chunk, count), dtype=np.int64)
-        spins = [(((idx >> k) & 1).astype(np.float64) * 2 - 1) for k in range(nspin)]
-
-        def bit(i: int, m: int) -> np.ndarray:
-            return spins[i * n + (m % n)]
-
-        action = np.zeros(idx.size)
-        for m in range(n):
-            for i, j, jij in model.bonds:
-                action += (model.beta / n) * jij * (bit(i, m) * bit(j, m))
-            for i in range(model.sites):
-                action += coup.gamma_n * (bit(i, m) * bit(i, m + 1))
+        idx = np.arange(start, min(start + chunk, count), dtype="<u4")
+        bits = np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1, bitorder="little")
+        spins = (bits[:, :nspin].view(np.int8) * 2 - 1).reshape(-1, model.sites, n)
+        bond, ring = _worldline_sums(model, spins)
+        action = (model.beta / n) * (bond @ bond_j) + coup.gamma_n * ring
         top = float(action.max())
         if top > shift:
             rescale = math.exp(shift - top)
@@ -461,16 +449,8 @@ def enumeration_reference(model: IsingModel, n: int) -> ExactObservables:
             shift = top
         weights = np.exp(action - shift)
         z_acc += float(weights.sum())
-        for bidx, (i, j, _) in enumerate(model.bonds):
-            acc = np.zeros(idx.size)
-            for m in range(n):
-                acc += bit(i, m) * bit(j, m)
-            zz_acc[bidx] += float(np.dot(weights, acc / n))
-        tc = np.zeros(idx.size)
-        for i in range(model.sites):
-            for m in range(n):
-                tc += bit(i, m) * bit(i, m + 1)
-        tc_acc += float(np.dot(weights, tc / (model.sites * n)))
+        zz_acc += (weights @ bond) / n
+        tc_acc += float(weights @ ring) / nspin
     bond_zz = list(zz_acc / z_acc)
     trotter_corr = tc_acc / z_acc
     diag_energy = -sum(jij * zz for (_, _, jij), zz in zip(model.bonds, bond_zz))
@@ -537,38 +517,22 @@ def extrapolate_values(n_list: Sequence[int], values: Sequence[float],
 
 
 def trotter_extrapolate(model: IsingModel, n_list: Sequence[int], sweeps: int,
-                        seed: int, therm: int | None = None,
-                        observable: str = "bond_zz") -> ExtrapolationResult:
+                        seed: int, observable: str = "bond_zz") -> ExtrapolationResult:
     """Extrapolate a QMC observable to n -> infinity.
 
     ``sweeps = 0`` uses the exact finite-n reference instead of sampling
-    (no statistical error); otherwise one independent chain per n.
+    (no statistical error); otherwise one independent chain per n, its error
+    binned from the observable's trace (bond-averaged for ``bond_zz``).
     """
     values, errors = [], []
     for k, n in enumerate(n_list):
         if sweeps == 0:
-            ref = exact_reference(model, n)
-            if observable == "bond_zz":
-                values.append(float(np.mean(ref.bond_zz)))
-            elif observable == "sigma_x":
-                values.append(ref.sigma_x)
-            else:
-                values.append(ref.diag_energy)
-            errors.append(0.0)
+            values.append(float(np.mean(getattr(exact_reference(model, n), observable))))
         else:
-            th = therm if therm is not None else sweeps // 5
-            stats = metropolis_run(model, int(n), sweeps, th, seed + k)
-            if observable == "bond_zz":
-                vals = np.array([o.mean for o in stats.bond_zz])
-                errs = np.array([o.std_error for o in stats.bond_zz])
-                values.append(float(vals.mean()))
-                errors.append(float(np.sqrt(np.sum(errs ** 2)) / len(errs)))
-            elif observable == "sigma_x":
-                values.append(stats.sigma_x.mean)
-                errors.append(stats.sigma_x.std_error)
-            else:
-                values.append(stats.diag_energy.mean)
-                errors.append(stats.diag_energy.std_error)
+            run = metropolis_run(model, int(n), sweeps, sweeps // 5, seed + k)
+            stats = _binned(run.traces[observable])
+            values.append(stats.mean)
+            errors.append(stats.std_error)
     return extrapolate_values(list(n_list), values, errors if sweeps else None)
 
 
@@ -583,14 +547,6 @@ class AnnealResult:
     gamma_floor_hit: bool
     stage_energies: list[float]
     seed: int
-
-
-def diagonal_energy(model: IsingModel, layer: np.ndarray) -> float:
-    """Classical Ising energy -sum J_ij s_i s_j of one layer."""
-    e = 0.0
-    for i, j, jij in model.bonds:
-        e -= jij * layer[i] * layer[j]
-    return float(e)
 
 
 def anneal(model: IsingModel, n: int, gamma_schedule: Sequence[float],
@@ -622,9 +578,8 @@ def anneal(model: IsingModel, n: int, gamma_schedule: Sequence[float],
         sampler.set_gamma(g)
         for _ in range(sweeps_per_stage):
             sampler.sweep()
-        best = min(diagonal_energy(model, sampler.spins[:, m]) for m in range(n))
-        stage_energies.append(best)
-    energies = [diagonal_energy(model, sampler.spins[:, m]) for m in range(n)]
+        energies = diagonal_energy(model, sampler.spins.T)
+        stage_energies.append(float(energies.min()))
     best_layer = int(np.argmin(energies))
     return AnnealResult(energy=float(energies[best_layer]),
                         configuration=sampler.spins[:, best_layer].copy(),
@@ -634,7 +589,7 @@ def anneal(model: IsingModel, n: int, gamma_schedule: Sequence[float],
 
 def ground_energy_enumeration(model: IsingModel) -> float:
     """Brute-force minimum of the diagonal energy over all 2^sites layers."""
-    return float(_ising_diagonal(model, _basis_spins(model.sites)).min())
+    return float(diagonal_energy(model, _basis_spins(model.sites)).min())
 
 
 def anneal_schedule(g_start: float = 2.5, g_end: float = 1e-4,

@@ -128,6 +128,22 @@ def test_scheme_list_refuses_out(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_scheme_list_refuses_a_name(capsys):
+    code, out, err = run(capsys, "scheme", "list", "strang")
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert "no scheme name" in err
+
+
+@pytest.mark.parametrize("action", [["list"], ["show", "strang"], ["flatten", "strang"]],
+                         ids=["list", "show", "flatten"])
+def test_scheme_order_outside_check_is_config_error(capsys, action):
+    code, out, err = run(capsys, "scheme", *action, "--order", "3")
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert "--order needs scheme check" in err
+
+
 def test_scheme_unknown_name(capsys):
     code, _, err = run(capsys, "scheme", "show", "nope")
     assert code == cli.CONFIG_ERROR
@@ -835,6 +851,7 @@ def test_invalid_numeric_flags_are_config_errors(capsys, argv):
 _FUZZ_BASE = [
     ["bch", "--stages", "A:x/2,B:x,A:x/2", "--order", "3", "--format", "json"],
     ["scheme", "check", "strang", "--order", "3"],
+    ["scheme", "show", "strang"],
     ["solve", "--pattern", "ABA", "--order", "2", "--fix", "p3=0.5", "--guess", "p1=0.4,p2=0.9"],
     ["family", "--p6", "1,1.1"],
     ["converge", "--scheme", "strang", "--dt-list", "0.1:0.2:0.1", "--t-final", "0.5"],
@@ -846,6 +863,7 @@ _FUZZ_BASE = [
     ["timedep", "--scheme", "timeordered2", "--dt", "0.01", "--steps", "20", "--t0", "0",
      "--sample-every", "10"],
     ["qmc", "--model", _PAIR, "--n", "4", "--sweeps", "20", "--therm", "4", "--seed", "1"],
+    ["qmc", "--model", _PAIR, "--n", "1", "--sweeps", "20", "--therm", "4", "--seed", "1"],
     ["anneal", "--model", str(MODELS / "frustrated4.json"), "--n", "4",
      "--schedule", "2:0.5:3", "--sweeps", "5", "--seed", "1"],
     ["extrapolate", "--model", _PAIR, "--n-list", "2,3,4", "--sweeps", "0",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from expprod.qmc import (
-    FrozenTrotterError, IsingModel, WorldlineConfig,
+    FrozenTrotterError, IsingModel, _worldline_sums,
     anneal, anneal_schedule, classical_action, couplings, diagonal_energy,
     enumeration_reference, exact_reference, extrapolate_values, ferromagnetic_chain,
     frustrated_square, ground_energy_enumeration, hamiltonian_parts, matrix_trace_bond_zz,
@@ -82,16 +82,16 @@ def test_action_uniform_configuration():
     model = IsingModel(sites=3, bonds=((0, 1, 1.0), (1, 2, 0.5)), gamma=1.0, beta=2.0)
     n = 4
     c = couplings(model, n)
-    config = WorldlineConfig(np.ones((3, n), dtype=np.int8))
+    spins = np.ones((3, n), dtype=np.int8)
     expected = (model.beta / n) * n * 1.5 + c.gamma_n * n * 3
-    assert classical_action(model, c, config) == pytest.approx(expected, rel=1e-14)
+    assert classical_action(model, c, spins) == pytest.approx(expected, rel=1e-14)
 
 
 def test_action_smallest_instance():
     n = 2
     c = couplings(SINGLE, n)
-    up = WorldlineConfig(np.array([[1, 1]], dtype=np.int8))
-    flip = WorldlineConfig(np.array([[1, -1]], dtype=np.int8))
+    up = np.array([[1, 1]], dtype=np.int8)
+    flip = np.array([[1, -1]], dtype=np.int8)
     assert classical_action(SINGLE, c, up) == pytest.approx(2 * c.gamma_n)
     assert classical_action(SINGLE, c, flip) == pytest.approx(-2 * c.gamma_n)
 
@@ -102,18 +102,17 @@ def test_single_flip_delta_matches_full_recompute():
     n = 5
     c = couplings(model, n)
     rng = np.random.default_rng(2)
-    config = WorldlineConfig.random(3, n, rng)
-    base = classical_action(model, c, config)
+    spins = rng.integers(0, 2, size=(3, n)).astype(np.int8) * 2 - 1
+    base = classical_action(model, c, spins)
     for (i, m) in [(0, 0), (1, 3), (2, 4)]:
-        flipped = config.spins.copy()
+        flipped = spins.copy()
         flipped[i, m] *= -1
-        new = classical_action(model, c, WorldlineConfig(flipped))
-        assert new - base == pytest.approx(_local_delta(model, c, config, i, m), abs=1e-12)
+        new = classical_action(model, c, flipped)
+        assert new - base == pytest.approx(_local_delta(model, c, spins, i, m), abs=1e-12)
 
 
-def _local_delta(model, c, config, i, m):
-    s = config.spins
-    n = config.layers
+def _local_delta(model, c, s, i, m):
+    n = s.shape[1]
     intra = 0.0
     for a, b, jij in model.bonds:
         if a == i:
@@ -128,7 +127,23 @@ def _local_delta(model, c, config, i, m):
 def test_action_dimension_mismatch():
     c = couplings(SINGLE, 4)
     with pytest.raises(ValueError):
-        classical_action(SINGLE, c, WorldlineConfig(np.ones((1, 3), dtype=np.int8)))
+        classical_action(SINGLE, c, np.ones((1, 3), dtype=np.int8))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_worldline_sums_over_a_stack(n):
+    # a (2, 3, sites, n) stack against a loop over each field, spin by spin
+    model = IsingModel(sites=3, bonds=((0, 1, 1.0), (1, 2, -0.5), (0, 2, 0.25)),
+                       gamma=0.8, beta=1.3)
+    stack = np.random.default_rng(n).integers(0, 2, size=(2, 3, 3, n)).astype(np.int8) * 2 - 1
+    bond, ring = _worldline_sums(model, stack)
+    assert bond.shape == (2, 3, 3) and ring.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        s = stack[idx]
+        for b, (i, j, _) in enumerate(model.bonds):
+            assert bond[idx + (b,)] == sum(int(s[i, m]) * int(s[j, m]) for m in range(n))
+        assert ring[idx] == sum(int(s[i, m]) * int(s[i, (m + 1) % n])
+                                for i in range(3) for m in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +171,8 @@ def _assert_same_observables(a, b):
 @pytest.mark.parametrize("model,n", [(SINGLE, 2), (SINGLE, 3), (PAIR, 2), (PAIR, 4),
                                      (SINGLE, 8), (PAIR, 8), (FRUSTRATED4, 2),
                                      (FRUSTRATED4, 3), (FRUSTRATED4, 5), (CHAIN6, 2),
-                                     (CHAIN6, 3), (COLD, 2), (COLD, 3)])
+                                     (CHAIN6, 3), (COLD, 2), (COLD, 3), (SINGLE, 1),
+                                     (PAIR, 1), (FRUSTRATED4, 1)])
 def test_enumeration_matches_matrix_product_trace(model, n):
     ref = exact_reference(model, n)
     _assert_same_observables(ref, enumeration_reference(model, n))
@@ -278,6 +294,22 @@ def test_detailed_balance_chi2_on_four_configurations():
     assert chi2 < 16.27
 
 
+def test_one_layer_samples_the_classical_weights():
+    # at n = 1 the layer is its own ring neighbour, so the inter-layer term
+    # is constant: configuration weights are e^{beta J s0 s1}
+    stats = metropolis_run(PAIR, 1, sweeps=40000, therm=2000, seed=3)
+    cfg = stats.traces["config_index"][::10]
+    counts = np.bincount(cfg, minlength=4).astype(float)
+    weights = np.array([math.exp(PAIR.beta * (1 if code in (0, 3) else -1))
+                        for code in range(4)])
+    probs = weights / weights.sum()
+    expected = probs * counts.sum()
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    # 3 dof; 16.27 is the 0.1% point
+    assert chi2 < 16.27
+    assert stats.accumulated_action == stats.final_action
+
+
 def test_config_index_exact_beyond_63_spins():
     # 2 sites x 32 layers = 64 spins: bit 63 must not wrap to a negative index
     traces = metropolis_run(PAIR, 32, sweeps=50, therm=0, seed=1).traces
@@ -328,6 +360,18 @@ def test_extrapolation_rejects_bad_n_lists():
         extrapolate_values([4, 4, 8], [0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
         extrapolate_values([4, 8], [0.1, 0.2])
+
+
+def test_sampled_bond_zz_error_bins_the_bond_averaged_trace():
+    # chain6's bonds are correlated within one chain: their errors do not add
+    # in quadrature, so the error is that of the bond-averaged trace
+    n_list = [4, 6, 8]
+    result = trotter_extrapolate(CHAIN6, n_list, sweeps=2000, seed=1)
+    for k, n in enumerate(n_list):
+        trace = metropolis_run(CHAIN6, n, 2000, 400, 1 + k).traces["bond_zz"]
+        bins = trace.reshape(20, -1).mean(axis=1)
+        assert result.values[k] == pytest.approx(bins.mean(), rel=1e-12)
+        assert result.errors[k] == pytest.approx(bins.std(ddof=1) / math.sqrt(20), rel=1e-12)
 
 
 def test_mc_extrapolation_within_combined_errors():
