@@ -8,8 +8,18 @@ system: for a (..., sites, n) stack of spin fields it sums, in integers,
 each bond over the layers and each spin times its ring neighbour; the
 action, the sampled observables and the enumeration all come from it.  At
 n = 1 a layer is its own ring neighbour, so the ring term is a constant
-that no flip changes.  Sampling is plain single-spin-flip Metropolis on
-the mapped system.  One exact reference anchors every
+that no flip changes.
+
+Sampling is checkerboard Metropolis over a replica axis.  The spins split
+into classes, a greedy colour of the site graph times a layer class (even
+and odd layers; at odd n >= 3 also layer n - 1 alone; at n = 1 the one
+layer), and no two spins of a class share a bond or a ring link, so a
+sweep updates the classes in turn, each as one numpy step.  At n >= 2 a
+Swendsen-Wang move along the Trotter axis follows, one site colour at a
+time, so that world-lines decorrelate in a few sweeps at large n.  Every
+replica draws its uniforms from its own generator, so a seed's chain is
+the same alone or in a batch (``anneal_batch``); ``metropolis_run`` and
+``anneal`` are batches of one.  One exact reference anchors every
 estimator: a symmetric eigendecomposition of the symmetrised transfer
 matrix at finite n, or of the Hamiltonian at n = infinity, read out through
 one density matrix.  Configuration enumeration stays as an independent
@@ -38,6 +48,8 @@ class IsingModel:
     beta: float
 
     def __post_init__(self):
+        if self.sites < 1:
+            raise ValueError("a model needs at least one site")
         seen = set()
         for i, j, _ in self.bonds:
             if not (0 <= i < self.sites and 0 <= j < self.sites and i != j):
@@ -88,15 +100,20 @@ class TrotterCouplings:
 
 
 def couplings(model: IsingModel, n: int) -> TrotterCouplings:
-    """gamma_n = -log(tanh(beta*Gamma/n))/2, delta_n = log(sinh(2*beta*Gamma/n)/2)/2."""
+    """gamma_n = -log(tanh(beta*Gamma/n))/2, delta_n = log(sinh(2*beta*Gamma/n)/2)/2.
+
+    With u = beta*Gamma/n: gamma_n is atanh(e^{-2u}) from u = 1/2 on, where
+    tanh(u) rounds toward 1, and delta_n is u - log 2 + log(1 - e^{-4u})/2,
+    so neither loses its digits or overflows however large u is.
+    """
     if n < 1:
         raise ValueError("Trotter number must be >= 1")
     if model.gamma == 0:
         raise FrozenTrotterError(
             "Gamma = 0: inter-layer coupling diverges; treat layers as locked")
     u = model.beta * model.gamma / n
-    gamma_n = -0.5 * math.log(math.tanh(u))
-    delta_n = 0.5 * math.log(0.5 * math.sinh(2 * u))
+    gamma_n = math.atanh(math.exp(-2 * u)) if u > 0.5 else -0.5 * math.log(math.tanh(u))
+    delta_n = u - math.log(2.0) + 0.5 * math.log(-math.expm1(-4 * u))
     return TrotterCouplings(gamma_n=gamma_n, delta_n=delta_n, n=n)
 
 
@@ -104,10 +121,11 @@ def sigma_x_estimator_coeffs(model: IsingModel, n: int) -> tuple[float, float]:
     """<sigma_x> per site = a * <sigma^(m) sigma^(m+1)>_site-layer-avg + b.
 
     Thermodynamic-derivative construction: differentiate log Z of the mapped
-    system with respect to Gamma through gamma_n and delta_n.
+    system with respect to Gamma through gamma_n and delta_n.  a = -1/sinh(2u)
+    is taken as 2 e^{-2u} / (e^{-4u} - 1), which cannot overflow.
     """
     u = model.beta * model.gamma / n
-    a = -1.0 / math.sinh(2 * u)
+    a = 2.0 * math.exp(-2 * u) / math.expm1(-4 * u)
     b = 1.0 / math.tanh(2 * u)
     return a, b
 
@@ -202,120 +220,233 @@ def _binned(trace: np.ndarray, nbins: int = 20) -> ObservableStats:
     return ObservableStats(mean=mean, std_error=err, bins=nbins)
 
 
-class _Sampler:
-    """Single-spin-flip Metropolis on the mapped (d+1)-dimensional system."""
+def _site_colours(model: IsingModel) -> list[np.ndarray]:
+    """Greedy colouring of the site graph, as one index array per colour:
+    sites in site order, each taking the smallest colour that none of its
+    earlier neighbours holds, so no bond joins two sites of a colour."""
+    colour = np.zeros(model.sites, dtype=np.intp)
+    adjacent: list[set[int]] = [set() for _ in range(model.sites)]
+    for i, j, _ in model.bonds:
+        adjacent[i].add(j)
+        adjacent[j].add(i)
+    for i in range(model.sites):
+        taken = {int(colour[j]) for j in adjacent[i] if j < i}
+        colour[i] = next(c for c in range(model.sites) if c not in taken)
+    return [np.flatnonzero(colour == c) for c in range(int(colour.max()) + 1)]
 
-    def __init__(self, model: IsingModel, n: int, rng: np.random.Generator):
+
+def _update_classes(model: IsingModel, n: int) -> list[np.ndarray]:
+    """The checkerboard classes of flat spin indices i*n + m, in update order.
+
+    A class is a ``_site_colours`` colour times a layer class: even and odd
+    layers at even n; at odd n >= 3 the even and odd layers below n - 1 and
+    layer n - 1 alone; at n = 1 the one layer.  No two spins of a class
+    share a bond or a ring link, so each class updates at once.  Layer
+    classes are the outer loop, colours the inner.
+    """
+    top = n - n % 2
+    layers = [np.arange(0, top, 2), np.arange(1, top, 2)] if n > 1 else []
+    if n % 2:
+        layers.append(np.array([n - 1]))
+    return [(sites[:, None] * n + lay).ravel() for lay in layers for sites in _site_colours(model)]
+
+
+class _Sampler:
+    """Checkerboard Metropolis and a Trotter-axis cluster move, over a replica axis.
+
+    ``state`` holds one spin field per replica, shape (replicas, sites*n)
+    int8, with the spins in class order: the ``_update_classes`` one after
+    the other, so each class is one contiguous slice.  A sweep draws
+    3*sites*n uniforms per replica in one call, each replica from its own
+    generator.  It updates the classes in turn: a spin flips when its
+    uniform is below exp(min(delta, 0)), delta being the change of the
+    action.  At n >= 2 the cluster move follows (``_cluster_move``).  No
+    update reads another replica's spins, so a replica's chain does not
+    depend on the batch it runs in.  ``accept`` and ``attempt`` count the
+    single-spin flips; ``action_delta`` sums every move's change.
+    """
+
+    def __init__(self, model: IsingModel, n: int, rngs: Sequence[np.random.Generator]):
+        if not rngs:
+            raise ValueError("the sampler needs at least one replica")
+        couplings(model, n)  # refuses n < 1 and a zero field before any table is built
         self.model = model
         self.n = n
-        self.set_gamma(model.gamma)
-        self.rng = rng
-        self.spins = rng.integers(0, 2, size=(model.sites, n)).astype(np.int8) * 2 - 1
-        self.neighbors: list[list[tuple[int, float]]] = [[] for _ in range(model.sites)]
+        self.rngs = list(rngs)
+        classes = _update_classes(model, n)
+        order = np.concatenate(classes)           # position -> flat spin i*n + m
+        self.position = np.argsort(order)         # flat spin -> position
+        # each flat spin's links: its bond partners in its layer (padded
+        # with itself at coupling 0), then its two ring neighbours
+        partners: list[list[tuple[int, float]]] = [[] for _ in range(model.sites)]
         for i, j, jij in model.bonds:
-            self.neighbors[i].append((j, jij))
-            self.neighbors[j].append((i, jij))
+            partners[i].append((j, jij))
+            partners[j].append((i, jij))
+        degree = max(map(len, partners))
+        padded = [row + [(i, 0.0)] * (degree - len(row)) for i, row in enumerate(partners)]
+        shape = (model.sites, degree)
+        site = np.array([[j for j, _ in row] for row in padded], dtype=np.intp).reshape(shape)
+        coupling = np.array([[w for _, w in row] for row in padded]).reshape(shape)
+        flat = np.arange(model.sites * n).reshape(model.sites, n)
+        links = np.concatenate([
+            flat[site].transpose(0, 2, 1).reshape(model.sites * n, degree),
+            np.roll(flat, 1, axis=1).reshape(-1, 1), np.roll(flat, -1, axis=1).reshape(-1, 1),
+        ], axis=1)
+        # links as positions, rows in class order; weights are -2 times the
+        # couplings, so a flip changes the action by spin * (weights . links)
+        links = self.position[links[order]]
+        self.weights = np.zeros(links.shape)
+        self.weights[:, :degree] = (-2.0 * model.beta / n) * np.repeat(coupling, n, axis=0)[order]
+        bounds = np.cumsum([0] + [len(c) for c in classes])
+        self.classes = [(slice(a, b), links[a:b], self.weights[a:b])
+                        for a, b in zip(bounds, bounds[1:])]
+        # the cluster move's tables: each site's world-line as positions in
+        # layer order, and per colour its sites, world-lines and bond links
+        self.lines = self.position[flat]
+        self.next_layer = np.roll(np.arange(n), -1)
+        self.colours = [(sites, self.lines[sites], links[self.lines[sites]][..., :degree],
+                         self.weights[self.lines[sites]][..., :degree])
+                        for sites in _site_colours(model)]
+        self.set_gamma(model.gamma)
+        self.state = np.stack([rng.integers(0, 2, size=model.sites * n).astype(np.int8)[order]
+                               for rng in self.rngs]) * 2 - 1
+        replicas, size = self.state.shape
+        self.rand = np.empty((replicas, 3 * size))
+        self.moved = np.empty(self.state.shape)     # delta of each flip, 0 elsewhere
+        # one slot per (replica, site, run of joined layers) in the cluster move
+        self.slot = (np.arange(replicas * model.sites) * n).reshape(replicas, model.sites, 1)
         self.accept = 0
         self.attempt = 0
-        self.action_delta = 0.0
+        self.action_delta = np.zeros(replicas)
+
+    @property
+    def spins(self) -> np.ndarray:
+        """The replicas' spin fields, shape (replicas, sites, n)."""
+        return self.state[:, self.position].reshape(-1, self.model.sites, self.n)
 
     def set_gamma(self, gamma: float) -> None:
         self.model = self.model.with_gamma(gamma)
         self.coup = couplings(self.model, self.n)
-        self.sigma_x_coeffs = sigma_x_estimator_coeffs(self.model, self.n)
+        # at n = 1 a layer is its own ring neighbour: s*s = 1 whatever the flip
+        self.weights[:, -2:] = -2.0 * self.coup.gamma_n if self.n > 1 else 0.0
 
     def sweep(self) -> None:
-        s = self.spins
-        n = self.n
-        kb = self.model.beta / n
-        # at n = 1 a layer is its own ring neighbour: s*s = 1 whatever the flip
-        g = self.coup.gamma_n if n > 1 else 0.0
-        rand = self.rng.random(self.model.sites * n)
-        idx = 0
-        for i in range(self.model.sites):
-            row = s[i]
-            nbrs = self.neighbors[i]
-            for m in range(n):
-                spin = row[m]
-                local = 0.0
-                for j, jij in nbrs:
-                    local += jij * s[j, m]
-                local *= kb
-                local += g * (row[m - 1] + row[(m + 1) % n])
-                delta = -2.0 * spin * local
-                self.attempt += 1
-                if delta >= 0.0 or rand[idx] < math.exp(delta):
-                    row[m] = -spin
-                    self.accept += 1
-                    self.action_delta += delta
-                idx += 1
+        s, rand, moved = self.state, self.rand, self.moved
+        size = s.shape[1]
+        before = s.copy()
+        for rng, row in zip(self.rngs, rand):
+            rng.random(out=row)
+        for cls, links, weights in self.classes:
+            spin = s[:, cls]
+            delta = spin * (s[:, links] * weights).sum(axis=-1)
+            flip = rand[:, cls] < np.exp(np.minimum(delta, 0.0))
+            np.negative(spin, out=spin, where=flip)
+            np.multiply(delta, flip, out=moved[:, cls])
+        # each spin is tried once, so the spins that differ flipped
+        self.accept += int(np.count_nonzero(s != before))
+        self.attempt += s.size
+        self.action_delta += moved.sum(axis=1)
+        if self.n > 1:
+            self._cluster_move(rand[:, size:2 * size], rand[:, 2 * size:])
 
-    def measure(self) -> dict:
-        s = self.spins
-        bond, ring = _worldline_sums(self.model, s)
-        out: dict = {}
-        out["bond_zz"] = (bond / self.n).tolist()
-        out["layer_mag"] = list(np.mean(s, axis=0, dtype=float))
-        out["trotter_corr"] = float(ring) / s.size
-        diag = 0.0
-        for (_, _, jij), zz in zip(self.model.bonds, out["bond_zz"]):
-            diag -= jij * zz
-        out["diag_energy"] = diag
-        a, b = self.sigma_x_coeffs
-        out["sigma_x"] = a * out["trotter_corr"] + b
-        # spin (i, m) is bit i*n + m; a Python int, so exact at any size
-        bits = np.packbits(s.reshape(-1) > 0, bitorder="little")
-        out["config_index"] = int.from_bytes(bits.tobytes(), "little")
-        return out
+    def _cluster_move(self, join_rand: np.ndarray, flip_rand: np.ndarray) -> None:
+        """Swendsen-Wang along the Trotter axis (Swendsen & Wang, PRL 58, 86 (1987)).
+
+        Each ring link between equal spins joins them when its uniform is
+        below 1 - e^{-2 gamma_n}, which carries the whole ring term.  Then,
+        one site colour at a time, each run of joined layers flips when its
+        uniform is below exp(min(delta, 0)), delta being the change of the
+        intra-layer action.  A flipped run keeps every joined link's ends
+        equal, so one set of links serves every colour.
+        """
+        s = self.state
+        lines = s[:, self.lines]
+        ring = lines * lines[..., self.next_layer]
+        broken = (ring < 0) | (join_rand.reshape(lines.shape) >= -math.expm1(-2 * self.coup.gamma_n))
+        # layer m's run counts the broken links below it; when the link from
+        # layer n - 1 to layer 0 holds, the last run is the first one
+        breaks = broken.cumsum(axis=-1)
+        slot = breaks - broken
+        slot %= np.maximum(breaks[..., -1:], 1)
+        slot += self.slot
+        for sites, line, links, weights in self.colours:
+            spin = s[:, line]
+            delta = spin * (s[:, links] * weights).sum(axis=-1)
+            at = slot[:, sites]
+            total = np.bincount(at.ravel(), weights=delta.ravel(), minlength=flip_rand.size)
+            flip = (flip_rand < np.exp(np.minimum(total, 0.0)).reshape(flip_rand.shape)).ravel()[at]
+            np.negative(spin, out=spin, where=flip)
+            s[:, line] = spin
+            self.action_delta += (delta * flip).sum(axis=(1, 2))
+        # a ring link changes sign when exactly one of its ends flipped
+        flipped = s[:, self.lines] != lines
+        cut = flipped != flipped[..., self.next_layer]
+        self.action_delta -= 2 * self.coup.gamma_n * (ring * cut).sum(axis=(1, 2))
+
+
+# kept spin fields are read in blocks of at most this many bytes
+_BLOCK_BYTES = 1 << 20
 
 
 def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
                    seed: int) -> RunStats:
-    """Sample the mapped system; one sweep is one flip attempt per spin.
+    """Sample the mapped system; one sweep is one flip attempt per spin and,
+    at n >= 2, one cluster move (``_Sampler``).
 
+    One replica of ``_Sampler`` driven by ``default_rng(seed)``, so the seed
+    fully determines the run.  Kept spin fields are copied into a block of at
+    most ``_BLOCK_BYTES``, and ``_worldline_sums`` reads each full block once.
     Statistical errors come from 20 equal bins of the post-thermalization
-    trace, which is also returned whole in ``RunStats.traces``; the seed
-    fully determines the run.
+    trace, which is also returned whole in ``RunStats.traces``.
     """
     if not sweeps > therm >= 0:
         raise ValueError("need sweeps > therm >= 0")
-    rng = np.random.default_rng(seed)
-    sampler = _Sampler(model, n, rng)
-    start_action = classical_action(model, sampler.coup, sampler.spins)
-    nbonds = len(model.bonds)
+    sampler = _Sampler(model, n, [np.random.default_rng(seed)])
+    start_action = classical_action(model, sampler.coup, sampler.spins[0])
     keep = sweeps - therm
-    bond_tr = np.empty((keep, nbonds))
+    block = np.empty((max(1, min(keep, _BLOCK_BYTES // (model.sites * n))), model.sites, n),
+                     dtype=np.int8)
+    bond = np.empty((keep, len(model.bonds)), dtype=np.int64)
+    ring = np.empty(keep, dtype=np.int64)
     mag_tr = np.empty((keep, n))
-    tc_tr = np.empty(keep)
-    de_tr = np.empty(keep)
-    sx_tr = np.empty(keep)
-    cfg_tr = []
+    configs: list[int] = []
     for k in range(sweeps):
         sampler.sweep()
-        if k >= therm:
-            m = sampler.measure()
-            r = k - therm
-            bond_tr[r] = m["bond_zz"]
-            mag_tr[r] = m["layer_mag"]
-            tc_tr[r] = m["trotter_corr"]
-            de_tr[r] = m["diag_energy"]
-            sx_tr[r] = m["sigma_x"]
-            cfg_tr.append(m["config_index"])
+        if k < therm:
+            continue
+        r = k - therm
+        row = r % len(block)
+        block[row] = sampler.spins[0]
+        if row == len(block) - 1 or r == keep - 1:
+            rows = slice(r - row, r + 1)
+            fields = block[:row + 1]
+            bond[rows], ring[rows] = _worldline_sums(model, fields)
+            mag_tr[rows] = fields.mean(axis=1, dtype=float)
+            # spin (i, m) is bit i*n + m; Python ints, so exact at any size
+            bits = np.packbits(fields.reshape(len(fields), -1) > 0, axis=1, bitorder="little")
+            configs.extend(int.from_bytes(word.tobytes(), "little") for word in bits)
+    bond_tr = bond / n
+    tc_tr = ring / (model.sites * n)
+    de_tr = np.zeros(keep)
+    for (_, _, jij), zz in zip(model.bonds, bond_tr.T):
+        de_tr -= jij * zz
+    a, b = sigma_x_estimator_coeffs(model, n)
+    sx_tr = a * tc_tr + b
     traces = {
-        "bond_zz": bond_tr.mean(axis=1) if nbonds else np.zeros(keep),
+        "bond_zz": bond_tr.mean(axis=1) if model.bonds else np.zeros(keep),
         "trotter_corr": tc_tr, "diag_energy": de_tr, "sigma_x": sx_tr,
-        "config_index": np.array(cfg_tr, dtype=np.int64 if model.sites * n <= 63 else object),
+        "config_index": np.array(configs, dtype=np.int64 if model.sites * n <= 63 else object),
     }
     return RunStats(
         sweeps=sweeps, therm=therm, n=n, seed=seed,
-        acceptance=sampler.accept / max(1, sampler.attempt),
-        bond_zz=[_binned(bond_tr[:, b]) for b in range(nbonds)],
+        acceptance=sampler.accept / sampler.attempt,
+        bond_zz=[_binned(zz) for zz in bond_tr.T],
         layer_mag=[_binned(mag_tr[:, m]) for m in range(n)],
         trotter_corr=_binned(tc_tr),
         diag_energy=_binned(de_tr),
         sigma_x=_binned(sx_tr),
-        final_action=classical_action(model, sampler.coup, sampler.spins),
-        accumulated_action=start_action + sampler.action_delta,
+        final_action=classical_action(model, sampler.coup, sampler.spins[0]),
+        accumulated_action=start_action + float(sampler.action_delta[0]),
         traces=traces,
     )
 
@@ -522,8 +653,11 @@ def trotter_extrapolate(model: IsingModel, n_list: Sequence[int], sweeps: int,
 
     ``sweeps = 0`` uses the exact finite-n reference instead of sampling
     (no statistical error); otherwise one independent chain per n, its error
-    binned from the observable's trace (bond-averaged for ``bond_zz``).
+    binned from the observable's trace (bond-averaged for ``bond_zz``, which
+    a model without bonds does not have).
     """
+    if observable == "bond_zz" and not model.bonds:
+        raise ValueError("bond_zz needs a model with at least one bond")
     values, errors = [], []
     for k, n in enumerate(n_list):
         if sweeps == 0:
@@ -549,14 +683,17 @@ class AnnealResult:
     seed: int
 
 
-def anneal(model: IsingModel, n: int, gamma_schedule: Sequence[float],
-           sweeps_per_stage: int, seed: int,
-           gamma_floor: float = 1e-6) -> AnnealResult:
-    """Quantum annealing on the mapped system: ramp the field down stagewise.
+def anneal_batch(model: IsingModel, n: int, gamma_schedule: Sequence[float],
+                 sweeps_per_stage: int, seeds: Sequence[int],
+                 gamma_floor: float = 1e-6) -> list[AnnealResult]:
+    """Quantum annealing on the mapped system, one replica per seed.
 
-    The schedule must be strictly decreasing; a final Gamma of 0 is clamped
-    to a small floor (the inter-layer coupling diverges at 0).  Returns the
-    best layer's diagonal energy and configuration.
+    The field is ramped down stagewise.  The schedule must be strictly
+    decreasing; a final Gamma of 0 is clamped to a small floor (the
+    inter-layer coupling diverges at 0).  Each result holds its chain's best
+    layer: its diagonal energy and configuration.  Replica r owns
+    ``default_rng(seeds[r])`` and no update reads another replica's spins,
+    so a seed's result is bit-identical whether it runs alone or in a batch.
     """
     if sweeps_per_stage < 1:
         raise ValueError("anneal needs at least 1 sweep per stage")
@@ -571,20 +708,30 @@ def anneal(model: IsingModel, n: int, gamma_schedule: Sequence[float],
             g = gamma_floor
             floor_hit = True
         clamped.append(g)
-    rng = np.random.default_rng(seed)
-    sampler = _Sampler(model.with_gamma(clamped[0]), n, rng)
+    sampler = _Sampler(model.with_gamma(clamped[0]), n,
+                       [np.random.default_rng(seed) for seed in seeds])
     stage_energies = []
     for g in clamped:
         sampler.set_gamma(g)
         for _ in range(sweeps_per_stage):
             sampler.sweep()
-        energies = diagonal_energy(model, sampler.spins.T)
-        stage_energies.append(float(energies.min()))
-    best_layer = int(np.argmin(energies))
-    return AnnealResult(energy=float(energies[best_layer]),
-                        configuration=sampler.spins[:, best_layer].copy(),
-                        gamma_floor_hit=floor_hit,
-                        stage_energies=stage_energies, seed=seed)
+        energies = diagonal_energy(model, sampler.spins.transpose(0, 2, 1))
+        stage_energies.append(energies.min(axis=1))
+    best = energies.argmin(axis=1)
+    fields = sampler.spins
+    return [AnnealResult(energy=float(energies[r, best[r]]),
+                         configuration=fields[r, :, best[r]].copy(),
+                         gamma_floor_hit=floor_hit,
+                         stage_energies=[float(e[r]) for e in stage_energies], seed=seed)
+            for r, seed in enumerate(seeds)]
+
+
+def anneal(model: IsingModel, n: int, gamma_schedule: Sequence[float],
+           sweeps_per_stage: int, seed: int,
+           gamma_floor: float = 1e-6) -> AnnealResult:
+    """``anneal_batch`` over the one seed."""
+    (result,) = anneal_batch(model, n, gamma_schedule, sweeps_per_stage, [seed], gamma_floor)
+    return result
 
 
 def ground_energy_enumeration(model: IsingModel) -> float:

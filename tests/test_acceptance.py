@@ -233,14 +233,14 @@ def test_criterion_9_annealing_sanity():
     with criterion(9, "slow annealing reaches ground states and beats quenching", 600.0):
         chain = qmc.ferromagnetic_chain(6)
         sched = qmc.anneal_schedule()
-        hits = sum(abs(qmc.anneal(chain, 8, sched, 60, seed).energy + 5.0) < 1e-9
-                   for seed in range(20))
+        hits = sum(abs(r.energy + 5.0) < 1e-9
+                   for r in qmc.anneal_batch(chain, 8, sched, 60, range(20)))
         assert hits >= 19                        # >= 95% of 20 seeds
 
         frus = qmc.frustrated_square()
         eg = qmc.ground_energy_enumeration(frus)
-        slow = quench = 0
-        for seed in range(50):
-            slow += abs(qmc.anneal(frus, 8, sched, 60, seed).energy - eg) < 1e-9
-            quench += abs(qmc.anneal(frus, 8, [sched[-1]], 60, seed).energy - eg) < 1e-9
+        slow = sum(abs(r.energy - eg) < 1e-9
+                   for r in qmc.anneal_batch(frus, 8, sched, 60, range(50)))
+        quench = sum(abs(r.energy - eg) < 1e-9
+                     for r in qmc.anneal_batch(frus, 8, [sched[-1]], 60, range(50)))
         assert quench < slow

@@ -614,8 +614,8 @@ def test_qmc_out_files_pinned(tmp_path, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("run.json", "run.traces.csv")}
     assert digests == {
-        "run.json": "b231e1cfa858a809be967505cbafbecd879b26148a43597d37ef39824b000225",
-        "run.traces.csv": "9275e3c3956c3af13858620e43086d89e2c8b17e045626e2530673101902fe84",
+        "run.json": "84aebaf28775af06252d42cfc349c4bc14d731c4c821c1c31bb2ab189d2b0edb",
+        "run.traces.csv": "cc3b7aecb8b2ed39ac32226e40aed94a61b3361c8e0314060ad969eb8d057a7e",
     }
 
 
@@ -764,6 +764,38 @@ def test_extrapolate_cold_model_is_finite(tmp_path, capsys, observable):
     assert all(math.isfinite(v) for v in [doc["c0"], doc["c1"], doc["c2"], *doc["values"]])
 
 
+@pytest.mark.parametrize("sweeps", ["0", "20"])
+def test_extrapolate_bond_zz_needs_a_bond(capsys, sweeps):
+    # a lone site has no bond to average: no NaN values, no warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "extrapolate", "--model", str(MODELS / "site.json"),
+                             "--n-list", "2,3,4", "--sweeps", sweeps, "--observable", "bond_zz")
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert "config error" in err and "at least one bond" in err
+    code, out, _ = run(capsys, "extrapolate", "--model", str(MODELS / "site.json"),
+                       "--n-list", "2,3,4", "--sweeps", sweeps, "--observable", "sigma_x")
+    assert code == 0
+    assert math.isfinite(_strict_json(out)["c0"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["qmc", "--n", "1", "--sweeps", "20"],
+    ["anneal", "--schedule", "800:1:3", "--sweeps", "5"],
+], ids=["qmc-n1", "anneal-800"])
+def test_large_field_couplings_do_not_overflow(tmp_path, capsys, argv):
+    # beta*Gamma/n = 1000 (qmc) and 1e5 (anneal): sinh(2u) overflows a float
+    model = tmp_path / "cold.json"
+    model.write_text(json.dumps({"sites": 2, "bonds": [[0, 1, 1.0]],
+                                 "gamma": 1.0, "beta": 1000.0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, argv[0], "--model", str(model), *argv[1:])
+    assert code == 0
+    _strict_json(out)
+
+
 # ---------------------------------------------------------------------------
 # config files and error paths
 # ---------------------------------------------------------------------------
@@ -868,6 +900,9 @@ _FUZZ_BASE = [
      "--schedule", "2:0.5:3", "--sweeps", "5", "--seed", "1"],
     ["extrapolate", "--model", _PAIR, "--n-list", "2,3,4", "--sweeps", "0",
      "--observable", "bond_zz", "--seed", "1"],
+    # refused: a lone site has no bond
+    ["extrapolate", "--model", str(MODELS / "site.json"), "--n-list", "2,3,4", "--sweeps", "0",
+     "--observable", "bond_zz"],
 ]
 _FUZZ_TOKENS = ["0", "-1", "99", "nan", "inf", "-inf", "1e308", "1/0", "abc", ""]
 

@@ -6,12 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from expprod import qmc
 from expprod.qmc import (
-    FrozenTrotterError, IsingModel, _worldline_sums,
-    anneal, anneal_schedule, classical_action, couplings, diagonal_energy,
+    FrozenTrotterError, IsingModel, _update_classes, _worldline_sums,
+    anneal, anneal_batch, anneal_schedule, classical_action, couplings, diagonal_energy,
     enumeration_reference, exact_reference, extrapolate_values, ferromagnetic_chain,
     frustrated_square, ground_energy_enumeration, hamiltonian_parts, matrix_trace_bond_zz,
-    metropolis_run, trotter_extrapolate,
+    metropolis_run, sigma_x_estimator_coeffs, trotter_extrapolate,
 )
 
 MODELS = Path(__file__).resolve().parent.parent / "scripts" / "models"
@@ -33,6 +34,8 @@ def test_model_validation():
         IsingModel(sites=2, bonds=((0, 2, 1.0),), gamma=1.0, beta=1.0)
     with pytest.raises(ValueError):
         IsingModel(sites=1, bonds=(), gamma=1.0, beta=0.0)
+    with pytest.raises(ValueError, match="at least one site"):
+        IsingModel(sites=0, bonds=(), gamma=1.0, beta=1.0)
 
 
 @pytest.mark.parametrize("gamma,beta,weight", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0),
@@ -60,6 +63,28 @@ def test_coupling_defining_pair(u):
     c = couplings(model, 1)
     assert math.exp(c.gamma_n + c.delta_n) == pytest.approx(math.cosh(u), rel=1e-14)
     assert math.exp(-c.gamma_n + c.delta_n) == pytest.approx(math.sinh(u), rel=1e-14)
+
+
+_U_GRID = [1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.5000001, 0.72, 1.0, 3.0, 10.0, 19.0, 25.0,
+           60.0, 100.0, 354.0, 400.0, 1e3]
+
+
+@pytest.mark.parametrize("u", _U_GRID)
+def test_couplings_keep_their_digits_against_mpmath(u):
+    # gamma_n = -log(tanh u)/2, delta_n = log(sinh(2u)/2)/2, a = -1/sinh(2u),
+    # b = coth(2u), with u = beta*Gamma/n; enough digits that 1 - tanh(u) ~
+    # 2 e^{-2u} survives.  Below the normal range (a from u ~ 354, gamma_n
+    # from u ~ 354) a float cannot hold more than the subnormal bits.
+    mpmath = pytest.importorskip("mpmath")
+    model = IsingModel(sites=1, bonds=(), gamma=u, beta=1.0)
+    c = couplings(model, 1)
+    a, b = sigma_x_estimator_coeffs(model, 1)
+    with mpmath.workdps(40 + int(u)):
+        x = mpmath.mpf(u)
+        want = [-mpmath.log(mpmath.tanh(x)) / 2, mpmath.log(mpmath.sinh(2 * x) / 2) / 2,
+                -1 / mpmath.sinh(2 * x), 1 / mpmath.tanh(2 * x)]
+    for got, exact in zip([c.gamma_n, c.delta_n, a, b], want):
+        assert got == pytest.approx(float(exact), rel=1e-14, abs=1e-300)
 
 
 def test_coupling_diverges_as_layers_lock():
@@ -326,6 +351,71 @@ def test_determinism_bit_identical():
 def test_accumulated_action_matches_full_recompute():
     stats = metropolis_run(PAIR, 8, sweeps=10000, therm=0, seed=5)
     assert stats.final_action == pytest.approx(stats.accumulated_action, abs=1e-9)
+    # odd n: the last layer is a class of its own
+    stats = metropolis_run(FRUSTRATED4, 5, sweeps=2000, therm=0, seed=5)
+    assert stats.final_action == pytest.approx(stats.accumulated_action, abs=1e-9)
+
+
+_CLASS_MODELS = pytest.mark.parametrize("model", [
+    PAIR, FRUSTRATED4, frustrated_square(), ferromagnetic_chain(5), SINGLE,
+    IsingModel(sites=3, bonds=(), gamma=1.0, beta=1.0),
+], ids=["pair", "frustrated4", "frustrated_square", "chain5", "site", "bondless3"])
+
+
+@_CLASS_MODELS
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_update_classes_partition_the_spins_into_uncoupled_sets(model, n):
+    classes = _update_classes(model, n)
+    spins = np.concatenate(classes)
+    assert sorted(spins.tolist()) == list(range(model.sites * n))
+    links = {frozenset((i * n + m, j * n + m)) for i, j, _ in model.bonds for m in range(n)}
+    links |= {frozenset((i * n + m, i * n + (m + 1) % n))
+              for i in range(model.sites) for m in range(n)}
+    for cls in classes:
+        members = cls.tolist()
+        assert all(frozenset((p, q)) not in links
+                   for k, p in enumerate(members) for q in members[k + 1:])
+
+
+def _configuration_weights(model, n):
+    """Normalised e^{action} of every configuration, indexed like config_index,
+    with log Z checked against enumeration_reference."""
+    nspin = model.sites * n
+    codes = np.arange(1 << nspin)
+    stack = (((codes[:, None] >> np.arange(nspin)) & 1) * 2 - 1).astype(np.int8)
+    bond, ring = _worldline_sums(model, stack.reshape(-1, model.sites, n))
+    coup = couplings(model, n)
+    action = (model.beta / n) * (bond @ np.array([w for *_, w in model.bonds])) \
+        + coup.gamma_n * ring
+    shift = action.max()
+    weights = np.exp(action - shift)
+    log_z = shift + math.log(weights.sum()) + nspin * coup.delta_n
+    assert log_z == pytest.approx(enumeration_reference(model, n).log_z, rel=1e-12)
+    return weights / weights.sum()
+
+
+@pytest.mark.parametrize("n,chi2_limit", [(2, 37.70), (3, 103.44)])
+def test_sampled_configurations_match_enumeration_weights(n, chi2_limit):
+    # chi^2 of every configuration's count against its exact weight
+    model = IsingModel(sites=2, bonds=((0, 1, 0.8),), gamma=1.0, beta=1.5)
+    probs = _configuration_weights(model, n)
+    cfg = metropolis_run(model, n, sweeps=30000, therm=1000, seed=13).traces["config_index"]
+    counts = np.bincount(cfg[::5], minlength=len(probs)).astype(float)
+    expected = probs * counts.sum()
+    assert expected.min() >= 5
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    # the 0.1% points of chi^2 with 15 and 63 dof
+    assert chi2 < chi2_limit
+
+
+def test_measurement_blocks_do_not_change_the_run(monkeypatch):
+    # a block of 7 fields: the 300 kept sweeps are read in 43 blocks
+    whole = metropolis_run(FRUSTRATED4, 3, sweeps=400, therm=100, seed=4)
+    monkeypatch.setattr(qmc, "_BLOCK_BYTES", 7 * FRUSTRATED4.sites * 3)
+    blocked = metropolis_run(FRUSTRATED4, 3, sweeps=400, therm=100, seed=4)
+    assert json.dumps(blocked.to_json()) == json.dumps(whole.to_json())
+    for name, trace in whole.traces.items():
+        assert blocked.traces[name].tolist() == trace.tolist()
 
 
 def test_sigma_x_estimator_certified_against_exact():
@@ -402,13 +492,22 @@ def test_ground_energy_enumeration_chain():
     assert diagonal_energy(ferromagnetic_chain(6), layer) == -5.0
 
 
+@pytest.mark.parametrize("n", [8, 5])
+def test_anneal_batch_is_bit_identical_to_per_seed_runs(n):
+    sched = anneal_schedule(2.5, 1e-3, 5)
+    batch = anneal_batch(frustrated_square(), n, sched, 10, [3, 0, 7])
+    for seed, got in zip([3, 0, 7], batch):
+        alone = anneal(frustrated_square(), n, sched, 10, seed)
+        assert got.seed == alone.seed == seed
+        assert got.energy == alone.energy
+        assert got.stage_energies == alone.stage_energies
+        assert got.configuration.tobytes() == alone.configuration.tobytes()
+        assert got.gamma_floor_hit == alone.gamma_floor_hit
+
+
 def test_chain_annealing_reaches_ground_state():
-    chain = ferromagnetic_chain(6)
-    sched = anneal_schedule()
-    hits = 0
-    for seed in range(10):
-        r = anneal(chain, 8, sched, sweeps_per_stage=60, seed=seed)
-        hits += abs(r.energy - (-5.0)) < 1e-9
+    results = anneal_batch(ferromagnetic_chain(6), 8, anneal_schedule(), 60, range(10))
+    hits = sum(abs(r.energy - (-5.0)) < 1e-9 for r in results)
     assert hits >= 9
 
 
@@ -417,10 +516,9 @@ def test_frustrated_instance_majority_and_quench_gap():
     eg = ground_energy_enumeration(frus)
     assert eg == -5.0
     sched = anneal_schedule()
-    slow = quench = 0
     seeds = range(20)
-    for seed in seeds:
-        slow += abs(anneal(frus, 8, sched, 60, seed).energy - eg) < 1e-9
-        quench += abs(anneal(frus, 8, [sched[-1]], 60, seed).energy - eg) < 1e-9
-    assert slow > len(list(seeds)) // 2     # majority of seeds
-    assert slow > quench                     # slow beats instant quench
+    slow = sum(abs(r.energy - eg) < 1e-9 for r in anneal_batch(frus, 8, sched, 60, seeds))
+    quench = sum(abs(r.energy - eg) < 1e-9
+                 for r in anneal_batch(frus, 8, [sched[-1]], 60, seeds))
+    assert slow > len(seeds) // 2     # majority of seeds
+    assert slow > quench               # slow beats instant quench
