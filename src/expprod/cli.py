@@ -344,9 +344,7 @@ def cmd_qmc(args) -> int:
     model = load_model(args.model)
     sweeps = _sweep_count("sweeps", args.sweeps)
     therm = _sweep_count("therm", args.therm) if args.therm is not None else sweeps // 5
-    if sweeps - therm < 2:
-        # one kept sweep is one bin, whose error bar is infinite (not JSON)
-        raise ConfigError("qmc needs at least 2 sweeps after thermalization")
+    qmc.check_kept_sweeps(sweeps, therm)
     stats = qmc.metropolis_run(model, args.n, sweeps, therm, args.seed)
     doc = stats.to_json()
     print(json.dumps(doc, indent=2, sort_keys=True))
@@ -389,10 +387,6 @@ def cmd_extrapolate(args) -> int:
     model = load_model(args.model)
     n_list = [int(v) for v in args.n_list.split(",")]
     sweeps = _sweep_count("sweeps", args.sweeps)
-    if sweeps and sweeps - sweeps // 5 < 2:
-        # as in cmd_qmc: one kept sweep is one bin, whose error bar is infinite
-        raise ConfigError("extrapolate needs --sweeps 0 (exact finite-n reference) "
-                          "or at least 2 sweeps after thermalization")
     result = qmc.trotter_extrapolate(model, n_list, sweeps, args.seed,
                                      observable=args.observable)
     doc = {

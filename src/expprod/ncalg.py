@@ -17,7 +17,8 @@ exact rational once at the end.  ``series_mul`` is the plain Fraction
 product, kept as the reference.  A handful of dense-matrix utilities
 (commutator powers, the directional derivative of expm) back the numeric
 identities exercised by the tests; ``frechet_exp`` alone needs scipy,
-which comes with the ``test`` extra.
+which comes with the ``test`` extra.  ``LieCombination.to_json`` is the
+JSON of ``bch``; nothing reads a series back from JSON.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .poly import Coeff, RationalPoly, as_exact, coeff_from_json, coeff_to_json
+from .poly import Coeff, RationalPoly, as_exact, coeff_to_json
 
 Word = tuple[int, ...]
 
@@ -122,22 +123,6 @@ class NcSeries:
             name = "".join(self.labels[i] for i in w) or "I"
             parts.append(f"{self.terms[w]!s}*{name}")
         return " + ".join(parts)
-
-    # -- serialization -----------------------------------------------------
-    def to_json(self) -> dict:
-        words = sorted(self.terms, key=lambda w: (len(w), w))
-        return {
-            "order": self.order,
-            "generators": list(self.labels),
-            "terms": [{"word": list(w), "coeff": coeff_to_json(self.terms[w])}
-                      for w in words],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "NcSeries":
-        terms = {tuple(int(i) for i in entry["word"]): coeff_from_json(entry["coeff"])
-                 for entry in doc["terms"]}
-        return cls(int(doc["order"]), tuple(doc["generators"]), terms)
 
 
 def series_mul(a: NcSeries, b: NcSeries) -> NcSeries:
@@ -487,12 +472,6 @@ class LieCombination:
             "terms": [{"word": list(w), "coeff": coeff_to_json(self.terms[w])}
                       for w in words],
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "LieCombination":
-        terms = {tuple(int(i) for i in e["word"]): coeff_from_json(e["coeff"])
-                 for e in doc["terms"]}
-        return cls(tuple(doc["generators"]), terms)
 
 
 def _coeff_str(c) -> str:

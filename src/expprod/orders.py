@@ -51,25 +51,6 @@ class OrderConditionSet:
     def of_degree(self, degree: int) -> tuple[ConditionEq, ...]:
         return tuple(eq for eq in self.equations if eq.degree == degree)
 
-    def to_json(self) -> dict:
-        return {
-            "parameters": list(self.parameters),
-            "source": {"pattern": self.source[0], "order": self.source[1]},
-            "equations": [
-                {"degree": eq.degree, "word": list(eq.word), "poly": eq.poly.to_json()}
-                for eq in self.equations
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "OrderConditionSet":
-        eqs = tuple(
-            ConditionEq(int(e["degree"]), tuple(int(i) for i in e["word"]),
-                        RationalPoly.from_json(e["poly"]))
-            for e in doc["equations"])
-        return cls(tuple(doc["parameters"]), eqs,
-                   (doc["source"]["pattern"], int(doc["source"]["order"])))
-
 
 @dataclass
 class SolveReport:

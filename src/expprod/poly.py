@@ -216,14 +216,6 @@ class RationalPoly:
             monos.append({"powers": {v: e for v, e in mono}, "coeff": frac_str(c)})
         return {"monomials": monos}
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "RationalPoly":
-        terms: dict[Monomial, Fraction] = {}
-        for entry in doc["monomials"]:
-            mono = _norm_mono(tuple((str(v), int(e)) for v, e in entry["powers"].items()))
-            terms[mono] = terms.get(mono, Fraction(0)) + Fraction(entry["coeff"])
-        return cls(terms)
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -309,10 +301,4 @@ def coeff_to_json(c: Coeff):
     if isinstance(c, RationalPoly):
         return c.to_json()
     return frac_str(c)
-
-
-def coeff_from_json(doc) -> Coeff:
-    if isinstance(doc, str):
-        return Fraction(doc)
-    return as_exact(RationalPoly.from_json(doc))
 

@@ -12,8 +12,11 @@ factors are then applied one by one in application order, so the output
 is bit-identical to building each factor on its own.  Classical side:
 kick and drift are the exact flows of the potential-only and kinetic-only
 Hamiltonians (the generators are nilpotent), so every composed step is
-symplectic.  The deliberately bad baselines (first-order perturbative
-updates) are kept verbatim for comparison runs.
+symplectic.  The deliberately bad first-order baselines for comparison
+runs are built inside ``run_precession`` (the perturbative I - i dt H) and
+``run_umeno`` (the Euler update); ``euler_step`` is that Euler update on
+its own, the tests' reference.  Quantum steppers take their parts as a
+mapping from slot label to matrix or ``HermitianPart``.
 
 The ``cli`` commands only call this module and write what it returns: every
 trajectory run records rows at the steps ``sample_marks`` names, and
@@ -107,15 +110,10 @@ class QuantumState:
         return cls(v)
 
 
-def _parts_map(scheme: Scheme, parts) -> dict[str, HermitianPart]:
-    if isinstance(parts, Mapping):
-        mapping = dict(parts)
-    else:
-        labels = [lab for lab in scheme.slots if lab != "T"]
-        mapping = dict(zip(labels, parts))
-    for lab, p in mapping.items():
-        if not isinstance(p, HermitianPart):
-            mapping[lab] = HermitianPart(p, label=lab)
+def _parts_map(parts: Mapping) -> dict[str, HermitianPart]:
+    """The parts by slot label, each a ``HermitianPart`` (plain matrices are wrapped)."""
+    mapping = {lab: p if isinstance(p, HermitianPart) else HermitianPart(p, label=lab)
+               for lab, p in parts.items()}
     dims = {p.dim for p in mapping.values()}
     if len(dims) != 1:
         raise ValueError("Hamiltonian parts have mismatched dimensions")
@@ -135,7 +133,7 @@ def _static_plan(scheme: Scheme) -> list[tuple[str | CommutatorSpec, float, floa
     return stage_plan(scheme)
 
 
-def stage_unitaries(scheme: Scheme, parts, dt: float) -> list[np.ndarray]:
+def stage_unitaries(scheme: Scheme, parts: Mapping, dt: float) -> list[np.ndarray]:
     """Stage matrices in application (right-to-left) order for exp(-i dt H).
 
     A commutator stage with L leaves applies exp(c (-i dt)^L K), where the
@@ -143,7 +141,7 @@ def stage_unitaries(scheme: Scheme, parts, dt: float) -> list[np.ndarray]:
     taken as exp(-i c dt^L H) with H = (-i)^(L-1) K.  ``eigh`` reads one
     triangle of H, so the factor is unitary whatever roundoff K carries.
     """
-    pm = _parts_map(scheme, parts)
+    pm = _parts_map(parts)
     return [pm[target].expfactor(-1j * c * dt) if isinstance(target, str)
             else _commutator_factor(target, c, dt, pm)
             for target, c, _ in _static_plan(scheme)]
@@ -157,7 +155,7 @@ def _commutator_factor(spec: CommutatorSpec, c: float, dt: float,
     return _hermitian_exp(w, v, -1j * c * dt ** leaves)
 
 
-def step_operator(scheme: Scheme, parts, dt: float) -> np.ndarray:
+def step_operator(scheme: Scheme, parts: Mapping, dt: float) -> np.ndarray:
     """The full one-step propagator (product of stage exponentials)."""
     mats = stage_unitaries(scheme, parts, dt)
     out = mats[0]
@@ -166,28 +164,19 @@ def step_operator(scheme: Scheme, parts, dt: float) -> np.ndarray:
     return out
 
 
-def unitary_step(scheme: Scheme, parts, dt: float, psi: QuantumState) -> QuantumState:
+def unitary_step(scheme: Scheme, parts: Mapping, dt: float, psi: QuantumState) -> QuantumState:
     """One scheme step exp(-i dt H)-style applied to the state.
 
     A letter stage acts in its part's cached eigenbasis, O(N^2) and with no
     N x N temporary; a commutator stage applies the factor of its bracket.
     """
-    pm = _parts_map(scheme, parts)
+    pm = _parts_map(parts)
     v = psi.vector
     for target, c, _ in _static_plan(scheme):
         if isinstance(target, str):
             v = pm[target].apply_exp(-1j * c * dt, v)
         else:
             v = _commutator_factor(target, c, dt, pm) @ v
-    return QuantumState(v)
-
-
-def perturbative_step(parts, dt: float, psi: QuantumState) -> QuantumState:
-    """The norm-breaking first-order update psi <- (I - i dt (A+B)) psi."""
-    mats = [p.matrix if isinstance(p, HermitianPart) else np.asarray(p, dtype=complex)
-            for p in (parts.values() if isinstance(parts, Mapping) else parts)]
-    h = sum(mats[1:], start=mats[0])
-    v = psi.vector - 1j * dt * (h @ psi.vector)
     return QuantumState(v)
 
 
@@ -422,11 +411,15 @@ class TimeDependentParts:
 
 
 def run_timeordered(scheme3: Scheme, parts: TimeDependentParts, t0: float,
-                    dt: float, steps: int, psi: QuantumState) -> QuantumState:
-    """``steps`` steps of a three-slot (A, B, T) scheme on a driven system.
+                    dt: float, steps: int, psi: QuantumState, *,
+                    first: int = 0) -> QuantumState:
+    """Steps ``first`` .. ``first + steps - 1`` of a three-slot (A, B, T)
+    scheme on a driven system.
 
     The shift-time slot is consumed into stage offsets tau; in step k each
     remaining stage applies exp(-i c dt X(t0 + k dt + tau dt)), right to left.
+    So a run split into segments, each passing its first step index and the
+    same ``t0``, gives every bit of one run over all the steps.
     The factors are built per chunk of (step, stage) pairs, at most
     ``_CHUNK_BYTES`` of them, with one stacked ``eigh``; applying them one
     by one keeps every bit of the one-factor-at-a-time product.
@@ -436,7 +429,7 @@ def run_timeordered(scheme3: Scheme, parts: TimeDependentParts, t0: float,
     plan = stage_plan(scheme3)
     v = psi.vector
     stages = ((slot, t0 + k * dt + tau * dt, -1j * c * dt)
-              for k in range(steps) for slot, c, tau in plan)
+              for k in range(first, first + steps) for slot, c, tau in plan)
     per_chunk = max(1, _CHUNK_BYTES // (16 * v.size * v.size))
     while chunk := list(islice(stages, per_chunk)):
         slots, times, zs = zip(*chunk)
@@ -467,7 +460,7 @@ def run_driven(scheme3: Scheme, dt: float, steps: int, sample_every: int = 10,
     rows = [row(0)]
     marks = sample_marks(steps, sample_every)
     for k, k_next in zip(marks, marks[1:]):
-        psi = run_timeordered(scheme3, parts, t0 + k * dt, dt, k_next - k, psi)
+        psi = run_timeordered(scheme3, parts, t0, dt, k_next - k, psi, first=k)
         rows.append(row(k_next))
     return rows
 

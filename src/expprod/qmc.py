@@ -180,7 +180,6 @@ class RunStats:
     seed: int
     acceptance: float
     bond_zz: list[ObservableStats]
-    layer_mag: list[ObservableStats]
     trotter_corr: ObservableStats
     diag_energy: ObservableStats
     sigma_x: ObservableStats
@@ -196,7 +195,6 @@ class RunStats:
             "sweeps": self.sweeps, "therm": self.therm, "n": self.n,
             "seed": self.seed, "acceptance": self.acceptance,
             "bond_zz": [obs(o) for o in self.bond_zz],
-            "layer_mag": [obs(o) for o in self.layer_mag],
             "trotter_corr": obs(self.trotter_corr),
             "diag_energy": obs(self.diag_energy),
             "sigma_x": obs(self.sigma_x),
@@ -388,6 +386,14 @@ class _Sampler:
 _BLOCK_BYTES = 1 << 20
 
 
+def check_kept_sweeps(sweeps: int, therm: int) -> None:
+    """Refuse a binned run of a negative ``therm`` or fewer than 2 kept
+    sweeps: one kept sweep is one bin, whose error bar is infinite."""
+    if therm < 0 or sweeps - therm < 2:
+        raise ValueError("a binned run needs therm >= 0 and at least 2 sweeps "
+                         "after thermalization")
+
+
 def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
                    seed: int) -> RunStats:
     """Sample the mapped system; one sweep is one flip attempt per spin and,
@@ -397,7 +403,9 @@ def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
     fully determines the run.  Kept spin fields are copied into a block of at
     most ``_BLOCK_BYTES``, and ``_worldline_sums`` reads each full block once.
     Statistical errors come from 20 equal bins of the post-thermalization
-    trace, which is also returned whole in ``RunStats.traces``.
+    trace, which is also returned whole in ``RunStats.traces``.  One kept
+    sweep is allowed, for timing; a run whose errors are reported passes
+    ``check_kept_sweeps`` first.
     """
     if not sweeps > therm >= 0:
         raise ValueError("need sweeps > therm >= 0")
@@ -408,7 +416,6 @@ def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
                      dtype=np.int8)
     bond = np.empty((keep, len(model.bonds)), dtype=np.int64)
     ring = np.empty(keep, dtype=np.int64)
-    mag_tr = np.empty((keep, n))
     configs: list[int] = []
     for k in range(sweeps):
         sampler.sweep()
@@ -421,7 +428,6 @@ def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
             rows = slice(r - row, r + 1)
             fields = block[:row + 1]
             bond[rows], ring[rows] = _worldline_sums(model, fields)
-            mag_tr[rows] = fields.mean(axis=1, dtype=float)
             # spin (i, m) is bit i*n + m; Python ints, so exact at any size
             bits = np.packbits(fields.reshape(len(fields), -1) > 0, axis=1, bitorder="little")
             configs.extend(int.from_bytes(word.tobytes(), "little") for word in bits)
@@ -441,7 +447,6 @@ def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
         sweeps=sweeps, therm=therm, n=n, seed=seed,
         acceptance=sampler.accept / sampler.attempt,
         bond_zz=[_binned(zz) for zz in bond_tr.T],
-        layer_mag=[_binned(mag_tr[:, m]) for m in range(n)],
         trotter_corr=_binned(tc_tr),
         diag_energy=_binned(de_tr),
         sigma_x=_binned(sx_tr),
@@ -658,6 +663,8 @@ def trotter_extrapolate(model: IsingModel, n_list: Sequence[int], sweeps: int,
     """
     if observable == "bond_zz" and not model.bonds:
         raise ValueError("bond_zz needs a model with at least one bond")
+    if sweeps:
+        check_kept_sweeps(sweeps, sweeps // 5)
     values, errors = [], []
     for k, n in enumerate(n_list):
         if sweeps == 0:

@@ -14,6 +14,8 @@ Numeric work reads each constant's 17-significant-digit decimal through
 ``CATALOG`` is the one list of scheme names: it maps each name to a
 zero-argument constructor whose scheme carries that name, so a caller
 builds only the scheme it asks for; ``catalog()`` builds them all.
+``Scheme.to_json`` is the JSON of ``scheme show``; no code reads it
+back, so only ``fractal_constant`` registers algebraic constants.
 """
 
 from __future__ import annotations
@@ -165,15 +167,6 @@ class CommutatorSpec:
 
         return conv(self.tree)
 
-    @classmethod
-    def from_json(cls, doc, x_power: int) -> "CommutatorSpec":
-        def conv(t):
-            if isinstance(t, str):
-                return t
-            return (conv(t[0]), conv(t[1]))
-
-        return cls(conv(doc), x_power)
-
 
 def _tree_depth(tree) -> int:
     if isinstance(tree, str):
@@ -305,27 +298,6 @@ class Scheme:
                 for n in sorted(constants)
             }
         return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Scheme":
-        for n, spec in (doc.get("constants") or {}).items():
-            if n not in _CONSTANTS:
-                _CONSTANTS[n] = AlgebraicConstant(
-                    n, [Fraction(c) for c in spec["poly"]],
-                    Fraction(spec["bracket"][0]), Fraction(spec["bracket"][1]))
-        stages = []
-        for entry in doc["stages"]:
-            # "coeff" alone is read exactly, a decimal string included
-            coeff = (as_exact(RationalPoly.from_json(entry["coeff_poly"]))
-                     if "coeff_poly" in entry else Fraction(entry["coeff"]))
-            if "commutator" in entry:
-                target: Union[int, CommutatorSpec] = CommutatorSpec.from_json(
-                    entry["commutator"], int(entry["x_power"]))
-            else:
-                target = int(entry["slot"])
-            stages.append(Stage(target, coeff))
-        return cls(tuple(doc["slots"]), tuple(stages), int(doc["order"]),
-                   name=doc.get("name", ""))
 
 
 # ---------------------------------------------------------------------------

@@ -426,31 +426,19 @@ def test_frechet_dimension_mismatch():
 # serialization
 # ---------------------------------------------------------------------------
 
-def test_series_json_round_trip():
-    log = product_log([("A", Fraction(1, 2)), ("B", 1), ("A", Fraction(1, 2))], 3, AB)
-    doc = log.to_json()
-    assert doc["generators"] == ["A", "B"]
-    assert NcSeries.from_json(doc) == log
-
-
-def test_series_json_format_matches_contract():
-    s = NcSeries(3, AB, {(0, 1, 1): Fraction(1, 12)})
-    doc = s.to_json()
-    assert doc == {"order": 3, "generators": ["A", "B"],
-                   "terms": [{"word": [0, 1, 1], "coeff": "1/12"}]}
-
-
 def test_lie_combination_json_round_trip():
+    # BCH to degree 3: A + B + 1/2 [A,B] + 1/12 [A,[A,B]] + 1/12 [[A,B],B]
     combo = lie_project(product_log([("A", 1), ("B", 1)], 3, AB))
-    doc = combo.to_json()
-    back = LieCombination.from_json(doc)
-    assert back == combo
+    assert combo.to_json() == {
+        "order": 3, "generators": ["A", "B"],
+        "terms": [{"word": [0], "coeff": "1"}, {"word": [1], "coeff": "1"},
+                  {"word": [0, 1], "coeff": "1/2"}, {"word": [0, 0, 1], "coeff": "1/12"},
+                  {"word": [0, 1, 1], "coeff": "1/12"}]}
 
 
 def test_symbolic_coefficient_serialization():
-    from expprod.poly import RationalPoly
-
-    s = NcSeries(2, AB, {(0,): RationalPoly.var("p1") * Fraction(-2, 3)})
-    doc = s.to_json()
-    assert doc["terms"][0]["coeff"] == {"monomials": [{"powers": {"p1": 1}, "coeff": "-2/3"}]}
-    assert NcSeries.from_json(doc) == s
+    combo = LieCombination(AB, {(0,): RationalPoly.var("p1") * Fraction(-2, 3)})
+    doc = combo.to_json()
+    assert doc["order"] == 1 and doc["generators"] == ["A", "B"]
+    assert doc["terms"] == [{"word": [0], "coeff": {"monomials": [
+        {"powers": {"p1": 1}, "coeff": "-2/3"}]}}]

@@ -110,16 +110,6 @@ def test_even_conditions_vanish_under_palindromic_parameters():
     assert eq2.subs("p3", RationalPoly.var("p1")).is_zero()
 
 
-def test_conditions_json_round_trip():
-    conds = order_conditions("ABAB", 3)
-    doc = conds.to_json()
-    back = OrderConditionSet.from_json(doc)
-    assert back.parameters == conds.parameters
-    assert back.source == conds.source
-    assert all(a.poly == b.poly and a.word == b.word
-               for a, b in zip(back.equations, conds.equations))
-
-
 # ---------------------------------------------------------------------------
 # verify_order
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from expprod.poly import RationalPoly, as_exact, coeff_from_json, coeff_to_json, frac_str
+from expprod.poly import RationalPoly, as_exact, coeff_to_json, frac_str
 
 
 def p(name):
@@ -55,8 +55,10 @@ def test_json_round_trip():
     q = Fraction(-2, 3) * p("p1") + p("p2") ** 2 * Fraction(1, 12)
     doc = q.to_json()
     assert {"powers": {"p1": 1}, "coeff": "-2/3"} in doc["monomials"]
-    assert RationalPoly.from_json(doc) == q
-    assert coeff_from_json(coeff_to_json(Fraction(1, 12))) == Fraction(1, 12)
+    assert {"powers": {"p2": 2}, "coeff": "1/12"} in doc["monomials"]
+    assert len(doc["monomials"]) == 2
+    assert coeff_to_json(q) == doc
+    assert coeff_to_json(Fraction(1, 12)) == "1/12"
 
 
 def test_frac_str_decimal_free():

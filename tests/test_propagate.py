@@ -10,7 +10,7 @@ from expprod.propagate import (
     SeparableHamiltonian, TimeDependentParts, convergence, dominant_period, driven_error,
     driven_two_level, drift, error_slope, euler_step,
     hermitian_pair_error, jacobian_determinant, kick, perturbational_composition,
-    perturbative_step, precession_period, run_precession, run_timeordered,
+    precession_period, run_precession, run_timeordered,
     run_umeno, sample_marks, spin_error, spin_parts, stage_unitaries, step_count,
     step_operator, symplectic_step, transverse_coupling_coefficient, umeno_hamiltonian,
     unitary_step,
@@ -97,13 +97,12 @@ def test_norm_preserved_over_a_million_steps():
 
 
 def test_perturbative_step_norm_growth():
-    psi = QuantumState.up(2)
     dt = 1e-4
-    out = perturbative_step(spin_parts(GAMMA), dt, psi)
+    norm = run_precession("perturbative", GAMMA, dt, 1, 1)[1][2]
     # ||psi'||^2 = 1 + dt^2 <H^2> with <H^2> = 1 + gamma^2 for the up state
     expected = math.sqrt(1 + dt ** 2 * (1 + GAMMA ** 2))
-    assert out.norm == pytest.approx(expected, abs=1e-12)
-    assert out.norm > 1
+    assert norm == pytest.approx(expected, abs=1e-12)
+    assert norm > 1
 
 
 def test_perturbative_energy_drifts_upward():
@@ -479,6 +478,20 @@ def test_run_timeordered_is_repeated_single_steps(g):
     for k in range(6):
         psi = run_timeordered(g, parts, t0 + k * dt, dt, 1, psi)
     run = run_timeordered(g, parts, t0, dt, 6, QuantumState.up(2))
+    assert np.array_equal(run.vector, psi.vector)
+
+
+def test_run_timeordered_segments_from_a_first_step_index():
+    # segments that keep t0 and pass their first step index rebuild one run
+    # bit for bit
+    g, parts = timeordered4(), _random_driven_parts(3, seed=5)
+    t0, dt, steps = 0.3, 0.02, 50
+    psi0 = QuantumState(np.eye(3, dtype=complex)[0])
+    run = run_timeordered(g, parts, t0, dt, steps, psi0)
+    marks = sample_marks(steps, 7)
+    psi = psi0
+    for k, k_next in zip(marks, marks[1:]):
+        psi = run_timeordered(g, parts, t0, dt, k_next - k, psi, first=k)
     assert np.array_equal(run.vector, psi.vector)
 
 

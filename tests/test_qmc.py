@@ -12,7 +12,7 @@ from expprod.qmc import (
     anneal, anneal_batch, anneal_schedule, classical_action, couplings, diagonal_energy,
     enumeration_reference, exact_reference, extrapolate_values, ferromagnetic_chain,
     frustrated_square, ground_energy_enumeration, hamiltonian_parts, matrix_trace_bond_zz,
-    metropolis_run, sigma_x_estimator_coeffs, trotter_extrapolate,
+    check_kept_sweeps, metropolis_run, sigma_x_estimator_coeffs, trotter_extrapolate,
 )
 
 MODELS = Path(__file__).resolve().parent.parent / "scripts" / "models"
@@ -346,6 +346,23 @@ def test_determinism_bit_identical():
     a = metropolis_run(PAIR, 8, sweeps=3000, therm=500, seed=9)
     b = metropolis_run(PAIR, 8, sweeps=3000, therm=500, seed=9)
     assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
+
+
+def test_run_record_does_not_grow_with_n():
+    # the JSON record holds per-bond and scalar statistics, nothing per layer
+    small, large = (metropolis_run(PAIR, n, 200, 40, 1).to_json() for n in (4, 64))
+    assert small.keys() == large.keys()
+    for doc in (small, large):
+        assert all(len(v) <= len(PAIR.bonds) for v in doc.values() if isinstance(v, list))
+
+
+def test_kept_sweeps_rule():
+    check_kept_sweeps(3, 1)
+    for sweeps, therm in ((2, 1), (1, 0), (5, -1)):
+        with pytest.raises(ValueError, match="at least 2 sweeps after thermalization"):
+            check_kept_sweeps(sweeps, therm)
+    with pytest.raises(ValueError, match="at least 2 sweeps after thermalization"):
+        trotter_extrapolate(PAIR, [4, 6, 8], 1, 0)
 
 
 def test_accumulated_action_matches_full_recompute():
