@@ -3,6 +3,9 @@
 A command parses its flags, calls the library and writes what it returns;
 the numerics, such as the convergence study and the rule for which steps a
 trajectory records, live in ``propagate`` and the other library modules.
+Tables are formatted and written only here, line by line: ``write_csv``
+streams any iterable of rows to a file, and the tables printed to stdout
+come from the same line formatter.
 Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence
 or an arithmetic error such as an overflow (with JSON diagnostics on
 stdout).  Every file-writing run also writes a manifest echoing every
@@ -14,6 +17,7 @@ across reruns at a fixed seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -64,11 +68,16 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
+def _csv_lines(rows):
+    """One CSV line per row: a float to 17 significant digits, anything else by ``str``."""
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+        yield ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Write the header, then each row of any iterable, one line at a time."""
+    with open(path, "w", newline="\n") as f:
+        f.writelines(_csv_lines(itertools.chain([header], rows)))
 
 
 def write_manifest(args, **resolved) -> None:
@@ -161,7 +170,7 @@ def load_model(path: str) -> qmc.IsingModel:
     try:
         doc = json.loads(Path(path).read_text())
         return qmc.IsingModel.from_json(doc)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot load model file {path}: {exc}") from exc
 
 
@@ -262,14 +271,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_family(args) -> int:
-    grid = parse_range(args.p6)
-    points = orders.ruth_family(grid)
-    csv_text = orders.family_csv(points)
+    header = ["p6", "p1", "p2", "p3", "p4", "p5", "max_residual", "converged"]
+    rows = [(pt.p6, *(pt.solution[p] for p in header[1:6]), pt.max_residual,
+             "true" if pt.converged else "false")
+            for pt in orders.ruth_family(parse_range(args.p6))]
     if args.out:
-        Path(args.out).write_text(csv_text, newline="\n")
+        write_csv(args.out, header, rows)
         write_manifest(args)
     else:
-        sys.stdout.write(csv_text)
+        sys.stdout.writelines(_csv_lines([header, *rows]))
     return 0
 
 
@@ -309,8 +319,7 @@ def _emit_trajectory(args, header: list[str], rows) -> int:
         write_csv(args.out, header, rows)
         write_manifest(args)
     else:
-        for r in rows[:10]:
-            print(",".join(_fmt(v) for v in r))
+        sys.stdout.writelines(_csv_lines(rows[:10]))
     return 0
 
 
@@ -349,11 +358,10 @@ def cmd_qmc(args) -> int:
     doc = stats.to_json()
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.out:
-        Path(str(args.out) + ".json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        Path(f"{args.out}.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         names = ["bond_zz", "trotter_corr", "diag_energy", "sigma_x"]
-        rows = list(zip(range(therm, sweeps), *(stats.traces[nm] for nm in names)))
-        write_csv(str(args.out) + ".traces.csv", ["sweep"] + names,
-                  [(int(r[0]),) + tuple(float(v) for v in r[1:]) for r in rows])
+        write_csv(f"{args.out}.traces.csv", ["sweep", *names],
+                  zip(range(therm, sweeps), *(stats.traces[nm] for nm in names)))
         write_manifest(args, sweeps=sweeps, therm=therm)
     return 0
 

@@ -4,14 +4,14 @@ The condition generator runs the series logarithm of a stage pattern with
 symbolic coefficients and Lie-projects each homogeneous component; every
 Lyndon-word coefficient that must vanish (and the degree-1 sum-to-one
 conditions) becomes one polynomial equation.  The solver is a damped
-least-squares Newton iteration with exact polynomial gradients.
+least-squares Newton iteration with exact polynomial gradients.  The module
+returns equations, reports and family points; it formats nothing (the CLI
+writes every table).
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -24,6 +24,9 @@ from .schemes import Scheme
 # Truncation cap of the exact series work: condition generation and
 # order verification refuse a higher target order.
 MAX_ORDER = 9
+# Newton converges at a largest residual <= SOLVE_TOL within SOLVE_MAX_ITER steps.
+SOLVE_TOL = 1e-13
+SOLVE_MAX_ITER = 200
 
 
 def _check_order(m: int) -> None:
@@ -46,7 +49,6 @@ class ConditionEq:
 class OrderConditionSet:
     parameters: tuple[str, ...]
     equations: tuple[ConditionEq, ...]
-    source: tuple[str, int]
 
     def of_degree(self, degree: int) -> tuple[ConditionEq, ...]:
         return tuple(eq for eq in self.equations if eq.degree == degree)
@@ -94,7 +96,7 @@ def order_conditions(pattern: str, m: int) -> OrderConditionSet:
                 continue
             coeff = comp.terms.get(lw, Fraction(0))
             equations.append(ConditionEq(degree, lw, _as_poly(coeff)))
-    return OrderConditionSet(params, tuple(equations), (pattern, m))
+    return OrderConditionSet(params, tuple(equations))
 
 
 def _as_poly(c) -> RationalPoly:
@@ -141,8 +143,7 @@ def _is_zero(diff, exact: bool, scale: float) -> bool:
 
 
 def solve(conds: OrderConditionSet, fixed: Mapping[str, object] | None = None,
-          guess: Mapping[str, float] | None = None,
-          tol: float = 1e-13, max_iter: int = 200) -> SolveReport:
+          guess: Mapping[str, float] | None = None) -> SolveReport:
     """Damped least-squares Newton on the condition polynomials.
 
     ``fixed`` pins parameters (the usual way to cut a one-parameter family
@@ -189,7 +190,7 @@ def solve(conds: OrderConditionSet, fixed: Mapping[str, object] | None = None,
     iterations = 0
     message = ""
     nudges = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, SOLVE_MAX_ITER + 1):
         if not free:
             break
         a = assignment(x)
@@ -209,7 +210,7 @@ def solve(conds: OrderConditionSet, fixed: Mapping[str, object] | None = None,
                 break
             lam *= 0.5
         if not improved:
-            if best > tol and nudges < 3:
+            if best > SOLVE_TOL and nudges < 3:
                 # Stationary point of the residual norm away from any root
                 # (e.g. a vanishing derivative at the guess): take a fixed
                 # deterministic sidestep and keep going.
@@ -221,19 +222,20 @@ def solve(conds: OrderConditionSet, fixed: Mapping[str, object] | None = None,
             message = "stalled (no descent along Newton direction)"
             break
         best = float(np.max(np.abs(r))) if r.size else 0.0
-        if best == 0.0 or (best <= tol and np.linalg.norm(lam * step) <= 1e-15 * (1 + np.linalg.norm(x))):
+        if best == 0.0 or (best <= SOLVE_TOL and np.linalg.norm(lam * step) <= 1e-15 * (1 + np.linalg.norm(x))):
             break
     solution = assignment(x)
-    converged = best <= tol
+    converged = best <= SOLVE_TOL
     return SolveReport(solution={p: solution[p] for p in conds.parameters},
                        residuals=tuple(float(v) for v in r),
                        iterations=iterations, converged=converged, message=message)
 
 
-def rationalize_solution(conds: OrderConditionSet, solution: Mapping[str, float],
-                         max_denominator: int = 10 ** 6) -> dict[str, Fraction] | None:
-    """Snap a float solution to small rationals if they satisfy the system exactly."""
-    candidate = {p: Fraction(solution[p]).limit_denominator(max_denominator)
+def rationalize_solution(conds: OrderConditionSet,
+                         solution: Mapping[str, float]) -> dict[str, Fraction] | None:
+    """Snap a float solution to rationals with denominators up to 10**6 if they
+    satisfy the system exactly."""
+    candidate = {p: Fraction(solution[p]).limit_denominator(10 ** 6)
                  for p in conds.parameters}
     compiled = CompiledPolys((eq.poly for eq in conds.equations), conds.parameters)
     if any(n for n, _ in compiled.ratios(candidate.values())):
@@ -244,53 +246,33 @@ def rationalize_solution(conds: OrderConditionSet, solution: Mapping[str, float]
 @dataclass
 class FamilyPoint:
     p6: float
-    solution: dict[str, float] = field(default_factory=dict)
-    max_residual: float = float("inf")
-    converged: bool = False
+    solution: dict[str, float]
+    max_residual: float
+    converged: bool
 
 
-def ruth_family(p6_values: Sequence[float], pattern: str = "ABABAB") -> list[FamilyPoint]:
-    """Trace the one-parameter third-order solution family by continuation.
+def ruth_family(p6_values: Sequence[float]) -> list[FamilyPoint]:
+    """Trace Ruth's one-parameter family of third-order ABABAB solutions.
 
-    Each grid value pins the last stage coefficient; the solve starts from
-    the previous converged point (the known third-order solution seeds the
-    point nearest to it).  Failed points are flagged and continuation
+    Each grid value pins the last stage coefficient p6; the solve starts
+    from the previous converged point (Ruth's solution seeds the point
+    nearest to p6 = 1).  Failed points are flagged and continuation
     restarts from the nearest converged neighbor.
     """
-    conds = order_conditions(pattern, 3)
-    last = conds.parameters[-1]
-    seeds = {"p1": 7.0 / 24.0, "p2": 2.0 / 3.0, "p3": 0.75, "p4": -2.0 / 3.0,
-             "p5": -1.0 / 24.0}
-    p6_list = list(p6_values)
-    points = [FamilyPoint(p6=float(v)) for v in p6_list]
-    order = sorted(range(len(p6_list)), key=lambda i: abs(p6_list[i] - 1.0))
-    current = dict(seeds)
+    conds = order_conditions("ABABAB", 3)
+    p6_list = [float(v) for v in p6_values]
+    points: list[FamilyPoint | None] = [None] * len(p6_list)
+    current = {"p1": 7.0 / 24.0, "p2": 2.0 / 3.0, "p3": 0.75, "p4": -2.0 / 3.0,
+               "p5": -1.0 / 24.0}
     solved: list[tuple[float, dict[str, float]]] = []
     # sweep outward from the seed-nearest grid point
-    for idx in order:
+    for idx in sorted(range(len(p6_list)), key=lambda i: abs(p6_list[i] - 1.0)):
         p6 = p6_list[idx]
         if solved:
-            nearest = min(solved, key=lambda sv: abs(sv[0] - p6))
-            current = dict(nearest[1])
-        report = solve(conds, fixed={last: p6}, guess=current)
-        pt = points[idx]
-        pt.max_residual = report.max_residual
-        pt.converged = report.converged
-        pt.solution = {p: report.solution[p] for p in conds.parameters}
+            current = dict(min(solved, key=lambda sv: abs(sv[0] - p6))[1])
+        report = solve(conds, fixed={"p6": p6}, guess=current)
+        solution = {p: report.solution[p] for p in conds.parameters}
+        points[idx] = FamilyPoint(p6, solution, report.max_residual, report.converged)
         if report.converged:
-            solved.append((p6, {p: report.solution[p] for p in conds.parameters if p != last}))
+            solved.append((p6, {p: v for p, v in solution.items() if p != "p6"}))
     return points
-
-
-def family_csv(points: Sequence[FamilyPoint]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["p6", "p1", "p2", "p3", "p4", "p5", "max_residual", "converged"])
-    for pt in points:
-        row = [f"{pt.p6:.17g}"]
-        for p in ("p1", "p2", "p3", "p4", "p5"):
-            row.append(f"{pt.solution.get(p, float('nan')):.17g}")
-        row.append(f"{pt.max_residual:.17g}")
-        row.append("true" if pt.converged else "false")
-        writer.writerow(row)
-    return buf.getvalue()

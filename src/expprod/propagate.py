@@ -270,7 +270,6 @@ class SeparableHamiltonian:
     grad_v: Callable[[np.ndarray], np.ndarray]
     kinetic: Callable[[np.ndarray], float]
     potential: Callable[[np.ndarray], float]
-    dim: int
 
     def energy(self, x: PhasePoint) -> float:
         return float(self.kinetic(x.p) + self.potential(x.q))
@@ -319,7 +318,6 @@ def umeno_hamiltonian() -> SeparableHamiltonian:
         grad_v=lambda q: np.array([q[0] * q[1] ** 2, q[0] ** 2 * q[1]]),
         kinetic=lambda p: 0.5 * float(p @ p),
         potential=lambda q: 0.5 * float(q[0] ** 2 * q[1] ** 2),
-        dim=2,
     )
 
 
@@ -327,21 +325,20 @@ UMENO_IC = PhasePoint(np.zeros(2), np.array([2.0, 1.0]))
 
 
 def run_umeno(method, dt: float = 1e-4, steps: int = 1_000_000,
-              sample_every: int = 1000, x0: PhasePoint = UMENO_IC):
-    """Time series (t, E, q1, q2) at ``sample_marks`` for the chaotic two-dof demo.
+              sample_every: int = 1000):
+    """Time series (t, E, q1, q2) at ``sample_marks`` for the chaotic two-dof
+    demo, from ``UMENO_IC``.
 
     ``method`` is a two-slot Scheme (kick/drift composition) or "euler".
     """
-    h = umeno_hamiltonian()
-    rows = [(0.0, h.energy(x0), float(x0.q[0]), float(x0.q[1]))]
+    (p1, p2), (q1, q2) = UMENO_IC.p.tolist(), UMENO_IC.q.tolist()
+    rows = [(0.0, umeno_hamiltonian().energy(UMENO_IC), q1, q2)]
     if isinstance(method, str):
         if method != "euler":
             raise ValueError(f"unknown method {method!r}")
         stepper = None
     else:
         stepper = [(kind, c * dt) for kind, c in _kick_drift_plan(method)]
-    p1, p2 = float(x0.p[0]), float(x0.p[1])
-    q1, q2 = float(x0.q[0]), float(x0.q[1])
     marks = sample_marks(steps, sample_every)
     for k, k_next in zip(marks, marks[1:]):
         for _ in range(k_next - k):
@@ -363,9 +360,9 @@ def run_umeno(method, dt: float = 1e-4, steps: int = 1_000_000,
     return rows
 
 
-def jacobian_determinant(step: Callable[[PhasePoint], PhasePoint], x: PhasePoint,
-                         h: float = 1e-6) -> float:
-    """det of the phase-space Jacobian of a map, by central differences."""
+def jacobian_determinant(step: Callable[[PhasePoint], PhasePoint], x: PhasePoint) -> float:
+    """det of the phase-space Jacobian of a map, by central differences of width 1e-6."""
+    h = 1e-6
     base = np.concatenate([x.p, x.q])
     n = base.size
     jac = np.zeros((n, n))
@@ -481,13 +478,13 @@ def _principal_log_symmetric(mat: np.ndarray) -> np.ndarray:
     return (v * np.log(w)) @ v.conj().T
 
 
-def transverse_coupling_coefficient(x: float, eps: float = 1e-6) -> float:
+def transverse_coupling_coefficient(x: float) -> float:
     """First-order transverse response of the symmetric weak-field product.
 
     Numerically extracts the sigma_x component of dPhi/dgamma at gamma = 0,
     where exp(Phi(x, gamma)) = exp(x gamma sx/2) exp(x sz) exp(x gamma sx/2),
-    via a central difference and the principal matrix logarithm, divided
-    by x.  The closed form is x*coth(x).
+    via a central difference of half-width 1e-6 and the principal matrix
+    logarithm, divided by x.  The closed form is x*coth(x).
     """
     if x == 0:
         return 1.0
@@ -501,7 +498,7 @@ def transverse_coupling_coefficient(x: float, eps: float = 1e-6) -> float:
         phi = _principal_log_symmetric(cap @ mid @ cap)
         return float(np.trace(sx @ phi).real) / 2.0
 
-    derivative = (sigx_component(eps) - sigx_component(-eps)) / (2 * eps)
+    derivative = (sigx_component(1e-6) - sigx_component(-1e-6)) / 2e-6
     return derivative / x
 
 
@@ -550,16 +547,15 @@ def hermitian_pair_error(scheme: Scheme, a: np.ndarray, b: np.ndarray,
     return float(np.linalg.norm(u_total @ psi0 - u_exact @ psi0))
 
 
-def driven_error(scheme3: Scheme, dt: float, t_final: float,
-                 refine: int = 1024) -> float:
+def driven_error(scheme3: Scheme, dt: float, t_final: float) -> float:
     """G-scheme error on the driven two-level system vs tiny-step reference.
 
-    The reference is the second-order time-ordered scheme at dt/refine.
+    The reference is the second-order time-ordered scheme at dt/1024.
     """
     parts = driven_two_level()
     steps = step_count(t_final, dt)
     psi = run_timeordered(scheme3, parts, 0.0, dt, steps, QuantumState.up(2))
-    ref = run_timeordered(timeordered2(), parts, 0.0, dt / refine, steps * refine,
+    ref = run_timeordered(timeordered2(), parts, 0.0, dt / 1024, steps * 1024,
                           QuantumState.up(2))
     return float(np.linalg.norm(psi.vector - ref.vector))
 

@@ -33,7 +33,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,10 +66,21 @@ class IsingModel:
             raise ValueError("inverse temperature must be positive")
 
     @classmethod
-    def from_json(cls, doc: Mapping) -> "IsingModel":
-        return cls(sites=int(doc["sites"]),
-                   bonds=tuple((int(i), int(j), float(jij)) for i, j, jij in doc["bonds"]),
-                   gamma=float(doc["gamma"]), beta=float(doc["beta"]))
+    def from_json(cls, doc) -> "IsingModel":
+        """The model of a parsed JSON document: sites and bond ends must be JSON
+        integers, the rest JSON numbers (a bool is neither), or ValueError."""
+        if not isinstance(doc, dict):
+            raise ValueError("a model must be a JSON object")
+        bonds = doc["bonds"]
+        if not (isinstance(bonds, list)
+                and all(isinstance(b, list) and len(b) == 3 for b in bonds)):
+            raise ValueError("bonds must be a list of [i, j, weight] triples")
+        return cls(sites=_json_number(doc["sites"], "sites", int),
+                   bonds=tuple((_json_number(i, "a bond end", int),
+                                _json_number(j, "a bond end", int),
+                                _json_number(w, "a bond weight")) for i, j, w in bonds),
+                   gamma=_json_number(doc["gamma"], "gamma"),
+                   beta=_json_number(doc["beta"], "beta"))
 
     def to_json(self) -> dict:
         return {"sites": self.sites,
@@ -84,6 +95,14 @@ class IsingModel:
         """Index arrays of the bonds' first and second sites, in bond order."""
         ends = np.array([(i, j) for i, j, _ in self.bonds], dtype=np.intp).reshape(-1, 2)
         return ends[:, 0], ends[:, 1]
+
+
+def _json_number(value, name: str, kind: type = float):
+    """``value`` as ``kind``: a JSON integer for ``int``, any JSON number for ``float``."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return kind(value)
 
 
 class FrozenTrotterError(ValueError):
@@ -203,10 +222,10 @@ class RunStats:
         }
 
 
-def _binned(trace: np.ndarray, nbins: int = 20) -> ObservableStats:
+def _binned(trace: np.ndarray) -> ObservableStats:
+    """Mean and error of 20 equal bins (one per entry of a shorter trace)."""
     m = len(trace)
-    if m < nbins:
-        nbins = max(1, m)
+    nbins = min(20, max(1, m))
     size = m // nbins
     trimmed = trace[m - nbins * size:]
     means = trimmed.reshape(nbins, size).mean(axis=1)
@@ -681,6 +700,10 @@ def trotter_extrapolate(model: IsingModel, n_list: Sequence[int], sweeps: int,
 # Annealing
 # ---------------------------------------------------------------------------
 
+# the field a schedule's Gamma = 0 runs at
+GAMMA_FLOOR = 1e-6
+
+
 @dataclass
 class AnnealResult:
     energy: float
@@ -691,12 +714,11 @@ class AnnealResult:
 
 
 def anneal_batch(model: IsingModel, n: int, gamma_schedule: Sequence[float],
-                 sweeps_per_stage: int, seeds: Sequence[int],
-                 gamma_floor: float = 1e-6) -> list[AnnealResult]:
+                 sweeps_per_stage: int, seeds: Sequence[int]) -> list[AnnealResult]:
     """Quantum annealing on the mapped system, one replica per seed.
 
     The field is ramped down stagewise.  The schedule must be strictly
-    decreasing; a final Gamma of 0 is clamped to a small floor (the
+    decreasing; a final Gamma of 0 is clamped to ``GAMMA_FLOOR`` (the
     inter-layer coupling diverges at 0).  Each result holds its chain's best
     layer: its diagonal energy and configuration.  Replica r owns
     ``default_rng(seeds[r])`` and no update reads another replica's spins,
@@ -712,7 +734,7 @@ def anneal_batch(model: IsingModel, n: int, gamma_schedule: Sequence[float],
     for g in sched:
         if g <= 0:
             warnings.warn("gamma schedule reached 0; clamping to the floor")
-            g = gamma_floor
+            g = GAMMA_FLOOR
             floor_hit = True
         clamped.append(g)
     sampler = _Sampler(model.with_gamma(clamped[0]), n,
@@ -734,10 +756,9 @@ def anneal_batch(model: IsingModel, n: int, gamma_schedule: Sequence[float],
 
 
 def anneal(model: IsingModel, n: int, gamma_schedule: Sequence[float],
-           sweeps_per_stage: int, seed: int,
-           gamma_floor: float = 1e-6) -> AnnealResult:
+           sweeps_per_stage: int, seed: int) -> AnnealResult:
     """``anneal_batch`` over the one seed."""
-    (result,) = anneal_batch(model, n, gamma_schedule, sweeps_per_stage, [seed], gamma_floor)
+    (result,) = anneal_batch(model, n, gamma_schedule, sweeps_per_stage, [seed])
     return result
 
 

@@ -150,13 +150,10 @@ class CommutatorSpec:
     x_power: int
 
     def __post_init__(self):
-        depth = _tree_depth(self.tree)
-        leaves = _tree_leaves(self.tree)
-        if depth < 1:
-            raise ValueError("commutator bracket depth must be >= 1")
+        # a bare label has one leaf, so these two checks also refuse it
         if self.x_power < 2:
             raise ValueError("commutator stage x_power must be >= 2")
-        if leaves != self.x_power:
+        if _tree_leaves(self.tree) != self.x_power:
             raise ValueError("x_power must equal the number of bracket leaves")
 
     def to_json(self):
@@ -166,12 +163,6 @@ class CommutatorSpec:
             return [conv(t[0]), conv(t[1])]
 
         return conv(self.tree)
-
-
-def _tree_depth(tree) -> int:
-    if isinstance(tree, str):
-        return 0
-    return 1 + max(_tree_depth(tree[0]), _tree_depth(tree[1]))
 
 
 def _tree_leaves(tree) -> int:

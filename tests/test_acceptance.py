@@ -60,8 +60,7 @@ def test_criterion_2_magic_constants():
         poly = RationalPoly.const(0)
         for k, c in enumerate(coeffs):
             poly = poly + RationalPoly.const(c) * RationalPoly.var("s") ** k
-        return orders.OrderConditionSet(("s",), (orders.ConditionEq(1, (0,), poly),),
-                                        ("defining", 1))
+        return orders.OrderConditionSet(("s",), (orders.ConditionEq(1, (0,), poly),))
 
     targets = [
         (2, 3, 1.0, 1.351207191959657),

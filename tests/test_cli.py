@@ -245,6 +245,25 @@ def test_ruth_family_demo_script_pinned(tmp_path):
             == "e163b1c8d58b05a3a50e13f5cf41f34a76ae62b6c474cce66de8633bf74f6652")
 
 
+def test_family_stdout_is_the_out_file(tmp_path, capsys):
+    # p6 = 0 is a flagged (unconverged) row
+    out_path = tmp_path / "family.csv"
+    code, _, _ = run(capsys, "family", "--p6", "0:1.4:0.2", "--out", str(out_path))
+    assert code == 0
+    code, out, _ = run(capsys, "family", "--p6", "0:1.4:0.2")
+    assert code == 0
+    assert out.encode() == out_path.read_bytes()
+
+
+def test_family_overflow_exits_3_without_a_file(tmp_path, capsys):
+    out_path = tmp_path / "family.csv"
+    code, out, _ = run(capsys, "family", "--p6", "1e308:1e308:1e300", "--out", str(out_path))
+    assert code == cli.NONCONVERGENCE
+    assert "OverflowError" in json.loads(out)["diagnostics"]
+    assert not out_path.exists()
+    assert not (tmp_path / "family.csv.manifest.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["family", "--p6", "1:0.5:0.1"],
     ["converge", "--scheme", "strang", "--dt-list", "1:0.5:0.1"],
@@ -699,6 +718,36 @@ def test_non_finite_model_is_config_error(tmp_path, capsys, command, model):
     assert code == cli.CONFIG_ERROR
     assert out == ""
     assert "must be finite" in err
+
+
+_PAIR_DOC = {"sites": 2, "bonds": [[0, 1, 1.0]], "gamma": 1.0, "beta": 1.0}
+
+
+@pytest.mark.parametrize("command", [["qmc", "--n", "4", "--sweeps", "20"],
+                                     ["anneal", "--sweeps", "1"],
+                                     ["extrapolate", "--n-list", "4,6", "--sweeps", "0"]])
+@pytest.mark.parametrize("doc, message", [
+    ({**_PAIR_DOC, "bonds": 5}, "bonds must be a list of [i, j, weight] triples"),
+    ({**_PAIR_DOC, "bonds": [5]}, "bonds must be a list of [i, j, weight] triples"),
+    ({**_PAIR_DOC, "bonds": [[0, 1]]}, "bonds must be a list of [i, j, weight] triples"),
+    ([_PAIR_DOC], "a model must be a JSON object"),
+    ({**_PAIR_DOC, "sites": None}, "sites must be an integer, got None"),
+    ({**_PAIR_DOC, "sites": 2.7}, "sites must be an integer, got 2.7"),
+    ({**_PAIR_DOC, "bonds": [[0, 1.9, 1.0]]}, "a bond end must be an integer, got 1.9"),
+    ({**_PAIR_DOC, "bonds": [[0, True, 1.0]]}, "a bond end must be an integer, got True"),
+    ({**_PAIR_DOC, "bonds": [[0, 1, "1"]]}, "a bond weight must be a number, got '1'"),
+    ({**_PAIR_DOC, "gamma": None}, "gamma must be a number, got None"),
+    ({**_PAIR_DOC, "gamma": "1"}, "gamma must be a number, got '1'"),
+    ({**_PAIR_DOC, "beta": True}, "beta must be a number, got True"),
+], ids=["bonds-5", "bond-5", "bond-pair", "list", "sites-null", "sites-2.7", "end-1.9",
+        "end-true", "weight-str", "gamma-null", "gamma-str", "beta-true"])
+def test_malformed_model_is_config_error(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command[0], "--model", str(path), *command[1:])
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert f"cannot load model file {path}: {message}" in err
 
 
 def test_anneal_zero_sweeps_is_config_error(capsys):

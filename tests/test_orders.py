@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from expprod import ncalg, orders
+from expprod import cli, ncalg, orders
 from expprod.orders import (
-    MAX_ORDER, ConditionEq, OrderConditionSet, family_csv,
+    MAX_ORDER, ConditionEq, OrderConditionSet,
     order_conditions, rationalize_solution, ruth_family, solve, verify_order,
 )
 from expprod.poly import CompiledPolys, RationalPoly
@@ -25,7 +25,7 @@ def single_poly_conditions(coeffs_ascending, name="s") -> OrderConditionSet:
     poly = RationalPoly.const(0)
     for k, c in enumerate(coeffs_ascending):
         poly = poly + RationalPoly.const(c) * RationalPoly.var(name) ** k
-    return OrderConditionSet((name,), (ConditionEq(1, (0,), poly),), ("custom", 1))
+    return OrderConditionSet((name,), (ConditionEq(1, (0,), poly),))
 
 
 def fractal_poly(mult, power):
@@ -329,8 +329,9 @@ def test_family_flags_the_complex_region():
     assert not points[0].converged
 
 
-def test_family_csv_format():
-    text = family_csv(ruth_family([1.0]))
+def test_family_csv_format(capsys):
+    assert cli.main(["family", "--p6", "1"]) == 0
+    text = capsys.readouterr().out
     lines = text.splitlines()
     assert lines[0] == "p6,p1,p2,p3,p4,p5,max_residual,converged"
     assert lines[1].startswith("1,0.2916666666666")

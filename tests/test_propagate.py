@@ -135,7 +135,7 @@ def harmonic() -> SeparableHamiltonian:
     return SeparableHamiltonian(
         grad_k=lambda p: p, grad_v=lambda q: q,
         kinetic=lambda p: 0.5 * float(p @ p),
-        potential=lambda q: 0.5 * float(q @ q), dim=1)
+        potential=lambda q: 0.5 * float(q @ q))
 
 
 def test_drift_is_free_flight():
@@ -198,17 +198,10 @@ def test_euler_step_grows_harmonic_energy_exactly():
     assert h.energy(x1) == pytest.approx(e0 * (1 + dt ** 2), rel=1e-12)
 
 
-def harmonic2() -> SeparableHamiltonian:
-    return SeparableHamiltonian(
-        grad_k=lambda p: p, grad_v=lambda q: q,
-        kinetic=lambda p: 0.5 * float(p @ p),
-        potential=lambda q: 0.5 * float(q @ q), dim=2)
-
-
 @pytest.mark.parametrize("scheme", [trotter(), strang(), suzuki4()],
                          ids=["trotter", "strang", "suzuki4"])
 def test_symplectic_jacobian_determinant(scheme):
-    for h in (umeno_hamiltonian(), harmonic2()):
+    for h in (umeno_hamiltonian(), harmonic()):
         rng = np.random.default_rng(42)
         x = PhasePoint(rng.normal(size=2), rng.normal(size=2))
         det = jacobian_determinant(lambda y: symplectic_step(scheme, h, 0.01, y), x)
@@ -505,7 +498,7 @@ def test_step_count_is_at_least_one():
     assert step_count(1.0, 5.0) == step_count(1.0, 10.0) == 1
     # one step past 2 t_final measures the scheme's error there, not roundoff
     assert spin_error(strang(), GAMMA, 5.0, 1.0) > 1e-3
-    assert driven_error(timeordered2(), 5.0, 1.0, refine=64) > 1e-3
+    assert driven_error(timeordered2(), 5.0, 1.0) > 1e-3
 
 
 def test_g4_driven_slope():

@@ -223,9 +223,9 @@ def test_hybrid_fourth_is_exactly_fourth_order():
 
 
 def test_commutator_spec_validation():
-    with pytest.raises(ValueError):
-        CommutatorSpec(("A", "B"), x_power=3)       # leaves != x_power
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="number of bracket leaves"):
+        CommutatorSpec(("A", "B"), x_power=3)
+    with pytest.raises(ValueError, match="number of bracket leaves"):
         CommutatorSpec("A", x_power=2)              # no bracket at all
 
 
