@@ -570,6 +570,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
+        if args.out and not Path(args.out).parent.is_dir():
+            # refused before the command runs, so no work is done and no file written
+            raise ConfigError(f"--out directory {Path(args.out).parent} does not exist")
         return args.func(args)
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -468,8 +468,8 @@ PINNED_TIMEORDERED = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (["converge", "--scheme", "timeordered4", "--system", "driven",
       "--dt-list", "0.25,0.125,0.0625"],
-     "449af0efa73fa7f71860830baaf10dcc5864b80b7a6822da34b3e72d3a0a586c",
-     "2b41d87c7fe1be4dfe1a9eaeb01aac2c0ecd6183a9d181a30fb2ce3406f8bf88"),
+     "cfbd1aa91f7002979d4ce6edbcd4b7f5a9c7028ca73f448e63ea731dbb4cf800",
+     "5c2533b3414ef806e5e33a031865ce5e77174ca1b5fd0259e9c9c52af4e9f872"),
 ]
 
 
@@ -481,6 +481,22 @@ def test_timeordered_output_pinned(tmp_path, capsys, argv, file_digest, stdout_d
     assert code == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == file_digest
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "--p6", "1"],
+    ["precession", "--steps", "10"],
+    ["converge", "--scheme", "strang"],
+    ["qmc", "--model", str(MODELS / "pair.json"), "--n", "2", "--sweeps", "10"],
+    ["anneal", "--model", str(MODELS / "pair.json"), "--sweeps", "2"],
+], ids=lambda argv: argv[0])
+def test_out_into_a_missing_directory_is_config_error(tmp_path, capsys, argv):
+    out_path = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == cli.CONFIG_ERROR
+    assert "--out directory" in err
+    assert "Traceback" not in out + err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_converge_takes_at_least_one_step(capsys):

@@ -488,6 +488,33 @@ def test_run_timeordered_segments_from_a_first_step_index():
     assert np.array_equal(run.vector, psi.vector)
 
 
+@pytest.mark.parametrize("g", [timeordered1(), timeordered2(), timeordered4()],
+                         ids=["g1", "g2", "g4"])
+def test_run_timeordered_asks_for_the_scalar_stage_times(g):
+    # the chunk-built stage times are the floats of the scalar expression
+    # t0 + k*dt + tau*dt, asked for once per (slot, t) in application order,
+    # over more than one chunk of factors (1024 at N = 2) and from step 7
+    from expprod.propagate import _CHUNK_BYTES
+
+    base = driven_two_level()
+    asked = []
+
+    def recorded(slot, part):
+        def sample(t):
+            asked.append((slot, t))
+            return part(t)
+        return sample
+
+    parts = TimeDependentParts(a=recorded("A", base.a), b=recorded("B", base.b))
+    plan = stage_plan(g)
+    t0, dt, first = 0.3, 0.0137, 7
+    steps = 2 * (_CHUNK_BYTES // (16 * 4)) // len(plan) + 3
+    run_timeordered(g, parts, t0, dt, steps, QuantumState.up(2), first=first)
+    assert asked == [(slot, t0 + k * dt + tau * dt)
+                     for k in range(first, first + steps) for slot, _, tau in plan]
+    assert all(type(t) is float for _, t in asked)
+
+
 def test_run_timeordered_needs_a_shift_time_slot():
     with pytest.raises(ValueError):
         run_timeordered(strang(), driven_two_level(), 0.0, 0.1, 2, QuantumState.up(2))
@@ -506,6 +533,38 @@ def test_g4_driven_slope():
     study = convergence(timeordered4(), "driven")
     assert study.dts == [1 / 4, 1 / 8, 1 / 16, 1 / 32]
     assert study.slope == pytest.approx(4.0, abs=0.2)
+
+
+def test_driven_study_runs_one_reference_per_end_time(monkeypatch):
+    import expprod.propagate as propagate
+
+    calls = []
+
+    def counted(scheme3, parts, t0, dt, steps, psi, **kw):
+        calls.append((scheme3.name, dt))
+        return run_timeordered(scheme3, parts, t0, dt, steps, psi, **kw)
+
+    def references(dts):
+        # the timeordered2 runs at 1/1024 of a dt of the study
+        return sum(name == "timeordered2" and any(dt == d / 1024 for d in dts)
+                   for name, dt in calls)
+
+    monkeypatch.setattr(propagate, "run_timeordered", counted)
+    convergence(timeordered4(), "driven")
+    assert references([1 / 4, 1 / 8, 1 / 16, 1 / 32]) == 1
+    # 0.3 ends at 3 * 0.3 = 0.9, 0.25 at 4 * 0.25 = 1.0: one reference each,
+    # and each error is taken against the reference of its own end time
+    calls.clear()
+    dts = [0.3, 0.25]
+    study = convergence(timeordered4(), "driven", dts, t_final=1.0)
+    assert references(dts) == 2
+    parts = driven_two_level()
+    for dt, err in zip(dts, study.errors):
+        steps = step_count(1.0, dt)
+        psi = run_timeordered(timeordered4(), parts, 0.0, dt, steps, QuantumState.up(2))
+        ref = run_timeordered(timeordered2(), parts, 0.0, dt / 1024, steps * 1024,
+                              QuantumState.up(2))
+        assert err == float(np.linalg.norm(psi.vector - ref.vector))
 
 
 # ---------------------------------------------------------------------------
