@@ -5,13 +5,14 @@ the numerics, such as the convergence study and the rule for which steps a
 trajectory records, live in ``propagate`` and the other library modules.
 Tables are formatted and written only here, line by line: ``write_csv``
 streams any iterable of rows to a file, and the tables printed to stdout
-come from the same line formatter.
-Exit codes: 0 success, 2 configuration error, 3 numerical non-convergence
-or an arithmetic error such as an overflow (with JSON diagnostics on
-stdout).  Every file-writing run also writes a manifest echoing every
-parsed flag, with the values the run resolved in place of defaults;
-timestamps live only in the manifest, so data files are byte-identical
-across reruns at a fixed seed.
+come from the same line formatter; JSON data files and manifests go
+through ``write_json``.
+Exit codes: 0 success, 2 configuration error (an ``--out`` that cannot be
+written included), 3 numerical non-convergence or an arithmetic error such
+as an overflow (with JSON diagnostics on stdout).  Every file-writing run
+also writes a manifest echoing every parsed flag, with the values the run
+resolved in place of defaults; timestamps live only in the manifest, so
+data files are byte-identical across reruns at a fixed seed.
 """
 
 from __future__ import annotations
@@ -58,9 +59,11 @@ def _require_finite(**values) -> None:
 
 
 def _sweep_count(name: str, text: str) -> int:
-    """A sweep count, scientific notation ('1e4') included; it must be finite."""
+    """A sweep count: a whole number, scientific notation ('1e4') included."""
     value = float(text)
     _require_finite(**{name: value})
+    if not value.is_integer():
+        raise ConfigError(f"--{name} must be a whole number, got {text}")
     return int(value)
 
 
@@ -80,12 +83,17 @@ def write_csv(path: str, header: list[str], rows) -> None:
         f.writelines(_csv_lines(itertools.chain([header], rows)))
 
 
+def write_json(path: str, doc, sort_keys: bool = False) -> None:
+    """Write ``doc`` as JSON indented by 2, with a final newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
+
+
 def write_manifest(args, **resolved) -> None:
     """``<out>.manifest.json``: every parsed flag, overridden by the values the run resolved."""
     config = {k: v for k, v in vars(args).items() if k not in ("func", "command", "config", "out")}
     doc = {"command": args.command, "config": {**config, **resolved},
            "written_at": datetime.now(timezone.utc).isoformat()}
-    Path(f"{args.out}.manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(f"{args.out}.manifest.json", doc, sort_keys=True)
 
 
 def parse_stage_coeff(text: str) -> Fraction:
@@ -198,7 +206,7 @@ def cmd_bch(args) -> int:
     else:
         print("\n".join(lines))
     if args.out:
-        Path(args.out).write_text(json.dumps(combo.to_json(), indent=2) + "\n")
+        write_json(args.out, combo.to_json())
         write_manifest(args)
     return 0
 
@@ -239,7 +247,7 @@ def cmd_scheme(args) -> int:
         if achieved < sch.claimed_order:
             return NONCONVERGENCE
     if args.out:
-        Path(args.out).write_text(json.dumps(sch.to_json(), indent=2) + "\n")
+        write_json(args.out, sch.to_json())
         write_manifest(args)
     return 0
 
@@ -265,7 +273,7 @@ def cmd_solve(args) -> int:
         doc["solution_exact"] = {p: frac_str(v) for p, v in rational.items()}
     print(json.dumps(doc, indent=2))
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+        write_json(args.out, doc)
         write_manifest(args)
     return 0 if report.converged else NONCONVERGENCE
 
@@ -358,7 +366,7 @@ def cmd_qmc(args) -> int:
     doc = stats.to_json()
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.out:
-        Path(f"{args.out}.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_json(f"{args.out}.json", doc, sort_keys=True)
         names = ["bond_zz", "trotter_corr", "diag_energy", "sigma_x"]
         write_csv(f"{args.out}.traces.csv", ["sweep", *names],
                   zip(range(therm, sweeps), *(stats.traces[nm] for nm in names)))
@@ -386,7 +394,7 @@ def cmd_anneal(args) -> int:
     }
     print(json.dumps(doc, indent=2))
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+        write_json(args.out, doc)
         write_manifest(args, schedule=sched)
     return 0
 
@@ -407,7 +415,7 @@ def cmd_extrapolate(args) -> int:
     }
     print(json.dumps(doc, indent=2))
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+        write_json(args.out, doc)
         write_manifest(args, sweeps=sweeps)
     return 0
 
@@ -574,7 +582,8 @@ def main(argv: list[str] | None = None) -> int:
             # refused before the command runs, so no work is done and no file written
             raise ConfigError(f"--out directory {Path(args.out).parent} does not exist")
         return args.func(args)
-    except (ConfigError, ValueError, KeyError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError) as exc:
+        # an OSError is an --out the run cannot write, such as a directory
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except ArithmeticError as exc:

@@ -9,16 +9,21 @@ in play.
 
 The module provides stage exponentials, their products and the series
 logarithm, and the rewrite of homogeneous Lie elements into the Lyndon
-basis of the free Lie algebra.  All three series operations run on one
-integer kernel: a degree-d coefficient is a numerator over ``Q^d * d!``
-(``Q`` the lcm of the input's coefficient denominators), two such series
-multiply with a binomial weight and no gcd, and each word becomes an
-exact rational once at the end.  ``series_mul`` is the plain Fraction
-product, kept as the reference.  A handful of dense-matrix utilities
-(commutator powers, the directional derivative of expm) back the numeric
-identities exercised by the tests; ``frechet_exp`` alone needs scipy,
-which comes with the ``test`` extra.  ``LieCombination.to_json`` is the
-JSON of ``bch``; nothing reads a series back from JSON.
+basis of the free Lie algebra.  A stage is a generator with a coefficient;
+the generator is a label of the alphabet, a bracket tree over labels such
+as ``("B", ("A", "B"))`` (a label is a tree of one leaf; its words come
+from ``bracket_tree_words``), or a ``LieCombination``.
+
+All three series operations run on one integer kernel: a degree-d
+coefficient is a numerator over ``Q^d * d!`` (``Q`` the lcm of the input's
+coefficient denominators), two such series multiply with a binomial
+weight and no gcd, and each word becomes an exact rational once at the
+end.  ``series_mul`` is the plain Fraction product, kept as the reference.
+A handful of dense-matrix utilities (commutator powers, the directional
+derivative of expm) back the numeric identities exercised by the tests;
+``frechet_exp`` alone needs scipy, which comes with the ``test`` extra.
+``LieCombination.to_json`` is the JSON of ``bch``; nothing reads a series
+back from JSON.
 """
 
 from __future__ import annotations
@@ -138,19 +143,17 @@ def series_mul(a: NcSeries, b: NcSeries) -> NcSeries:
     return NcSeries(order, a.labels, out)
 
 
-StageGen = Union["LieCombination", str, int]
+StageGen = Union["LieCombination", str, tuple]
 
 
 def _element_words(g: StageGen, labels: Sequence[str]) -> dict[Word, Coeff]:
-    """Word expansion of a stage generator (letter or Lie combination)."""
+    """Word expansion of a stage generator: a Lie combination, or a bracket
+    tree over ``labels`` (a letter is a tree of one leaf)."""
     if isinstance(g, LieCombination):
         if tuple(labels) != g.labels:
             raise ValueError("Lie combination over a different alphabet")
         return g.word_expansion()
-    gid = tuple(labels).index(g) if isinstance(g, str) else int(g)
-    if not 0 <= gid < len(labels):
-        raise ValueError(f"generator id {gid} outside alphabet")
-    return {(gid,): Fraction(1)}
+    return bracket_tree_words(g, labels)
 
 
 def _stage_element(g: StageGen, coeff, labels: Sequence[str]) -> dict[Word, Coeff]:
@@ -359,13 +362,14 @@ def standard_bracketing(word: Word):
     return (standard_bracketing(word[:i]), standard_bracketing(word[i:]))
 
 
-def bracket_tree_words(tree) -> dict[Word, int]:
-    """Integer word expansion of a nested-bracket tree over letter ids."""
-    if isinstance(tree, int):
-        return {(tree,): 1}
+def bracket_tree_words(tree, labels: Sequence[str] | None = None) -> dict[Word, int]:
+    """Integer word expansion of a nested-bracket tree whose leaves are letter
+    ids, or labels of ``labels`` when they are given."""
+    if not isinstance(tree, tuple):
+        return {(tree if labels is None else tuple(labels).index(tree),): 1}
     left, right = tree
-    lw = bracket_tree_words(left)
-    rw = bracket_tree_words(right)
+    lw = bracket_tree_words(left, labels)
+    rw = bracket_tree_words(right, labels)
     out: dict[Word, int] = {}
     for wl, cl in lw.items():
         for wr, cr in rw.items():
@@ -424,10 +428,6 @@ class LieCombination:
         return LieCombination(self.labels,
                               {w: c for w, c in self.terms.items() if len(w) == degree})
 
-    def scale(self, c) -> "LieCombination":
-        c = as_exact(c)
-        return LieCombination(self.labels, {w: as_exact(v * c) for w, v in self.terms.items()})
-
     def word_expansion(self) -> dict[Word, Coeff]:
         out: dict[Word, Coeff] = {}
         for w, c in self.terms.items():
@@ -437,22 +437,6 @@ class LieCombination:
 
     def to_series(self, order: int) -> NcSeries:
         return NcSeries(order, self.labels, self.word_expansion())
-
-    @classmethod
-    def from_bracket(cls, tree, labels: Sequence[str], coeff=Fraction(1)) -> "LieCombination":
-        """Build from a nested bracket over labels, e.g. ("B", ("A", "B"))."""
-        def to_ids(t):
-            if isinstance(t, str):
-                return tuple(labels).index(t)
-            if isinstance(t, int):
-                return t
-            left, right = t
-            return (to_ids(left), to_ids(right))
-
-        words = bracket_tree_words(to_ids(tree))
-        series = NcSeries(max(len(w) for w in words), labels,
-                          {w: Fraction(c) for w, c in words.items()})
-        return lie_project(series).scale(coeff)
 
     def pretty(self) -> str:
         if not self.terms:

@@ -195,8 +195,7 @@ def sample_marks(steps: int, every: int) -> list[int]:
     return list(range(0, steps, every)) + [steps]
 
 
-def run_precession(method, gamma: float, dt: float, steps: int,
-                   sample_every: int = 1000):
+def run_precession(method, gamma: float, dt: float, steps: int, sample_every: int):
     """Evolve the up-spin state; record (t, <H>, ||psi||) at ``sample_marks``.
 
     ``method`` is a two-slot Scheme or the string "perturbative".  The
@@ -323,8 +322,7 @@ def umeno_hamiltonian() -> SeparableHamiltonian:
 UMENO_IC = PhasePoint(np.zeros(2), np.array([2.0, 1.0]))
 
 
-def run_umeno(method, dt: float = 1e-4, steps: int = 1_000_000,
-              sample_every: int = 1000):
+def run_umeno(method, dt: float, steps: int, sample_every: int):
     """Time series (t, E, q1, q2) at ``sample_marks`` for the chaotic two-dof
     demo, from ``UMENO_IC``.
 
@@ -448,8 +446,7 @@ def driven_two_level() -> TimeDependentParts:
     return TimeDependentParts(a=lambda t: sz, b=lambda t: math.cos(t) * sx)
 
 
-def run_driven(scheme3: Scheme, dt: float, steps: int, sample_every: int = 10,
-               t0: float = 0.0):
+def run_driven(scheme3: Scheme, dt: float, steps: int, sample_every: int, t0: float):
     """Rows (t, Re psi_0, Im psi_0, Re psi_1, Im psi_1, ||psi||) at ``sample_marks``
     of the driven two-level system from the up state; row k sits at t0 + k dt."""
     parts = driven_two_level()

@@ -3,12 +3,15 @@
 The quantum partition function maps onto a classical Ising system with one
 extra periodic axis of n layers: intra-layer couplings are scaled by beta/n
 and the transverse field becomes a ferromagnetic inter-layer coupling
-gamma_n = -log(tanh(beta*Gamma/n))/2.  One evaluator reads the mapped
+gamma_n = -log(tanh(beta*Gamma/n))/2.  ``couplings`` returns the one record
+of this map (u = beta*Gamma/n, gamma_n, delta_n and the sigma_x line), which
+every estimator and reference reads.  One evaluator reads the mapped
 system: for a (..., sites, n) stack of spin fields it sums, in integers,
 each bond over the layers and each spin times its ring neighbour; the
-action, the sampled observables and the enumeration all come from it.  At
-n = 1 a layer is its own ring neighbour, so the ring term is a constant
-that no flip changes.
+action, the sampled observables and the enumeration all come from it, with
+one Ising energy -sum_b J_b zz_b summed in bond order.  At n = 1 a layer
+is its own ring neighbour, so the ring term is a constant that no flip
+changes.
 
 Sampling is checkerboard Metropolis over a replica axis.  The spins split
 into classes, a greedy colour of the site graph times a layer class (even
@@ -111,19 +114,29 @@ class FrozenTrotterError(ValueError):
 
 @dataclass(frozen=True)
 class TrotterCouplings:
-    """Mapped couplings at Trotter number n."""
+    """The Trotter map at n: u = beta*Gamma/n, gamma_n, delta_n and the line
+    <sigma_x> = sigma_x_slope * trotter_corr + sigma_x_offset, which comes from
+    differentiating log Z of the mapped system in Gamma through gamma_n and delta_n."""
 
+    n: int
+    u: float
     gamma_n: float
     delta_n: float
-    n: int
+    sigma_x_slope: float
+    sigma_x_offset: float
+
+    def sigma_x(self, trotter_corr):
+        """<sigma_x> per site from the ring correlation (a float or an array)."""
+        return self.sigma_x_slope * trotter_corr + self.sigma_x_offset
 
 
 def couplings(model: IsingModel, n: int) -> TrotterCouplings:
-    """gamma_n = -log(tanh(beta*Gamma/n))/2, delta_n = log(sinh(2*beta*Gamma/n)/2)/2.
+    """gamma_n = -log(tanh u)/2, delta_n = log(sinh(2u)/2)/2, sigma_x slope
+    -1/sinh(2u) and offset coth(2u), with u = beta*Gamma/n.
 
-    With u = beta*Gamma/n: gamma_n is atanh(e^{-2u}) from u = 1/2 on, where
-    tanh(u) rounds toward 1, and delta_n is u - log 2 + log(1 - e^{-4u})/2,
-    so neither loses its digits or overflows however large u is.
+    gamma_n is atanh(e^{-2u}) from u = 1/2 on, where tanh(u) rounds toward 1,
+    delta_n is u - log 2 + log(1 - e^{-4u})/2 and the slope is 2 e^{-2u} /
+    (e^{-4u} - 1), so none loses its digits or overflows however large u is.
     """
     if n < 1:
         raise ValueError("Trotter number must be >= 1")
@@ -133,20 +146,19 @@ def couplings(model: IsingModel, n: int) -> TrotterCouplings:
     u = model.beta * model.gamma / n
     gamma_n = math.atanh(math.exp(-2 * u)) if u > 0.5 else -0.5 * math.log(math.tanh(u))
     delta_n = u - math.log(2.0) + 0.5 * math.log(-math.expm1(-4 * u))
-    return TrotterCouplings(gamma_n=gamma_n, delta_n=delta_n, n=n)
+    return TrotterCouplings(n=n, u=u, gamma_n=gamma_n, delta_n=delta_n,
+                            sigma_x_slope=2.0 * math.exp(-2 * u) / math.expm1(-4 * u),
+                            sigma_x_offset=1.0 / math.tanh(2 * u))
 
 
-def sigma_x_estimator_coeffs(model: IsingModel, n: int) -> tuple[float, float]:
-    """<sigma_x> per site = a * <sigma^(m) sigma^(m+1)>_site-layer-avg + b.
-
-    Thermodynamic-derivative construction: differentiate log Z of the mapped
-    system with respect to Gamma through gamma_n and delta_n.  a = -1/sinh(2u)
-    is taken as 2 e^{-2u} / (e^{-4u} - 1), which cannot overflow.
-    """
-    u = model.beta * model.gamma / n
-    a = 2.0 * math.exp(-2 * u) / math.expm1(-4 * u)
-    b = 1.0 / math.tanh(2 * u)
-    return a, b
+def _ising_energy(model: IsingModel, zz) -> np.ndarray:
+    """-sum_b J_b zz_b over the last axis of a (..., bonds) stack of bond
+    products, summed in bond order."""
+    zz = np.asarray(zz)
+    energy = np.zeros(zz.shape[:-1])
+    for b, (_, _, jij) in enumerate(model.bonds):
+        energy -= jij * zz[..., b]
+    return energy
 
 
 def _worldline_sums(model: IsingModel, spins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -170,10 +182,7 @@ def classical_action(model: IsingModel, coup: TrotterCouplings,
     if spins.shape != (model.sites, coup.n):
         raise ValueError("configuration dimensions do not match model and n")
     bond, ring = _worldline_sums(model, spins)
-    intra = 0.0
-    for (_, _, jij), b in zip(model.bonds, bond.tolist()):
-        intra += jij * b
-    return (model.beta / coup.n) * intra + coup.gamma_n * float(ring)
+    return -(model.beta / coup.n) * float(_ising_energy(model, bond)) + coup.gamma_n * float(ring)
 
 
 @dataclass
@@ -452,11 +461,8 @@ def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
             configs.extend(int.from_bytes(word.tobytes(), "little") for word in bits)
     bond_tr = bond / n
     tc_tr = ring / (model.sites * n)
-    de_tr = np.zeros(keep)
-    for (_, _, jij), zz in zip(model.bonds, bond_tr.T):
-        de_tr -= jij * zz
-    a, b = sigma_x_estimator_coeffs(model, n)
-    sx_tr = a * tc_tr + b
+    de_tr = _ising_energy(model, bond_tr)
+    sx_tr = sampler.coup.sigma_x(tc_tr)
     traces = {
         "bond_zz": bond_tr.mean(axis=1) if model.bonds else np.zeros(keep),
         "trotter_corr": tc_tr, "diag_energy": de_tr, "sigma_x": sx_tr,
@@ -492,10 +498,8 @@ def _basis_spins(sites: int) -> np.ndarray:
 def diagonal_energy(model: IsingModel, layers: np.ndarray) -> np.ndarray:
     """Ising energy -sum J_ij s_i s_j of each layer of a (..., sites) stack;
     over the ``_basis_spins`` table, the diagonal of A."""
-    energy = np.zeros(np.shape(layers)[:-1])
-    for i, j, jij in model.bonds:
-        energy -= jij * (layers[..., i] * layers[..., j])
-    return energy
+    i, j = model.bond_ends
+    return _ising_energy(model, np.take(layers, i, axis=-1) * np.take(layers, j, axis=-1))
 
 
 def hamiltonian_parts(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
@@ -540,11 +544,10 @@ def exact_reference(model: IsingModel, n: int | None = None) -> ExactObservables
         weights = np.exp(-model.beta * (w - w.min()))
         log_scale = -model.beta * w.min()
     else:
-        couplings(model, n)  # refuses n < 1 and a zero field
+        coup = couplings(model, n)
         # per site e^{-u} e^{u sigma_x} = [[c, s], [s, c]], so e^{-beta B/n} is
         # e^{u sites} flip, flip = c^(equal spins) s^(differing spins)
-        u = model.beta * model.gamma / n
-        c, s = (1 + math.exp(-2 * u)) / 2, -math.expm1(-2 * u) / 2
+        c, s = (1 + math.exp(-2 * coup.u)) / 2, -math.expm1(-2 * coup.u) / 2
         flip = c ** ((model.sites + overlap) / 2) * s ** ((model.sites - overlap) / 2)
         a_diag = diagonal_energy(model, spins)
         half = np.exp(-(model.beta / (2 * n)) * (a_diag - a_diag.min()))
@@ -557,15 +560,14 @@ def exact_reference(model: IsingModel, n: int | None = None) -> ExactObservables
     rho = (v * weights) @ v.T / total
     occupation = np.diag(rho)
     bond_zz = [float(occupation @ (spins[:, i] * spins[:, j])) for i, j, _ in model.bonds]
-    diag_energy = -sum(jij * zz for (_, _, jij), zz in zip(model.bonds, bond_zz))
+    diag_energy = float(_ising_energy(model, bond_zz))
     if n is None:
         trotter_corr = None
         sigma_x = float(rho[overlap == model.sites - 2].sum()) / model.sites
     else:
         corr = half[:, None] * (flip * overlap / model.sites) * half
         trotter_corr = float(np.sum((v * ratio ** (n - 1)) @ v.T * corr)) / (top * total)
-        a, b = sigma_x_estimator_coeffs(model, n)
-        sigma_x = a * trotter_corr + b
+        sigma_x = coup.sigma_x(trotter_corr)
     return ExactObservables(log_z=log_scale + math.log(total), bond_zz=bond_zz,
                             trotter_corr=trotter_corr, diag_energy=diag_energy,
                             sigma_x=sigma_x)
@@ -585,7 +587,6 @@ def enumeration_reference(model: IsingModel, n: int) -> ExactObservables:
     coup = couplings(model, n)
     count = 1 << nspin
     chunk = min(count, 1 << 20)
-    bond_j = np.array([w for *_, w in model.bonds])
     shift = -math.inf
     z_acc = 0.0
     zz_acc = np.zeros(len(model.bonds))
@@ -596,7 +597,7 @@ def enumeration_reference(model: IsingModel, n: int) -> ExactObservables:
         bits = np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1, bitorder="little")
         spins = (bits[:, :nspin].view(np.int8) * 2 - 1).reshape(-1, model.sites, n)
         bond, ring = _worldline_sums(model, spins)
-        action = (model.beta / n) * (bond @ bond_j) + coup.gamma_n * ring
+        action = -(model.beta / n) * _ising_energy(model, bond) + coup.gamma_n * ring
         top = float(action.max())
         if top > shift:
             rescale = math.exp(shift - top)
@@ -608,9 +609,8 @@ def enumeration_reference(model: IsingModel, n: int) -> ExactObservables:
         tc_acc += float(weights @ ring) / nspin
     bond_zz = list(zz_acc / z_acc)
     trotter_corr = tc_acc / z_acc
-    diag_energy = -sum(jij * zz for (_, _, jij), zz in zip(model.bonds, bond_zz))
-    a, b = sigma_x_estimator_coeffs(model, n)
-    sigma_x = a * trotter_corr + b
+    diag_energy = float(_ising_energy(model, bond_zz))
+    sigma_x = coup.sigma_x(trotter_corr)
     # the dropped delta_n constant restores the true Z
     return ExactObservables(log_z=shift + math.log(z_acc) + nspin * coup.delta_n,
                             bond_zz=bond_zz, trotter_corr=trotter_corr,

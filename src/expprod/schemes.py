@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence, Union
 
-from .ncalg import LieCombination
 from .poly import Coeff, RationalPoly, as_exact, frac_str
 
 
@@ -144,17 +143,18 @@ def coeff_value(c: Coeff) -> float:
 
 @dataclass(frozen=True)
 class CommutatorSpec:
-    """A nested commutator stage, e.g. ("B", ("A", "B")) with x_power 3."""
+    """A nested commutator stage over slot labels, e.g. ("B", ("A", "B"))."""
 
     tree: tuple
-    x_power: int
 
     def __post_init__(self):
-        # a bare label has one leaf, so these two checks also refuse it
-        if self.x_power < 2:
-            raise ValueError("commutator stage x_power must be >= 2")
-        if _tree_leaves(self.tree) != self.x_power:
-            raise ValueError("x_power must equal the number of bracket leaves")
+        if isinstance(self.tree, str):
+            raise ValueError("a commutator stage needs a bracket, not a bare label")
+
+    @property
+    def x_power(self) -> int:
+        """The power of x the stage carries: the number of leaves of its bracket."""
+        return _tree_leaves(self.tree)
 
     def to_json(self):
         def conv(t):
@@ -235,7 +235,8 @@ class Scheme:
 
     # -- series view ----------------------------------------------------
     def ncalg_stages(self):
-        """Stage list for the series algebra, every coefficient a Fraction.
+        """Stage list for the series algebra: a slot stage gives its label, a
+        commutator stage its bracket tree, and every coefficient is a Fraction.
 
         Polynomial coefficients are evaluated in rational arithmetic at the
         binary-exact values of their constants' 17-digit decimals, so a merged
@@ -247,11 +248,7 @@ class Scheme:
             if isinstance(coeff, RationalPoly):
                 coeff = coeff.evaluate({n: Fraction(_CONSTANTS[n].value)
                                         for n in coeff.variables()})
-            if st.is_commutator():
-                gen = LieCombination.from_bracket(st.target.tree, self.slots)
-                out.append((gen, coeff))
-            else:
-                out.append((self.slots[st.target], coeff))
+            out.append((st.target.tree if st.is_commutator() else self.slots[st.target], coeff))
         return out
 
     # -- serialization ----------------------------------------------------
@@ -350,7 +347,7 @@ def ruth() -> Scheme:
 
 def hybrid_second() -> Scheme:
     """Trotter step with a trailing commutator exponential killing the x^2 term."""
-    comm = CommutatorSpec(("A", "B"), x_power=2)
+    comm = CommutatorSpec(("A", "B"))
     return Scheme(("A", "B"),
                   (Stage(0, Fraction(1)), Stage(1, Fraction(1)), Stage(comm, Fraction(-1, 2))),
                   claimed_order=2, name="hybrid_second")
@@ -363,7 +360,7 @@ def hybrid_fourth() -> Scheme:
     of the step each (no two neighbours share a slot); the caps carry
     (1/432) x^3 [B,[A,B]].
     """
-    cap = Stage(CommutatorSpec(("B", ("A", "B")), x_power=3), Fraction(1, 432))
+    cap = Stage(CommutatorSpec(("B", ("A", "B"))), Fraction(1, 432))
     third, sixth = Fraction(1, 3), Fraction(1, 6)
     inner = [(0, sixth), (1, third), (0, sixth), (1, sixth), (0, third),
              (1, sixth), (0, sixth), (1, third), (0, sixth)]

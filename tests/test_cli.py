@@ -499,6 +499,27 @@ def test_out_into_a_missing_directory_is_config_error(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["bch", "--stages", "A:x,B:x", "--order", "2"],
+    ["scheme", "show", "strang"],
+    ["solve", "--pattern", "ABA", "--order", "2", "--fix", "p3=0.5", "--guess", "p1=0.4,p2=0.9"],
+    ["family", "--p6", "1"],
+    ["converge", "--scheme", "strang"],
+    ["precession", "--steps", "10"],
+    ["qmc", "--model", str(MODELS / "pair.json"), "--n", "2", "--sweeps", "10"],
+    ["anneal", "--model", str(MODELS / "pair.json"), "--sweeps", "2"],
+    ["extrapolate", "--model", str(MODELS / "pair.json"), "--n-list", "2,3,4"],
+], ids=lambda argv: " ".join(argv[:2]) if argv[0] == "scheme" else argv[0])
+def test_out_that_cannot_be_written_is_config_error(tmp_path, capsys, argv):
+    # qmc writes <out>.json, so that name is the directory in its way
+    out_path = tmp_path / "out"
+    (tmp_path / ("out.json" if argv[0] == "qmc" else "out")).mkdir()
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == cli.CONFIG_ERROR
+    assert "config error" in err
+    assert "Traceback" not in out + err
+
+
 def test_converge_takes_at_least_one_step(capsys):
     # a dt beyond twice t_final is one step, not zero steps with a roundoff error
     code, out, _ = run(capsys, "converge", "--scheme", "strang", "--dt-list", "5,10")
@@ -643,16 +664,27 @@ def test_qmc_out_samples_the_chain_once(tmp_path, chain_model, capsys, monkeypat
     assert len(calls) == 300
 
 
+def _qmc_out_digests(tmp_path, capsys, model, n, sweeps, seed):
+    code, _, _ = run(capsys, "qmc", "--model", str(MODELS / model), "--n", n,
+                     "--sweeps", sweeps, "--seed", seed, "--out", str(tmp_path / "run"))
+    assert code == 0
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("run.json", "run.traces.csv")}
+
+
 def test_qmc_out_files_pinned(tmp_path, capsys):
     # stats and traces of one fixed-seed chain, byte for byte
-    code, _, _ = run(capsys, "qmc", "--model", str(MODELS / "pair.json"), "--n", "8",
-                     "--sweeps", "500", "--seed", "9", "--out", str(tmp_path / "run"))
-    assert code == 0
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("run.json", "run.traces.csv")}
-    assert digests == {
+    assert _qmc_out_digests(tmp_path, capsys, "pair.json", "8", "500", "9") == {
         "run.json": "787550b8dd8b2305bc0cc5c436404b54ebbce062909d2404ef6b412c9e4cb73f",
         "run.traces.csv": "cc3b7aecb8b2ed39ac32226e40aed94a61b3361c8e0314060ad969eb8d057a7e",
+    }
+
+
+def test_qmc_out_files_pinned_on_a_chain(tmp_path, capsys):
+    # five bonds, so the order of the bond sums behind diag_energy is pinned too
+    assert _qmc_out_digests(tmp_path, capsys, "chain6.json", "6", "400", "5") == {
+        "run.json": "39c45b5bdad672c5d68b2d48ee5ef9e930e641e7c14dc6a3f1bc1c5023c2c964",
+        "run.traces.csv": "eab9a6a6367a2f18cb71cbd2b8c34f338d435278426e21e75b09e58dbad2671b",
     }
 
 
@@ -661,6 +693,19 @@ def test_qmc_scientific_notation_sweeps(chain_model, capsys):
                        "--sweeps", "1e3", "--therm", "2e2", "--seed", "7")
     assert code == 0
     assert json.loads(out)["sweeps"] == 1000
+
+
+@pytest.mark.parametrize("argv", [
+    ["qmc", "--n", "2", "--sweeps", "10.9", "--therm", "2"],
+    ["qmc", "--n", "2", "--sweeps", "10", "--therm", "2.7"],
+    ["qmc", "--n", "2", "--sweeps", "1.55e1"],
+    ["extrapolate", "--n-list", "2,3,4", "--sweeps", "0.5"],
+], ids=" ".join)
+def test_fractional_sweep_counts_are_config_errors(chain_model, capsys, argv):
+    code, out, err = run(capsys, *argv, "--model", chain_model)
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert "must be a whole number" in err
 
 
 def test_anneal_cli(tmp_path, capsys):

@@ -7,8 +7,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from expprod.ncalg import (
-    LieCombination, NcSeries, NotLieElementError, commutator, conjugation_series,
-    delta_power, frechet_exp, left_minus_ad_power, lie_project, lyndon_words,
+    LieCombination, NcSeries, NotLieElementError, bracket_tree_words, commutator,
+    conjugation_series, delta_power, frechet_exp, left_minus_ad_power, lie_project, lyndon_words,
     product_and_log, product_log, series_log, series_mul, stage_exp, stage_product,
 )
 from expprod.orders import verify_order
@@ -35,7 +35,7 @@ def test_stage_exp_zero_coefficient():
 
 def test_stage_exp_commutator_stage_truncates():
     # a degree-3 generator at truncation 4 keeps only its first power
-    g = LieCombination.from_bracket(("B", ("A", "B")), AB)
+    g = ("B", ("A", "B"))
     s = stage_exp(g, Fraction(1, 432), 4, AB)
     assert s.constant_term() == 1
     deg3 = s.homogeneous(3)
@@ -115,7 +115,7 @@ def _fraction_log(s):
 
 
 def _fraction_stage_exp(g, c, order, labels):
-    words = g.word_expansion() if isinstance(g, LieCombination) else {(labels.index(g),): 1}
+    words = g.word_expansion() if isinstance(g, LieCombination) else bracket_tree_words(g, labels)
     return _fraction_exp(NcSeries(order, labels, {w: v * c for w, v in words.items()}))
 
 
@@ -161,7 +161,7 @@ def test_product_and_log_share_one_product(stages):
 
 def test_stage_longer_than_the_truncation_order():
     # a degree-3 commutator stage at order 2 has no term below the cut
-    g = LieCombination.from_bracket(("B", ("A", "B")), AB)
+    g = ("B", ("A", "B"))
     assert stage_exp(g, Fraction(1, 432), 2, AB) == NcSeries.identity(2, AB)
     stages = hybrid_fourth().ncalg_stages()
     for order in (1, 2, 3):
@@ -173,7 +173,7 @@ def test_stage_product_mixes_coefficient_kinds():
     # distinct denominators, a zero stage and a polynomial with fractional
     # coefficients; the Lie stage's word coefficients bring in a denominator
     # (11) that no stage coefficient has, so Q must come from the elements
-    lie = LieCombination.from_bracket(("A", ("A", "B")), AB, Fraction(1, 11))
+    lie = LieCombination(AB, {(0, 0, 1): Fraction(1, 11)})  # [A,[A,B]]/11
     stages = [("A", RationalPoly.var("p1") * Fraction(5, 6) + Fraction(1, 2)),
               ("B", Fraction(2, 7)), ("A", 0), (lie, Fraction(2, 5)), ("B", 3)]
     assert stage_product(stages, 6, AB) == _folded_product(stages, 6, AB)

@@ -341,7 +341,7 @@ def test_commutator_stage_matches_expm(tree, leaves, coeff):
 
     a, b = rand_herm(5), rand_herm(5)
     dt = 0.7
-    scheme = Scheme(("A", "B"), (Stage(CommutatorSpec(tree, x_power=leaves), coeff),),
+    scheme = Scheme(("A", "B"), (Stage(CommutatorSpec(tree), coeff),),
                     claimed_order=1)
     (factor,) = stage_unitaries(scheme, {"A": a, "B": b}, dt)
 

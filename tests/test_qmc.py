@@ -12,7 +12,7 @@ from expprod.qmc import (
     anneal, anneal_batch, anneal_schedule, classical_action, couplings, diagonal_energy,
     enumeration_reference, exact_reference, extrapolate_values, ferromagnetic_chain,
     frustrated_square, ground_energy_enumeration, hamiltonian_parts, matrix_trace_bond_zz,
-    check_kept_sweeps, metropolis_run, sigma_x_estimator_coeffs, trotter_extrapolate,
+    check_kept_sweeps, metropolis_run, trotter_extrapolate,
 )
 
 MODELS = Path(__file__).resolve().parent.parent / "scripts" / "models"
@@ -71,19 +71,19 @@ _U_GRID = [1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.5000001, 0.72, 1.0, 3.0, 10.0, 19.
 
 @pytest.mark.parametrize("u", _U_GRID)
 def test_couplings_keep_their_digits_against_mpmath(u):
-    # gamma_n = -log(tanh u)/2, delta_n = log(sinh(2u)/2)/2, a = -1/sinh(2u),
-    # b = coth(2u), with u = beta*Gamma/n; enough digits that 1 - tanh(u) ~
-    # 2 e^{-2u} survives.  Below the normal range (a from u ~ 354, gamma_n
-    # from u ~ 354) a float cannot hold more than the subnormal bits.
+    # gamma_n = -log(tanh u)/2, delta_n = log(sinh(2u)/2)/2, the sigma_x slope
+    # -1/sinh(2u) and offset coth(2u), with u = beta*Gamma/n; enough digits that
+    # 1 - tanh(u) ~ 2 e^{-2u} survives.  Below the normal range (the slope from
+    # u ~ 354, gamma_n from u ~ 354) a float cannot hold more than the
+    # subnormal bits.
     mpmath = pytest.importorskip("mpmath")
     model = IsingModel(sites=1, bonds=(), gamma=u, beta=1.0)
     c = couplings(model, 1)
-    a, b = sigma_x_estimator_coeffs(model, 1)
     with mpmath.workdps(40 + int(u)):
         x = mpmath.mpf(u)
         want = [-mpmath.log(mpmath.tanh(x)) / 2, mpmath.log(mpmath.sinh(2 * x) / 2) / 2,
                 -1 / mpmath.sinh(2 * x), 1 / mpmath.tanh(2 * x)]
-    for got, exact in zip([c.gamma_n, c.delta_n, a, b], want):
+    for got, exact in zip([c.gamma_n, c.delta_n, c.sigma_x_slope, c.sigma_x_offset], want):
         assert got == pytest.approx(float(exact), rel=1e-14, abs=1e-300)
 
 
