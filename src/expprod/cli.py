@@ -230,15 +230,10 @@ def cmd_scheme(args) -> int:
     if args.action == "show":
         print(json.dumps(sch.to_json(), indent=2))
     elif args.action == "flatten":
-        rows = []
         for st in sch.stages:
-            if st.is_commutator():
-                rows.append(("commutator", json.dumps(st.target.to_json()),
-                             schemes.coeff_value(st.coeff)))
-            else:
-                rows.append((sch.slots[st.target], "", schemes.coeff_value(st.coeff)))
-        for slot, extra, coeff in rows:
-            print(f"{slot:10s} {_fmt(coeff)} {extra}")
+            slot, extra = (("commutator", json.dumps(st.target)) if st.is_commutator()
+                           else (st.target, ""))
+            print(f"{slot:10s} {_fmt(schemes.coeff_value(st.coeff))} {extra}")
     elif args.action == "check":
         m = sch.claimed_order + 1 if args.order is None else args.order
         achieved = orders.verify_order(sch, m)
@@ -582,8 +577,9 @@ def main(argv: list[str] | None = None) -> int:
             # refused before the command runs, so no work is done and no file written
             raise ConfigError(f"--out directory {Path(args.out).parent} does not exist")
         return args.func(args)
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
-        # an OSError is an --out the run cannot write, such as a directory
+    except (ConfigError, ValueError, KeyError, OSError, MemoryError) as exc:
+        # an OSError is an --out the run cannot write, such as a directory;
+        # a MemoryError is a run too large to allocate, such as --sweeps 1e18
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
     except ArithmeticError as exc:

@@ -11,8 +11,10 @@ The module provides stage exponentials, their products and the series
 logarithm, and the rewrite of homogeneous Lie elements into the Lyndon
 basis of the free Lie algebra.  A stage is a generator with a coefficient;
 the generator is a label of the alphabet, a bracket tree over labels such
-as ``("B", ("A", "B"))`` (a label is a tree of one leaf; its words come
-from ``bracket_tree_words``), or a ``LieCombination``.
+as ``("B", ("A", "B"))`` (a label is a tree of one leaf), or a
+``LieCombination``.  ``bracket_fold`` is the one walk over a bracket tree;
+its words, its number of leaves, its text and (in ``propagate``) its
+matrix are folds.
 
 All three series operations run on one integer kernel: a degree-d
 coefficient is a numerator over ``Q^d * d!`` (``Q`` the lcm of the input's
@@ -362,20 +364,44 @@ def standard_bracketing(word: Word):
     return (standard_bracketing(word[:i]), standard_bracketing(word[i:]))
 
 
-def bracket_tree_words(tree, labels: Sequence[str] | None = None) -> dict[Word, int]:
-    """Integer word expansion of a nested-bracket tree whose leaves are letter
-    ids, or labels of ``labels`` when they are given."""
+def bracket_fold(tree, leaf, node):
+    """Fold a bracket tree: ``leaf(x)`` at each leaf, ``node(l, r)`` at each bracket.
+
+    A leaf is anything that is not a tuple; a bracket is a pair ``(left,
+    right)``, and any other tuple is refused.
+    """
     if not isinstance(tree, tuple):
-        return {(tree if labels is None else tuple(labels).index(tree),): 1}
-    left, right = tree
-    lw = bracket_tree_words(left, labels)
-    rw = bracket_tree_words(right, labels)
+        return leaf(tree)
+    if len(tree) != 2:
+        raise ValueError(f"a bracket is a pair (left, right), got {tree!r}")
+    return node(bracket_fold(tree[0], leaf, node), bracket_fold(tree[1], leaf, node))
+
+
+def bracket_leaves(tree) -> int:
+    """The number of leaves of a bracket tree: the power of x its stage carries."""
+    return bracket_fold(tree, lambda _: 1, lambda l, r: l + r)
+
+
+def _bracket_words(lw: dict[Word, int], rw: dict[Word, int]) -> dict[Word, int]:
     out: dict[Word, int] = {}
     for wl, cl in lw.items():
         for wr, cr in rw.items():
             out[wl + wr] = out.get(wl + wr, 0) + cl * cr
             out[wr + wl] = out.get(wr + wl, 0) - cl * cr
     return {w: c for w, c in out.items() if c}
+
+
+def bracket_tree_words(tree, labels: Sequence[str] | None = None) -> dict[Word, int]:
+    """Integer word expansion of a nested-bracket tree whose leaves are letter
+    ids, or labels of ``labels`` when they are given."""
+    def letter(x) -> dict[Word, int]:
+        if labels is None:
+            return {(x,): 1}
+        if x not in labels:
+            raise ValueError(f"stage letter {x!r} is not in the alphabet {tuple(labels)}")
+        return {(tuple(labels).index(x),): 1}
+
+    return bracket_fold(tree, letter, _bracket_words)
 
 
 @lru_cache(maxsize=None)
@@ -385,10 +411,8 @@ def lyndon_bracket_expansion(word: Word) -> tuple[tuple[Word, int], ...]:
 
 
 def bracket_tree_str(tree, labels: Sequence[str]) -> str:
-    if isinstance(tree, int):
-        return labels[tree]
-    left, right = tree
-    return f"[{bracket_tree_str(left, labels)},{bracket_tree_str(right, labels)}]"
+    """``[A,[A,B]]``-style text of a bracket tree whose leaves are letter ids."""
+    return bracket_fold(tree, labels.__getitem__, lambda l, r: f"[{l},{r}]")
 
 
 class LieCombination:

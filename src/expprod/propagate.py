@@ -2,7 +2,8 @@
 
 Quantum side: every stage exponential comes from an eigendecomposition of
 a Hermitian matrix: letter stages from the cached one of their part,
-commutator stages from the bracket brought to Hermitian form.  So every
+commutator stages from the bracket (the matrices of its labels folded by
+``ncalg.bracket_fold``) brought to Hermitian form.  So every
 stage is unitary to roundoff and the norm cannot drift.  A static part is
 checked Hermitian within 1e-12, a time-dependent sample within 1e-10 (both
 in the Frobenius norm, relative to max(1, ||H||)).  Time-ordered stepping
@@ -31,8 +32,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .ncalg import commutator
-from .schemes import CommutatorSpec, Scheme, stage_plan, timeordered2
+from .ncalg import bracket_fold, bracket_leaves, commutator
+from .schemes import Scheme, stage_plan, timeordered2
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +120,7 @@ def _parts_map(parts: Mapping) -> dict[str, HermitianPart]:
     return mapping
 
 
-def _bracket_matrix(tree, parts: dict[str, HermitianPart]) -> np.ndarray:
-    if isinstance(tree, str):
-        return parts[tree].matrix
-    return commutator(_bracket_matrix(tree[0], parts), _bracket_matrix(tree[1], parts))
-
-
-def _static_plan(scheme: Scheme) -> list[tuple[str | CommutatorSpec, float, float]]:
+def _static_plan(scheme: Scheme) -> list[tuple[str | tuple, float, float]]:
     """The stage plan of a scheme for a time-independent system (no T slot)."""
     if "T" in scheme.slots:
         raise ValueError("scheme has a shift-time slot; step it with run_timeordered")
@@ -146,10 +141,10 @@ def stage_unitaries(scheme: Scheme, parts: Mapping, dt: float) -> list[np.ndarra
             for target, c, _ in _static_plan(scheme)]
 
 
-def _commutator_factor(spec: CommutatorSpec, c: float, dt: float,
+def _commutator_factor(tree: tuple, c: float, dt: float,
                        parts: dict[str, HermitianPart]) -> np.ndarray:
-    leaves = spec.x_power
-    h = (-1j) ** (leaves - 1) * _bracket_matrix(spec.tree, parts)
+    leaves = bracket_leaves(tree)
+    h = (-1j) ** (leaves - 1) * bracket_fold(tree, lambda lab: parts[lab].matrix, commutator)
     w, v = np.linalg.eigh(h)
     return _hermitian_exp(w, v, -1j * c * dt ** leaves)
 
@@ -287,7 +282,7 @@ def _kick_drift_plan(scheme: Scheme) -> list[tuple[str, float]]:
     """(kind, coeff) per stage in application order: slot A drifts, slot B kicks."""
     plan = []
     for target, c, _ in _static_plan(scheme):
-        if isinstance(target, CommutatorSpec):
+        if not isinstance(target, str):
             raise ValueError("commutator stages are not supported in classical stepping")
         kind = {"A": "drift", "B": "kick"}.get(target)
         if kind is None:

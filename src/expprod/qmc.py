@@ -639,14 +639,22 @@ class ExtrapolationResult:
     errors: list[float]
 
 
-def extrapolate_values(n_list: Sequence[int], values: Sequence[float],
-                       errors: Sequence[float] | None = None) -> ExtrapolationResult:
-    """Least-squares fit value(n) = c0 + c1/n + c2/n^2 with error propagation."""
+def _check_trotter_numbers(n_list: Sequence[int]) -> list[int]:
+    """The Trotter numbers of a fit: at least 3, distinct, each >= 1."""
     ns = [int(n) for n in n_list]
     if len(ns) < 3:
         raise ValueError("need at least 3 Trotter numbers to extrapolate")
     if len(set(ns)) != len(ns):
         raise ValueError("Trotter numbers must be distinct")
+    if min(ns) < 1:
+        raise ValueError(f"Trotter numbers must be >= 1, got {min(ns)}")
+    return ns
+
+
+def extrapolate_values(n_list: Sequence[int], values: Sequence[float],
+                       errors: Sequence[float] | None = None) -> ExtrapolationResult:
+    """Least-squares fit value(n) = c0 + c1/n + c2/n^2 with error propagation."""
+    ns = _check_trotter_numbers(n_list)
     y = np.asarray(values, dtype=float)
     design = np.column_stack([np.ones(len(ns)),
                               1.0 / np.asarray(ns, dtype=float),
@@ -684,16 +692,17 @@ def trotter_extrapolate(model: IsingModel, n_list: Sequence[int], sweeps: int,
         raise ValueError("bond_zz needs a model with at least one bond")
     if sweeps:
         check_kept_sweeps(sweeps, sweeps // 5)
+    ns = _check_trotter_numbers(n_list)
     values, errors = [], []
-    for k, n in enumerate(n_list):
+    for k, n in enumerate(ns):
         if sweeps == 0:
             values.append(float(np.mean(getattr(exact_reference(model, n), observable))))
         else:
-            run = metropolis_run(model, int(n), sweeps, sweeps // 5, seed + k)
+            run = metropolis_run(model, n, sweeps, sweeps // 5, seed + k)
             stats = _binned(run.traces[observable])
             values.append(stats.mean)
             errors.append(stats.std_error)
-    return extrapolate_values(list(n_list), values, errors if sweeps else None)
+    return extrapolate_values(ns, values, errors if sweeps else None)
 
 
 # ---------------------------------------------------------------------------

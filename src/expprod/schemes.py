@@ -2,8 +2,11 @@
 
 A scheme is an ordered list of stages, written left to right exactly as
 the product of exponentials is written on paper; application to a state
-runs right to left.  Stage coefficients are exact rationals where
-possible.  The fractal constructions introduce algebraic constants
+runs right to left.  A stage's target is what ``ncalg`` takes as a
+generator: a slot label such as ``"A"``, or a bracket tree of labels such
+as ``("B", ("A", "B"))`` for a commutator stage, which carries x to the
+power of its number of leaves.  Stage coefficients are exact rationals
+where possible.  The fractal constructions introduce algebraic constants
 (real roots of small odd-degree polynomials); their stage coefficients
 are exact polynomials in those named constants, so every coefficient is
 a ``poly.Coeff`` normalised by ``as_exact`` and per-slot sums stay
@@ -25,6 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence, Union
 
+from .ncalg import bracket_fold, bracket_leaves
 from .poly import Coeff, RationalPoly, as_exact, frac_str
 
 
@@ -142,50 +146,20 @@ def coeff_value(c: Coeff) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CommutatorSpec:
-    """A nested commutator stage over slot labels, e.g. ("B", ("A", "B"))."""
-
-    tree: tuple
-
-    def __post_init__(self):
-        if isinstance(self.tree, str):
-            raise ValueError("a commutator stage needs a bracket, not a bare label")
-
-    @property
-    def x_power(self) -> int:
-        """The power of x the stage carries: the number of leaves of its bracket."""
-        return _tree_leaves(self.tree)
-
-    def to_json(self):
-        def conv(t):
-            if isinstance(t, str):
-                return t
-            return [conv(t[0]), conv(t[1])]
-
-        return conv(self.tree)
-
-
-def _tree_leaves(tree) -> int:
-    if isinstance(tree, str):
-        return 1
-    return _tree_leaves(tree[0]) + _tree_leaves(tree[1])
-
-
-@dataclass(frozen=True)
 class Stage:
-    """One exponential factor: a slot index or commutator, and a coefficient."""
+    """One exponential factor: a slot label or a bracket tree of labels, and a coefficient."""
 
-    target: Union[int, CommutatorSpec]
+    target: Union[str, tuple]
     coeff: Coeff
 
     def is_commutator(self) -> bool:
-        return isinstance(self.target, CommutatorSpec)
+        return isinstance(self.target, tuple)
 
     def scaled(self, factor: Coeff) -> "Stage":
         # factor on the left: a polynomial factor multiplies directly instead
         # of going through Fraction's operator fallback
         if self.is_commutator():
-            factor = factor ** self.target.x_power
+            factor = factor ** bracket_leaves(self.target)
         return Stage(self.target, as_exact(factor * self.coeff))
 
 
@@ -202,8 +176,7 @@ class Scheme:
         sums: dict[str, Coeff] = {lab: Fraction(0) for lab in self.slots}
         for st in self.stages:
             if not st.is_commutator():
-                lab = self.slots[st.target]
-                sums[lab] = as_exact(sums[lab] + st.coeff)
+                sums[st.target] = as_exact(sums[st.target] + st.coeff)
         return sums
 
     def is_palindromic(self) -> bool:
@@ -213,30 +186,29 @@ class Scheme:
     def symmetric(self) -> bool:
         """S(x) S(-x) = 1: the stages read the same both ways and are all odd in x."""
         return self.is_palindromic() and all(
-            st.target.x_power % 2 for st in self.stages if st.is_commutator())
+            bracket_leaves(st.target) % 2 for st in self.stages if st.is_commutator())
 
     def all_exact(self) -> bool:
         return all(isinstance(st.coeff, Fraction) for st in self.stages)
 
     def scale(self, factor: Coeff) -> "Scheme":
-        """The scheme with x replaced by factor*x (commutators pick up factor^x_power)."""
+        """The scheme with x replaced by factor*x (a commutator picks up factor^leaves)."""
         return Scheme(self.slots, tuple(st.scaled(factor) for st in self.stages),
                       self.claimed_order)
 
     @cached_property
-    def _plan(self) -> tuple[tuple[Union[str, CommutatorSpec], float, float], ...]:
+    def _plan(self) -> tuple[tuple[Union[str, tuple], float, float], ...]:
         """The records of ``stage_plan``, cached on the (frozen) scheme."""
         if "T" in self.slots:
             records = evaluation_offsets(self)
         else:
-            records = [(st.target if st.is_commutator() else self.slots[st.target], st.coeff, 0)
-                       for st in reversed(self.stages)]
+            records = [(st.target, st.coeff, 0) for st in reversed(self.stages)]
         return tuple((target, coeff_value(c), coeff_value(tau)) for target, c, tau in records)
 
     # -- series view ----------------------------------------------------
     def ncalg_stages(self):
-        """Stage list for the series algebra: a slot stage gives its label, a
-        commutator stage its bracket tree, and every coefficient is a Fraction.
+        """Stage list for the series algebra: each stage's target with its
+        coefficient as a Fraction.
 
         Polynomial coefficients are evaluated in rational arithmetic at the
         binary-exact values of their constants' 17-digit decimals, so a merged
@@ -248,7 +220,7 @@ class Scheme:
             if isinstance(coeff, RationalPoly):
                 coeff = coeff.evaluate({n: Fraction(_CONSTANTS[n].value)
                                         for n in coeff.variables()})
-            out.append((st.target.tree if st.is_commutator() else self.slots[st.target], coeff))
+            out.append((st.target, coeff))
         return out
 
     # -- serialization ----------------------------------------------------
@@ -258,10 +230,11 @@ class Scheme:
         for st in self.stages:
             entry: dict = {}
             if st.is_commutator():
-                entry["commutator"] = st.target.to_json()
-                entry["x_power"] = st.target.x_power
+                entry["commutator"] = bracket_fold(st.target, lambda lab: lab,
+                                                   lambda l, r: [l, r])
+                entry["x_power"] = bracket_leaves(st.target)
             else:
-                entry["slot"] = st.target
+                entry["slot"] = self.slots.index(st.target)
             c = st.coeff
             if isinstance(c, RationalPoly):
                 entry["coeff"] = f"{coeff_value(c):.17g}"
@@ -326,30 +299,30 @@ def fractal(base: Scheme, kind: str, name: str = "") -> Scheme:
 # ---------------------------------------------------------------------------
 
 def trotter() -> Scheme:
-    return Scheme(("A", "B"), (Stage(0, Fraction(1)), Stage(1, Fraction(1))),
+    return Scheme(("A", "B"), (Stage("A", Fraction(1)), Stage("B", Fraction(1))),
                   claimed_order=1, name="trotter")
 
 
 def strang() -> Scheme:
     return Scheme(("A", "B"),
-                  (Stage(0, Fraction(1, 2)), Stage(1, Fraction(1)), Stage(0, Fraction(1, 2))),
+                  (Stage("A", Fraction(1, 2)), Stage("B", Fraction(1)), Stage("A", Fraction(1, 2))),
                   claimed_order=2, name="strang")
 
 
 def ruth() -> Scheme:
     return Scheme(
         ("A", "B"),
-        (Stage(0, Fraction(7, 24)), Stage(1, Fraction(2, 3)),
-         Stage(0, Fraction(3, 4)), Stage(1, Fraction(-2, 3)),
-         Stage(0, Fraction(-1, 24)), Stage(1, Fraction(1))),
+        (Stage("A", Fraction(7, 24)), Stage("B", Fraction(2, 3)),
+         Stage("A", Fraction(3, 4)), Stage("B", Fraction(-2, 3)),
+         Stage("A", Fraction(-1, 24)), Stage("B", Fraction(1))),
         claimed_order=3, name="ruth")
 
 
 def hybrid_second() -> Scheme:
     """Trotter step with a trailing commutator exponential killing the x^2 term."""
-    comm = CommutatorSpec(("A", "B"))
     return Scheme(("A", "B"),
-                  (Stage(0, Fraction(1)), Stage(1, Fraction(1)), Stage(comm, Fraction(-1, 2))),
+                  (Stage("A", Fraction(1)), Stage("B", Fraction(1)),
+                   Stage(("A", "B"), Fraction(-1, 2))),
                   claimed_order=2, name="hybrid_second")
 
 
@@ -360,26 +333,26 @@ def hybrid_fourth() -> Scheme:
     of the step each (no two neighbours share a slot); the caps carry
     (1/432) x^3 [B,[A,B]].
     """
-    cap = Stage(CommutatorSpec(("B", ("A", "B"))), Fraction(1, 432))
+    cap = Stage(("B", ("A", "B")), Fraction(1, 432))
     third, sixth = Fraction(1, 3), Fraction(1, 6)
-    inner = [(0, sixth), (1, third), (0, sixth), (1, sixth), (0, third),
-             (1, sixth), (0, sixth), (1, third), (0, sixth)]
+    inner = [("A", sixth), ("B", third), ("A", sixth), ("B", sixth), ("A", third),
+             ("B", sixth), ("A", sixth), ("B", third), ("A", sixth)]
     return Scheme(("A", "B"), (cap, *(Stage(t, c) for t, c in inner), cap),
                   claimed_order=4, name="hybrid_fourth")
 
 
 def timeordered1() -> Scheme:
     return Scheme(("A", "B", "T"),
-                  (Stage(0, Fraction(1)), Stage(1, Fraction(1)), Stage(2, Fraction(1))),
+                  (Stage("A", Fraction(1)), Stage("B", Fraction(1)), Stage("T", Fraction(1))),
                   claimed_order=1, name="timeordered1")
 
 
 def timeordered2() -> Scheme:
     """Symmetric second-order splitting over three slots T, A, B."""
     return Scheme(("A", "B", "T"),
-                  (Stage(2, Fraction(1, 2)), Stage(0, Fraction(1, 2)),
-                   Stage(1, Fraction(1)),
-                   Stage(0, Fraction(1, 2)), Stage(2, Fraction(1, 2))),
+                  (Stage("T", Fraction(1, 2)), Stage("A", Fraction(1, 2)),
+                   Stage("B", Fraction(1)),
+                   Stage("A", Fraction(1, 2)), Stage("T", Fraction(1, 2))),
                   claimed_order=2, name="timeordered2")
 
 
@@ -425,7 +398,6 @@ def evaluation_offsets(s: Scheme) -> list[tuple[str, Coeff, Coeff]]:
     """
     if "T" not in s.slots:
         raise ValueError("scheme has no shift-time slot")
-    t_index = s.slots.index("T")
     if s.slot_sums()["T"] != 1:
         raise ValueError("T-stage coefficients must sum to 1")
     out: list[tuple[str, Coeff, Coeff]] = []
@@ -433,17 +405,17 @@ def evaluation_offsets(s: Scheme) -> list[tuple[str, Coeff, Coeff]]:
     for st in reversed(s.stages):
         if st.is_commutator():
             raise ValueError("commutator stages are not supported with a T slot")
-        if st.target == t_index:
+        if st.target == "T":
             tau = as_exact(tau + st.coeff)
         else:
-            out.append((s.slots[st.target], st.coeff, tau))
+            out.append((st.target, st.coeff, tau))
     return out
 
 
-def stage_plan(s: Scheme) -> tuple[tuple[Union[str, CommutatorSpec], float, float], ...]:
+def stage_plan(s: Scheme) -> tuple[tuple[Union[str, tuple], float, float], ...]:
     """Numeric (target, coeff, tau) records in application (right-to-left) order.
 
-    The target is a slot label, or the CommutatorSpec of a commutator stage.
+    The target is the stage's: a slot label, or a bracket tree of labels.
     A T slot is consumed through the exact ``evaluation_offsets``; without
     one, every offset tau is 0.  Every numeric stepper reads a scheme here;
     the records are computed once per scheme instance.

@@ -863,6 +863,37 @@ def test_extrapolate_needs_two_kept_sweeps(capsys):
     assert all(math.isfinite(e) for e in _strict_json(out)["errors"])
 
 
+@pytest.mark.parametrize("sweeps", ["20000", "0"])
+@pytest.mark.parametrize("n_list,message", [
+    ("16,16,16", "distinct"), ("16", "at least 3"), ("16,32,0", ">= 1, got 0"),
+])
+def test_extrapolate_refuses_a_bad_n_list_before_sampling(capsys, monkeypatch, sweeps,
+                                                          n_list, message):
+    def never(*args, **kwargs):
+        raise AssertionError("sampled or enumerated before the n-list was checked")
+
+    monkeypatch.setattr(qmc, "metropolis_run", never)
+    monkeypatch.setattr(qmc, "exact_reference", never)
+    code, out, err = run(capsys, "extrapolate", "--model", str(MODELS / "chain6.json"),
+                         "--n-list", n_list, "--sweeps", sweeps)
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert "config error" in err and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["qmc", "--model", str(MODELS / "pair.json"), "--n", "2", "--sweeps", "1e18"],
+    ["extrapolate", "--model", str(MODELS / "pair.json"), "--n-list", "2,3,4",
+     "--sweeps", "1e18"],
+], ids=["qmc", "extrapolate"])
+def test_run_too_large_to_allocate_is_config_error(capsys, argv):
+    # 1e18 sweeps need exbibytes, beyond any address space: the allocation fails at once
+    code, out, err = run(capsys, *argv)
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert err.startswith("config error: ") and "allocate" in err
+
+
 @pytest.mark.parametrize("observable", ["bond_zz", "sigma_x", "diag_energy"])
 def test_extrapolate_cold_model_is_finite(tmp_path, capsys, observable):
     # beta * J = 800: enumerated layer weights e^{800} overflow to NaN

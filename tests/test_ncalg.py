@@ -7,13 +7,14 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from expprod.ncalg import (
-    LieCombination, NcSeries, NotLieElementError, bracket_tree_words, commutator,
+    LieCombination, NcSeries, NotLieElementError, bracket_fold, bracket_leaves,
+    bracket_tree_words, commutator,
     conjugation_series, delta_power, frechet_exp, left_minus_ad_power, lie_project, lyndon_words,
     product_and_log, product_log, series_log, series_mul, stage_exp, stage_product,
 )
 from expprod.orders import verify_order
 from expprod.poly import RationalPoly
-from expprod.schemes import CATALOG, hybrid_fourth, ruth
+from expprod.schemes import CATALOG, catalog, hybrid_fourth, ruth
 
 suzuki6, timeordered4 = CATALOG["suzuki6"], CATALOG["timeordered4"]
 
@@ -275,6 +276,40 @@ def test_pretty_bracket_names():
     log = product_log([("A", 1), ("B", 1)], 3, AB)
     text = lie_project(log).homogeneous(3).pretty()
     assert "[A,[A,B]]" in text and "[[A,B],B]" in text and "1/12" in text
+
+
+@pytest.mark.parametrize("call", [
+    lambda: stage_exp("C", 1, 2, AB),
+    lambda: stage_exp(0, 1, 2, AB),
+    lambda: product_and_log([("A", 1), ("C", 1)], 2, AB),
+], ids=["letter_C", "integer_letter", "product_and_log"])
+def test_unknown_stage_letter_is_named(call):
+    with pytest.raises(ValueError, match=r"stage letter .* is not in the alphabet \('A', 'B'\)"):
+        call()
+
+
+def _trees(leaves: int) -> list:
+    """Every bracket tree over A, B with the given number of leaves."""
+    if leaves == 1:
+        return ["A", "B"]
+    return [(left, right) for k in range(1, leaves)
+            for left in _trees(k) for right in _trees(leaves - k)]
+
+
+def test_bracket_words_agree_with_the_matrix_fold():
+    # the word expansion and the matrix evaluation are two folds of one tree
+    rng = np.random.default_rng(7)
+    mats = {lab: rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for lab in AB}
+    stages = [st.target for sch in catalog().values() for st in sch.stages if st.is_commutator()]
+    trees = stages + [t for n in range(1, 5) for t in _trees(n)]
+    assert ("B", ("A", "B")) in stages and len(trees) == len(stages) + 2 + 4 + 16 + 80
+    for tree in trees:
+        words = bracket_tree_words(tree, AB)
+        assert all(len(w) == bracket_leaves(tree) for w in words)
+        expanded = sum(c * np.linalg.multi_dot([np.eye(4)] + [mats[AB[i]] for i in w])
+                       for w, c in words.items())
+        folded = bracket_fold(tree, mats.__getitem__, commutator)
+        assert np.max(np.abs(expanded - folded)) < 1e-12, tree
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from expprod.propagate import (
     unitary_step,
 )
 from expprod.schemes import (
-    CATALOG, CommutatorSpec, Scheme, Stage, hybrid_fourth, hybrid_second, ruth, stage_plan,
+    CATALOG, Scheme, Stage, hybrid_fourth, hybrid_second, ruth, stage_plan,
     strang, timeordered1, timeordered2, trotter,
 )
 
@@ -221,8 +221,8 @@ def test_classical_stepping_refuses_commutators_and_shift_time(scheme):
 def test_classical_stepping_refuses_an_unmapped_slot():
     # A drifts and B kicks; a slot with any other label has no classical flow
     x = PhasePoint(np.zeros(2), np.array([2.0, 1.0]))
-    leapfrog_ac = Scheme(("A", "C"), (Stage(0, Fraction(1, 2)), Stage(1, Fraction(1)),
-                                      Stage(0, Fraction(1, 2))), claimed_order=2)
+    leapfrog_ac = Scheme(("A", "C"), (Stage("A", Fraction(1, 2)), Stage("C", Fraction(1)),
+                                      Stage("A", Fraction(1, 2))), claimed_order=2)
     with pytest.raises(ValueError, match="'C'"):
         symplectic_step(leapfrog_ac, umeno_hamiltonian(), 0.01, x)
 
@@ -341,7 +341,7 @@ def test_commutator_stage_matches_expm(tree, leaves, coeff):
 
     a, b = rand_herm(5), rand_herm(5)
     dt = 0.7
-    scheme = Scheme(("A", "B"), (Stage(CommutatorSpec(tree), coeff),),
+    scheme = Scheme(("A", "B"), (Stage(tree, coeff),),
                     claimed_order=1)
     (factor,) = stage_unitaries(scheme, {"A": a, "B": b}, dt)
 

@@ -1,12 +1,15 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from expprod import schemes
-from expprod.ncalg import product_log
+from expprod.ncalg import bracket_leaves, product_log
+from expprod.orders import verify_order
 from expprod.poly import RationalPoly, frac_str
+from expprod.propagate import spin_parts, stage_unitaries
 from expprod.schemes import (
-    CATALOG, CommutatorSpec, Scheme, catalog, coeff_value,
+    CATALOG, Scheme, catalog, coeff_value,
     evaluation_offsets, fractal, fractal_constant, has_negative_coefficient,
     hybrid_fourth, hybrid_second, merge_adjacent, ruth, stage_plan,
     strang, timeordered1, timeordered2, trotter,
@@ -26,7 +29,7 @@ def sym_or_frac(c):
 
 def test_trotter_stages_and_sums():
     t = trotter()
-    assert [(st.target, st.coeff) for st in t.stages] == [(0, 1), (1, 1)]
+    assert [(st.target, st.coeff) for st in t.stages] == [("A", 1), ("B", 1)]
     assert t.slot_sums() == {"A": 1, "B": 1}
     assert not t.symmetric
 
@@ -34,7 +37,7 @@ def test_trotter_stages_and_sums():
 def test_strang_stages():
     s = strang()
     assert [(st.target, st.coeff) for st in s.stages] == \
-        [(0, Fraction(1, 2)), (1, 1), (0, Fraction(1, 2))]
+        [("A", Fraction(1, 2)), ("B", 1), ("A", Fraction(1, 2))]
     assert s.symmetric and s.is_palindromic()
     assert s.slot_sums() == {"A": 1, "B": 1}
 
@@ -86,13 +89,13 @@ def test_triple_jump_merged_coefficients():
     tj = triple_jump4()
     s = RationalPoly.var("triple_order2")
     expected = [
-        (0, s * Fraction(1, 2)),
-        (1, s),
-        (0, (1 - s) * Fraction(1, 2)),
-        (1, 1 - 2 * s),
-        (0, (1 - s) * Fraction(1, 2)),
-        (1, s),
-        (0, s * Fraction(1, 2)),
+        ("A", s * Fraction(1, 2)),
+        ("B", s),
+        ("A", (1 - s) * Fraction(1, 2)),
+        ("B", 1 - 2 * s),
+        ("A", (1 - s) * Fraction(1, 2)),
+        ("B", s),
+        ("A", s * Fraction(1, 2)),
     ]
     got = [(st.target, sym_or_frac(st.coeff)) for st in tj.stages]
     assert got == expected
@@ -109,8 +112,8 @@ def test_triple_jump_middle_coefficient_is_negative_past_excursion():
 def test_quintuple_merged_coefficients():
     s4 = fractal(strang(), "quintuple")
     s2 = RationalPoly.var("quintuple_order2")
-    a_coeffs = [sym_or_frac(st.coeff) for st in s4.stages if st.target == 0]
-    b_coeffs = [sym_or_frac(st.coeff) for st in s4.stages if st.target == 1]
+    a_coeffs = [sym_or_frac(st.coeff) for st in s4.stages if st.target == "A"]
+    b_coeffs = [sym_or_frac(st.coeff) for st in s4.stages if st.target == "B"]
     half = Fraction(1, 2)
     assert a_coeffs == [s2 * half, s2, (1 - 3 * s2) * half,
                         (1 - 3 * s2) * half, s2, s2 * half]
@@ -148,7 +151,7 @@ def test_symmetric_is_read_off_the_stage_list():
         "hybrid_fourth": True, "timeordered1": False, "timeordered2": True,
         "timeordered4": True}
     # a palindrome is not enough: a stage even in x breaks S(x) S(-x) = 1
-    even = schemes.Stage(CommutatorSpec(("A", "B")), Fraction(1))
+    even = schemes.Stage(("A", "B"), Fraction(1))
     assert not Scheme(("A", "B"), (even,), claimed_order=1).symmetric
 
 
@@ -186,10 +189,10 @@ def test_symmetric_log_has_no_even_terms_to_degree8():
 
 
 def test_merge_adjacent_merges_and_drops_zeros():
-    stages = (schemes.Stage(0, Fraction(1, 2)), schemes.Stage(0, Fraction(-1, 2)),
-              schemes.Stage(1, Fraction(1)))
+    stages = (schemes.Stage("A", Fraction(1, 2)), schemes.Stage("A", Fraction(-1, 2)),
+              schemes.Stage("B", Fraction(1)))
     merged = merge_adjacent(stages)
-    assert [(st.target, st.coeff) for st in merged] == [(1, Fraction(1))]
+    assert [(st.target, st.coeff) for st in merged] == [("B", Fraction(1))]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +203,7 @@ def test_hybrid_second_commutator_stage():
     h = hybrid_second()
     last = h.stages[-1]
     assert last.is_commutator()
-    assert last.target.tree == ("A", "B") and last.target.x_power == 2
+    assert last.target == ("A", "B") and bracket_leaves(last.target) == 2
     assert last.coeff == Fraction(-1, 2)
 
 
@@ -209,7 +212,7 @@ def test_hybrid_fourth_end_caps():
     first, last = h.stages[0], h.stages[-1]
     for cap in (first, last):
         assert cap.is_commutator()
-        assert cap.target.tree == ("B", ("A", "B")) and cap.target.x_power == 3
+        assert cap.target == ("B", ("A", "B")) and bracket_leaves(cap.target) == 3
         assert cap.coeff == Fraction(1, 432)
 
 
@@ -222,9 +225,16 @@ def test_hybrid_fourth_is_exactly_fourth_order():
     assert log.homogeneous(5)
 
 
-def test_commutator_spec_validation():
-    with pytest.raises(ValueError, match="needs a bracket"):
-        CommutatorSpec("A")              # no bracket at all
+def test_bracket_node_that_is_not_a_pair_is_refused():
+    # every reader of a stage's tree refuses a three-way node with one message
+    sch = Scheme(("A", "B"), (schemes.Stage(("A", "B", "A"), Fraction(1)),), claimed_order=1)
+    readers = [sch.to_json, lambda: sch.symmetric, lambda: sch.scale(Fraction(2)),
+               lambda: verify_order(sch, 2),
+               lambda: stage_unitaries(sch, spin_parts(0.5), 0.1)]
+    message = r"a bracket is a pair \(left, right\), got \('A', 'B', 'A'\)"
+    for read in readers:
+        with pytest.raises(ValueError, match=message):
+            read()
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +297,7 @@ def test_stage_plan_runs_right_to_left_with_zero_offsets():
 
 def test_stage_plan_keeps_commutator_targets():
     plan = stage_plan(hybrid_second())
-    assert isinstance(plan[0][0], CommutatorSpec)
+    assert plan[0][0] == ("A", "B")
     assert plan[0][1] == -0.5
     assert [lab for lab, _, _ in plan[1:]] == ["B", "A"]
 
@@ -306,7 +316,7 @@ def test_evaluation_times_requires_t_slot():
 
 def test_t_coefficients_must_sum_to_one():
     bad = Scheme(("A", "B", "T"),
-                 (schemes.Stage(2, Fraction(1, 2)), schemes.Stage(0, Fraction(1))),
+                 (schemes.Stage("T", Fraction(1, 2)), schemes.Stage("A", Fraction(1))),
                  claimed_order=1)
     with pytest.raises(ValueError):
         evaluation_offsets(bad)
@@ -329,10 +339,10 @@ def test_scheme_json_round_trip(name, make):
     assert len(doc["stages"]) == len(sch.stages)
     for entry, st in zip(doc["stages"], sch.stages):
         if st.is_commutator():
-            assert entry["commutator"] == st.target.to_json()
-            assert entry["x_power"] == st.target.x_power
+            assert entry["commutator"] == json.loads(json.dumps(st.target))
+            assert entry["x_power"] == bracket_leaves(st.target)
         else:
-            assert entry["slot"] == st.target and "x_power" not in entry
+            assert sch.slots[entry["slot"]] == st.target and "x_power" not in entry
         if isinstance(st.coeff, Fraction):
             assert entry["coeff"] == frac_str(st.coeff) and "coeff_poly" not in entry
         else:
