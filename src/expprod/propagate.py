@@ -4,9 +4,12 @@ Quantum side: every stage exponential comes from an eigendecomposition of
 a Hermitian matrix: letter stages from the cached one of their part,
 commutator stages from the bracket (the matrices of its labels folded by
 ``ncalg.bracket_fold``) brought to Hermitian form.  So every
-stage is unitary to roundoff and the norm cannot drift.  A static part is
-checked Hermitian within 1e-12, a time-dependent sample within 1e-10 (both
-in the Frobenius norm, relative to max(1, ||H||)).  Time-ordered stepping
+stage is unitary to roundoff and the norm cannot drift.  ``stage_unitaries``
+builds the factors of all stages of one target with one stacked exponential
+over that target's eigendecomposition, bit-identical to one factor at a
+time.  A static part is checked Hermitian within 1e-12, a time-dependent
+sample within 1e-10 (both in the Frobenius norm, relative to
+max(1, ||H||)).  Time-ordered stepping
 builds its stage factors per chunk of steps: the samples of at most
 ``_CHUNK_BYTES`` of factors go through one stacked ``eigh``, and the
 factors are then applied one by one in application order, so the output
@@ -22,6 +25,8 @@ mapping from slot label to matrix or ``HermitianPart``.
 The ``cli`` commands only call this module and write what it returns: every
 trajectory run records rows at the steps ``sample_marks`` names, and
 ``convergence`` is the one empirical-order study (dt grids, floor, fit).
+Its driven system is measured against ``timeordered4`` at 1/32 of the
+finest dt of each end time, accurate to about 1e-12 at t = 1.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .ncalg import bracket_fold, bracket_leaves, commutator
-from .schemes import Scheme, stage_plan, timeordered2
+from .schemes import CATALOG, Scheme, stage_plan
 
 
 # ---------------------------------------------------------------------------
@@ -127,26 +132,44 @@ def _static_plan(scheme: Scheme) -> list[tuple[str | tuple, float, float]]:
     return stage_plan(scheme)
 
 
-def stage_unitaries(scheme: Scheme, parts: Mapping, dt: float) -> list[np.ndarray]:
-    """Stage matrices in application (right-to-left) order for exp(-i dt H).
+def stage_unitaries(scheme: Scheme, parts: Mapping, dt: float) -> np.ndarray:
+    """Stage matrices in application (right-to-left) order for exp(-i dt H),
+    as one (K, N, N) stack.
 
     A commutator stage with L leaves applies exp(c (-i dt)^L K), where the
     bracket K of Hermitian parts is i^(L-1) times a Hermitian matrix; it is
     taken as exp(-i c dt^L H) with H = (-i)^(L-1) K.  ``eigh`` reads one
     triangle of H, so the factor is unitary whatever roundoff K carries.
+    The stages of one target share one eigendecomposition and one stacked
+    exponential (at most ``_CHUNK_BYTES`` of factors at a time), which gives
+    the same bits as building each factor on its own.
     """
     pm = _parts_map(parts)
-    return [pm[target].expfactor(-1j * c * dt) if isinstance(target, str)
-            else _commutator_factor(target, c, dt, pm)
-            for target, c, _ in _static_plan(scheme)]
+    plan = _static_plan(scheme)
+    dim = next(iter(pm.values())).dim
+    by_target: dict[str | tuple, list[int]] = {}
+    for i, (target, _, _) in enumerate(plan):
+        by_target.setdefault(target, []).append(i)
+    out = np.empty((len(plan), dim, dim), dtype=complex)
+    per_chunk = max(1, _CHUNK_BYTES // (16 * dim * dim))
+    for target, rows in by_target.items():
+        if isinstance(target, str):
+            w, v, power = pm[target].eigenvalues, pm[target].eigenvectors, 1
+        else:
+            w, v, power = _bracket_eigh(target, pm)
+        zs = np.array([-1j * plan[i][1] * dt ** power for i in rows])
+        for start in range(0, len(rows), per_chunk):
+            chunk = rows[start:start + per_chunk]
+            out[chunk] = _hermitian_exp(w, v, zs[start:start + per_chunk, None, None])
+    return out
 
 
-def _commutator_factor(tree: tuple, c: float, dt: float,
-                       parts: dict[str, HermitianPart]) -> np.ndarray:
+def _bracket_eigh(tree: tuple, parts: dict[str, HermitianPart]):
+    """(eigenvalues, eigenvectors, leaves) of the Hermitian form of a bracket."""
     leaves = bracket_leaves(tree)
     h = (-1j) ** (leaves - 1) * bracket_fold(tree, lambda lab: parts[lab].matrix, commutator)
     w, v = np.linalg.eigh(h)
-    return _hermitian_exp(w, v, -1j * c * dt ** leaves)
+    return w, v, leaves
 
 
 def step_operator(scheme: Scheme, parts: Mapping, dt: float) -> np.ndarray:
@@ -170,7 +193,8 @@ def unitary_step(scheme: Scheme, parts: Mapping, dt: float, psi: QuantumState) -
         if isinstance(target, str):
             v = pm[target].apply_exp(-1j * c * dt, v)
         else:
-            v = _commutator_factor(target, c, dt, pm) @ v
+            w, vecs, leaves = _bracket_eigh(target, pm)
+            v = _hermitian_exp(w, vecs, -1j * c * dt ** leaves) @ v
     return QuantumState(v)
 
 
@@ -414,12 +438,22 @@ def run_timeordered(scheme3: Scheme, parts: TimeDependentParts, t0: float,
     times are ``(t0 + k*dt) + tau*dt`` over a float64 array of its step
     indices k, the same floats as the scalar expression.  Applying the
     factors one by one keeps every bit of the one-factor-at-a-time product.
+    A stage time that is not finite is refused with a ``ValueError`` naming
+    it, before any part is sampled.
     """
     if "T" not in scheme3.slots:
         raise ValueError("scheme has no shift-time slot")
     plan = stage_plan(scheme3)
     slots = np.array([slot for slot, _, _ in plan])
-    offsets = np.array([tau * dt for _, _, tau in plan])
+    taus = [tau * dt for _, _, tau in plan]
+    offsets = np.array(taus)
+    # stage times are monotone in k and in tau, so these four bound them all
+    for k in (first, first + steps - 1):
+        for tau_dt in (min(taus), max(taus)):
+            t = (t0 + k * dt) + tau_dt
+            if not math.isfinite(t):
+                raise ValueError(f"stage time t0 + k*dt + tau*dt = {t} at step k = {k} "
+                                 f"is not finite (t0 = {t0}, dt = {dt})")
     zs = np.array([-1j * c * dt for _, c, _ in plan])
     v = psi.vector
     per_chunk = max(1, _CHUNK_BYTES // (16 * v.size * v.size))
@@ -526,8 +560,14 @@ def spin_error(scheme: Scheme, gamma: float, dt: float, t_final: float) -> float
 
 
 def step_count(t_final: float, dt: float) -> int:
-    """Steps of size dt that approximate t_final; at least one."""
-    return max(1, int(round(t_final / dt)))
+    """Steps of size dt that approximate t_final; at least one.
+
+    Raises ``ValueError`` when t_final / dt is not a finite number.
+    """
+    steps = t_final / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"t_final / dt = {t_final} / {dt} is not a finite step count")
+    return max(1, int(round(steps)))
 
 
 def hermitian_pair_error(scheme: Scheme, a: np.ndarray, b: np.ndarray,
@@ -546,13 +586,16 @@ def hermitian_pair_error(scheme: Scheme, a: np.ndarray, b: np.ndarray,
 
 def driven_error(scheme3: Scheme, dt: float | Sequence[float],
                  t_final: float) -> float | list[float]:
-    """G-scheme error on the driven two-level system vs tiny-step reference.
+    """G-scheme error on the driven two-level system vs a fine-step reference.
 
     ``dt`` is one step, which gives one error, or a sequence of steps, which
     gives a list.  Step dt runs ``step_count(t_final, dt)`` steps and ends at
-    that count times dt.  The reference is the second-order time-ordered
-    scheme at 1/1024 of the finest dt that ends at the same time, run once
-    for every end time.
+    that count times dt.  The reference is the catalog's ``timeordered4`` at
+    1/32 of the finest dt that ends at the same time, run once for every end
+    time.  On the default grid (finest dt 1/32, t_final 1) it agrees with
+    ``timeordered4`` at 1/64 of that dt within 8.5e-13, and ``timeordered4``'s
+    own error at dt 1/32, 1.1097e-8, reads the same to 4e-6 relative against
+    a run at 1/256 of it.
     """
     dts = [dt] if np.ndim(dt) == 0 else list(dt)
     parts = driven_two_level()
@@ -564,7 +607,8 @@ def driven_error(scheme3: Scheme, dt: float | Sequence[float],
     finest: dict[float, float] = {}  # end time -> the finest dt that ends there
     for d, n in zip(dts, steps):
         finest[n * d] = min(d, finest.get(n * d, d))
-    ref = {end: final_state(timeordered2(), d / 1024, step_count(t_final, d) * 1024)
+    reference = CATALOG["timeordered4"]()
+    ref = {end: final_state(reference, d / 32, step_count(t_final, d) * 32)
            for end, d in finest.items()}
     errors = [float(np.linalg.norm(final_state(scheme3, d, n) - ref[n * d]))
               for d, n in zip(dts, steps)]

@@ -461,15 +461,16 @@ def test_converge_suzuki8_pinned(tmp_path, capsys):
 
 
 # time-ordered output recorded while every stage factor had its own eigh call;
-# building them per chunk of steps must not move a bit
+# building them per chunk of steps must not move a bit.  The driven converge
+# entry was recorded against the timeordered4 reference at 1/32 of the finest dt.
 PINNED_TIMEORDERED = [
     (["timedep", "--scheme", "timeordered4", "--dt", "0.01", "--steps", "250"],
      "931a04094bff1d0273b47283ff634a9de2d6d4d4b59625e83a4b8da057062306",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (["converge", "--scheme", "timeordered4", "--system", "driven",
       "--dt-list", "0.25,0.125,0.0625"],
-     "cfbd1aa91f7002979d4ce6edbcd4b7f5a9c7028ca73f448e63ea731dbb4cf800",
-     "5c2533b3414ef806e5e33a031865ce5e77174ca1b5fd0259e9c9c52af4e9f872"),
+     "17befec2a302d60eae057814db09705a3adae88c8502c468e6a1633a0819c424",
+     "77fd0c671a8a0f0f4702507314b122aba3b7749cc498f72c56d2f98e0a8c7c61"),
 ]
 
 
@@ -1021,6 +1022,21 @@ def test_invalid_numeric_flags_are_config_errors(capsys, argv):
     assert "config error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["converge", "--scheme", "strang", "--t-final", "1e308"], "t_final / dt = 1e+308 / "),
+    (["converge", "--scheme", "strang", "--dt-list", "1e-320"], "t_final / dt = 1.0 / 1e-320"),
+    (["converge", "--scheme", "timeordered2", "--system", "driven", "--dt-list", "1e-320"],
+     "t_final / dt = 1.0 / 1e-320"),
+    # step 2 of dt 1e308 starts at 2e308: refused before any part is sampled
+    (["timedep", "--dt", "1e308", "--steps", "3"], "stage time t0 + k*dt + tau*dt = inf at step k = 2"),
+], ids=["converge_t_final", "converge_dt", "converge_driven_dt", "timedep_dt"])
+def test_overflowing_step_or_time_is_config_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
 # One cheap, valid command line per subcommand.  A fuzzed run replaces one
 # value, or one ','/':'/'='-separated piece of it, with a hostile token.
 _FUZZ_BASE = [
@@ -1030,8 +1046,9 @@ _FUZZ_BASE = [
     ["solve", "--pattern", "ABA", "--order", "2", "--fix", "p3=0.5", "--guess", "p1=0.4,p2=0.9"],
     ["family", "--p6", "1,1.1"],
     ["converge", "--scheme", "strang", "--dt-list", "0.1:0.2:0.1", "--t-final", "0.5"],
-    # no --t-final: a fuzzed 99 would make the dt/1024 reference ~200k steps
-    ["converge", "--scheme", "timeordered2", "--system", "driven", "--dt-list", "0.25,0.5"],
+    # a fuzzed --t-final 99 runs the dt/32 reference for 12672 steps, well under a second
+    ["converge", "--scheme", "timeordered2", "--system", "driven", "--dt-list", "0.25,0.5",
+     "--t-final", "1"],
     ["precession", "--scheme", "strang", "--gamma", "0.75", "--dt", "0.01", "--steps", "20",
      "--sample-every", "10"],
     ["umeno", "--scheme", "strang", "--dt", "0.01", "--steps", "20", "--sample-every", "10"],

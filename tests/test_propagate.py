@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from expprod.ncalg import bracket_fold, bracket_leaves, commutator
 from expprod.propagate import (
     UMENO_IC, HermitianPart, LogBranchError, PhasePoint, QuantumState,
     SeparableHamiltonian, TimeDependentParts, convergence, dominant_period, driven_error,
@@ -74,6 +75,33 @@ def test_unitary_step_matches_the_stage_factors(scheme):
         ref = m @ ref
     out = unitary_step(scheme, parts, 0.05, psi)
     assert np.linalg.norm(out.vector - ref) < 1e-13 * np.linalg.norm(ref)
+
+
+def test_stacked_stage_factors_are_bit_identical():
+    # one stacked exponential per stage target gives every bit of one
+    # expfactor per letter stage and one bracket eigh per commutator stage
+    rng = np.random.default_rng(8)
+    m = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+    herm = (m + m.conj().swapaxes(-1, -2)) / 2
+    fixtures = [spin_parts(GAMMA), {"A": HermitianPart(herm[0]), "B": HermitianPart(herm[1])}]
+    two_slot = [s for s in (make() for make in CATALOG.values()) if "T" not in s.slots]
+    assert {"hybrid_second", "hybrid_fourth", "suzuki8"} <= {s.name for s in two_slot}
+    for scheme in two_slot:
+        plan = stage_plan(scheme)
+        for parts in fixtures:
+            for dt in (0.7, 0.1, 2 ** -5):
+                stack = stage_unitaries(scheme, parts, dt)
+                assert stack.shape == (len(plan), *parts["A"].matrix.shape)
+                for factor, (target, c, _) in zip(stack, plan):
+                    if isinstance(target, str):
+                        single = parts[target].expfactor(-1j * c * dt)
+                    else:
+                        leaves = bracket_leaves(target)
+                        h = (-1j) ** (leaves - 1) * bracket_fold(
+                            target, lambda lab: parts[lab].matrix, commutator)
+                        w, v = np.linalg.eigh(h)
+                        single = (v * np.exp(-1j * c * dt ** leaves * w)) @ v.conj().T
+                    assert np.array_equal(factor, single), (scheme.name, target, dt)
 
 
 def test_precession_returns_after_one_period():
@@ -545,8 +573,8 @@ def test_driven_study_runs_one_reference_per_end_time(monkeypatch):
         return run_timeordered(scheme3, parts, t0, dt, steps, psi, **kw)
 
     def references(dts):
-        # the timeordered2 runs at 1/1024 of a dt of the study
-        return sum(name == "timeordered2" and any(dt == d / 1024 for d in dts)
+        # the timeordered4 runs at 1/32 of a dt of the study
+        return sum(name == "timeordered4" and any(dt == d / 32 for d in dts)
                    for name, dt in calls)
 
     monkeypatch.setattr(propagate, "run_timeordered", counted)
@@ -562,9 +590,35 @@ def test_driven_study_runs_one_reference_per_end_time(monkeypatch):
     for dt, err in zip(dts, study.errors):
         steps = step_count(1.0, dt)
         psi = run_timeordered(timeordered4(), parts, 0.0, dt, steps, QuantumState.up(2))
-        ref = run_timeordered(timeordered2(), parts, 0.0, dt / 1024, steps * 1024,
+        ref = run_timeordered(timeordered4(), parts, 0.0, dt / 32, steps * 32,
                               QuantumState.up(2))
         assert err == float(np.linalg.norm(psi.vector - ref.vector))
+
+
+def test_driven_reference_is_accurate_on_the_default_grid():
+    # finest dt 1/32, t_final 1; the reference is timeordered4 at dt/32
+    # (the test above pins that)
+    parts, d = driven_two_level(), 1 / 32
+
+    def final_state(step: float, steps: int) -> np.ndarray:
+        return run_timeordered(timeordered4(), parts, 0.0, step, steps, QuantumState.up(2)).vector
+
+    ref = final_state(d / 32, 32 * 32)
+    assert np.linalg.norm(ref - final_state(d / 64, 32 * 64)) < 5e-12  # measured 8.5e-13
+    err = convergence(timeordered4(), "driven").errors[-1]
+    fine = float(np.linalg.norm(final_state(d, 32) - final_state(d / 256, 32 * 256)))
+    assert abs(err - fine) <= 1e-4 * fine  # measured 4e-6
+
+
+def test_run_timeordered_refuses_a_non_finite_stage_time():
+    calls = []
+    parts = TimeDependentParts(a=lambda t: calls.append(t) or np.eye(2),
+                               b=lambda t: calls.append(t) or np.eye(2))
+    with pytest.raises(ValueError, match=r"stage time .* = inf at step k = 2"):
+        run_timeordered(timeordered2(), parts, 0.0, 1e308, 3, QuantumState.up(2))
+    with pytest.raises(ValueError, match=r"stage time .* = nan at step k = 0"):
+        run_timeordered(timeordered2(), parts, math.nan, 0.1, 3, QuantumState.up(2))
+    assert calls == []  # refused before any part is sampled
 
 
 # ---------------------------------------------------------------------------
