@@ -266,6 +266,8 @@ def cmd_solve(args) -> int:
     }
     if rational is not None:
         doc["solution_exact"] = {p: frac_str(v) for p, v in rational.items()}
+    if not report.converged:
+        doc["diagnostics"] = report.message
     print(json.dumps(doc, indent=2))
     if args.out:
         write_json(args.out, doc)

@@ -11,6 +11,7 @@ writes every table).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -27,6 +28,14 @@ MAX_ORDER = 9
 # Newton converges at a largest residual <= SOLVE_TOL within SOLVE_MAX_ITER steps.
 SOLVE_TOL = 1e-13
 SOLVE_MAX_ITER = 200
+# The line search's step scales: 1, 1/2, ..., 2^-29.
+_TRIAL_SCALES = np.ldexp(1.0, -np.arange(30))
+# A trial is screened out only when the bound on its norm tops norm(r) by
+# this relative margin, far above the rounding of either norm (a few hundred
+# ulps for the largest condition set below the order cap).
+_SCREEN_MARGIN = 2.0 ** -30
+# Bounds below this are dropped, so no square in the bound's norm underflows.
+_FLOOR_MIN = 2.0 ** -400
 
 
 def _check_order(m: int) -> None:
@@ -49,6 +58,11 @@ class ConditionEq:
 class OrderConditionSet:
     parameters: tuple[str, ...]
     equations: tuple[ConditionEq, ...]
+
+    @functools.cached_property
+    def compiled(self) -> CompiledPolys:
+        """The equations compiled once; every solve and check of this set shares it."""
+        return CompiledPolys((eq.poly for eq in self.equations), self.parameters)
 
     def of_degree(self, degree: int) -> tuple[ConditionEq, ...]:
         return tuple(eq for eq in self.equations if eq.degree == degree)
@@ -142,6 +156,20 @@ def _is_zero(diff, exact: bool, scale: float) -> bool:
     return abs(float(diff)) <= 1e-12 * max(1.0, scale)
 
 
+def _screened_out(compiled: CompiledPolys, points: np.ndarray, norm_r: float) -> np.ndarray:
+    """Which rows of ``points`` provably have a computed residual norm >= ``norm_r``.
+
+    ``compiled.lower_bounds`` gives floats f_k <= |p_k(x)|, so the correctly
+    rounded residual has |r_k| >= f_k and the computed norm(r) is at least
+    ||f|| (1 - gamma_(n+1)); the norm of f computed here is at most
+    ||f|| (1 + gamma_(n+1)).  A row without a bound (NaN) is never screened out.
+    """
+    floors = compiled.lower_bounds(points)
+    floors[floors < _FLOOR_MIN] = 0.0
+    return np.sqrt(np.sum(floors * floors, axis=1)) * (1 - _SCREEN_MARGIN) >= norm_r
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a norm past the float range reads inf
 def solve(conds: OrderConditionSet, fixed: Mapping[str, object] | None = None,
           guess: Mapping[str, float] | None = None) -> SolveReport:
     """Damped least-squares Newton on the condition polynomials.
@@ -149,13 +177,24 @@ def solve(conds: OrderConditionSet, fixed: Mapping[str, object] | None = None,
     ``fixed`` pins parameters (the usual way to cut a one-parameter family
     down to isolated points); ``guess`` must cover every free parameter.
     A name in either that the conditions lack is a ValueError.
-    Non-convergence is reported, not raised.
+    Non-convergence is reported, not raised, with its reason in ``message``.
 
-    Residuals are exact integer evaluations at the float iterate: the
-    condition polynomials are compiled once (``poly.CompiledPolys``), and
-    each residual is the correctly rounded float of its exact value there.
-    An iterate whose exact residual exceeds the float range raises
+    Residuals are exact integer evaluations at the float iterate with the
+    conditions compiled once per condition set (``conds.compiled``): each
+    residual is the correctly rounded float of its exact value there.  An
+    iterate whose exact residual exceeds the float range raises
     OverflowError.  The Jacobian is evaluated in floats.
+
+    The line search tries x + 2^-k step, k = 0..29, and takes the first
+    trial whose residual norm is below norm(r).  Trial 0 is evaluated
+    exactly.  After a rejection, a trial equal to x is rejected unevaluated
+    (its residual is r), and the others are first bounded in floats, all at
+    once: a trial is rejected unevaluated when a proved lower bound on its
+    computed residual norm clears norm(r) (``CompiledPolys.lower_bounds``,
+    which claims no bound at a non-finite point or near the float range).
+    Every other trial is evaluated exactly, so the accepted trial, any
+    OverflowError and every output are those of evaluating each trial
+    exactly in turn.
     """
     fixed = dict(fixed or {})
     guess = dict(guess or {})
@@ -167,23 +206,24 @@ def solve(conds: OrderConditionSet, fixed: Mapping[str, object] | None = None,
     if missing:
         raise ValueError(f"initial guess missing parameters {missing}")
     x = np.array([float(guess[p]) for p in free], dtype=float)
-    fixed_f = {p: float(v) for p, v in fixed.items()}
+    compiled = conds.compiled
+    free_cols = [conds.parameters.index(p) for p in free]
+    base = np.array([float(fixed.get(p, 0.0)) for p in conds.parameters])
 
-    grads = [[eq.poly.derivative(p) for p in free] for eq in conds.equations]
-    compiled = CompiledPolys((eq.poly for eq in conds.equations), conds.parameters)
+    def points(rows):
+        """Every parameter's value, one row per row of free values."""
+        out = np.tile(base, (len(rows), 1))
+        out[:, free_cols] = rows
+        return out
 
-    def assignment(vec):
-        a = dict(fixed_f)
-        a.update({p: float(v) for p, v in zip(free, vec)})
-        return a
+    def values(vec):
+        return points([vec])[0].tolist()
 
     def residuals(vec):
         # Exact evaluation at the (exact binary) float point kills the
         # cancellation noise floor; accuracy is then limited only by the
         # float resolution of the iterate itself.
-        a = assignment(vec)
-        values = [a[p] for p in conds.parameters]
-        return np.array([n / d for n, d in compiled.ratios(values)])
+        return np.array([n / d for n, d in compiled.ratios(values(vec))])
 
     r = residuals(x)
     best = float(np.max(np.abs(r))) if r.size else 0.0
@@ -193,23 +233,27 @@ def solve(conds: OrderConditionSet, fixed: Mapping[str, object] | None = None,
     for iterations in range(1, SOLVE_MAX_ITER + 1):
         if not free:
             break
-        a = assignment(x)
-        jac = np.array([[float(g.evaluate(a)) for g in row] for row in grads])
+        jac = np.array(compiled.jacobian(values(x), free_cols))
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         if not np.all(np.isfinite(step)):
             message = "singular Newton step"
             break
-        lam = 1.0
-        improved = False
-        for _ in range(30):
-            x_new = x + lam * step
+        norm_r = np.linalg.norm(r)
+        trials = x + _TRIAL_SCALES[:, None] * step
+        skip = None
+        accepted = None
+        for k, x_new in enumerate(trials):
+            if k and skip is None:
+                # after the first rejection: drop trials equal to x or proved worse
+                skip = np.all(trials == x, axis=1) | _screened_out(compiled, points(trials),
+                                                                   norm_r)
+            if k and skip[k]:
+                continue
             r_new = residuals(x_new)
-            if np.linalg.norm(r_new) < np.linalg.norm(r):
-                x, r = x_new, r_new
-                improved = True
+            if np.linalg.norm(r_new) < norm_r:
+                x, r, accepted = x_new, r_new, k
                 break
-            lam *= 0.5
-        if not improved:
+        if accepted is None:
             if best > SOLVE_TOL and nudges < 3:
                 # Stationary point of the residual norm away from any root
                 # (e.g. a vanishing derivative at the guess): take a fixed
@@ -222,11 +266,16 @@ def solve(conds: OrderConditionSet, fixed: Mapping[str, object] | None = None,
             message = "stalled (no descent along Newton direction)"
             break
         best = float(np.max(np.abs(r))) if r.size else 0.0
-        if best == 0.0 or (best <= SOLVE_TOL and np.linalg.norm(lam * step) <= 1e-15 * (1 + np.linalg.norm(x))):
+        if best == 0.0 or (best <= SOLVE_TOL and np.linalg.norm(_TRIAL_SCALES[accepted] * step)
+                           <= 1e-15 * (1 + np.linalg.norm(x))):
             break
-    solution = assignment(x)
     converged = best <= SOLVE_TOL
-    return SolveReport(solution={p: solution[p] for p in conds.parameters},
+    if converged:
+        message = ""
+    elif not message:
+        message = (f"no convergence in {SOLVE_MAX_ITER} iterations" if free
+                   else "no free parameters")
+    return SolveReport(solution=dict(zip(conds.parameters, values(x))),
                        residuals=tuple(float(v) for v in r),
                        iterations=iterations, converged=converged, message=message)
 
@@ -237,8 +286,7 @@ def rationalize_solution(conds: OrderConditionSet,
     satisfy the system exactly."""
     candidate = {p: Fraction(solution[p]).limit_denominator(10 ** 6)
                  for p in conds.parameters}
-    compiled = CompiledPolys((eq.poly for eq in conds.equations), conds.parameters)
-    if any(n for n, _ in compiled.ratios(candidate.values())):
+    if any(n for n, _ in conds.compiled.ratios(candidate.values())):
         return None
     return candidate
 

@@ -5,7 +5,8 @@ Coefficients throughout the series algebra are either plain
 named parameters.  Arithmetic never leaves exact rationals; a polynomial
 that collapses to a constant is demoted back to a ``Fraction`` by
 :func:`as_exact`.  :class:`CompiledPolys` evaluates a fixed set of
-polynomials exactly, in integers, at many points.
+polynomials at many points: exactly, in integers, and in floats with a
+proved error bound or with the derivatives' float operations.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
+
+import numpy as np
 
 # A monomial is a sorted tuple of (variable name, positive exponent) pairs.
 Monomial = tuple[tuple[str, int], ...]
@@ -234,9 +237,9 @@ def _powers(base: int, top: int) -> list[int]:
 
 
 class CompiledPolys:
-    """Polynomials compiled once for exact evaluation at many points.
+    """Polynomials compiled once for evaluation at many points.
 
-    Polynomial k keeps integer coefficients over the lcm D_k of its
+    Exact: polynomial k keeps integer coefficients over the lcm D_k of its
     denominators, each with ``(variable index, exponent)`` pairs over
     ``variables`` and its shortfall from the top degree t_k.  A point
     (floats, ints or Fractions) is taken as integer numerators over one
@@ -245,12 +248,20 @@ class CompiledPolys:
     of polynomial k is one integer over D_k Q^t_k, and ``n / d`` of that pair
     is the correctly rounded float of the exact value (raising OverflowError
     where ``float(Fraction)`` does).
+
+    Float: ``lower_bounds`` proves how far from zero each polynomial is at
+    many float points at once, and ``jacobian`` gives the partial
+    derivatives at a float point with the float operations of
+    ``RationalPoly.evaluate``.
     """
 
-    __slots__ = ("_polys", "_top_exp", "_top_degree")
+    __slots__ = ("_polys", "_top_exp", "_top_degree", "_coeffs", "_exps", "_gamma",
+                 "_log2_coeff", "_derivs")
 
     def __init__(self, polys: Iterable[RationalPoly], variables: Iterable[str]):
-        index = {name: i for i, name in enumerate(variables)}
+        names = tuple(variables)
+        index = {name: i for i, name in enumerate(names)}
+        polys = list(polys)
         self._top_exp = [0] * len(index)
         self._polys = []
         for poly in polys:
@@ -265,6 +276,31 @@ class CompiledPolys:
                               top - sum(exp for _, exp in mono)))
             self._polys.append((den, top, terms))
         self._top_degree = max((top for _, top, _ in self._polys), default=0)
+        # float screen: one coefficient row per polynomial over the distinct monomials
+        monos = sorted({mono for poly in polys for mono in poly.terms})
+        column = {mono: j for j, mono in enumerate(monos)}
+        self._coeffs = np.zeros((len(polys), len(monos)))
+        self._exps = np.zeros((len(monos), len(names)), dtype=np.intp)
+        for j, mono in enumerate(monos):
+            for var, exp in mono:
+                self._exps[j, index[var]] = exp
+        for k, poly in enumerate(polys):
+            for mono, c in poly.terms.items():
+                self._coeffs[k, column[mono]] = float(c)
+        # A term takes at most 1 + top degree roundings (float(c), the
+        # repeated multiplications of its powers and monomial, the product
+        # with c) and the sum one per further monomial: K = top degree +
+        # monomials.  The error is at most gamma_K / (1 - gamma_K) times the
+        # computed sum of |terms|; gamma_2K is twice that, covering its own rounding.
+        two_k_u = 2 * (self._top_degree + len(monos)) * 2.0 ** -53
+        self._gamma = two_k_u / (1 - two_k_u)
+        # log2 of the smallest |coefficient| (-inf if one underflows) and of
+        # the largest times the number of monomials
+        mags = [abs(float(c)) for poly in polys for c in poly.terms.values()]
+        self._log2_coeff = (math.log2(min(mags)) if min(mags, default=1.0) else -math.inf,
+                            math.log2(max(mags, default=1.0) * max(1, len(monos))))
+        self._derivs = [[_float_terms(poly.derivative(name), index) for name in names]
+                        for poly in polys]
 
     def ratios(self, values: Iterable) -> list[tuple[int, int]]:
         """(numerator, denominator) of each polynomial at ``values``, in order.
@@ -286,6 +322,68 @@ class CompiledPolys:
                 total += c * q_pows[short]
             out.append((total, den * q_pows[top]))
         return out
+
+    def lower_bounds(self, points) -> np.ndarray:
+        """Proved lower bounds on |p_k(x)| at the rows x of ``points`` (points x variables).
+
+        The result has one row per point and one column per polynomial.
+
+        Each polynomial is evaluated in floats (powers by repeated
+        multiplication), with the rounding-error bound gamma_2K * sum |c m(x)|
+        on K roundings per term (Higham, Accuracy and Stability of Numerical
+        Algorithms, ch. 3); the bound is |value| less that error, or 0.  It
+        holds while every intermediate stays in the normal float range, so
+        a row is NaN where a coordinate is not finite or where the largest
+        and smallest products the coordinates and coefficients can form leave
+        [2^-900, 2^400].  Below 2^400 the exact value is a finite float.
+        """
+        x = np.asarray(points, dtype=float)
+        with np.errstate(all="ignore"):
+            mag = np.abs(x)
+            big = np.maximum(mag.max(axis=1, initial=1.0), 1.0)
+            small = np.where(mag > 0, mag, 1.0).min(axis=1, initial=1.0)
+            pw = [np.ones_like(x)]
+            for _ in range(self._top_degree):
+                pw.append(pw[-1] * x)
+            cols = np.arange(x.shape[1])
+            mono = np.stack(pw)[self._exps, :, cols].prod(axis=1)  # (monomials, points)
+            value = self._coeffs @ mono
+            spread = np.abs(self._coeffs) @ np.abs(mono)
+            floor = np.maximum((np.abs(value) - self._gamma * spread) * (1 - 2.0 ** -50), 0.0)
+            lo, hi = self._log2_coeff
+            ok = (np.isfinite(x).all(axis=1)
+                  & (self._top_degree * np.log2(small) + min(lo, 0.0) >= -900)
+                  & (self._top_degree * np.log2(big) + max(hi, 0.0) <= 400))
+        floor = floor.T
+        floor[~ok] = np.nan
+        return floor
+
+    def jacobian(self, values: Iterable[float], columns: Iterable[int]) -> list[list[float]]:
+        """d p_k / d x_j at a float point, for each k and each index j in ``columns``.
+
+        Bit-identical to ``float(p.derivative(name).evaluate(point))``: each
+        derivative is compiled once in ``evaluate``'s sorted term order, and
+        evaluated with its float operations, ``c * x**e`` left to right,
+        summed left to right.
+        """
+        x = [float(v) for v in values]
+        columns = list(columns)
+        return [[_float_value(row[j], x) for j in columns] for row in self._derivs]
+
+
+def _float_terms(poly: RationalPoly, index: Mapping[str, int]):
+    return tuple((float(c), tuple((index[var], exp) for var, exp in mono))
+                 for mono, c in sorted(poly.terms.items()))
+
+
+def _float_value(terms, x: list[float]) -> float:
+    total = None
+    for c, powers in terms:
+        value = c
+        for i, exp in powers:
+            value = value * (x[i] ** exp)
+        total = value if total is None else total + value
+    return 0.0 if total is None else total
 
 
 def as_exact(value) -> Coeff:

@@ -190,6 +190,25 @@ def test_solve_nonconvergence_exit_code(capsys):
     assert code == cli.NONCONVERGENCE
     doc = json.loads(out)
     assert doc["converged"] is False
+    assert doc["diagnostics"] == "stalled (no descent along Newton direction)"
+
+
+def test_solve_diagnostics_only_when_not_converged(capsys):
+    code, out, _ = run(capsys, "solve", "--pattern", "ABABAB", "--order", "3",
+                       "--fix", "p6=1",
+                       "--guess", "p1=0.33,p2=0.62,p3=0.7,p4=-0.62,p5=-0.05")
+    assert code == 0
+    assert "diagnostics" not in json.loads(out)
+    # p6 = 0.2 from the family's continuation guess, past the fold where the
+    # real branch ends: Newton creeps for all 200 iterations
+    code, out, _ = run(capsys, "solve", "--pattern", "ABABAB", "--order", "3",
+                       "--fix", "p6=0.2",
+                       "--guess", "p1=0.2541563017600742,p2=0.634995854037363,"
+                       "p3=1.4999999999999998,p4=-0.03499585403736303,p5=-0.7541563017600739")
+    assert code == cli.NONCONVERGENCE
+    doc = json.loads(out)
+    assert doc["iterations"] == orders.SOLVE_MAX_ITER
+    assert doc["diagnostics"] == f"no convergence in {orders.SOLVE_MAX_ITER} iterations"
 
 
 @pytest.mark.parametrize("extra", [
@@ -201,6 +220,15 @@ def test_solve_refuses_names_the_pattern_lacks(capsys, extra):
     assert code == cli.CONFIG_ERROR
     assert out == ""
     assert ("'p9'" if "p9=1" in extra else "'zz'") in err
+
+
+def test_solve_norm_overflow_prints_no_warning(capsys):
+    # the residual norm overflows the float range (it reads inf); nothing goes to stderr
+    code, out, err = run(capsys, "solve", "--pattern", "ABA", "--order", "2",
+                         "--guess", "p1=1e200,p2=-1,p3=0")
+    assert code == cli.NONCONVERGENCE
+    assert json.loads(out)["converged"] is False
+    assert err == ""
 
 
 def test_solve_overflow_exits_3_with_json(capsys):
@@ -327,6 +355,16 @@ def test_precession_csv_and_determinism(tmp_path, capsys):
     assert float(first[1]) == 1.0
     manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
     assert manifest["config"]["dt"] == 1e-3
+
+
+def test_precession_overflow_prints_only_its_json(capsys):
+    # the perturbative step overflows at the first step; no numpy warning may escape
+    code, out, err = run(capsys, "precession", "--scheme", "perturbative", "--dt", "1e200",
+                         "--steps", "3", "--sample-every", "1")
+    assert code == cli.NONCONVERGENCE
+    assert json.loads(out) == {"command": "precession", "diagnostics": "non-finite result",
+                               "step": 1, "t": 1e200, "columns": ["energy", "norm"]}
+    assert err == ""
 
 
 def test_umeno_csv(tmp_path, capsys):
@@ -1027,9 +1065,14 @@ def test_invalid_numeric_flags_are_config_errors(capsys, argv):
     (["converge", "--scheme", "strang", "--dt-list", "1e-320"], "t_final / dt = 1.0 / 1e-320"),
     (["converge", "--scheme", "timeordered2", "--system", "driven", "--dt-list", "1e-320"],
      "t_final / dt = 1.0 / 1e-320"),
+    # 1e7 steps and a 3.2e8-step reference: refused before the first step
+    (["converge", "--scheme", "timeordered2", "--system", "driven", "--dt-list", "1e-7"],
+     f"the driven study takes 330000000 steps, its dt/32 references included; "
+     f"the cap is {propagate.MAX_DRIVEN_STEPS}"),
     # step 2 of dt 1e308 starts at 2e308: refused before any part is sampled
     (["timedep", "--dt", "1e308", "--steps", "3"], "stage time t0 + k*dt + tau*dt = inf at step k = 2"),
-], ids=["converge_t_final", "converge_dt", "converge_driven_dt", "timedep_dt"])
+], ids=["converge_t_final", "converge_dt", "converge_driven_dt", "converge_driven_cap",
+        "timedep_dt"])
 def test_overflowing_step_or_time_is_config_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == cli.CONFIG_ERROR
@@ -1044,6 +1087,8 @@ _FUZZ_BASE = [
     ["scheme", "check", "strang", "--order", "3"],
     ["scheme", "show", "strang"],
     ["solve", "--pattern", "ABA", "--order", "2", "--fix", "p3=0.5", "--guess", "p1=0.4,p2=0.9"],
+    # no third-order ABA scheme: every iteration's line search is screened
+    ["solve", "--pattern", "ABA", "--order", "3", "--guess", "p1=0.5,p2=0.5,p3=0.5"],
     ["family", "--p6", "1,1.1"],
     ["converge", "--scheme", "strang", "--dt-list", "0.1:0.2:0.1", "--t-final", "0.5"],
     # a fuzzed --t-final 99 runs the dt/32 reference for 12672 steps, well under a second

@@ -2,6 +2,7 @@ import functools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -288,6 +289,42 @@ def test_compiled_polys_refuse_bad_points():
         kernel.ratios([1.0] * 5)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_POINT_VALUE, min_size=7, max_size=7))
+def test_compiled_jacobian_bit_identical_to_evaluate(values):
+    for conds, kernel in _kernel_cases():
+        point = values[:len(conds.parameters)]
+        at = dict(zip(conds.parameters, point))
+        try:
+            jac = kernel.jacobian(point, range(len(point)))
+        except OverflowError:  # a float power out of range raises, as in evaluate
+            jac = None
+        expected = []
+        try:
+            for eq in conds.equations:
+                expected.append([float(eq.poly.derivative(p).evaluate(at)).hex()
+                                 for p in conds.parameters])
+        except OverflowError:
+            expected = None
+        assert (None if jac is None else [[v.hex() for v in row] for row in jac]) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_POINT_VALUE, min_size=7, max_size=7), min_size=1, max_size=4))
+def test_lower_bounds_never_exceed_exact_magnitudes(rows):
+    for conds, kernel in _kernel_cases():
+        points = [row[:len(conds.parameters)] for row in rows]
+        bounds = kernel.lower_bounds(np.array(points))
+        for point, floor in zip(points, bounds):
+            if np.isnan(floor).any():
+                assert np.isnan(floor).all()
+                continue
+            exact = [abs(Fraction(n, d)) for n, d in kernel.ratios(point)]
+            assert all(Fraction(f) <= e for f, e in zip(floor, exact))
+            # a bounded point is one whose exact residuals are finite floats
+            assert all(math.isfinite(n / d) for n, d in kernel.ratios(point))
+
+
 def test_solve_and_rationalize_make_no_fraction_evaluation(monkeypatch):
     calls = []
     evaluate = RationalPoly.evaluate
@@ -302,7 +339,211 @@ def test_solve_and_rationalize_make_no_fraction_evaluation(monkeypatch):
                    guess={k: float(v) + 0.01 for k, v in RUTH_POINT.items() if k != "p6"})
     assert report.converged
     assert rationalize_solution(conds, report.solution) == RUTH_POINT
-    assert calls and not any(calls)  # the float Jacobian only
+    # residuals, Jacobian and the rational check all run on the compiled form
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the screened line search against the plain one
+# ---------------------------------------------------------------------------
+
+def _plain_solve(conds, fixed=None, guess=None):
+    """``solve`` with its plain line search: every trial evaluated exactly, in turn,
+    and the Jacobian by ``RationalPoly.evaluate``."""
+    fixed = dict(fixed or {})
+    guess = dict(guess or {})
+    free = [p for p in conds.parameters if p not in fixed]
+    x = np.array([float(guess[p]) for p in free], dtype=float)
+    fixed_f = {p: float(v) for p, v in fixed.items()}
+    grads = [[eq.poly.derivative(p) for p in free] for eq in conds.equations]
+    compiled = CompiledPolys((eq.poly for eq in conds.equations), conds.parameters)
+
+    def assignment(vec):
+        a = dict(fixed_f)
+        a.update({p: float(v) for p, v in zip(free, vec)})
+        return a
+
+    def residuals(vec):
+        a = assignment(vec)
+        return np.array([n / d for n, d in compiled.ratios([a[p] for p in conds.parameters])])
+
+    r = residuals(x)
+    best = float(np.max(np.abs(r))) if r.size else 0.0
+    iterations = 0
+    message = ""
+    nudges = 0
+    for iterations in range(1, orders.SOLVE_MAX_ITER + 1):
+        if not free:
+            break
+        a = assignment(x)
+        jac = np.array([[float(g.evaluate(a)) for g in row] for row in grads])
+        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        if not np.all(np.isfinite(step)):
+            message = "singular Newton step"
+            break
+        lam = 1.0
+        improved = False
+        for _ in range(30):
+            x_new = x + lam * step
+            r_new = residuals(x_new)
+            if np.linalg.norm(r_new) < np.linalg.norm(r):
+                x, r = x_new, r_new
+                improved = True
+                break
+            lam *= 0.5
+        if not improved:
+            if best > orders.SOLVE_TOL and nudges < 3:
+                nudges += 1
+                x = x + 0.02 * (1.0 + np.abs(x))
+                r = residuals(x)
+                best = float(np.max(np.abs(r))) if r.size else 0.0
+                continue
+            message = "stalled (no descent along Newton direction)"
+            break
+        best = float(np.max(np.abs(r))) if r.size else 0.0
+        if best == 0.0 or (best <= orders.SOLVE_TOL and np.linalg.norm(lam * step)
+                           <= 1e-15 * (1 + np.linalg.norm(x))):
+            break
+    solution = assignment(x)
+    converged = best <= orders.SOLVE_TOL
+    if converged:
+        message = ""
+    elif not message:
+        message = (f"no convergence in {orders.SOLVE_MAX_ITER} iterations" if free
+                   else "no free parameters")
+    return orders.SolveReport(solution={p: solution[p] for p in conds.parameters},
+                              residuals=tuple(float(v) for v in r),
+                              iterations=iterations, converged=converged, message=message)
+
+
+def _outcome(solver, conds, fixed, guess):
+    """Every bit of a solve: its report with floats as hex, or the error it raised.
+
+    Run under ``solve``'s own errstate, so a norm past the float range reads
+    inf in both solvers.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = solver(conds, fixed=fixed, guess=guess)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        return type(exc).__name__, str(exc)
+    return ({p: v.hex() for p, v in report.solution.items()},
+            [v.hex() for v in report.residuals],
+            report.iterations, report.converged, report.message)
+
+
+@functools.cache
+def _family_solves(grid: str):
+    """The (fixed, guess) of each solve ``ruth_family`` makes on a grid."""
+    calls = []
+
+    def recording(conds, fixed=None, guess=None):
+        calls.append((dict(fixed), dict(guess)))
+        return solve(conds, fixed=fixed, guess=guess)
+
+    orders_solve = orders.solve
+    orders.solve = recording
+    try:
+        ruth_family(cli.parse_range(grid))
+    finally:
+        orders.solve = orders_solve
+    return calls
+
+
+@pytest.mark.parametrize("grid", ["0:1.4:0.2", "0.2:1.4:0.05"])
+def test_screened_solve_matches_plain_on_family_grids(grid):
+    conds = order_conditions("ABABAB", 3)
+    reports = []
+    for fixed, guess in _family_solves(grid):
+        outcome = _outcome(solve, conds, fixed, guess)
+        assert outcome == _outcome(_plain_solve, conds, fixed, guess), fixed
+        reports.append(outcome)
+    # both grids hold flagged points, and the fold's 200-iteration creep
+    assert any(not converged for *_, converged, _ in reports)
+
+
+@pytest.mark.parametrize("pattern,order,fixed,guess", [
+    ("ABA", 3, {}, {"p1": 0.5, "p2": 0.5, "p3": 0.5}),     # no third-order ABA: stalls
+    ("ABA", 3, {}, {"p1": 1e200, "p2": 0.5, "p3": 0.5}),   # exact residual overflows
+    ("ABABAB", 3, {"p6": 1}, {"p1": 1e200, "p2": 1, "p3": 1, "p4": 1, "p5": 1}),
+    ("ABABAB", 3, {"p6": 0.2}, {"p1": 0.2541563017600742, "p2": 0.634995854037363,
+                                "p3": 1.4999999999999998, "p4": -0.03499585403736303,
+                                "p5": -0.7541563017600739}),
+], ids=["aba3_stall", "aba3_overflow", "ruth_overflow", "fold_creep"])
+def test_screened_solve_matches_plain_on_named_cases(pattern, order, fixed, guess):
+    conds = order_conditions(pattern, order)
+    assert _outcome(solve, conds, fixed, guess) == _outcome(_plain_solve, conds, fixed, guess)
+
+
+@functools.cache
+def _conditions(pattern, order):
+    return order_conditions(pattern, order)
+
+
+_GUESS_VALUE = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-200, 1e100, -1e150, 1e200, 1.7976931348623157e308]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("ABA", 2), ("ABA", 3), ("ABAB", 3), ("ABABA", 4)]),
+       st.lists(_GUESS_VALUE, min_size=5, max_size=5), st.booleans())
+def test_screened_solve_matches_plain_on_drawn_guesses(case, values, fix_last):
+    conds = _conditions(*case)
+    params = conds.parameters
+    fixed = {params[-1]: values[-1]} if fix_last else {}
+    guess = {p: v for p, v in zip(params, values) if p not in fixed}
+    assert _outcome(solve, conds, fixed, guess) == _outcome(_plain_solve, conds, fixed, guess)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+       st.lists(st.floats(-4.0, 4.0), min_size=6, max_size=6))
+def test_screen_rejects_only_trials_the_exact_norm_rejects(x, step):
+    conds = _conditions("ABABAB", 3)
+    kernel = conds.compiled
+    x, step = np.array(x), np.array(step)
+
+    def norm(point):
+        return np.linalg.norm([n / d for n, d in kernel.ratios(point.tolist())])
+
+    trials = x + orders._TRIAL_SCALES[:, None] * step
+    norm_r = norm(x)
+    for trial in trials[orders._screened_out(kernel, trials, norm_r)]:
+        assert norm(trial) >= norm_r
+
+
+def test_family_grid_screen_is_sound_and_saves_exact_evaluations(monkeypatch):
+    calls = []
+    ratios = CompiledPolys.ratios
+    screened_out = orders._screened_out
+
+    def counted(self, values):
+        calls.append(1)
+        return ratios(self, values)
+
+    def checked(kernel, points, norm_r):
+        out = screened_out(kernel, points, norm_r)
+        for point in points[out]:
+            assert np.linalg.norm([n / d for n, d in ratios(kernel, point.tolist())]) >= norm_r
+        return out
+
+    monkeypatch.setattr(orders, "_screened_out", checked)
+    ruth_family([0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4])
+    monkeypatch.setattr(CompiledPolys, "ratios", counted)
+    monkeypatch.setattr(orders, "_screened_out", screened_out)
+    ruth_family([0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4])
+    # 3729 exact evaluations when every line-search trial is evaluated exactly
+    assert len(calls) <= 600
+
+
+def test_solve_message_is_empty_on_convergence():
+    conds = order_conditions("ABABAB", 3)
+    report = solve(conds, fixed={"p6": 1}, guess={k: float(v) + 0.01 for k, v in RUTH_POINT.items()
+                                                  if k != "p6"})
+    assert report.converged and report.message == ""
+    report = solve(single_poly_conditions([1, 0, 1]), guess={"s": 0.7})
+    assert not report.converged
+    assert report.message == "stalled (no descent along Newton direction)"
 
 
 # ---------------------------------------------------------------------------

@@ -556,6 +556,23 @@ def test_step_count_is_at_least_one():
     assert driven_error(timeordered2(), 5.0, 1.0) > 1e-3
 
 
+def test_driven_study_step_cap_is_checked_before_any_step(monkeypatch):
+    import expprod.propagate as propagate
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(propagate, "run_timeordered", no_steps)
+    # dt 1/n over t_final 1: n steps plus a 32 n-step reference
+    n = propagate.MAX_DRIVEN_STEPS // 33
+    with pytest.raises(AssertionError, match="stepped"):
+        driven_error(timeordered2(), 1.0 / n, 1.0)
+    with pytest.raises(ValueError, match=f"takes {33 * (n + 1)} steps"):
+        driven_error(timeordered2(), 1.0 / (n + 1), 1.0)
+    # room for the largest driven grid of the tests: dt 1/4, 1/2 to t_final 99
+    assert 396 + 198 + 32 * 396 < propagate.MAX_DRIVEN_STEPS
+
+
 def test_g4_driven_slope():
     # the default driven grid: 1/4 ... 1/32 to t_final 1
     study = convergence(timeordered4(), "driven")
