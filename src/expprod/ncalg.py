@@ -20,7 +20,9 @@ All three series operations run on one integer kernel: a degree-d
 coefficient is a numerator over ``Q^d * d!`` (``Q`` the lcm of the input's
 coefficient denominators), two such series multiply with a binomial
 weight and no gcd, and each word becomes an exact rational once at the
-end.  ``series_mul`` is the plain Fraction product, kept as the reference.
+end.  A product is a stage list or ``Copies``, scaled copies of a base
+product, whose numerators are built once and rescaled per copy.
+``series_mul`` is the plain Fraction product, kept as the reference.
 A handful of dense-matrix utilities (commutator powers, the directional
 derivative of expm) back the numeric identities exercised by the tests;
 ``frechet_exp`` alone needs scipy, which comes with the ``test`` extra.
@@ -30,10 +32,11 @@ back from JSON.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -271,16 +274,54 @@ def stage_exp(g: StageGen, coeff, order: int, labels: Sequence[str] = ("A", "B")
     return _to_series(exp, q, math.factorial(order), labels)
 
 
-def _product_numerators(stages, order: int, labels: Sequence[str]) -> tuple[Graded, int]:
-    """Left-to-right product of stage exponentials over ``Q^d d!``.
+class Copies(NamedTuple):
+    """The product ``base(f_1 x) base(f_2 x) ...`` of scaled copies of one base.
 
-    ``Q`` is the lcm of the denominators of every stage element's
+    ``base`` is a stage list or another ``Copies``, and each factor ``f_i`` is
+    an exact Fraction.  Scaling x by f multiplies a degree-d term by f^d.
+    """
+
+    factors: tuple[Fraction, ...]
+    base: "Product"
+
+
+# What the stage product multiplies: stage exponentials, or scaled copies.
+Product = Union[Sequence[tuple[StageGen, object]], Copies]
+
+
+def _product_numerators(product: Product, order: int,
+                        labels: Sequence[str]) -> tuple[Graded, int]:
+    """Left-to-right product over ``Q^d d!``: of stage exponentials or of copies.
+
+    For stages, ``Q`` is the lcm of the denominators of every stage element's
     coefficients.  A stage exponential's degree-e term ``a_u`` enters as
     ``a_u * Q^e * e!``, which is integral: its k-th power part has
     denominators dividing ``Q^k * k!`` with k <= e.  So the exponential's
     numerators over ``Q^e e! order!`` divide exactly by ``order!``.
+
+    For ``Copies``, the base's numerators over ``q^d d!`` are built once.
+    ``Q = q * lift`` with ``lift`` the lcm of the factors' denominators, so the
+    copy at ``f`` has the integral numerators ``n_w * (f lift)^d`` over ``Q^d d!``.
+    Each run of equal factors is one power, built once and reused, so the
+    quintuple ``X^2 Y X^2`` takes three products after ``X^2``.
     """
-    stages = list(stages)
+    if isinstance(product, Copies):
+        base, q = _product_numerators(product.base, order, labels)
+        lift = math.lcm(*(f.denominator for f in product.factors))
+        runs = [(f, len(list(group))) for f, group in itertools.groupby(product.factors)]
+        powers: dict[tuple[Fraction, int], Graded] = {}
+        for f, count in dict.fromkeys(runs):
+            r = f.numerator * (lift // f.denominator)
+            scales = [r ** d for d in range(order + 1)]
+            copy = [{w: n * s for w, n in level.items()} for level, s in zip(base, scales)]
+            power = powers[f, count] = _graded(order, 1)
+            for _ in range(count):
+                _muladd(power, power, copy, order)
+        prod = _graded(order, 1)
+        for run in runs:
+            _muladd(prod, prod, powers[run], order)
+        return prod, q * lift
+    stages = list(product)
     q = math.lcm(*(_denominator(a) for g, c in stages
                    for a in _stage_element(g, c, labels).values()))
     scale = Fraction(1, math.factorial(order))
@@ -292,20 +333,25 @@ def _product_numerators(stages, order: int, labels: Sequence[str]) -> tuple[Grad
     return prod, q
 
 
-def stage_product(stages: Sequence[tuple[StageGen, object]], order: int,
+def stage_product(stages: Product, order: int,
                   labels: Sequence[str] = ("A", "B")) -> NcSeries:
     """Left-to-right product of stage exponentials, truncated at ``order``."""
     return _to_series(*_product_numerators(stages, order, labels), 1, labels)
 
 
-def product_and_log(stages: Sequence[tuple[StageGen, object]], order: int,
+def product_and_log(stages: Product, order: int,
                     labels: Sequence[str] = ("A", "B")) -> tuple[NcSeries, NcSeries]:
-    """The stage product and its logarithm, both from the product's numerators."""
+    """The stage product and its logarithm, both from the product's numerators.
+
+    ``stages`` is a stage list or ``Copies``; each word's coefficient is
+    normalised once at the end, so the same product given either way comes
+    out term for term the same.
+    """
     prod, q = _product_numerators(stages, order, labels)
     return _to_series(prod, q, 1, labels), _log_series(prod, q, labels)
 
 
-def product_log(stages: Sequence[tuple[StageGen, object]], order: int,
+def product_log(stages: Product, order: int,
                 labels: Sequence[str] = ("A", "B")) -> NcSeries:
     """log of the left-to-right product of stage exponentials.
 

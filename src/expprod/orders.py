@@ -122,9 +122,12 @@ def _as_poly(c) -> RationalPoly:
 def verify_order(scheme: Scheme, m: int) -> int:
     """Highest order k <= m at which all correction terms vanish.
 
-    One stage product, truncated at degree m, gives both the log and the
-    tolerance scale.  The log must equal the exact flow's: each letter has
-    coefficient 1 at degree 1, every longer word 0.  Schemes with purely
+    One product, truncated at degree m, gives both the log and the
+    tolerance scale.  It is ``Scheme.ncalg_product()``: a nested fractal
+    composition multiplies rescaled copies of its base's product, any other
+    scheme folds its stages; both give the same series term for term.  The
+    log must equal the exact flow's: each letter has coefficient 1 at
+    degree 1, every longer word 0.  Schemes with purely
     rational coefficients are checked exactly.  A scheme with polynomial
     (algebraic-constant) coefficients enters the series algebra at the exact
     binary values of its constants' decimals (``Scheme.ncalg_stages``), so
@@ -135,7 +138,7 @@ def verify_order(scheme: Scheme, m: int) -> int:
     _check_order(m)
     exact = scheme.all_exact()
     labels = tuple(scheme.slots)
-    prod, log = product_and_log(scheme.ncalg_stages(), m, labels)
+    prod, log = product_and_log(scheme.ncalg_product(), m, labels)
     scale: dict[int, float] = {}
     for w, c in prod.terms.items():
         scale[len(w)] = max(scale.get(len(w), 1.0), abs(float(c)))
@@ -183,7 +186,8 @@ def solve(conds: OrderConditionSet, fixed: Mapping[str, object] | None = None,
     conditions compiled once per condition set (``conds.compiled``): each
     residual is the correctly rounded float of its exact value there.  An
     iterate whose exact residual exceeds the float range raises
-    OverflowError.  The Jacobian is evaluated in floats.
+    OverflowError.  The Jacobian is evaluated in floats; a non-finite
+    Jacobian or residual ends the solve unconverged before the Newton step.
 
     The line search tries x + 2^-k step, k = 0..29, and takes the first
     trial whose residual norm is below norm(r).  Trial 0 is evaluated
@@ -234,6 +238,10 @@ def solve(conds: OrderConditionSet, fixed: Mapping[str, object] | None = None,
         if not free:
             break
         jac = np.array(compiled.jacobian(values(x), free_cols))
+        if not (np.all(np.isfinite(jac)) and np.all(np.isfinite(r))):
+            # lstsq cannot take it (LAPACK fails and writes to stdout)
+            message = "non-finite Jacobian or residual"
+            break
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         if not np.all(np.isfinite(step)):
             message = "singular Newton step"

@@ -23,12 +23,12 @@ back, so only ``fractal_constant`` registers algebraic constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence, Union
 
-from .ncalg import bracket_fold, bracket_leaves
+from .ncalg import Copies, bracket_fold, bracket_leaves
 from .poly import Coeff, RationalPoly, as_exact, frac_str
 
 
@@ -131,6 +131,14 @@ def fractal_constant(kind: str, base_order: int) -> AlgebraicConstant:
     return _CONSTANTS[name]
 
 
+def _exact_value(c: Coeff) -> Fraction:
+    """A coefficient as the series algebra takes it: a polynomial is evaluated
+    in rational arithmetic at the binary-exact values of its constants' decimals."""
+    if isinstance(c, RationalPoly):
+        return c.evaluate({n: Fraction(_CONSTANTS[n].value) for n in c.variables()})
+    return c
+
+
 def coeff_value(c: Coeff) -> float:
     """Float value of a stage coefficient; no other code turns one into a float.
 
@@ -165,12 +173,17 @@ class Stage:
 
 @dataclass(frozen=True)
 class Scheme:
-    """An exponential product formula: slots, ordered stages, claimed order."""
+    """An exponential product formula: slots, ordered stages, claimed order.
+
+    ``copies`` records a composition's scaled copies as (factor, base) pairs,
+    for the series algebra only; it takes no part in comparison or hashing.
+    """
 
     slots: tuple[str, ...]
     stages: tuple[Stage, ...]
     claimed_order: int
     name: str = ""
+    copies: tuple[tuple[Coeff, "Scheme"], ...] = field(default=(), compare=False, repr=False)
 
     def slot_sums(self) -> dict[str, Coeff]:
         sums: dict[str, Coeff] = {lab: Fraction(0) for lab in self.slots}
@@ -214,14 +227,21 @@ class Scheme:
         binary-exact values of their constants' 17-digit decimals, so a merged
         stage list and its unmerged source produce bit-identical series.
         """
-        out = []
-        for st in self.stages:
-            coeff = st.coeff
-            if isinstance(coeff, RationalPoly):
-                coeff = coeff.evaluate({n: Fraction(_CONSTANTS[n].value)
-                                        for n in coeff.variables()})
-            out.append((st.target, coeff))
-        return out
+        return [(st.target, _exact_value(st.coeff)) for st in self.stages]
+
+    def ncalg_product(self):
+        """What ``ncalg.product_and_log`` multiplies for this scheme.
+
+        A composition of copies of a composed base is ``ncalg.Copies``: the
+        factors' exact values over the base's own product.  Any other scheme,
+        a one-level composition included, is its ``ncalg_stages()``: folding
+        the 7-21 merged stages of a one-level composition is cheaper at high
+        order than multiplying copies of its 3-11 stage base.
+        """
+        if not self.copies or not self.copies[0][1].copies:
+            return self.ncalg_stages()
+        return Copies(tuple(_exact_value(f) for f, _ in self.copies),
+                      self.copies[0][1].ncalg_product())
 
     # -- serialization ----------------------------------------------------
     def to_json(self) -> dict:
@@ -282,16 +302,21 @@ def fractal(base: Scheme, kind: str, name: str = "") -> Scheme:
 
     ``triple`` is the triple jump base(s x) base((1-2s) x) base(s x);
     ``quintuple`` is the five-copy base(s x)^2 base((1-4s) x) base(s x)^2,
-    with s the ``fractal_constant`` of that kind.  The product is flattened
-    with same-slot merging.
+    with s the ``fractal_constant`` of that kind.  The stages are the
+    product flattened with same-slot merging.  The scheme also records each
+    copy as a (factor, base) pair, so the series algebra of a nested
+    composition multiplies rescaled copies of its base's product
+    (``Scheme.ncalg_product``) instead of folding every merged stage.
     """
     if not base.symmetric or base.claimed_order % 2:
         raise ValueError(f"{kind} composition requires a symmetric even-order base scheme")
     mult = _OUTER_COPIES[kind]
     s = RationalPoly.var(fractal_constant(kind, base.claimed_order).name)
     side = [s] * (mult // 2)
-    raw = [st for f in side + [1 - mult * s] + side for st in base.scale(f).stages]
-    return Scheme(base.slots, merge_adjacent(raw), base.claimed_order + 2, name)
+    factors = side + [1 - mult * s] + side
+    raw = [st for f in factors for st in base.scale(f).stages]
+    return Scheme(base.slots, merge_adjacent(raw), base.claimed_order + 2, name,
+                  tuple((f, base) for f in factors))
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,19 @@ def test_solve_overflow_exits_3_with_json(capsys):
     assert "Traceback" not in out + err
 
 
+def test_solve_non_finite_jacobian_exits_3_without_lapack_text(capfd):
+    # the Jacobian overflows at this guess; LAPACK would write to the stdout
+    # file descriptor itself, so the check reads the descriptors, not sys.stdout
+    code = cli.main(["solve", "--pattern", "ABABA", "--order", "4",
+                     "--guess", "p1=0,p2=1e100,p3=0,p4=-1e150,p5=0"])
+    out, err = capfd.readouterr()
+    assert code == cli.NONCONVERGENCE
+    doc = _strict_json(out)
+    assert doc["converged"] is False
+    assert doc["diagnostics"] == "non-finite Jacobian or residual"
+    assert "DLASCL" not in out + err and err == ""
+
+
 def test_family_csv_with_ruth_row(tmp_path, capsys):
     out_path = tmp_path / "family.csv"
     code, _, _ = run(capsys, "family", "--p6", "0.9:1.1:0.1", "--out", str(out_path))
@@ -625,6 +638,8 @@ PINNED_STDOUT = [
      "86097392b92ba9fdfbb34cd47b802bba4c9e7ce67772d1872ff1f3c99de40ee3"),
     (["scheme", "check", "suzuki8", "--order", "8"],
      "a162c65fe7733bb9cfb832c67683a0adc06b3030c16a02699e41faae35067423"),
+    (["scheme", "check", "triple_jump4"],
+     "aae6a87519ef117af43f62c4a1a395c511e73dbd9f19c6f5ac0f7627486a5cd0"),
     # a three-letter check at the truncation cap prints the default-order line
     (["scheme", "check", "timeordered4", "--order", "9"],
      "73a2e1396beda2e6ab67dd31ff27e3f990b775e1e6e1f730e465db7d10c237e5"),
@@ -1085,6 +1100,8 @@ def test_overflowing_step_or_time_is_config_error(capsys, argv, message):
 _FUZZ_BASE = [
     ["bch", "--stages", "A:x/2,B:x,A:x/2", "--order", "3", "--format", "json"],
     ["scheme", "check", "strang", "--order", "3"],
+    # a nested composition: fuzzed names and orders reach the composed product
+    ["scheme", "check", "suzuki6", "--order", "3"],
     ["scheme", "show", "strang"],
     ["solve", "--pattern", "ABA", "--order", "2", "--fix", "p3=0.5", "--guess", "p1=0.4,p2=0.9"],
     # no third-order ABA scheme: every iteration's line search is screened

@@ -7,14 +7,14 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from expprod.ncalg import (
-    LieCombination, NcSeries, NotLieElementError, bracket_fold, bracket_leaves,
+    Copies, LieCombination, NcSeries, NotLieElementError, bracket_fold, bracket_leaves,
     bracket_tree_words, commutator,
     conjugation_series, delta_power, frechet_exp, left_minus_ad_power, lie_project, lyndon_words,
     product_and_log, product_log, series_log, series_mul, stage_exp, stage_product,
 )
-from expprod.orders import verify_order
+from expprod.orders import MAX_ORDER, verify_order
 from expprod.poly import RationalPoly
-from expprod.schemes import CATALOG, catalog, hybrid_fourth, ruth
+from expprod.schemes import CATALOG, catalog, fractal, hybrid_fourth, ruth
 
 suzuki6, timeordered4 = CATALOG["suzuki6"], CATALOG["timeordered4"]
 
@@ -178,6 +178,22 @@ def test_stage_product_mixes_coefficient_kinds():
     stages = [("A", RationalPoly.var("p1") * Fraction(5, 6) + Fraction(1, 2)),
               ("B", Fraction(2, 7)), ("A", 0), (lie, Fraction(2, 5)), ("B", 3)]
     assert stage_product(stages, 6, AB) == _folded_product(stages, 6, AB)
+
+
+@pytest.mark.parametrize("make", [
+    CATALOG["suzuki6"], CATALOG["suzuki8"],
+    # copies with commutator stages: a bracket of L leaves scales by factor^L
+    lambda: fractal(fractal(hybrid_fourth(), "triple"), "triple"),
+], ids=["suzuki6", "suzuki8", "hybrid_fourth-triple-triple"])
+def test_composed_product_is_the_flat_fold(make):
+    sch = make()
+    product = sch.ncalg_product()
+    assert isinstance(product, Copies)
+    for order in range(1, MAX_ORDER + 1):
+        composed = product_and_log(product, order, sch.slots)
+        flat = product_and_log(sch.ncalg_stages(), order, sch.slots)
+        for got, want in zip(composed, flat):
+            _same_terms(got, want)
 
 
 def test_stage_product_of_no_stages_is_the_identity():

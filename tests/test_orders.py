@@ -154,6 +154,24 @@ def test_verify_order_builds_the_stage_product_once(monkeypatch):
     # one call builds the product once; the log and the scale share it
     assert calls == {"product_and_log": 1, "_product_numerators": 1}
 
+    # suzuki8 is five copies of suzuki6, itself five copies of suzuki4: one
+    # product per level (three), and only suzuki4's merged stages are folded, once
+    calls.update(product_and_log=0, _product_numerators=0, _exp_numerators=0)
+    folded = []
+    product_numerators = ncalg._product_numerators
+
+    def recording(product, order, labels):
+        if not isinstance(product, ncalg.Copies):
+            folded.append(list(product))
+        return product_numerators(product, order, labels)
+
+    monkeypatch.setattr(ncalg, "_product_numerators", recording)
+    monkeypatch.setattr(ncalg, "_exp_numerators", counting(ncalg._exp_numerators))
+    assert verify_order(CATALOG["suzuki8"](), 8) == 8
+    assert folded == [suzuki4().ncalg_stages()]
+    assert calls == {"product_and_log": 1, "_product_numerators": 3,
+                     "_exp_numerators": len(suzuki4().stages)}
+
 
 # ---------------------------------------------------------------------------
 # solve
@@ -377,6 +395,9 @@ def _plain_solve(conds, fixed=None, guess=None):
             break
         a = assignment(x)
         jac = np.array([[float(g.evaluate(a)) for g in row] for row in grads])
+        if not (np.all(np.isfinite(jac)) and np.all(np.isfinite(r))):
+            message = "non-finite Jacobian or residual"
+            break
         step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
         if not np.all(np.isfinite(step)):
             message = "singular Newton step"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from expprod import schemes
 from expprod.ncalg import bracket_leaves, product_log
-from expprod.orders import verify_order
+from expprod.orders import MAX_ORDER, verify_order
 from expprod.poly import RationalPoly, frac_str
 from expprod.propagate import spin_parts, stage_unitaries
 from expprod.schemes import (
@@ -186,6 +187,37 @@ def test_symmetric_log_has_no_even_terms_to_degree8():
         log = product_log(sch.ncalg_stages(), 8, sch.slots)
         for degree in (2, 4, 6, 8):
             assert not log.homogeneous(degree)
+
+
+def test_nested_hybrid_composition_reaches_eighth_order():
+    sch = fractal(fractal(hybrid_fourth(), "triple"), "triple")
+    assert any(st.is_commutator() for st in sch.stages)
+    assert verify_order(sch, MAX_ORDER) == 8
+
+
+def test_one_level_compositions_fold_their_stages():
+    for sch in (suzuki4(), triple_jump4(), timeordered4(), strang(), hybrid_fourth()):
+        assert sch.ncalg_product() == sch.ncalg_stages()
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_recorded_copies_leave_every_view_of_a_scheme_unchanged(name):
+    sch = CATALOG[name]()
+    bare = dataclasses.replace(sch, copies=())
+    assert sch == bare and hash(sch) == hash(bare) and repr(sch) == repr(bare)
+    assert sch.to_json() == bare.to_json()
+    assert sch.symmetric == bare.symmetric
+    assert stage_plan(sch) == stage_plan(bare)
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_verdicts_match_the_flat_fold(name, monkeypatch):
+    sch = CATALOG[name]()
+    checked = range(1, min(sch.claimed_order + 1, MAX_ORDER) + 1)
+    composed = [verify_order(sch, m) for m in checked]
+    monkeypatch.setattr(Scheme, "ncalg_product", Scheme.ncalg_stages)
+    assert [verify_order(sch, m) for m in checked] == composed
+    assert composed == [min(m, sch.claimed_order) for m in checked]
 
 
 def test_merge_adjacent_merges_and_drops_zeros():
