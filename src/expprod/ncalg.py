@@ -16,12 +16,14 @@ as ``("B", ("A", "B"))`` (a label is a tree of one leaf), or a
 its words, its number of leaves, its text and (in ``propagate``) its
 matrix are folds.
 
-All three series operations run on one integer kernel: a degree-d
-coefficient is a numerator over ``Q^d * d!`` (``Q`` the lcm of the input's
-coefficient denominators), two such series multiply with a binomial
-weight and no gcd, and each word becomes an exact rational once at the
-end.  A product is a stage list or ``Copies``, scaled copies of a base
-product, whose numerators are built once and rescaled per copy.
+All series operations run on one integer kernel: a degree-d coefficient
+is a numerator over ``Q^d * d!`` (``Q`` the lcm of the input's coefficient
+denominators), two such series multiply with a binomial weight and no gcd,
+and each word becomes an exact rational once at the end.  Order
+verification (``log_residuals``) makes no rational of any word: it reads
+each degree's residuals of the log off its numerators.  A product is a
+stage list or ``Copies``, scaled copies of a base product, whose
+numerators are built once and rescaled per copy.
 ``series_mul`` is the plain Fraction product, kept as the reference.
 A handful of dense-matrix utilities (commutator powers, the directional
 derivative of expm) back the numeric identities exercised by the tests;
@@ -246,12 +248,12 @@ def _to_series(x: Graded, q: int, den: int, labels: Sequence[str]) -> NcSeries:
     return NcSeries(len(x) - 1, labels, terms)
 
 
-def _log_series(x: Graded, q: int, labels: Sequence[str]) -> NcSeries:
-    """log of ``x`` (constant term 1): weights ``(-1)^(k+1) L/k`` over
-    ``L = lcm(1..order)``."""
+def _log_numerators(x: Graded, q: int) -> tuple[Graded, int, int]:
+    """log of ``x`` (constant term 1) over ``q^d d! L``, with ``q`` and ``L``:
+    weights ``(-1)^(k+1) L/k`` over ``L = lcm(1..order)``."""
     lcm = math.lcm(*range(1, len(x)))
     weights = [0] + [(-1) ** (k + 1) * (lcm // k) for k in range(1, len(x))]
-    return _to_series(_power_sum(x, weights), q, lcm, labels)
+    return _power_sum(x, weights), q, lcm
 
 
 def _exp_numerators(g: StageGen, coeff, q: int, order: int, labels: Sequence[str]) -> Graded:
@@ -261,17 +263,12 @@ def _exp_numerators(g: StageGen, coeff, q: int, order: int, labels: Sequence[str
 
 
 def stage_exp(g: StageGen, coeff, order: int, labels: Sequence[str] = ("A", "B")) -> NcSeries:
-    """Taylor expansion of a single stage exponential exp(c * G), truncated.
+    """exp(c * G) truncated at ``order``: the one-stage ``stage_product``.
 
-    ``G`` is a generator letter or a Lie combination; the word degree
-    carries the power of x, so ``coeff`` is the pure numeric or symbolic
-    multiplier of the stage.
+    ``G`` is a stage generator; the word degree carries the power of x, so
+    ``coeff`` is the pure numeric or symbolic multiplier of the stage.
     """
-    if order < 1:
-        raise ValueError("truncation order must be >= 1")
-    q = math.lcm(*map(_denominator, _stage_element(g, coeff, labels).values()))
-    exp = _exp_numerators(g, coeff, q, order, labels)
-    return _to_series(exp, q, math.factorial(order), labels)
+    return stage_product([(g, coeff)], order, labels)
 
 
 class Copies(NamedTuple):
@@ -339,16 +336,33 @@ def stage_product(stages: Product, order: int,
     return _to_series(*_product_numerators(stages, order, labels), 1, labels)
 
 
-def product_and_log(stages: Product, order: int,
-                    labels: Sequence[str] = ("A", "B")) -> tuple[NcSeries, NcSeries]:
-    """The stage product and its logarithm, both from the product's numerators.
+class DegreeResidual(NamedTuple):
+    """One degree of log S(x) against the exact flow x * (sum of the letters)."""
 
-    ``stages`` is a stage list or ``Copies``; each word's coefficient is
-    normalised once at the end, so the same product given either way comes
-    out term for term the same.
+    zero: bool     # every residual is exactly 0
+    worst: float   # the largest residual magnitude
+    scale: float   # the largest coefficient magnitude of S(x) itself
+
+
+def log_residuals(product: Product, order: int,
+                  labels: Sequence[str] = ("A", "B")) -> list[DegreeResidual]:
+    """The residuals of log S(x) at degrees 1..order, read off the numerators.
+
+    ``product`` is a stage list or ``Copies`` with numeric coefficients.  The
+    log is taken from the product's numerators, and a residual is its
+    numerator less the flow's.  No word becomes a Fraction: each maximum is
+    one int / int division, the correctly rounded float of the exact rational.
     """
-    prod, q = _product_numerators(stages, order, labels)
-    return _to_series(prod, q, 1, labels), _log_series(prod, q, labels)
+    prod, q = _product_numerators(product, order, labels)
+    log, _, lcm = _log_numerators(prod, q)
+    log[1] = {(j,): log[1].get((j,), 0) - q * lcm for j in range(len(labels))}
+    records = []
+    for d in range(1, order + 1):
+        den = q ** d * math.factorial(d)
+        worst = max(map(abs, log[d].values()), default=0)
+        records.append(DegreeResidual(worst == 0, worst / (den * lcm),
+                                      max(map(abs, prod[d].values()), default=0) / den))
+    return records
 
 
 def product_log(stages: Product, order: int,
@@ -356,11 +370,12 @@ def product_log(stages: Product, order: int,
     """log of the left-to-right product of stage exponentials.
 
     The degree-k homogeneous component is the k-th correction term of the
-    product, scaled by x^k.
+    product, scaled by x^k.  ``stages`` is a stage list or ``Copies``; either
+    form of one product gives the same log term for term.
     """
     if not stages:
         raise ValueError("stage list must be nonempty")
-    return product_and_log(stages, order, labels)[1]
+    return _to_series(*_log_numerators(*_product_numerators(stages, order, labels)), labels)
 
 
 def series_log(s: NcSeries) -> NcSeries:
@@ -368,7 +383,7 @@ def series_log(s: NcSeries) -> NcSeries:
     if as_exact(s.constant_term()) != Fraction(1):
         raise ValueError("series logarithm requires constant term exactly 1")
     q = math.lcm(*map(_denominator, s.terms.values()))
-    return _log_series(_numerators(s.terms, q, s.order), q, s.labels)
+    return _to_series(*_log_numerators(_numerators(s.terms, q, s.order), q), s.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -546,26 +561,18 @@ def lie_project(s: NcSeries) -> LieCombination:
     """
     if not _czero(s.constant_term()):
         raise ValueError("lie_project requires zero constant term")
-    nlet = len(s.labels)
+    rest = dict(s.terms)
     result: dict[Word, Coeff] = {}
-    for degree in range(1, s.order + 1):
-        component = dict(s.homogeneous(degree))
-        if not component:
-            continue
-        for lw in lyndon_words(nlet, degree):
-            if len(lw) != degree:
-                continue
-            c = component.get(lw)
-            if c is None or _czero(c):
-                continue
-            result[lw] = c
+    for lw in lyndon_words(len(s.labels), s.order):
+        if lw in rest:
+            c = result[lw] = rest[lw]
             for word, mult in lyndon_bracket_expansion(lw):
-                _accumulate(component, word, -c * mult)
-        leftovers = {w: c for w, c in component.items() if not _czero(c)}
-        if leftovers:
-            raise NotLieElementError(
-                f"degree-{degree} component has non-Lie residual on words "
-                f"{sorted(leftovers)[:4]}")
+                _accumulate(rest, word, -c * mult)
+    if rest:
+        degree = min(map(len, rest))
+        raise NotLieElementError(
+            f"degree-{degree} component has non-Lie residual on words "
+            f"{sorted(w for w in rest if len(w) == degree)[:4]}")
     return LieCombination(s.labels, result)
 
 

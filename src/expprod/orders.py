@@ -3,10 +3,11 @@
 The condition generator runs the series logarithm of a stage pattern with
 symbolic coefficients and Lie-projects each homogeneous component; every
 Lyndon-word coefficient that must vanish (and the degree-1 sum-to-one
-conditions) becomes one polynomial equation.  The solver is a damped
-least-squares Newton iteration with exact polynomial gradients.  The module
-returns equations, reports and family points; it formats nothing (the CLI
-writes every table).
+conditions) becomes one polynomial equation.  Verification reads each
+degree's residuals off the series kernel's integer numerators, with no
+rational per word.  The solver is a damped least-squares Newton iteration
+with exact polynomial gradients.  The module returns equations, reports
+and family points; it formats nothing (the CLI writes every table).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ncalg import lie_project, lyndon_words, product_and_log, product_log
+from .ncalg import lie_project, log_residuals, lyndon_words, product_log
 from .poly import CompiledPolys, RationalPoly
 from .schemes import Scheme
 
@@ -98,65 +99,33 @@ def order_conditions(pattern: str, m: int) -> OrderConditionSet:
     stages = [(lab, RationalPoly.var(p)) for lab, p in zip(pattern, params)]
     log = product_log(stages, m, labels)
     combo = lie_project(log)
-    equations: list[ConditionEq] = []
-    for j, lab in enumerate(labels):
-        coeff = combo.terms.get((j,), Fraction(0))
-        poly = _as_poly(coeff) - RationalPoly.const(1)
-        equations.append(ConditionEq(1, (j,), poly))
-    for degree in range(2, m + 1):
-        comp = combo.homogeneous(degree)
-        for lw in lyndon_words(len(labels), degree):
-            if len(lw) != degree:
-                continue
-            coeff = comp.terms.get(lw, Fraction(0))
-            equations.append(ConditionEq(degree, lw, _as_poly(coeff)))
+    # each letter's coefficient must be 1, every longer word's 0
+    equations = [ConditionEq(len(lw), lw, RationalPoly.const(0) + combo.terms.get(lw, 0)
+                             - RationalPoly.const(int(len(lw) == 1)))
+                 for lw in lyndon_words(len(labels), m)]
     return OrderConditionSet(params, tuple(equations))
-
-
-def _as_poly(c) -> RationalPoly:
-    if isinstance(c, RationalPoly):
-        return c
-    return RationalPoly.const(c)
 
 
 def verify_order(scheme: Scheme, m: int) -> int:
     """Highest order k <= m at which all correction terms vanish.
 
-    One product, truncated at degree m, gives both the log and the
-    tolerance scale.  It is ``Scheme.ncalg_product()``: a nested fractal
-    composition multiplies rescaled copies of its base's product, any other
-    scheme folds its stages; both give the same series term for term.  The
-    log must equal the exact flow's: each letter has coefficient 1 at
-    degree 1, every longer word 0.  Schemes with purely
-    rational coefficients are checked exactly.  A scheme with polynomial
-    (algebraic-constant) coefficients enters the series algebra at the exact
-    binary values of its constants' decimals (``Scheme.ncalg_stages``), so
-    structural cancellations still happen exactly, but each
-    degree-d residual coefficient need only be within 1e-12 times the
-    largest degree-d coefficient magnitude of the product (at least 1).
+    The log must equal the exact flow's: each letter has coefficient 1 at
+    degree 1, every longer word 0.  ``ncalg.log_residuals`` reads each
+    degree's residuals off the numerators of ``Scheme.ncalg_product()``.
+    Schemes with purely rational coefficients are checked exactly.  Any other
+    enters at the exact binary values of its constants' decimals
+    (``Scheme.ncalg_stages``), so its degree-d residuals need only be within
+    1e-12 times the largest degree-d coefficient magnitude of the product
+    (at least 1).
     """
     _check_order(m)
     exact = scheme.all_exact()
-    labels = tuple(scheme.slots)
-    prod, log = product_and_log(scheme.ncalg_product(), m, labels)
-    scale: dict[int, float] = {}
-    for w, c in prod.terms.items():
-        scale[len(w)] = max(scale.get(len(w), 1.0), abs(float(c)))
-    target = {(j,): 1 for j in range(len(labels))}
-    residual = {w: log.terms.get(w, 0) - target.get(w, 0) for w in log.terms.keys() | target}
     achieved = 0
-    for degree in range(1, m + 1):
-        if not all(_is_zero(c, exact, scale.get(degree, 1.0))
-                   for w, c in residual.items() if len(w) == degree):
+    for r in log_residuals(scheme.ncalg_product(), m, tuple(scheme.slots)):
+        if not (r.zero if exact else r.worst <= 1e-12 * max(1.0, r.scale)):
             break
-        achieved = degree
+        achieved += 1
     return achieved
-
-
-def _is_zero(diff, exact: bool, scale: float) -> bool:
-    if exact:
-        return diff == 0
-    return abs(float(diff)) <= 1e-12 * max(1.0, scale)
 
 
 def _screened_out(compiled: CompiledPolys, points: np.ndarray, norm_r: float) -> np.ndarray:

@@ -61,9 +61,16 @@ def _hermitian_exp(w: np.ndarray, v: np.ndarray, z) -> np.ndarray:
 
 
 def _not_hermitian(stack: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the m in a (K, N, N) stack with ||m - m^H|| > tol max(1, ||m||) (Frobenius)."""
-    asym = np.linalg.norm(stack - stack.conj().swapaxes(-1, -2), axis=(-2, -1))
-    return asym > tol * np.maximum(1.0, np.linalg.norm(stack, axis=(-2, -1)))
+    """Mask of the m in a (K, N, N) stack with ||m - m^H|| > tol max(1, ||m||) (Frobenius).
+
+    An m with a part of 2^e or more (e >= 0) is divided by 2^e first, so no
+    norm overflows; the scaling is exact, so the decision is the unscaled one.
+    """
+    top = np.maximum(abs(stack.real), abs(stack.imag)).max(axis=(-2, -1), initial=0.0)
+    unit = np.ldexp(1.0, -np.maximum(np.frexp(top)[1], 0))   # 2^-e, or 1
+    scaled = stack * unit[:, None, None]
+    asym = np.linalg.norm(scaled - scaled.conj().swapaxes(-1, -2), axis=(-2, -1))
+    return asym > tol * np.maximum(unit, np.linalg.norm(scaled, axis=(-2, -1)))
 
 
 class HermitianPart:

@@ -108,6 +108,11 @@ def _json_number(value, name: str, kind: type = float):
     return kind(value)
 
 
+# u = beta*Gamma/n in [1/MAX_MAGNITUDE, MAX_MAGNITUDE] and max(1, beta) * sum |J|
+# at most MAX_MAGNITUDE keep every number a run forms, and its square, finite.
+MAX_MAGNITUDE = 1e150
+
+
 class FrozenTrotterError(ValueError):
     """Gamma = 0 makes the inter-layer coupling infinite (layers lock)."""
 
@@ -137,6 +142,7 @@ def couplings(model: IsingModel, n: int) -> TrotterCouplings:
     gamma_n is atanh(e^{-2u}) from u = 1/2 on, where tanh(u) rounds toward 1,
     delta_n is u - log 2 + log(1 - e^{-4u})/2 and the slope is 2 e^{-2u} /
     (e^{-4u} - 1), so none loses its digits or overflows however large u is.
+    A model outside the float range (``MAX_MAGNITUDE``) is a ValueError.
     """
     if n < 1:
         raise ValueError("Trotter number must be >= 1")
@@ -144,6 +150,11 @@ def couplings(model: IsingModel, n: int) -> TrotterCouplings:
         raise FrozenTrotterError(
             "Gamma = 0: inter-layer coupling diverges; treat layers as locked")
     u = model.beta * model.gamma / n
+    bonds = max(1.0, model.beta) * sum(abs(w) for *_, w in model.bonds)
+    if not (1 / MAX_MAGNITUDE <= u <= MAX_MAGNITUDE and bonds <= MAX_MAGNITUDE):
+        raise ValueError(f"the model leaves the float range at n = {n}: u = beta*Gamma/n = {u:g} "
+                         f"must lie in [{1 / MAX_MAGNITUDE:g}, {MAX_MAGNITUDE:g}] and "
+                         f"max(1, beta) * sum |J| = {bonds:g} may not exceed {MAX_MAGNITUDE:g}")
     gamma_n = math.atanh(math.exp(-2 * u)) if u > 0.5 else -0.5 * math.log(math.tanh(u))
     delta_n = u - math.log(2.0) + 0.5 * math.log(-math.expm1(-4 * u))
     return TrotterCouplings(n=n, u=u, gamma_n=gamma_n, delta_n=delta_n,
@@ -295,7 +306,7 @@ class _Sampler:
     def __init__(self, model: IsingModel, n: int, rngs: Sequence[np.random.Generator]):
         if not rngs:
             raise ValueError("the sampler needs at least one replica")
-        couplings(model, n)  # refuses n < 1 and a zero field before any table is built
+        couplings(model, n)  # refuses n < 1, a zero field and the float range before any table
         self.model = model
         self.n = n
         self.rngs = list(rngs)
@@ -693,6 +704,8 @@ def trotter_extrapolate(model: IsingModel, n_list: Sequence[int], sweeps: int,
     if sweeps:
         check_kept_sweeps(sweeps, sweeps // 5)
     ns = _check_trotter_numbers(n_list)
+    for n in ns:
+        couplings(model, n)  # every n is refused before the first chain or eigendecomposition
     values, errors = [], []
     for k, n in enumerate(ns):
         if sweeps == 0:
@@ -746,6 +759,7 @@ def anneal_batch(model: IsingModel, n: int, gamma_schedule: Sequence[float],
             g = GAMMA_FLOOR
             floor_hit = True
         clamped.append(g)
+    couplings(model.with_gamma(clamped[-1]), n)  # the smallest u; the sampler checks the first
     sampler = _Sampler(model.with_gamma(clamped[0]), n,
                        [np.random.default_rng(seed) for seed in seeds])
     stage_energies = []

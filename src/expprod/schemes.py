@@ -230,7 +230,7 @@ class Scheme:
         return [(st.target, _exact_value(st.coeff)) for st in self.stages]
 
     def ncalg_product(self):
-        """What ``ncalg.product_and_log`` multiplies for this scheme.
+        """What ``ncalg.log_residuals`` multiplies for this scheme.
 
         A composition of copies of a composed base is ``ncalg.Copies``: the
         factors' exact values over the base's own product.  Any other scheme,

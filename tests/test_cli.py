@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -865,6 +866,29 @@ def test_malformed_model_is_config_error(tmp_path, capsys, command, doc, message
     assert f"cannot load model file {path}: {message}" in err
 
 
+@pytest.mark.parametrize("doc, commands", [
+    # u = 1e308 at n = 1: the intra-layer weights overflowed into a NaN action
+    ({**_PAIR_DOC, "beta": 1e308}, ["qmc", "anneal", "extrapolate"]),
+    # a diag_energy mean of -Infinity
+    ({**_PAIR_DOC, "beta": 10.0, "bonds": [[0, 1, 1e308]]}, ["qmc", "anneal", "extrapolate"]),
+    # the sigma_x slope and offset overflowed (anneal sets its own field)
+    ({**_PAIR_DOC, "gamma": 1e-308}, ["qmc", "extrapolate"]),
+], ids=["beta-1e308", "weight-1e308", "gamma-1e-308"])
+def test_model_outside_the_float_range_is_config_error(tmp_path, capsys, doc, commands):
+    path = str(tmp_path / "model.json")
+    Path(path).write_text(json.dumps(doc))
+    argvs = {"qmc": [["qmc", "--model", path, "--n", n, "--sweeps", "50", "--seed", "1"]
+                     for n in ("1", "4")],
+             "anneal": [["anneal", "--model", path, "--n", "4", "--sweeps", "5"]],
+             "extrapolate": [["extrapolate", "--model", path, "--n-list", "2,3,4",
+                              "--sweeps", sweeps, "--observable", "sigma_x"]
+                             for sweeps in ("20", "0")]}
+    for argv in (argv for name in commands for argv in argvs[name]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (cli.CONFIG_ERROR, ""), argv
+        assert "leaves the float range" in err and f"{qmc.MAX_MAGNITUDE:g}" in err
+
+
 def test_anneal_zero_sweeps_is_config_error(capsys):
     code, out, err = run(capsys, "anneal", "--model", str(MODELS / "frustrated4.json"),
                          "--sweeps", "0")
@@ -1154,22 +1178,59 @@ def _fuzzed(base, index, piece, token):
     return argv
 
 
-@settings(max_examples=700, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(_fuzz_cases()), st.sampled_from(_FUZZ_TOKENS))
-def test_fuzzed_command_lines_keep_the_exit_contract(case, token):
-    argv = _fuzzed(*case, token)
+def _check_exit_contract(argv):
+    """Run one command line: its exit code is 0, 2 or 3, with no traceback and
+    no RuntimeWarning, and a JSON stdout at 0 or 3 is strict JSON (a CSV one
+    holds finite numbers only)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse refusing a value
             code = exc.code
     assert code in (0, cli.CONFIG_ERROR, cli.NONCONVERGENCE), argv
     assert "Traceback" not in err.getvalue(), argv
-    if code == cli.NONCONVERGENCE:
+    assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)], argv
+    if code == cli.NONCONVERGENCE or (code == 0 and out.getvalue().startswith("{")):
         _strict_json(out.getvalue())
+    elif code == 0:
+        for cell in re.split(r"[,\n]", out.getvalue()):
+            assert cell.strip().lower() not in ("nan", "inf", "-inf"), argv
+
+
+@settings(max_examples=700, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_fuzz_cases()), st.sampled_from(_FUZZ_TOKENS))
+def test_fuzzed_command_lines_keep_the_exit_contract(case, token):
+    _check_exit_contract(_fuzzed(*case, token))
+
+
+# A fuzzed model file replaces one number of the pair model with a hostile one.
+_FUZZ_MODEL_FIELDS = {"sites": ("sites",), "gamma": ("gamma",), "beta": ("beta",),
+                      "bond_i": ("bonds", 0, 0), "bond_j": ("bonds", 0, 1),
+                      "weight": ("bonds", 0, 2)}
+_FUZZ_MODEL_NUMBERS = ["0", "-1", "99", "1e308", "-1e308", "1e-308", "5e-324"]
+
+
+@pytest.mark.parametrize("number", _FUZZ_MODEL_NUMBERS)
+@pytest.mark.parametrize("field", list(_FUZZ_MODEL_FIELDS))
+def test_fuzzed_model_files_keep_the_exit_contract(tmp_path, field, number):
+    doc = json.loads(json.dumps(_PAIR_DOC))
+    *keys, last = _FUZZ_MODEL_FIELDS[field]
+    functools.reduce(lambda node, key: node[key], keys, doc)[last] = json.loads(number)
+    path = str(tmp_path / "model.json")
+    Path(path).write_text(json.dumps(doc))
+    for argv in (
+        ["qmc", "--model", path, "--n", "1", "--sweeps", "20", "--seed", "1"],
+        ["qmc", "--model", path, "--n", "4", "--sweeps", "20", "--seed", "1"],
+        ["anneal", "--model", path, "--n", "4", "--schedule", "2:0.5:3", "--sweeps", "5"],
+        ["extrapolate", "--model", path, "--n-list", "2,3,4", "--sweeps", "20",
+         "--observable", "sigma_x"],
+        ["extrapolate", "--model", path, "--n-list", "2,3,4", "--sweeps", "0",
+         "--observable", "sigma_x"],
+    ):
+        _check_exit_contract(argv)
 
 
 # ---------------------------------------------------------------------------

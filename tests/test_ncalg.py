@@ -10,7 +10,7 @@ from expprod.ncalg import (
     Copies, LieCombination, NcSeries, NotLieElementError, bracket_fold, bracket_leaves,
     bracket_tree_words, commutator,
     conjugation_series, delta_power, frechet_exp, left_minus_ad_power, lie_project, lyndon_words,
-    product_and_log, product_log, series_log, series_mul, stage_exp, stage_product,
+    product_log, series_log, series_mul, stage_exp, stage_product,
 )
 from expprod.orders import MAX_ORDER, verify_order
 from expprod.poly import RationalPoly
@@ -152,14 +152,6 @@ def test_stage_product_is_the_folded_product(stages, order, labels):
         _same_terms(stage_exp(g, c, order, labels), _fraction_stage_exp(g, c, order, labels))
 
 
-@pytest.mark.parametrize("stages", [hybrid_fourth().ncalg_stages(), _symbolic_stages("ABABA")],
-                         ids=["hybrid_fourth-lie", "ABABA-symbolic"])
-def test_product_and_log_share_one_product(stages):
-    prod, log = product_and_log(stages, 5, AB)
-    assert prod == stage_product(stages, 5, AB)
-    assert log == series_log(prod) == product_log(stages, 5, AB)
-
-
 def test_stage_longer_than_the_truncation_order():
     # a degree-3 commutator stage at order 2 has no term below the cut
     g = ("B", ("A", "B"))
@@ -190,10 +182,9 @@ def test_composed_product_is_the_flat_fold(make):
     product = sch.ncalg_product()
     assert isinstance(product, Copies)
     for order in range(1, MAX_ORDER + 1):
-        composed = product_and_log(product, order, sch.slots)
-        flat = product_and_log(sch.ncalg_stages(), order, sch.slots)
-        for got, want in zip(composed, flat):
-            _same_terms(got, want)
+        for build in (stage_product, product_log):
+            _same_terms(build(product, order, sch.slots),
+                        build(sch.ncalg_stages(), order, sch.slots))
 
 
 def test_stage_product_of_no_stages_is_the_identity():
@@ -297,8 +288,8 @@ def test_pretty_bracket_names():
 @pytest.mark.parametrize("call", [
     lambda: stage_exp("C", 1, 2, AB),
     lambda: stage_exp(0, 1, 2, AB),
-    lambda: product_and_log([("A", 1), ("C", 1)], 2, AB),
-], ids=["letter_C", "integer_letter", "product_and_log"])
+    lambda: stage_product([("A", 1), ("C", 1)], 2, AB),
+], ids=["letter_C", "integer_letter", "stage_product"])
 def test_unknown_stage_letter_is_named(call):
     with pytest.raises(ValueError, match=r"stage letter .* is not in the alphabet \('A', 'B'\)"):
         call()

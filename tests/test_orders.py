@@ -13,7 +13,7 @@ from expprod.orders import (
 )
 from expprod.poly import CompiledPolys, RationalPoly
 from expprod.schemes import (
-    CATALOG, hybrid_fourth, hybrid_second, ruth, strang, trotter,
+    CATALOG, fractal, hybrid_fourth, hybrid_second, ruth, strang, trotter,
 )
 
 suzuki4 = CATALOG["suzuki4"]
@@ -140,7 +140,7 @@ def test_verify_order_needs_a_positive_order():
 
 
 def test_verify_order_builds_the_stage_product_once(monkeypatch):
-    calls = {"product_and_log": 0, "_product_numerators": 0}
+    calls = {"log_residuals": 0, "_product_numerators": 0}
 
     def counting(fn):
         def wrapper(*args, **kwargs):
@@ -149,14 +149,14 @@ def test_verify_order_builds_the_stage_product_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(ncalg, "_product_numerators", counting(ncalg._product_numerators))
-    monkeypatch.setattr(orders, "product_and_log", counting(ncalg.product_and_log))
+    monkeypatch.setattr(orders, "log_residuals", counting(ncalg.log_residuals))
     assert verify_order(suzuki4(), 5) == 4
     # one call builds the product once; the log and the scale share it
-    assert calls == {"product_and_log": 1, "_product_numerators": 1}
+    assert calls == {"log_residuals": 1, "_product_numerators": 1}
 
     # suzuki8 is five copies of suzuki6, itself five copies of suzuki4: one
     # product per level (three), and only suzuki4's merged stages are folded, once
-    calls.update(product_and_log=0, _product_numerators=0, _exp_numerators=0)
+    calls.update(log_residuals=0, _product_numerators=0, _exp_numerators=0)
     folded = []
     product_numerators = ncalg._product_numerators
 
@@ -169,8 +169,60 @@ def test_verify_order_builds_the_stage_product_once(monkeypatch):
     monkeypatch.setattr(ncalg, "_exp_numerators", counting(ncalg._exp_numerators))
     assert verify_order(CATALOG["suzuki8"](), 8) == 8
     assert folded == [suzuki4().ncalg_stages()]
-    assert calls == {"product_and_log": 1, "_product_numerators": 3,
+    assert calls == {"log_residuals": 1, "_product_numerators": 3,
                      "_exp_numerators": len(suzuki4().stages)}
+
+
+def _reference_degrees(scheme, m):
+    """Per degree 1..m: (all residuals 0, largest |residual|, largest |product
+    coefficient|), from the product and its log as ``NcSeries`` and the
+    residuals as Fractions, the rule ``verify_order`` followed before it read
+    the residuals off the numerators."""
+    labels = tuple(scheme.slots)
+    prod = ncalg.stage_product(scheme.ncalg_product(), m, labels)
+    log = ncalg.product_log(scheme.ncalg_product(), m, labels)
+    target = {(j,): 1 for j in range(len(labels))}
+    residual = {w: log.terms.get(w, 0) - target.get(w, 0) for w in log.terms.keys() | target}
+    degrees = []
+    for d in range(1, m + 1):
+        diffs = [c for w, c in residual.items() if len(w) == d]
+        degrees.append((all(c == 0 for c in diffs),
+                        max((abs(float(c)) for c in diffs), default=0.0),
+                        max((abs(float(c)) for w, c in prod.terms.items() if len(w) == d),
+                            default=0.0)))
+    return degrees
+
+
+def _reference_verdict(exact, degrees, m):
+    achieved = 0
+    for zero, worst, scale in degrees[:m]:
+        if not (zero if exact else worst <= 1e-12 * max(1.0, scale)):
+            break
+        achieved += 1
+    return achieved
+
+
+@pytest.mark.parametrize("make", [*CATALOG.values(), lambda: fractal(hybrid_fourth(), "triple")],
+                         ids=[*CATALOG, "hybrid_fourth-triple"])
+def test_verify_order_keeps_the_fraction_residual_rule(make):
+    scheme = make()
+    degrees = _reference_degrees(scheme, MAX_ORDER)
+    records = ncalg.log_residuals(scheme.ncalg_product(), MAX_ORDER, tuple(scheme.slots))
+    # the record's floats are the Fraction maxima, bit for bit
+    assert [tuple(r) for r in records] == degrees
+    for m in range(1, MAX_ORDER + 1):
+        assert verify_order(scheme, m) == _reference_verdict(scheme.all_exact(), degrees, m)
+
+
+def test_non_exact_fractal_takes_the_tolerance_path():
+    # the triple jump's cube-root weights enter at their decimals' binary
+    # values, so degree 5 cancels only to within the tolerance
+    scheme = fractal(hybrid_fourth(), "triple")
+    assert not scheme.all_exact()
+    records = ncalg.log_residuals(scheme.ncalg_product(), 7, tuple(scheme.slots))
+    assert [r.zero for r in records] == [True, True, True, True, False, True, False]
+    assert 0 < records[4].worst <= 1e-12 * max(1.0, records[4].scale)
+    assert verify_order(scheme, 7) == scheme.claimed_order == 6
 
 
 # ---------------------------------------------------------------------------

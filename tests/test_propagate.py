@@ -16,6 +16,7 @@ from expprod.propagate import (
     step_operator, symplectic_step, transverse_coupling_coefficient, umeno_hamiltonian,
     unitary_step,
 )
+from expprod.propagate import _not_hermitian
 from expprod.schemes import (
     CATALOG, Scheme, Stage, hybrid_fourth, hybrid_second, ruth, stage_plan,
     strang, timeordered1, timeordered2, trotter,
@@ -34,6 +35,34 @@ GAMMA = 0.75
 def test_hermitian_part_rejects_non_hermitian():
     with pytest.raises(ValueError):
         HermitianPart(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("big", [1e200, 1e308])
+def test_hermitian_check_takes_entries_past_the_norm_range(big):
+    # unscaled, these Frobenius norms overflow: the squares warn, and a
+    # nilpotent matrix passed because inf > 1e-12 * inf is false
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianPart(np.array([[0, big], [0, 0]]))
+    assert HermitianPart(np.array([[big, 1], [1, -big]])).dim == 2
+    nilpotent = np.array([[0, big], [0, 0]], dtype=complex)
+    parts = TimeDependentParts(a=lambda t: nilpotent if t > 0 else nilpotent + nilpotent.T,
+                               b=lambda t: big * np.array([[0, 1j], [-1j, 1]]))
+    assert parts.samples(["A", "B"], [0.0, 0.0]).shape == (2, 2, 2)
+    with pytest.raises(ValueError, match="part A is not Hermitian at t=0.5"):
+        parts.samples(["B", "A", "A"], [0.0, 0.0, 0.5])
+
+
+def test_hermitian_check_decides_as_the_unscaled_norms_do():
+    # asymmetries around the 1e-12 threshold, at magnitudes whose norms fit
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(400, 3, 3)) + 1j * rng.normal(size=(400, 3, 3))
+    rel = 10.0 ** rng.uniform(-14, -10, size=(400, 1, 1))
+    size = 10.0 ** rng.uniform(-150, 150, size=(400, 1, 1))
+    stack = ((m + m.conj().swapaxes(-1, -2)) / 2 + rel * m) * size
+    asym = np.linalg.norm(stack - stack.conj().swapaxes(-1, -2), axis=(-2, -1))
+    unscaled = asym > 1e-12 * np.maximum(1.0, np.linalg.norm(stack, axis=(-2, -1)))
+    assert 50 < unscaled.sum() < 350
+    assert np.array_equal(_not_hermitian(stack, 1e-12), unscaled)
 
 
 def test_eigendecomposition_reconstructs():
