@@ -99,10 +99,12 @@ def order_conditions(pattern: str, m: int) -> OrderConditionSet:
     stages = [(lab, RationalPoly.var(p)) for lab, p in zip(pattern, params)]
     log = product_log(stages, m, labels)
     combo = lie_project(log)
-    # each letter's coefficient must be 1, every longer word's 0
-    equations = [ConditionEq(len(lw), lw, RationalPoly.const(0) + combo.terms.get(lw, 0)
-                             - RationalPoly.const(int(len(lw) == 1)))
-                 for lw in lyndon_words(len(labels), m)]
+    equations = []
+    for lw in lyndon_words(len(labels), m):
+        coeff = RationalPoly.const(0) + combo.terms.get(lw, 0)
+        if len(lw) == 1:
+            coeff = coeff - RationalPoly.const(1)  # each letter's coefficient must be 1
+        equations.append(ConditionEq(len(lw), lw, coeff))
     return OrderConditionSet(params, tuple(equations))
 
 

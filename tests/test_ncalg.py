@@ -148,6 +148,7 @@ def test_stage_product_is_the_folded_product(stages, order, labels):
     folded = _folded_product(stages, order, labels)
     _same_terms(stage_product(stages, order, labels), folded)
     _same_terms(product_log(stages, order, labels), _fraction_log(folded))
+    _same_terms(series_log(stage_product(stages, order, labels)), product_log(stages, order, labels))
     for g, c in stages:
         _same_terms(stage_exp(g, c, order, labels), _fraction_stage_exp(g, c, order, labels))
 
