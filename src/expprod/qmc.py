@@ -109,7 +109,9 @@ def _json_number(value, name: str, kind: type = float):
 
 
 # u = beta*Gamma/n in [1/MAX_MAGNITUDE, MAX_MAGNITUDE] and max(1, beta) * sum |J|
-# at most MAX_MAGNITUDE keep every number a run forms, and its square, finite.
+# at most MAX_MAGNITUDE keep every number a run forms, and its square, finite;
+# at n = None, max(1, beta) * (Gamma * sites + sum |J|) at most MAX_MAGNITUDE
+# does the same for e^{-beta H}.
 MAX_MAGNITUDE = 1e150
 
 
@@ -543,13 +545,20 @@ def exact_reference(model: IsingModel, n: int | None = None) -> ExactObservables
     from its diagonal and sigma_x at n = None from its one-flip entries.  At
     finite n, trotter_corr is Tr[S^{n-1} e^{-beta A/2n} (e^{-beta B/n} o C)
     e^{-beta A/2n}] / Tr S^n with C[s, s'] = sum_i s_i s'_i / sites, and
-    sigma_x follows from it.  Capped at 2^sites <= 4096.
+    sigma_x follows from it.  Capped at 2^sites <= 4096; a model outside the
+    float range (``MAX_MAGNITUDE``) is a ValueError.
     """
     if model.sites > 12:
         raise ValueError("exact reference capped at 2^sites <= 4096")
     spins = _basis_spins(model.sites)
     overlap = spins @ spins.T  # sites - 2 * (number of differing spins)
     if n is None:
+        scale = max(1.0, model.beta) * (model.gamma * model.sites
+                                        + sum(abs(w) for *_, w in model.bonds))
+        if scale > MAX_MAGNITUDE:
+            raise ValueError(f"the model leaves the float range: max(1, beta) * "
+                             f"(Gamma * sites + sum |J|) = {scale:g} may not exceed "
+                             f"{MAX_MAGNITUDE:g}")
         a, b = hamiltonian_parts(model)
         w, v = np.linalg.eigh(a + b)
         weights = np.exp(-model.beta * (w - w.min()))

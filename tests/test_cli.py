@@ -381,6 +381,19 @@ def test_precession_overflow_prints_only_its_json(capsys):
     assert err == ""
 
 
+def test_precession_overflow_mid_run_exits_3_without_data(tmp_path, capsys):
+    # the norm grows by sqrt(1 + dt^2 <H^2>) per step and leaves the float
+    # range between the rows at steps 700 and 800
+    out_path = tmp_path / "p.csv"
+    code, out, err = run(capsys, "precession", "--scheme", "perturbative", "--dt", "1",
+                         "--steps", "4000", "--sample-every", "100", "--out", str(out_path))
+    assert code == cli.NONCONVERGENCE
+    assert out == ('{"command": "precession", "diagnostics": "non-finite result", '
+                   '"step": 800, "t": 800.0, "columns": ["energy", "norm"]}\n')
+    assert err == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_umeno_csv(tmp_path, capsys):
     out_path = tmp_path / "u.csv"
     code, _, _ = run(capsys, "umeno", "--scheme", "trotter", "--dt", "1e-3",
@@ -474,14 +487,20 @@ def test_every_scheme_through_every_stepping_command(tmp_path, capsys, command, 
 
 
 # data files (and converge's stdout) recorded before the propagation layer
-# read schemes through one stage plan; static stepping must not move a bit
+# read schemes through one stage plan; static stepping must not move a bit.
+# The three unitary precession pins were re-recorded when the 2x2 step moved
+# from np.dot to Python complex arithmetic: numpy's kernels round complex
+# products differently from Python (as fused multiply-adds would), so the
+# last bits of those rows moved, staying within 1e-12 of the np.dot loop
+# (tests/test_propagate.py checks that).  The perturbative step I - i dt H,
+# whose entries have real parts 0 and 1 only, kept its pin.
 PINNED_DATA = [
     (["precession", "--scheme", "trotter"],
-     "75efe383aa4f47e0ab2f24df48c13a4f72750ce987155d5cdd77f143418b3098"),
+     "545e24ae8462bc136b8472caaa36fce7667a263b78aa63c1ff712da760557eea"),
     (["precession", "--scheme", "suzuki4"],
-     "2e2b0a4c81c175bd2ada71f75ac42bc686d178524dc679a5c3ebbd39d08edb6c"),
+     "bff054675c3f8140cb7a0eebbf19b41059081516e33240b9acd9599f977b3dc7"),
     (["precession", "--scheme", "hybrid_fourth"],
-     "8ee8afb266fdfe98e33af8028bb37bf382626385710b296bc85e6b4c12caf620"),
+     "c3a94ffd454a34398700b4a82e8b0161bcdf28171282b944f1c52b423837a54f"),
     (["precession", "--scheme", "perturbative"],
      "552a28747d4321dac05f56e451f763b94d6f6f5159cf8b0f65757805022880c8"),
     (["umeno", "--scheme", "trotter"],

@@ -184,6 +184,34 @@ def test_precession_energy_bounded_and_periodic():
     assert abs(measured - period) / period < 0.02
 
 
+@pytest.mark.parametrize("name", sorted(
+    n for n in CATALOG if "T" not in CATALOG[n]().slots) + ["perturbative"])
+def test_precession_scalar_loop_matches_the_matrix_loop(name):
+    # run_precession steps in Python complexes; the np.dot loop it replaced
+    # rounds differently (by up to a few 1e-14 here), the perturbative matrix
+    # not at all
+    dt, steps, every = 1e-3, 2000, 100
+    parts = spin_parts(GAMMA)
+    h = parts["A"].matrix + parts["B"].matrix
+    if name == "perturbative":
+        method, m_step = name, np.eye(2, dtype=complex) - 1j * dt * h
+    else:
+        method = CATALOG[name]()
+        m_step = step_operator(method, parts, dt)
+    psi = QuantumState.up(2).vector
+    expected = [(0.0, float((psi.conj() @ (h @ psi)).real), 1.0)]
+    for k in range(1, steps + 1):
+        psi = np.dot(m_step, psi)
+        if k % every == 0:
+            expected.append((k * dt, float((psi.conj() @ (h @ psi)).real),
+                             float(np.linalg.norm(psi))))
+    rows = run_precession(method, GAMMA, dt, steps, every)
+    if name == "perturbative":
+        assert rows == expected
+    else:
+        np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # classical stepping
 # ---------------------------------------------------------------------------

@@ -222,6 +222,21 @@ def test_exact_reference_is_finite_on_a_cold_model(n):
     assert -1 - 1e-12 <= ref.bond_zz[0] <= 1 + 1e-12
 
 
+@pytest.mark.parametrize("gamma,weight,beta", [
+    (1e308, 1.0, 1.0), (1.0, 1e308, 1.0), (1.0, 1.0, 1e308), (1e100, 1.0, 1e100)])
+def test_exact_reference_refuses_a_model_outside_the_float_range(gamma, weight, beta):
+    # n = None does not go through couplings; e^{-beta H} has its own bound
+    model = IsingModel(2, ((0, 1, weight),), gamma, beta)
+    with pytest.raises(ValueError, match="float range"):
+        exact_reference(model)
+
+
+def test_exact_reference_at_the_float_range_bound_is_finite():
+    # max(1, beta) * (Gamma * sites + |J|) = 3e149, inside MAX_MAGNITUDE
+    ref = exact_reference(IsingModel(2, ((0, 1, 1.0),), 1.0, 1e149))
+    assert all(math.isfinite(v) for v in [ref.log_z, ref.diag_energy, ref.sigma_x, *ref.bond_zz])
+
+
 def _kron_parts(model):
     """H = A + B from Kronecker products of single-site Pauli matrices."""
     def site(op, k):
