@@ -21,6 +21,7 @@ import argparse
 import itertools
 import json
 import math
+import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -32,6 +33,8 @@ from .poly import frac_str
 CONFIG_ERROR = 2
 NONCONVERGENCE = 3
 MAX_RANGE_POINTS = 10_000
+# a stage coefficient in x: [sign][number[*]]x[/integer]
+_X_COEFF = re.compile(r"([+-]?)(?:(\d+(?:\.\d*)?|\.\d+)\*?)?x(?:/(\d+))?")
 
 
 class ConfigError(Exception):
@@ -97,23 +100,20 @@ def write_manifest(args, **resolved) -> None:
 
 
 def parse_stage_coeff(text: str) -> Fraction:
-    """Coefficient grammar: 'x', 'x/2', '7x/24', '-x', '1/2', '0.75'.
+    """Coefficient grammar: [sign][number[*]]x[/integer] ('x', '-x', 'x/2',
+    '7x/24', '2*x', '0.5x') or a plain number ('1/2', '0.75').
 
-    A zero denominator or a non-finite value is a ConfigError.
+    Any other text containing x, a zero denominator or a non-finite value is
+    a ConfigError.
     """
     t = text.strip().replace(" ", "")
     try:
         if "x" in t:
-            num, _, den = t.partition("/")
-            num = num.replace("x", "").replace("*", "")
-            if num in ("", "+"):
-                num = "1"
-            elif num == "-":
-                num = "-1"
-            value = Fraction(num)
-            if den:
-                value /= Fraction(den)
-            return value
+            match = _X_COEFF.fullmatch(t)
+            if match is None:
+                raise ValueError("expected [sign][number[*]]x[/integer] or a number")
+            sign, num, den = match.groups()
+            return Fraction(sign + (num or "1")) / int(den or 1)
         if "/" in t or "." not in t:
             return Fraction(t)
         return Fraction(float(t)).limit_denominator(10 ** 12)
@@ -136,6 +136,7 @@ def parse_assignments(text: str) -> dict[str, float]:
     out = {}
     for item in text.split(","):
         name, _, value = item.partition("=")
+        name = name.strip()
         if not name or not value:
             raise ConfigError(f"bad assignment {item!r}; expected name=value")
         try:
@@ -144,7 +145,9 @@ def parse_assignments(text: str) -> dict[str, float]:
                 raise ValueError("the value must be finite")
         except (ValueError, ArithmeticError) as exc:
             raise ConfigError(f"bad assignment {item!r}: {exc}") from None
-        out[name.strip()] = number
+        if name in out:
+            raise ConfigError(f"{name!r} is assigned twice in {text!r}")
+        out[name] = number
     return out
 
 
@@ -554,15 +557,16 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     subparser = sub_actions.choices.get(command)
     if subparser is None:
         raise ConfigError(f"unknown subcommand {command!r}")
-    valid = {a.dest for a in subparser._actions}
+    # the optional flags of the subcommand; help and positionals are no keys
+    flags = {opt for a in subparser._actions if not isinstance(a, argparse._HelpAction)
+             for opt in a.option_strings}
     injected = []
     for key, value in doc.items():
         if key in known:
             continue
-        dest = key.replace("-", "_")
-        if dest not in valid:
-            raise ConfigError(f"unknown config key {key!r} for {command}")
         flag = "--" + key.replace("_", "-")
+        if flag not in flags:
+            raise ConfigError(f"unknown config key {key!r} for {command}")
         if flag not in rest and value is not None:
             injected.extend([flag, str(value)])
     return rest[:1] + injected + rest[1:]

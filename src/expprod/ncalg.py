@@ -42,7 +42,7 @@ from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .poly import Coeff, RationalPoly, as_exact, coeff_to_json
+from .poly import Coeff, RationalPoly, as_exact, coeff_to_json, frac_str
 
 Word = tuple[int, ...]
 
@@ -256,12 +256,6 @@ def _log_numerators(x: Graded, q: int) -> tuple[Graded, int, int]:
     return _power_sum(x, weights), q, lcm
 
 
-def _exp_numerators(g: StageGen, coeff, q: int, order: int, labels: Sequence[str]) -> Graded:
-    """exp(c * G) over ``q^d d! order!``: weights ``order!/k!``."""
-    elem = _numerators(_stage_element(g, coeff, labels), q, order)
-    return _power_sum(elem, [math.factorial(order) // math.factorial(k) for k in range(order + 1)])
-
-
 def stage_exp(g: StageGen, coeff, order: int, labels: Sequence[str] = ("A", "B")) -> NcSeries:
     """exp(c * G) truncated at ``order``: the one-stage ``stage_product``.
 
@@ -318,14 +312,15 @@ def _product_numerators(product: Product, order: int,
         for run in runs:
             _muladd(prod, prod, powers[run], order)
         return prod, q * lift
-    stages = list(product)
-    q = math.lcm(*(_denominator(a) for g, c in stages
-                   for a in _stage_element(g, c, labels).values()))
+    elements = [_stage_element(g, c, labels) for g, c in product]
+    q = math.lcm(*(_denominator(a) for elem in elements for a in elem.values()))
+    # exp(c G) over q^d d! order! is the power sum with weights order!/k!
+    weights = [math.factorial(order) // math.factorial(k) for k in range(order + 1)]
     scale = Fraction(1, math.factorial(order))
     prod = _graded(order, 1)
-    for g, c in stages:
+    for elem in elements:
         factor = [{u: _integral(m, scale) for u, m in level.items()}
-                  for level in _exp_numerators(g, c, q, order, labels)]
+                  for level in _power_sum(_numerators(elem, q, order), weights)]
         _muladd(prod, prod, factor, order)
     return prod, q
 
@@ -546,7 +541,6 @@ class LieCombination:
 def _coeff_str(c) -> str:
     if isinstance(c, RationalPoly):
         return f"({c!r})"
-    from .poly import frac_str
     return frac_str(c)
 
 

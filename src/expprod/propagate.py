@@ -1,26 +1,31 @@
 """Apply splitting schemes to concrete dynamics.
 
+Every stepper takes its parts as a mapping from slot label to part: a
+matrix or ``HermitianPart`` for static stepping, a function of t giving a
+matrix for time-ordered stepping.  A stage label the mapping lacks is
+refused with a ``ValueError`` naming it before any factor is built or part
+sampled.
+
 Quantum side: every stage exponential comes from an eigendecomposition of
-a Hermitian matrix: letter stages from the cached one of their part,
-commutator stages from the bracket (the matrices of its labels folded by
-``ncalg.bracket_fold``) brought to Hermitian form.  So every
-stage is unitary to roundoff and the norm cannot drift.  ``stage_unitaries``
-builds the factors of all stages of one target with one stacked exponential
-over that target's eigendecomposition, bit-identical to one factor at a
-time.  A static part is checked Hermitian within 1e-12, a time-dependent
-sample within 1e-10 (both in the Frobenius norm, relative to
-max(1, ||H||)).  Time-ordered stepping
-builds its stage factors per chunk of steps: the samples of at most
-``_CHUNK_BYTES`` of factors go through one stacked ``eigh``, and the
+a Hermitian matrix, taken once per call for each distinct stage target:
+a letter reads the cached one of its part, a commutator stage diagonalises
+its bracket (the matrices of its labels folded by ``ncalg.bracket_fold``)
+brought to Hermitian form.  So every stage is unitary to roundoff and the
+norm cannot drift.  ``stage_unitaries`` builds the factors of all stages of
+one target with one stacked exponential over that target's
+eigendecomposition, bit-identical to one factor at a time.  A static part
+is checked Hermitian within 1e-12, a time-dependent sample within 1e-10
+(both in the Frobenius norm, relative to max(1, ||H||)).  Time-ordered
+stepping builds its stage factors per chunk of steps: the samples of at
+most ``_CHUNK_BYTES`` of factors go through one stacked ``eigh``, and the
 factors are then applied one by one in application order, so the output
-is bit-identical to building each factor on its own.  Classical side:
-kick and drift are the exact flows of the potential-only and kinetic-only
-Hamiltonians (the generators are nilpotent), so every composed step is
-symplectic.  The deliberately bad first-order baselines for comparison
-runs are built inside ``run_precession`` (the perturbative I - i dt H) and
-``run_umeno`` (the Euler update); ``euler_step`` is that Euler update on
-its own, the tests' reference.  Quantum steppers take their parts as a
-mapping from slot label to matrix or ``HermitianPart``.
+is bit-identical to building each factor on its own.  Classical side: a
+``SeparableHamiltonian`` is |p|^2/2 + V(q); kick and drift are the exact
+flows of V and of |p|^2/2 (the generators are nilpotent), so every
+composed step is symplectic.  The deliberately bad first-order baselines
+for comparison runs are built inside ``run_precession`` (the perturbative
+I - i dt H) and ``run_umeno`` (the Euler update); ``euler_step`` is that
+Euler update on its own, the tests' reference.
 
 The ``cli`` commands only call this module and write what it returns: every
 trajectory run records rows at the steps ``sample_marks`` names, and
@@ -50,6 +55,12 @@ from .schemes import CATALOG, Scheme, stage_plan
 # but hold more: at 4 MB the peak RSS of the driven timeordered4 convergence
 # run rose from 34 to 57 MB, at 64 KB by 0.4 MB.
 _CHUNK_BYTES = 1 << 16
+
+# the two-level fixture: A = sigma_z for the precession and driven systems,
+# sigma_x in their B and in the perturbational composition
+_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_SIGMA_Z.flags.writeable = _SIGMA_X.flags.writeable = False
 
 
 def _hermitian_exp(w: np.ndarray, v: np.ndarray, z) -> np.ndarray:
@@ -94,11 +105,6 @@ class HermitianPart:
         """exp(z H) through the cached eigendecomposition."""
         return _hermitian_exp(self.eigenvalues, self.eigenvectors, z)
 
-    def apply_exp(self, z: complex, vector: np.ndarray) -> np.ndarray:
-        """exp(z H) vector in the cached eigenbasis, without forming exp(z H)."""
-        v = self.eigenvectors
-        return v @ (np.exp(z * self.eigenvalues) * (vector.conj() @ v).conj())
-
     def reconstruction_error(self) -> float:
         rebuilt = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
         return float(np.linalg.norm(rebuilt - self.matrix))
@@ -132,51 +138,64 @@ def _parts_map(parts: Mapping) -> dict[str, HermitianPart]:
     return mapping
 
 
-def _static_plan(scheme: Scheme) -> list[tuple[str | tuple, float, float]]:
-    """The stage plan of a scheme for a time-independent system (no T slot)."""
-    if "T" in scheme.slots:
+def _plan(scheme: Scheme, parts: Mapping, timed: bool = False) -> tuple:
+    """The stage plan of a scheme stepped over ``parts``.
+
+    Time-ordered stepping (``timed``) needs the shift-time slot T, and static
+    stepping refuses it.  A label that a stage names and ``parts`` lacks is
+    refused with a ``ValueError`` naming it.
+    """
+    if timed and "T" not in scheme.slots:
+        raise ValueError("scheme has no shift-time slot")
+    if not timed and "T" in scheme.slots:
         raise ValueError("scheme has a shift-time slot; step it with run_timeordered")
-    return stage_plan(scheme)
+    plan = stage_plan(scheme)
+    for target, _, _ in plan:
+        for label in bracket_fold(target, lambda lab: (lab,), tuple.__add__):
+            if label not in parts:
+                raise ValueError(f"slot {label!r} has no part; the parts are {list(parts)}")
+    return plan
+
+
+def _target_eighs(plan, parts: dict[str, HermitianPart]) -> dict:
+    """(eigenvalues, eigenvectors, power of dt) of each distinct stage target.
+
+    A letter reads its part's cached decomposition.  A bracket K of L
+    Hermitian parts is i^(L-1) times a Hermitian matrix H, so its stage
+    exp(c (-i dt)^L K) is exp(-i c dt^L H), and one ``eigh`` of H serves
+    every stage of that bracket.  ``eigh`` reads one triangle of H, so the
+    factor is unitary whatever roundoff K carries.
+    """
+    table = {}
+    for target, _, _ in plan:
+        if target in table:
+            continue
+        if isinstance(target, str):
+            table[target] = parts[target].eigenvalues, parts[target].eigenvectors, 1
+        else:
+            leaves = bracket_leaves(target)
+            h = (-1j) ** (leaves - 1) * bracket_fold(target, lambda lab: parts[lab].matrix,
+                                                     commutator)
+            table[target] = (*np.linalg.eigh(h), leaves)
+    return table
 
 
 def stage_unitaries(scheme: Scheme, parts: Mapping, dt: float) -> np.ndarray:
     """Stage matrices in application (right-to-left) order for exp(-i dt H),
     as one (K, N, N) stack.
 
-    A commutator stage with L leaves applies exp(c (-i dt)^L K), where the
-    bracket K of Hermitian parts is i^(L-1) times a Hermitian matrix; it is
-    taken as exp(-i c dt^L H) with H = (-i)^(L-1) K.  ``eigh`` reads one
-    triangle of H, so the factor is unitary whatever roundoff K carries.
-    The stages of one target share one eigendecomposition and one stacked
-    exponential (at most ``_CHUNK_BYTES`` of factors at a time), which gives
-    the same bits as building each factor on its own.
+    The stages of one target share its eigendecomposition and one stacked
+    exponential, which gives the same bits as building each factor on its own.
     """
+    plan = _plan(scheme, parts)
     pm = _parts_map(parts)
-    plan = _static_plan(scheme)
     dim = next(iter(pm.values())).dim
-    by_target: dict[str | tuple, list[int]] = {}
-    for i, (target, _, _) in enumerate(plan):
-        by_target.setdefault(target, []).append(i)
     out = np.empty((len(plan), dim, dim), dtype=complex)
-    per_chunk = max(1, _CHUNK_BYTES // (16 * dim * dim))
-    for target, rows in by_target.items():
-        if isinstance(target, str):
-            w, v, power = pm[target].eigenvalues, pm[target].eigenvectors, 1
-        else:
-            w, v, power = _bracket_eigh(target, pm)
+    for target, (w, v, power) in _target_eighs(plan, pm).items():
+        rows = [i for i, (t, _, _) in enumerate(plan) if t == target]
         zs = np.array([-1j * plan[i][1] * dt ** power for i in rows])
-        for start in range(0, len(rows), per_chunk):
-            chunk = rows[start:start + per_chunk]
-            out[chunk] = _hermitian_exp(w, v, zs[start:start + per_chunk, None, None])
+        out[rows] = _hermitian_exp(w, v, zs[:, None, None])
     return out
-
-
-def _bracket_eigh(tree: tuple, parts: dict[str, HermitianPart]):
-    """(eigenvalues, eigenvectors, leaves) of the Hermitian form of a bracket."""
-    leaves = bracket_leaves(tree)
-    h = (-1j) ** (leaves - 1) * bracket_fold(tree, lambda lab: parts[lab].matrix, commutator)
-    w, v = np.linalg.eigh(h)
-    return w, v, leaves
 
 
 def step_operator(scheme: Scheme, parts: Mapping, dt: float) -> np.ndarray:
@@ -191,25 +210,21 @@ def step_operator(scheme: Scheme, parts: Mapping, dt: float) -> np.ndarray:
 def unitary_step(scheme: Scheme, parts: Mapping, dt: float, psi: QuantumState) -> QuantumState:
     """One scheme step exp(-i dt H)-style applied to the state.
 
-    A letter stage acts in its part's cached eigenbasis, O(N^2) and with no
-    N x N temporary; a commutator stage applies the factor of its bracket.
+    Every stage acts in its target's eigenbasis, O(N^2) and with no N x N
+    temporary.
     """
-    pm = _parts_map(parts)
+    plan = _plan(scheme, parts)
+    table = _target_eighs(plan, _parts_map(parts))
     v = psi.vector
-    for target, c, _ in _static_plan(scheme):
-        if isinstance(target, str):
-            v = pm[target].apply_exp(-1j * c * dt, v)
-        else:
-            w, vecs, leaves = _bracket_eigh(target, pm)
-            v = _hermitian_exp(w, vecs, -1j * c * dt ** leaves) @ v
+    for target, c, _ in plan:
+        w, vecs, power = table[target]
+        v = vecs @ (np.exp(-1j * c * dt ** power * w) * (v.conj() @ vecs).conj())
     return QuantumState(v)
 
 
 def spin_parts(gamma: float) -> dict[str, HermitianPart]:
     """The precession fixture: A = sigma_z, B = gamma * sigma_x."""
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return {"A": HermitianPart(sz, "A"), "B": HermitianPart(gamma * sx, "B")}
+    return {"A": HermitianPart(_SIGMA_Z, "A"), "B": HermitianPart(gamma * _SIGMA_X, "B")}
 
 
 def precession_period(gamma: float) -> float:
@@ -300,20 +315,18 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class SeparableHamiltonian:
-    """H(p, q) = K(p) + V(q) given through gradient and energy callbacks."""
+    """H(p, q) = |p|^2/2 + V(q), with V given through its gradient and value."""
 
-    grad_k: Callable[[np.ndarray], np.ndarray]
     grad_v: Callable[[np.ndarray], np.ndarray]
-    kinetic: Callable[[np.ndarray], float]
     potential: Callable[[np.ndarray], float]
 
     def energy(self, x: PhasePoint) -> float:
-        return float(self.kinetic(x.p) + self.potential(x.q))
+        return float(0.5 * float(x.p @ x.p) + self.potential(x.q))
 
 
 def drift(h: SeparableHamiltonian, dt: float, x: PhasePoint) -> PhasePoint:
-    """Exact kinetic flow: q advances along grad K(p), p unchanged."""
-    return PhasePoint(x.p, x.q + dt * h.grad_k(x.p))
+    """Exact kinetic flow: q advances by dt p, p unchanged."""
+    return PhasePoint(x.p, x.q + dt * x.p)
 
 
 def kick(h: SeparableHamiltonian, dt: float, x: PhasePoint) -> PhasePoint:
@@ -323,14 +336,12 @@ def kick(h: SeparableHamiltonian, dt: float, x: PhasePoint) -> PhasePoint:
 
 def _kick_drift_plan(scheme: Scheme) -> list[tuple[str, float]]:
     """(kind, coeff) per stage in application order: slot A drifts, slot B kicks."""
+    flows = {"A": "drift", "B": "kick"}
     plan = []
-    for target, c, _ in _static_plan(scheme):
+    for target, c, _ in _plan(scheme, flows):
         if not isinstance(target, str):
             raise ValueError("commutator stages are not supported in classical stepping")
-        kind = {"A": "drift", "B": "kick"}.get(target)
-        if kind is None:
-            raise ValueError(f"slot {target!r} has no classical flow (A drifts, B kicks)")
-        plan.append((kind, c))
+        plan.append((flows[target], c))
     return plan
 
 
@@ -344,15 +355,13 @@ def symplectic_step(scheme: Scheme, h: SeparableHamiltonian, dt: float,
 
 def euler_step(h: SeparableHamiltonian, dt: float, x: PhasePoint) -> PhasePoint:
     """Simultaneous first-order update; breaks phase-space volume."""
-    return PhasePoint(x.p - dt * h.grad_v(x.q), x.q + dt * h.grad_k(x.p))
+    return PhasePoint(x.p - dt * h.grad_v(x.q), x.q + dt * x.p)
 
 
 def umeno_hamiltonian() -> SeparableHamiltonian:
-    """K = (p1^2 + p2^2)/2, V = q1^2 q2^2 / 2 (the chaotic demo system)."""
+    """V = q1^2 q2^2 / 2 (the chaotic demo system); the tests' reference for ``run_umeno``."""
     return SeparableHamiltonian(
-        grad_k=lambda p: p,
         grad_v=lambda q: np.array([q[0] * q[1] ** 2, q[0] ** 2 * q[1]]),
-        kinetic=lambda p: 0.5 * float(p @ p),
         potential=lambda q: 0.5 * float(q[0] ** 2 * q[1] ** 2),
     )
 
@@ -367,7 +376,7 @@ def run_umeno(method, dt: float, steps: int, sample_every: int):
     ``method`` is a two-slot Scheme (kick/drift composition) or "euler".
     """
     (p1, p2), (q1, q2) = UMENO_IC.p.tolist(), UMENO_IC.q.tolist()
-    rows = [(0.0, umeno_hamiltonian().energy(UMENO_IC), q1, q2)]
+    rows = [(0.0, 0.5 * (p1 * p1 + p2 * p2) + 0.5 * q1 * q1 * q2 * q2, q1, q2)]
     if isinstance(method, str):
         if method != "euler":
             raise ValueError(f"unknown method {method!r}")
@@ -416,40 +425,31 @@ def jacobian_determinant(step: Callable[[PhasePoint], PhasePoint], x: PhasePoint
 # Time-ordered stepping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TimeDependentParts:
-    """Matrix-valued functions of time for the two Hamiltonian pieces."""
+def _sample_parts(parts: Mapping, slots: Sequence[str], times: Sequence[float]) -> np.ndarray:
+    """The driven parts at the (slot, t) pairs in order, as one (len, N, N) stack.
 
-    a: Callable[[float], np.ndarray]
-    b: Callable[[float], np.ndarray]
-
-    def samples(self, slots: Sequence[str], times: Sequence[float]) -> np.ndarray:
-        """The parts at the (slot, t) pairs in order, as one (len, N, N) stack.
-
-        Raises ``ValueError`` naming the first pair whose sample is not
-        Hermitian within 1e-10.
-        """
-        mats = np.array([(self.a if slot == "A" else self.b)(t)
-                         for slot, t in zip(slots, times)], dtype=complex)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ValueError("time-dependent parts must be square matrices of one size")
-        bad = np.flatnonzero(_not_hermitian(mats, 1e-10))
-        if bad.size:
-            raise ValueError(f"part {slots[bad[0]]} is not Hermitian at t={times[bad[0]]}")
-        return mats
-
-    def sample(self, slot: str, t: float) -> np.ndarray:
-        return self.samples([slot], [t])[0]
+    Raises ``ValueError`` naming the first pair whose sample is not
+    Hermitian within 1e-10.
+    """
+    mats = np.array([parts[slot](t) for slot, t in zip(slots, times)], dtype=complex)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError("time-dependent parts must be square matrices of one size")
+    bad = np.flatnonzero(_not_hermitian(mats, 1e-10))
+    if bad.size:
+        raise ValueError(f"part {slots[bad[0]]} is not Hermitian at t={times[bad[0]]}")
+    return mats
 
 
-def run_timeordered(scheme3: Scheme, parts: TimeDependentParts, t0: float,
+def run_timeordered(scheme3: Scheme, parts: Mapping, t0: float,
                     dt: float, steps: int, psi: QuantumState, *,
                     first: int = 0) -> QuantumState:
-    """Steps ``first`` .. ``first + steps - 1`` of a three-slot (A, B, T)
-    scheme on a driven system.
+    """Steps ``first`` .. ``first + steps - 1`` of a scheme with a shift-time
+    slot T on a driven system.
 
-    The shift-time slot is consumed into stage offsets tau; in step k each
-    remaining stage applies exp(-i c dt X(t0 + k dt + tau dt)), right to left.
+    ``parts`` maps each other slot to a function of t giving its Hermitian
+    matrix.  The shift-time slot is consumed into stage offsets tau; in step
+    k each remaining stage applies exp(-i c dt X(t0 + k dt + tau dt)), right
+    to left.
     So a run split into segments, each passing its first step index and the
     same ``t0``, gives every bit of one run over all the steps.
     The factors are built per chunk of (step, stage) pairs, at most
@@ -460,9 +460,7 @@ def run_timeordered(scheme3: Scheme, parts: TimeDependentParts, t0: float,
     A stage time that is not finite is refused with a ``ValueError`` naming
     it, before any part is sampled.
     """
-    if "T" not in scheme3.slots:
-        raise ValueError("scheme has no shift-time slot")
-    plan = stage_plan(scheme3)
+    plan = _plan(scheme3, parts, timed=True)
     slots = np.array([slot for slot, _, _ in plan])
     taus = [tau * dt for _, _, tau in plan]
     offsets = np.array(taus)
@@ -481,17 +479,15 @@ def run_timeordered(scheme3: Scheme, parts: TimeDependentParts, t0: float,
     for start in range(first * len(plan), end, per_chunk):
         k, stage = np.divmod(np.arange(start, min(start + per_chunk, end)), len(plan))
         times = (t0 + k.astype(np.float64) * dt) + offsets[stage]
-        w, vecs = np.linalg.eigh(parts.samples(slots[stage].tolist(), times.tolist()))
+        w, vecs = np.linalg.eigh(_sample_parts(parts, slots[stage].tolist(), times.tolist()))
         for factor in _hermitian_exp(w[:, None], vecs, zs[stage][:, None, None]):
             v = np.dot(factor, v)
     return QuantumState(v)
 
 
-def driven_two_level() -> TimeDependentParts:
+def driven_two_level() -> dict[str, Callable[[float], np.ndarray]]:
     """A(t) = sigma_z, B(t) = cos(t) sigma_x."""
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    return TimeDependentParts(a=lambda t: sz, b=lambda t: math.cos(t) * sx)
+    return {"A": lambda t: _SIGMA_Z, "B": lambda t: math.cos(t) * _SIGMA_X}
 
 
 def run_driven(scheme3: Scheme, dt: float, steps: int, sample_every: int, t0: float):
@@ -538,15 +534,13 @@ def transverse_coupling_coefficient(x: float) -> float:
     """
     if x == 0:
         return 1.0
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    sz = np.array([[1.0, 0.0], [0.0, -1.0]])
-    mid = HermitianPart(sz).expfactor(x)
-    sx_part = HermitianPart(sx)
+    mid = HermitianPart(_SIGMA_Z).expfactor(x)
+    sx_part = HermitianPart(_SIGMA_X)
 
     def sigx_component(gamma: float) -> float:
         cap = sx_part.expfactor(0.5 * x * gamma)
         phi = _principal_log_symmetric(cap @ mid @ cap)
-        return float(np.trace(sx @ phi).real) / 2.0
+        return float(np.trace(_SIGMA_X @ phi).real) / 2.0
 
     derivative = (sigx_component(1e-6) - sigx_component(-1e-6)) / 2e-6
     return derivative / x
@@ -574,8 +568,7 @@ def error_slope(dts: Sequence[float], errors: Sequence[float]) -> float:
 
 def spin_error(scheme: Scheme, gamma: float, dt: float, t_final: float) -> float:
     """Final-state error on the precession fixture vs the exact evolution."""
-    parts = spin_parts(gamma)
-    return hermitian_pair_error(scheme, parts["A"].matrix, parts["B"].matrix, dt, t_final)
+    return hermitian_pair_error(scheme, _SIGMA_Z, gamma * _SIGMA_X, dt, t_final)
 
 
 def step_count(t_final: float, dt: float) -> int:

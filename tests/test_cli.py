@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,26 @@ def test_bch_bad_stage_grammar(capsys):
     code, _, err = run(capsys, "bch", "--stages", "Ax", "--order", "3")
     assert code == cli.CONFIG_ERROR
     assert "config error" in err
+
+
+@pytest.mark.parametrize("text,value", [
+    ("x", 1), ("-x", -1), ("+x", 1), ("x/2", Fraction(1, 2)), ("7x/24", Fraction(7, 24)),
+    ("2*x", 2), ("0.5x", Fraction(1, 2)), ("-1.5*x/3", Fraction(-1, 2)),
+    (" 7 x / 24 ", Fraction(7, 24)), ("1/2", Fraction(1, 2)), ("0.75", Fraction(3, 4)), ("3", 3),
+])
+def test_stage_coefficients_keep_their_values(text, value):
+    assert cli.parse_stage_coeff(text) == value
+
+
+@pytest.mark.parametrize("text", ["2x3", "x/2/3", "x*x", "x+1", "xx", "x-1", "*x", "x/1.5",
+                                  "0x10", "2**x", "x/", "1/2x", "x/0"])
+def test_malformed_stage_coefficients_are_config_errors(capsys, text):
+    # each of these once parsed to some value (2x3 to 23, x/2/3 to 3/2, x*x to 1)
+    with pytest.raises(cli.ConfigError):
+        cli.parse_stage_coeff(text)
+    code, out, err = run(capsys, "bch", "--stages", f"A:{text},B:x", "--order", "2")
+    assert code == cli.CONFIG_ERROR
+    assert out == "" and "bad stage coefficient" in err
 
 
 @pytest.mark.parametrize("order", [0, -2, orders.MAX_ORDER + 1, 30])
@@ -221,6 +242,17 @@ def test_solve_refuses_names_the_pattern_lacks(capsys, extra):
     assert code == cli.CONFIG_ERROR
     assert out == ""
     assert ("'p9'" if "p9=1" in extra else "'zz'") in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--fix", "p6=1,p6=2", "--guess", "p1=0.33,p2=0.62,p3=0.7,p4=-0.62,p5=-0.05"],
+    ["--fix", "p6=1", "--guess", "p1=0.33,p2=0.62,p3=0.7,p4=-0.62,p5=-0.05,p1=0.3"],
+], ids=["fix", "guess"])
+def test_solve_refuses_a_name_given_twice(capsys, extra):
+    code, out, err = run(capsys, "solve", "--pattern", "ABABAB", "--order", "3", *extra)
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert ("'p6'" if "p6=1,p6=2" in extra else "'p1'") + " is assigned twice" in err
 
 
 def test_solve_norm_overflow_prints_no_warning(capsys):
@@ -1059,6 +1091,22 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "precession")
     assert code == cli.CONFIG_ERROR
     assert "bogus_key" in err
+
+
+@pytest.mark.parametrize("doc,argv", [
+    ({"help": True}, ["precession", "--steps", "10"]),
+    ({"action": "list"}, ["scheme", "list"]),
+    ({"name": "strang"}, ["scheme", "show"]),
+], ids=["help", "positional", "positional_name"])
+def test_config_keys_name_only_optional_flags(tmp_path, capsys, doc, argv):
+    # help printed usage and exited 0 without running; a positional ended in
+    # argparse's SystemExit, past cli.main's handlers
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert f"unknown config key {next(iter(doc))!r}" in err
 
 
 @pytest.mark.parametrize("form", ["separate", "joined"])

@@ -155,8 +155,9 @@ def test_verify_order_builds_the_stage_product_once(monkeypatch):
     assert calls == {"log_residuals": 1, "_product_numerators": 1}
 
     # suzuki8 is five copies of suzuki6, itself five copies of suzuki4: one
-    # product per level (three), and only suzuki4's merged stages are folded, once
-    calls.update(log_residuals=0, _product_numerators=0, _exp_numerators=0)
+    # product per level (three), and only suzuki4's merged stages are folded,
+    # each stage element built once
+    calls.update(log_residuals=0, _product_numerators=0, _stage_element=0)
     folded = []
     product_numerators = ncalg._product_numerators
 
@@ -166,11 +167,11 @@ def test_verify_order_builds_the_stage_product_once(monkeypatch):
         return product_numerators(product, order, labels)
 
     monkeypatch.setattr(ncalg, "_product_numerators", recording)
-    monkeypatch.setattr(ncalg, "_exp_numerators", counting(ncalg._exp_numerators))
+    monkeypatch.setattr(ncalg, "_stage_element", counting(ncalg._stage_element))
     assert verify_order(CATALOG["suzuki8"](), 8) == 8
     assert folded == [suzuki4().ncalg_stages()]
     assert calls == {"log_residuals": 1, "_product_numerators": 3,
-                     "_exp_numerators": len(suzuki4().stages)}
+                     "_stage_element": len(suzuki4().stages)}
 
 
 def _reference_degrees(scheme, m):

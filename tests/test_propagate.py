@@ -8,7 +8,7 @@ import scipy.linalg
 from expprod.ncalg import bracket_fold, bracket_leaves, commutator
 from expprod.propagate import (
     UMENO_IC, HermitianPart, LogBranchError, PhasePoint, QuantumState,
-    SeparableHamiltonian, TimeDependentParts, convergence, dominant_period, driven_error,
+    SeparableHamiltonian, convergence, dominant_period, driven_error,
     driven_two_level, drift, error_slope, euler_step,
     hermitian_pair_error, jacobian_determinant, kick, perturbational_composition,
     precession_period, run_precession, run_timeordered,
@@ -16,7 +16,7 @@ from expprod.propagate import (
     step_operator, symplectic_step, transverse_coupling_coefficient, umeno_hamiltonian,
     unitary_step,
 )
-from expprod.propagate import _not_hermitian
+from expprod.propagate import _not_hermitian, _sample_parts
 from expprod.schemes import (
     CATALOG, Scheme, Stage, hybrid_fourth, hybrid_second, ruth, stage_plan,
     strang, timeordered1, timeordered2, trotter,
@@ -45,11 +45,11 @@ def test_hermitian_check_takes_entries_past_the_norm_range(big):
         HermitianPart(np.array([[0, big], [0, 0]]))
     assert HermitianPart(np.array([[big, 1], [1, -big]])).dim == 2
     nilpotent = np.array([[0, big], [0, 0]], dtype=complex)
-    parts = TimeDependentParts(a=lambda t: nilpotent if t > 0 else nilpotent + nilpotent.T,
-                               b=lambda t: big * np.array([[0, 1j], [-1j, 1]]))
-    assert parts.samples(["A", "B"], [0.0, 0.0]).shape == (2, 2, 2)
+    parts = {"A": lambda t: nilpotent if t > 0 else nilpotent + nilpotent.T,
+             "B": lambda t: big * np.array([[0, 1j], [-1j, 1]])}
+    assert _sample_parts(parts, ["A", "B"], [0.0, 0.0]).shape == (2, 2, 2)
     with pytest.raises(ValueError, match="part A is not Hermitian at t=0.5"):
-        parts.samples(["B", "A", "A"], [0.0, 0.0, 0.5])
+        _sample_parts(parts, ["B", "A", "A"], [0.0, 0.0, 0.5])
 
 
 def test_hermitian_check_decides_as_the_unscaled_norms_do():
@@ -90,7 +90,7 @@ def test_zero_dt_is_identity():
 
 @pytest.mark.parametrize("scheme", [suzuki4(), hybrid_fourth()], ids=["suzuki4", "hybrid_fourth"])
 def test_unitary_step_matches_the_stage_factors(scheme):
-    # letter stages act in the parts' eigenbases, commutator stages as factors
+    # every stage acts in its target's eigenbasis, not as a factor
     rng = np.random.default_rng(3)
 
     def rand_herm(n):
@@ -104,6 +104,63 @@ def test_unitary_step_matches_the_stage_factors(scheme):
         ref = m @ ref
     out = unitary_step(scheme, parts, 0.05, psi)
     assert np.linalg.norm(out.vector - ref) < 1e-13 * np.linalg.norm(ref)
+
+
+def test_letter_stages_step_in_the_cached_eigenbases_bit_for_bit():
+    # the reference: each letter stage applied in its part's cached eigenbasis
+    rng = np.random.default_rng(4)
+    m = rng.normal(size=(2, 12, 12)) + 1j * rng.normal(size=(2, 12, 12))
+    herm = (m + m.conj().swapaxes(-1, -2)) / 2
+    fixtures = [spin_parts(GAMMA), {"A": HermitianPart(herm[0]), "B": HermitianPart(herm[1])}]
+    letter_only = [s for s in (make() for make in CATALOG.values())
+                   if "T" not in s.slots and not any(st.is_commutator() for st in s.stages)]
+    assert {"trotter", "suzuki4", "suzuki8"} <= {s.name for s in letter_only}
+    for parts in fixtures:
+        dim = parts["A"].dim
+        psi = QuantumState(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        for scheme in letter_only:
+            ref = psi.vector
+            for target, c, _ in stage_plan(scheme):
+                w, v = parts[target].eigenvalues, parts[target].eigenvectors
+                ref = v @ (np.exp(-1j * c * 0.05 * w) * (ref.conj() @ v).conj())
+            assert np.array_equal(unitary_step(scheme, parts, 0.05, psi).vector, ref), scheme.name
+
+
+def test_hybrid_fourth_caps_share_one_eigh(monkeypatch):
+    # each distinct stage target is diagonalised once per call: the two caps
+    # carry one bracket, and the letters read their parts' cached eigh
+    parts = spin_parts(GAMMA)
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    unitary_step(hybrid_fourth(), parts, 0.1, QuantumState.up(2))
+    assert calls == [(2, 2)]
+    calls.clear()
+    stage_unitaries(hybrid_fourth(), parts, 0.1)
+    assert calls == [(2, 2)]
+
+
+def test_an_unmapped_slot_is_refused_before_any_factor_or_sample(monkeypatch):
+    # static and driven stepping read their parts as one slot mapping and
+    # refuse a stage label it lacks with one ValueError naming it
+    leapfrog_ac = Scheme(("A", "C"), (Stage("A", Fraction(1, 2)), Stage("C", Fraction(1)),
+                                      Stage("A", Fraction(1, 2))), claimed_order=2)
+    bracket_ac = Scheme(("A", "B"), (Stage(("A", "C"), Fraction(1)),), claimed_order=1)
+    g2_act = Scheme(("A", "C", "T"), tuple(Stage("C" if st.target == "B" else st.target, st.coeff)
+                                           for st in timeordered2().stages), claimed_order=2)
+    matrices = {lab: part.matrix for lab, part in spin_parts(GAMMA).items()}
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    for scheme in (leapfrog_ac, bracket_ac):
+        with pytest.raises(ValueError, match="slot 'C' has no part"):
+            stage_unitaries(scheme, matrices, 0.1)
+        with pytest.raises(ValueError, match="slot 'C' has no part"):
+            unitary_step(scheme, matrices, 0.1, QuantumState.up(2))
+    asked = []
+    driven = {lab: (lambda t, part=part: asked.append(t) or part(t))
+              for lab, part in driven_two_level().items()}
+    with pytest.raises(ValueError, match="slot 'C' has no part"):
+        run_timeordered(g2_act, driven, 0.0, 0.1, 2, QuantumState.up(2))
+    assert calls == [] and asked == []
 
 
 def test_stacked_stage_factors_are_bit_identical():
@@ -217,10 +274,7 @@ def test_precession_scalar_loop_matches_the_matrix_loop(name):
 # ---------------------------------------------------------------------------
 
 def harmonic() -> SeparableHamiltonian:
-    return SeparableHamiltonian(
-        grad_k=lambda p: p, grad_v=lambda q: q,
-        kinetic=lambda p: 0.5 * float(p @ p),
-        potential=lambda q: 0.5 * float(q @ q))
+    return SeparableHamiltonian(grad_v=lambda q: q, potential=lambda q: 0.5 * float(q @ q))
 
 
 def test_drift_is_free_flight():
@@ -251,15 +305,13 @@ def test_kick_drift_do_not_commute():
 def test_gradients_consistent_with_energy():
     h = umeno_hamiltonian()
     rng = np.random.default_rng(1)
-    p, q = rng.normal(size=2), rng.normal(size=2)
+    _, q = rng.normal(size=(2, 2))
     eps = 1e-6
     for i in range(2):
         dq = np.zeros(2)
         dq[i] = eps
         num = (h.potential(q + dq) - h.potential(q - dq)) / (2 * eps)
         assert num == pytest.approx(h.grad_v(q)[i], rel=1e-6, abs=1e-8)
-        num_k = (h.kinetic(p + dq) - h.kinetic(p - dq)) / (2 * eps)
-        assert num_k == pytest.approx(h.grad_k(p)[i], rel=1e-6, abs=1e-8)
 
 
 def test_harmonic_energy_error_bounded():
@@ -445,10 +497,9 @@ def test_commutator_stage_matches_expm(tree, leaves, coeff):
 # time-ordered stepping
 # ---------------------------------------------------------------------------
 
-def static_parts() -> TimeDependentParts:
+def static_parts() -> dict:
     parts = spin_parts(GAMMA)
-    return TimeDependentParts(a=lambda t: parts["A"].matrix,
-                              b=lambda t: parts["B"].matrix)
+    return {"A": lambda t: parts["A"].matrix, "B": lambda t: parts["B"].matrix}
 
 
 @pytest.mark.parametrize("g,twin", [
@@ -470,15 +521,15 @@ def test_g2_driven_stage_arguments_at_midpoint():
     psi = QuantumState.up(2)
     out = run_timeordered(timeordered2(), parts, t, dt, 1, psi)
     mid = t + dt / 2
-    a = HermitianPart(parts.sample("A", mid))
-    b = HermitianPart(parts.sample("B", mid))
+    a = HermitianPart(parts["A"](mid))
+    b = HermitianPart(parts["B"](mid))
     v = a.expfactor(-1j * dt / 2) @ (b.expfactor(-1j * dt) @ (a.expfactor(-1j * dt / 2) @ psi.vector))
     assert np.linalg.norm(out.vector - v) < 1e-14
 
 
 def test_non_hermitian_sample_rejected():
-    bad = TimeDependentParts(a=lambda t: np.array([[0, 1], [0, 0]], dtype=complex),
-                             b=lambda t: np.eye(2, dtype=complex))
+    bad = {"A": lambda t: np.array([[0, 1], [0, 0]], dtype=complex),
+           "B": lambda t: np.eye(2, dtype=complex)}
     with pytest.raises(ValueError):
         run_timeordered(timeordered2(), bad, 0.0, 0.1, 1, QuantumState.up(2))
 
@@ -501,7 +552,7 @@ def test_refusal_names_the_first_bad_sample_in_application_order(g, a_start, b_s
     # (1024 of them at N = 2), and the part that goes bad first need not sit
     # first in a step
     base = driven_two_level()
-    parts = TimeDependentParts(a=_turns_bad(base.a, a_start), b=_turns_bad(base.b, b_start))
+    parts = {"A": _turns_bad(base["A"], a_start), "B": _turns_bad(base["B"], b_start)}
     t0, dt, steps = 0.0, 0.01, 800
     start = {"A": a_start, "B": b_start}
     expected = next((slot, t0 + k * dt + tau * dt)
@@ -512,7 +563,7 @@ def test_refusal_names_the_first_bad_sample_in_application_order(g, a_start, b_s
     assert str(err.value) == f"part {expected[0]} is not Hermitian at t={expected[1]}"
 
 
-def _random_driven_parts(n: int, seed: int) -> TimeDependentParts:
+def _random_driven_parts(n: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
 
     def herm():
@@ -520,8 +571,7 @@ def _random_driven_parts(n: int, seed: int) -> TimeDependentParts:
         return (m + m.conj().T) / (2 * n)
 
     a0, a1, b0, b1 = herm(), herm(), herm(), herm()
-    return TimeDependentParts(a=lambda t: a0 + math.cos(t) * a1,
-                              b=lambda t: b0 + math.sin(2 * t) * b1)
+    return {"A": lambda t: a0 + math.cos(t) * a1, "B": lambda t: b0 + math.sin(2 * t) * b1}
 
 
 @pytest.mark.parametrize("n", [2, 24])
@@ -590,7 +640,7 @@ def test_run_timeordered_asks_for_the_scalar_stage_times(g):
             return part(t)
         return sample
 
-    parts = TimeDependentParts(a=recorded("A", base.a), b=recorded("B", base.b))
+    parts = {"A": recorded("A", base["A"]), "B": recorded("B", base["B"])}
     plan = stage_plan(g)
     t0, dt, first = 0.3, 0.0137, 7
     steps = 2 * (_CHUNK_BYTES // (16 * 4)) // len(plan) + 3
@@ -686,8 +736,8 @@ def test_driven_reference_is_accurate_on_the_default_grid():
 
 def test_run_timeordered_refuses_a_non_finite_stage_time():
     calls = []
-    parts = TimeDependentParts(a=lambda t: calls.append(t) or np.eye(2),
-                               b=lambda t: calls.append(t) or np.eye(2))
+    parts = {"A": lambda t: calls.append(t) or np.eye(2),
+             "B": lambda t: calls.append(t) or np.eye(2)}
     with pytest.raises(ValueError, match=r"stage time .* = inf at step k = 2"):
         run_timeordered(timeordered2(), parts, 0.0, 1e308, 3, QuantumState.up(2))
     with pytest.raises(ValueError, match=r"stage time .* = nan at step k = 0"):
