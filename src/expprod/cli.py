@@ -44,8 +44,7 @@ class ConfigError(Exception):
 def _require_positive(**values) -> None:
     """Refuse a flag whose value (or any value of a list) is not finite and > 0.
 
-    ``None`` means the flag was not given.  Checked inside the subcommand
-    rather than by an argparse ``type=``, whose errors exit the process.
+    ``None`` means the flag was not given.
     """
     for name, value in values.items():
         for v in value if isinstance(value, list) else [value]:
@@ -578,7 +577,13 @@ def main(argv: list[str] | None = None) -> int:
     args = None
     try:
         argv = _apply_config(parser, argv)
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse has printed its usage error; --help exits 0 as before
+            if exc.code == 0:
+                raise
+            return CONFIG_ERROR
         if args.out and not Path(args.out).parent.is_dir():
             # refused before the command runs, so no work is done and no file written
             raise ConfigError(f"--out directory {Path(args.out).parent} does not exist")

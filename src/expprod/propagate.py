@@ -1,10 +1,10 @@
 """Apply splitting schemes to concrete dynamics.
 
 Every stepper takes its parts as a mapping from slot label to part: a
-matrix or ``HermitianPart`` for static stepping, a function of t giving a
-matrix for time-ordered stepping.  A stage label the mapping lacks is
-refused with a ``ValueError`` naming it before any factor is built or part
-sampled.
+matrix or ``HermitianPart`` for static stepping, a pair ``(f, H)`` of a
+real scalar function of t and such a matrix for time-ordered stepping (the
+part at time t is f(t) H).  A stage label the mapping lacks is refused with
+a ``ValueError`` naming it before any factor is built or f called.
 
 Quantum side: every stage exponential comes from an eigendecomposition of
 a Hermitian matrix, taken once per call for each distinct stage target:
@@ -13,13 +13,15 @@ its bracket (the matrices of its labels folded by ``ncalg.bracket_fold``)
 brought to Hermitian form.  So every stage is unitary to roundoff and the
 norm cannot drift.  ``stage_unitaries`` builds the factors of all stages of
 one target with one stacked exponential over that target's
-eigendecomposition, bit-identical to one factor at a time.  A static part
-is checked Hermitian within 1e-12, a time-dependent sample within 1e-10
-(both in the Frobenius norm, relative to max(1, ||H||)).  Time-ordered
-stepping builds its stage factors per chunk of steps: the samples of at
-most ``_CHUNK_BYTES`` of factors go through one stacked ``eigh``, and the
-factors are then applied one by one in application order, so the output
-is bit-identical to building each factor on its own.  Classical side: a
+eigendecomposition, bit-identical to one factor at a time.  A part's matrix
+is checked Hermitian within 1e-12 (in the Frobenius norm, relative to
+max(1, ||H||)).  Time-ordered stepping needs no decomposition per stage
+time: a driven part f(t) H shares H's eigenvectors at every t, so a stage
+is a move into its slot's fixed eigenbasis and the phases
+exp(-i c dt f(t) w).  Its factors are built per chunk of at most
+``_CHUNK_BYTES`` from one call of f per stage time and one stacked
+exponential, then applied one by one in application order, so the output
+is bit-identical however a run is split into calls.  Classical side: a
 ``SeparableHamiltonian`` is |p|^2/2 + V(q); kick and drift are the exact
 flows of V and of |p|^2/2 (the generators are nilpotent), so every
 composed step is symplectic.  The deliberately bad first-order baselines
@@ -51,9 +53,10 @@ from .schemes import CATALOG, Scheme, stage_plan
 # ---------------------------------------------------------------------------
 
 # bytes of stage factors that one chunk of time-ordered steps holds at most.
-# Larger chunks run no faster (one eigh call already covers 1024 2x2 factors)
-# but hold more: at 4 MB the peak RSS of the driven timeordered4 convergence
-# run rose from 34 to 57 MB, at 64 KB by 0.4 MB.
+# Larger chunks run no faster (one exponential call already covers 1024 2x2
+# factors) but hold more: over 20000 steps of timeordered4 on the driven
+# two-level system the peak RSS is 32.9 MB at 64 KB, as at one factor per
+# chunk, and 59.9 MB at 4 MB.
 _CHUNK_BYTES = 1 << 16
 
 # the two-level fixture: A = sigma_z for the precession and driven systems,
@@ -425,19 +428,26 @@ def jacobian_determinant(step: Callable[[PhasePoint], PhasePoint], x: PhasePoint
 # Time-ordered stepping
 # ---------------------------------------------------------------------------
 
-def _sample_parts(parts: Mapping, slots: Sequence[str], times: Sequence[float]) -> np.ndarray:
-    """The driven parts at the (slot, t) pairs in order, as one (len, N, N) stack.
+def _scalar_values(fs: Sequence[Callable[[float], float]], slots: Sequence[str],
+                   stages: Sequence[int], times: Sequence[float]) -> np.ndarray:
+    """fs[s](t) for every (stage s, t) pair in order, as one float64 array.
 
-    Raises ``ValueError`` naming the first pair whose sample is not
-    Hermitian within 1e-10.
+    Raises ``ValueError`` naming the slot and t of the first value that is
+    not a finite real number (a bool, int or float, Python's or numpy's).
     """
-    mats = np.array([parts[slot](t) for slot, t in zip(slots, times)], dtype=complex)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise ValueError("time-dependent parts must be square matrices of one size")
-    bad = np.flatnonzero(_not_hermitian(mats, 1e-10))
-    if bad.size:
-        raise ValueError(f"part {slots[bad[0]]} is not Hermitian at t={times[bad[0]]}")
-    return mats
+    values = [fs[s](t) for s, t in zip(stages, times)]
+    try:
+        out = np.array(values)
+    except ValueError:   # values of different shapes
+        out = None
+    if (out is not None and out.ndim == 1 and out.dtype.kind in "biuf"
+            and np.isfinite(out).all()):
+        return out.astype(np.float64, copy=False)
+    for s, t, x in zip(stages, times, values):
+        a = np.asarray(x)
+        if a.ndim or a.dtype.kind not in "biuf" or not np.isfinite(a):
+            raise ValueError(f"part {slots[s]}: f({t}) = {x!r} is not a finite real number")
+    return np.array(values, dtype=np.float64)
 
 
 def run_timeordered(scheme3: Scheme, parts: Mapping, t0: float,
@@ -446,22 +456,36 @@ def run_timeordered(scheme3: Scheme, parts: Mapping, t0: float,
     """Steps ``first`` .. ``first + steps - 1`` of a scheme with a shift-time
     slot T on a driven system.
 
-    ``parts`` maps each other slot to a function of t giving its Hermitian
-    matrix.  The shift-time slot is consumed into stage offsets tau; in step
-    k each remaining stage applies exp(-i c dt X(t0 + k dt + tau dt)), right
-    to left.
-    So a run split into segments, each passing its first step index and the
-    same ``t0``, gives every bit of one run over all the steps.
-    The factors are built per chunk of (step, stage) pairs, at most
-    ``_CHUNK_BYTES`` of them, with one stacked ``eigh``; a chunk's stage
-    times are ``(t0 + k*dt) + tau*dt`` over a float64 array of its step
-    indices k, the same floats as the scalar expression.  Applying the
-    factors one by one keeps every bit of the one-factor-at-a-time product.
+    ``parts`` maps each other slot to a pair ``(f, H)``: f is a real scalar
+    function of t, H a Hermitian matrix or ``HermitianPart``, and the part
+    at time t is f(t) H.  The shift-time slot is consumed into stage offsets
+    tau; in step k each remaining stage applies exp(-i c dt f(t) H) at
+    t = t0 + k dt + tau dt, right to left.
+
+    Every H is diagonalised once per call (a ``HermitianPart`` lends its
+    cached decomposition), so stage s acts in its slot's fixed eigenbasis
+    V_s as the phases exp(-i c dt f(t) w_s).  A step enters V_0 (V_0^H),
+    moves from each stage's eigenbasis to the next through V_{s+1}^H V_s,
+    and returns through the last stage's V at its end, so every step starts
+    and ends in the computational basis.  The factors are built per chunk of
+    (step, stage) pairs, at most ``_CHUNK_BYTES`` of them: one call of f per
+    (slot, t) in application order, one stacked exponential of the phases,
+    and the move matrices scaled column by column.  A chunk's stage times are
+    ``(t0 + k*dt) + tau*dt`` over a float64 array of its step indices k, the
+    same floats as the scalar expression.  Applying the factors one by one
+    gives the same bits however a run is split: single steps, chunks, or
+    segments that keep ``t0`` and pass their first step index.
+
     A stage time that is not finite is refused with a ``ValueError`` naming
-    it, before any part is sampled.
+    it, before any f is called; so is an f(t) that is not a finite real
+    number, naming its slot and the first such t in application order.
     """
     plan = _plan(scheme3, parts, timed=True)
-    slots = np.array([slot for slot, _, _ in plan])
+    for lab, part in parts.items():
+        if not (isinstance(part, (tuple, list)) and len(part) == 2 and callable(part[0])):
+            raise ValueError(f"part {lab} must be a pair (f, H) of a scalar function "
+                             "of t and a Hermitian matrix")
+    pm = _parts_map({lab: h for lab, (_, h) in parts.items()})
     taus = [tau * dt for _, _, tau in plan]
     offsets = np.array(taus)
     # stage times are monotone in k and in tau, so these four bound them all
@@ -471,6 +495,15 @@ def run_timeordered(scheme3: Scheme, parts: Mapping, t0: float,
             if not math.isfinite(t):
                 raise ValueError(f"stage time t0 + k*dt + tau*dt = {t} at step k = {k} "
                                  f"is not finite (t0 = {t0}, dt = {dt})")
+    slots = [slot for slot, _, _ in plan]
+    stage_f = [parts[slot][0] for slot in slots]
+    eigenvalues = np.array([pm[slot].eigenvalues for slot in slots])
+    enter = pm[slots[0]].eigenvectors.conj().T
+    # after stage s's phases: into stage s+1's eigenbasis, or back out after the last
+    pairs = list(zip(slots, slots[1:]))
+    basis_change = {(a, b): pm[b].eigenvectors.conj().T @ pm[a].eigenvectors
+                    for a, b in set(pairs)}
+    moves = np.array([basis_change[pair] for pair in pairs] + [pm[slots[-1]].eigenvectors])
     zs = np.array([-1j * c * dt for _, c, _ in plan])
     v = psi.vector
     per_chunk = max(1, _CHUNK_BYTES // (16 * v.size * v.size))
@@ -479,15 +512,20 @@ def run_timeordered(scheme3: Scheme, parts: Mapping, t0: float,
     for start in range(first * len(plan), end, per_chunk):
         k, stage = np.divmod(np.arange(start, min(start + per_chunk, end)), len(plan))
         times = (t0 + k.astype(np.float64) * dt) + offsets[stage]
-        w, vecs = np.linalg.eigh(_sample_parts(parts, slots[stage].tolist(), times.tolist()))
-        for factor in _hermitian_exp(w[:, None], vecs, zs[stage][:, None, None]):
-            v = np.dot(factor, v)
+        stage_list = stage.tolist()
+        f_t = _scalar_values(stage_f, slots, stage_list, times.tolist())
+        phases = np.exp((zs[stage] * f_t)[:, None] * eigenvalues[stage])
+        for s, factor in zip(stage_list, moves[stage] * phases[:, None, :]):
+            if s == 0:
+                v = enter.dot(v)
+            v = factor.dot(v)
     return QuantumState(v)
 
 
-def driven_two_level() -> dict[str, Callable[[float], np.ndarray]]:
-    """A(t) = sigma_z, B(t) = cos(t) sigma_x."""
-    return {"A": lambda t: _SIGMA_Z, "B": lambda t: math.cos(t) * _SIGMA_X}
+def driven_two_level() -> dict[str, tuple[Callable[[float], float], HermitianPart]]:
+    """A(t) = sigma_z, B(t) = cos(t) sigma_x, as (f, H) pairs."""
+    return {"A": (lambda t: 1.0, HermitianPart(_SIGMA_Z, "A")),
+            "B": (math.cos, HermitianPart(_SIGMA_X, "B"))}
 
 
 def run_driven(scheme3: Scheme, dt: float, steps: int, sample_every: int, t0: float):
@@ -596,7 +634,7 @@ def hermitian_pair_error(scheme: Scheme, a: np.ndarray, b: np.ndarray,
     return float(np.linalg.norm(u_total @ psi0 - u_exact @ psi0))
 
 
-# Steps a driven error study may take, its references included (about 5 s
+# Steps a driven error study may take, its references included (about 2.5 s
 # of timeordered4 on one core of a 2-core x86 machine).
 MAX_DRIVEN_STEPS = 100_000
 
@@ -610,8 +648,8 @@ def driven_error(scheme3: Scheme, dt: float | Sequence[float],
     that count times dt.  The reference is the catalog's ``timeordered4`` at
     1/32 of the finest dt that ends at the same time, run once for every end
     time.  On the default grid (finest dt 1/32, t_final 1) it agrees with
-    ``timeordered4`` at 1/64 of that dt within 8.5e-13, and ``timeordered4``'s
-    own error at dt 1/32, 1.1097e-8, reads the same to 4e-6 relative against
+    ``timeordered4`` at 1/64 of that dt within 3.7e-13, and ``timeordered4``'s
+    own error at dt 1/32, 1.1097e-8, reads the same to 2e-6 relative against
     a run at 1/256 of it.  A study of more than ``MAX_DRIVEN_STEPS`` steps,
     the references' included, is refused with a ``ValueError`` before any step.
     """

@@ -165,8 +165,8 @@ def test_criterion_5_structure_preservation():
 
 def test_criterion_6_timeordered_correctness():
     with criterion(6, "shift-time schemes: static reduction and exact stage times", 5.0):
-        parts_static = {"A": lambda t: np.array([[1, 0], [0, -1]], dtype=complex),
-                        "B": lambda t: 0.75 * np.array([[0, 1], [1, 0]], dtype=complex)}
+        parts_static = {"A": (lambda t: 1.0, np.array([[1, 0], [0, -1]], dtype=complex)),
+                        "B": (lambda t: 0.75, np.array([[0, 1], [1, 0]], dtype=complex))}
         pm = propagate.spin_parts(0.75)
         psi = propagate.QuantumState(np.array([0.6, 0.8]))
         for g, twin in [(timeordered1(), trotter()), (timeordered2(), strang()),

@@ -563,17 +563,18 @@ def test_converge_suzuki8_pinned(tmp_path, capsys):
             == "bf36b215a839c85b0cf879aff4aad20396f312153af0ff0757b6387d451f641c")
 
 
-# time-ordered output recorded while every stage factor had its own eigh call;
-# building them per chunk of steps must not move a bit.  The driven converge
-# entry was recorded against the timeordered4 reference at 1/32 of the finest dt.
+# time-ordered output recorded with every stage factor built in its slot's
+# fixed eigenbasis; how a run is split into chunks or calls must not move a
+# bit.  The driven converge entry is taken against the timeordered4 reference
+# at 1/32 of the finest dt.
 PINNED_TIMEORDERED = [
     (["timedep", "--scheme", "timeordered4", "--dt", "0.01", "--steps", "250"],
-     "931a04094bff1d0273b47283ff634a9de2d6d4d4b59625e83a4b8da057062306",
+     "dfd2c2c9803dde33972dccc8b3e8c3393d0903ef1285d97fc3b5ac44446eaf89",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (["converge", "--scheme", "timeordered4", "--system", "driven",
       "--dt-list", "0.25,0.125,0.0625"],
-     "17befec2a302d60eae057814db09705a3adae88c8502c468e6a1633a0819c424",
-     "77fd0c671a8a0f0f4702507314b122aba3b7749cc498f72c56d2f98e0a8c7c61"),
+     "e3eb82f5d769547b67bb1f474c4af0c26daf004448c899e813199919c968e753",
+     "c3941b581d4b221d4b05c79d584ee89ef0ac467e818da663d8d63224cbd9da38"),
 ]
 
 
@@ -1109,6 +1110,25 @@ def test_config_keys_name_only_optional_flags(tmp_path, capsys, doc, argv):
     assert f"unknown config key {next(iter(doc))!r}" in err
 
 
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_a_value_argparse_refuses_returns_config_error(tmp_path, capsys, via_config):
+    # argparse refuses with SystemExit(2); an in-process caller gets the code back
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"steps": "abc"}))
+    argv = ["--config", str(cfg), "precession"] if via_config else ["precession", "--steps", "abc"]
+    code, out, err = run(capsys, *argv)
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert "invalid int value: 'abc'" in err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["precession", "--help"])
+    assert exc.value.code == 0
+    assert "--sample-every" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("form", ["separate", "joined"])
 def test_config_file_flag_forms_are_equivalent(tmp_path, capsys, form):
     cfg = tmp_path / "cfg.json"
@@ -1253,10 +1273,7 @@ def _check_exit_contract(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse refusing a value
-            code = exc.code
+        code = cli.main(argv)
     assert code in (0, cli.CONFIG_ERROR, cli.NONCONVERGENCE), argv
     assert "Traceback" not in err.getvalue(), argv
     assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)], argv

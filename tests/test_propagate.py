@@ -16,7 +16,7 @@ from expprod.propagate import (
     step_operator, symplectic_step, transverse_coupling_coefficient, umeno_hamiltonian,
     unitary_step,
 )
-from expprod.propagate import _not_hermitian, _sample_parts
+from expprod.propagate import _hermitian_exp, _not_hermitian
 from expprod.schemes import (
     CATALOG, Scheme, Stage, hybrid_fourth, hybrid_second, ruth, stage_plan,
     strang, timeordered1, timeordered2, trotter,
@@ -44,12 +44,14 @@ def test_hermitian_check_takes_entries_past_the_norm_range(big):
     with pytest.raises(ValueError, match="not Hermitian"):
         HermitianPart(np.array([[0, big], [0, 0]]))
     assert HermitianPart(np.array([[big, 1], [1, -big]])).dim == 2
+    # a driven part's matrix goes through the same rule, once per run
     nilpotent = np.array([[0, big], [0, 0]], dtype=complex)
-    parts = {"A": lambda t: nilpotent if t > 0 else nilpotent + nilpotent.T,
-             "B": lambda t: big * np.array([[0, 1j], [-1j, 1]])}
-    assert _sample_parts(parts, ["A", "B"], [0.0, 0.0]).shape == (2, 2, 2)
-    with pytest.raises(ValueError, match="part A is not Hermitian at t=0.5"):
-        _sample_parts(parts, ["B", "A", "A"], [0.0, 0.0, 0.5])
+    parts = {"A": (math.cos, nilpotent + nilpotent.T),
+             "B": (math.sin, big * np.array([[0, 1j], [-1j, 1]]))}
+    run_timeordered(timeordered2(), parts, 0.0, 0.1, 0, QuantumState.up(2))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        run_timeordered(timeordered2(), {**parts, "A": (math.cos, nilpotent)},
+                        0.0, 0.1, 1, QuantumState.up(2))
 
 
 def test_hermitian_check_decides_as_the_unscaled_norms_do():
@@ -148,6 +150,9 @@ def test_an_unmapped_slot_is_refused_before_any_factor_or_sample(monkeypatch):
     g2_act = Scheme(("A", "C", "T"), tuple(Stage("C" if st.target == "B" else st.target, st.coeff)
                                            for st in timeordered2().stages), claimed_order=2)
     matrices = {lab: part.matrix for lab, part in spin_parts(GAMMA).items()}
+    asked = []
+    driven = {lab: (lambda t, f=f: asked.append(t) or f(t), h.matrix)
+              for lab, (f, h) in driven_two_level().items()}
     eigh, calls = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
     for scheme in (leapfrog_ac, bracket_ac):
@@ -155,9 +160,6 @@ def test_an_unmapped_slot_is_refused_before_any_factor_or_sample(monkeypatch):
             stage_unitaries(scheme, matrices, 0.1)
         with pytest.raises(ValueError, match="slot 'C' has no part"):
             unitary_step(scheme, matrices, 0.1, QuantumState.up(2))
-    asked = []
-    driven = {lab: (lambda t, part=part: asked.append(t) or part(t))
-              for lab, part in driven_two_level().items()}
     with pytest.raises(ValueError, match="slot 'C' has no part"):
         run_timeordered(g2_act, driven, 0.0, 0.1, 2, QuantumState.up(2))
     assert calls == [] and asked == []
@@ -498,8 +500,7 @@ def test_commutator_stage_matches_expm(tree, leaves, coeff):
 # ---------------------------------------------------------------------------
 
 def static_parts() -> dict:
-    parts = spin_parts(GAMMA)
-    return {"A": lambda t: parts["A"].matrix, "B": lambda t: parts["B"].matrix}
+    return {lab: (lambda t: 1.0, part) for lab, part in spin_parts(GAMMA).items()}
 
 
 @pytest.mark.parametrize("g,twin", [
@@ -521,23 +522,24 @@ def test_g2_driven_stage_arguments_at_midpoint():
     psi = QuantumState.up(2)
     out = run_timeordered(timeordered2(), parts, t, dt, 1, psi)
     mid = t + dt / 2
-    a = HermitianPart(parts["A"](mid))
-    b = HermitianPart(parts["B"](mid))
+    (fa, ha), (fb, hb) = parts["A"], parts["B"]
+    a = HermitianPart(fa(mid) * ha.matrix)
+    b = HermitianPart(fb(mid) * hb.matrix)
     v = a.expfactor(-1j * dt / 2) @ (b.expfactor(-1j * dt) @ (a.expfactor(-1j * dt / 2) @ psi.vector))
     assert np.linalg.norm(out.vector - v) < 1e-14
 
 
 def test_non_hermitian_sample_rejected():
-    bad = {"A": lambda t: np.array([[0, 1], [0, 0]], dtype=complex),
-           "B": lambda t: np.eye(2, dtype=complex)}
-    with pytest.raises(ValueError):
+    bad = {"A": (lambda t: 1.0, np.array([[0, 1], [0, 0]], dtype=complex)),
+           "B": (lambda t: 1.0, np.eye(2, dtype=complex))}
+    with pytest.raises(ValueError, match="not Hermitian"):
         run_timeordered(timeordered2(), bad, 0.0, 0.1, 1, QuantumState.up(2))
 
 
 def _turns_bad(part, start):
-    # Hermitian before ``start``, a nilpotent (non-Hermitian) matrix from it on
-    bad = np.array([[0, 1], [0, 0]], dtype=complex)
-    return lambda t: part(t) if t < start else bad
+    # the part's scalar before ``start``, nan from it on
+    f, h = part
+    return lambda t: f(t) if t < start else math.nan, h
 
 
 @pytest.mark.parametrize("g", [timeordered1(), timeordered2(), timeordered4()],
@@ -548,7 +550,7 @@ def _turns_bad(part, start):
     (6.0, 6.0),   # both at once: the earlier stage in application order is named
 ])
 def test_refusal_names_the_first_bad_sample_in_application_order(g, a_start, b_start):
-    # the first bad sample lies 600 steps in, past the first chunk of factors
+    # the first non-finite f(t) lies 600 steps in, past the first chunk of factors
     # (1024 of them at N = 2), and the part that goes bad first need not sit
     # first in a step
     base = driven_two_level()
@@ -560,7 +562,26 @@ def test_refusal_names_the_first_bad_sample_in_application_order(g, a_start, b_s
                     if t0 + k * dt + tau * dt >= start[slot])
     with pytest.raises(ValueError) as err:
         run_timeordered(g, parts, t0, dt, steps, QuantumState.up(2))
-    assert str(err.value) == f"part {expected[0]} is not Hermitian at t={expected[1]}"
+    assert str(err.value) == (f"part {expected[0]}: f({expected[1]}) = nan "
+                              "is not a finite real number")
+
+
+@pytest.mark.parametrize("value", [1j, np.complex128(1.0), np.ones(2), "1.0", None,
+                                   Fraction(1, 2), math.inf])
+def test_a_scalar_that_is_no_finite_real_is_refused(value):
+    sz = np.diag([1.0, -1.0])
+    parts = {"A": (lambda t: 1.0, sz), "B": (lambda t: value if t > 0.1 else 0.5, sz)}
+    with pytest.raises(ValueError, match=r"part B: f\(0\.15\d*\) = .* is not a finite real"):
+        run_timeordered(timeordered2(), parts, 0.0, 0.1, 2, QuantumState.up(2))
+
+
+def test_a_driven_part_is_a_pair():
+    matrices = {lab: part.matrix for lab, part in spin_parts(GAMMA).items()}
+    with pytest.raises(ValueError, match=r"part A must be a pair \(f, H\)"):
+        run_timeordered(timeordered2(), matrices, 0.0, 0.1, 1, QuantumState.up(2))
+    old_form = {lab: (lambda t, m=m: m) for lab, m in matrices.items()}
+    with pytest.raises(ValueError, match="must be a pair"):
+        run_timeordered(timeordered2(), old_form, 0.0, 0.1, 1, QuantumState.up(2))
 
 
 def _random_driven_parts(n: int, seed: int) -> dict:
@@ -570,8 +591,8 @@ def _random_driven_parts(n: int, seed: int) -> dict:
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         return (m + m.conj().T) / (2 * n)
 
-    a0, a1, b0, b1 = herm(), herm(), herm(), herm()
-    return {"A": lambda t: a0 + math.cos(t) * a1, "B": lambda t: b0 + math.sin(2 * t) * b1}
+    return {"A": (lambda t: 1.0 + 0.5 * math.cos(t), herm()),
+            "B": (lambda t: math.sin(2 * t), herm())}
 
 
 @pytest.mark.parametrize("n", [2, 24])
@@ -623,6 +644,63 @@ def test_run_timeordered_segments_from_a_first_step_index():
     assert np.array_equal(run.vector, psi.vector)
 
 
+def _per_sample_eigh(g, parts, t0, dt, steps, psi):
+    """Reference stepper: every stage factor comes from its own ``eigh`` of
+    the sampled matrix f(t) H, applied one at a time."""
+    v = psi.vector
+    for k in range(steps):
+        for slot, c, tau in stage_plan(g):
+            f, h = parts[slot]
+            sample = f((t0 + k * dt) + tau * dt) * getattr(h, "matrix", h)
+            w, vecs = np.linalg.eigh(sample)
+            v = np.dot(_hermitian_exp(w, vecs, -1j * c * dt), v)
+    return v
+
+
+@pytest.mark.parametrize("g", [timeordered1(), timeordered2(), timeordered4()],
+                         ids=["g1", "g2", "g4"])
+@pytest.mark.parametrize("n,parts,dt,steps", [
+    (2, driven_two_level(), 0.01, 250),
+    (2, _random_driven_parts(2, seed=11), 0.02, 100),
+    (24, _random_driven_parts(24, seed=12), 0.02, 30),
+], ids=["driven", "random2", "random24"])
+def test_run_timeordered_matches_the_per_sample_eigh_loop(g, n, parts, dt, steps):
+    psi = QuantumState(np.eye(n, dtype=complex)[-1])
+    out = run_timeordered(g, parts, 0.3, dt, steps, psi).vector
+    assert np.linalg.norm(out - _per_sample_eigh(g, parts, 0.3, dt, steps, psi)) < 1e-12
+
+
+def test_run_timeordered_diagonalises_no_sample(monkeypatch):
+    # every factor comes from the parts' cached decompositions: no eigh at all
+    parts = _random_driven_parts(64, seed=64)
+    parts = {lab: (f, HermitianPart(h, lab)) for lab, (f, h) in parts.items()}
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape))
+    psi = run_timeordered(timeordered4(), parts, 0.0, 0.05, 4, QuantumState.up(64))
+    assert calls == []
+    assert abs(psi.norm - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("gap", [0.5, 1.0])
+def test_landau_zener_transition_probability(gap):
+    # H(t) = (v t/2) sigma_z + (g/2) sigma_x swept from t = -50 to 50 at v = 1:
+    # from the lower eigenstate of H(-50), the weight left on the upper
+    # eigenstate of H(50) is exp(-pi g^2 / (2 v)) (Landau 1932, Zener 1932)
+    v, t_max, dt = 1.0, 50.0, 0.01
+    sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    parts = {"A": (lambda t: v * t / 2, sz), "B": (lambda t: gap / 2, sx)}
+
+    def hamiltonian(t):
+        return v * t / 2 * sz + gap / 2 * sx
+
+    start = np.linalg.eigh(hamiltonian(-t_max))[1][:, 0]
+    upper = np.linalg.eigh(hamiltonian(t_max))[1][:, 1]
+    steps = step_count(2 * t_max, dt)
+    psi = run_timeordered(timeordered4(), parts, -t_max, dt, steps, QuantumState(start))
+    p_upper = abs(upper.conj() @ psi.vector) ** 2
+    assert abs(p_upper - math.exp(-math.pi * gap ** 2 / (2 * v))) < 1e-5  # measured 3-4e-6
+
+
 @pytest.mark.parametrize("g", [timeordered1(), timeordered2(), timeordered4()],
                          ids=["g1", "g2", "g4"])
 def test_run_timeordered_asks_for_the_scalar_stage_times(g):
@@ -635,10 +713,12 @@ def test_run_timeordered_asks_for_the_scalar_stage_times(g):
     asked = []
 
     def recorded(slot, part):
+        f, h = part
+
         def sample(t):
             asked.append((slot, t))
-            return part(t)
-        return sample
+            return f(t)
+        return sample, h
 
     parts = {"A": recorded("A", base["A"]), "B": recorded("B", base["B"])}
     plan = stage_plan(g)
@@ -728,21 +808,21 @@ def test_driven_reference_is_accurate_on_the_default_grid():
         return run_timeordered(timeordered4(), parts, 0.0, step, steps, QuantumState.up(2)).vector
 
     ref = final_state(d / 32, 32 * 32)
-    assert np.linalg.norm(ref - final_state(d / 64, 32 * 64)) < 5e-12  # measured 8.5e-13
+    assert np.linalg.norm(ref - final_state(d / 64, 32 * 64)) < 5e-12  # measured 3.7e-13
     err = convergence(timeordered4(), "driven").errors[-1]
     fine = float(np.linalg.norm(final_state(d, 32) - final_state(d / 256, 32 * 256)))
-    assert abs(err - fine) <= 1e-4 * fine  # measured 4e-6
+    assert abs(err - fine) <= 1e-4 * fine  # measured 2e-6
 
 
 def test_run_timeordered_refuses_a_non_finite_stage_time():
     calls = []
-    parts = {"A": lambda t: calls.append(t) or np.eye(2),
-             "B": lambda t: calls.append(t) or np.eye(2)}
+    parts = {"A": (lambda t: calls.append(t) or 1.0, np.eye(2)),
+             "B": (lambda t: calls.append(t) or 1.0, np.eye(2))}
     with pytest.raises(ValueError, match=r"stage time .* = inf at step k = 2"):
         run_timeordered(timeordered2(), parts, 0.0, 1e308, 3, QuantumState.up(2))
     with pytest.raises(ValueError, match=r"stage time .* = nan at step k = 0"):
         run_timeordered(timeordered2(), parts, math.nan, 0.1, 3, QuantumState.up(2))
-    assert calls == []  # refused before any part is sampled
+    assert calls == []  # refused before any f is called
 
 
 # ---------------------------------------------------------------------------
