@@ -18,16 +18,14 @@ is checked Hermitian within 1e-12 (in the Frobenius norm, relative to
 max(1, ||H||)).  Time-ordered stepping needs no decomposition per stage
 time: a driven part f(t) H shares H's eigenvectors at every t, so a stage
 is a move into its slot's fixed eigenbasis and the phases
-exp(-i c dt f(t) w).  Its factors are built per chunk of at most
-``_CHUNK_BYTES`` from one call of f per stage time and one stacked
-exponential, then applied one by one in application order, so the output
-is bit-identical however a run is split into calls.  Classical side: a
-``SeparableHamiltonian`` is |p|^2/2 + V(q); kick and drift are the exact
-flows of V and of |p|^2/2 (the generators are nilpotent), so every
-composed step is symplectic.  The deliberately bad first-order baselines
-for comparison runs are built inside ``run_precession`` (the perturbative
-I - i dt H) and ``run_umeno`` (the Euler update); ``euler_step`` is that
-Euler update on its own, the tests' reference.
+exp(-i c dt f(t) w); a sampled run is one pass, read at its marks.
+Classical side: a ``SeparableHamiltonian`` is |p|^2/2 + V(q); kick and
+drift are the exact flows of V and of |p|^2/2 (the generators are
+nilpotent), so every composed step is symplectic.  The deliberately bad
+first-order baselines for comparison runs are built inside
+``run_precession`` (the perturbative I - i dt H) and ``run_umeno`` (the
+Euler update); ``euler_step`` is that Euler update on its own, the tests'
+reference.
 
 The ``cli`` commands only call this module and write what it returns: every
 trajectory run records rows at the steps ``sample_marks`` names, and
@@ -236,6 +234,10 @@ def precession_period(gamma: float) -> float:
 
 def sample_marks(steps: int, every: int) -> list[int]:
     """The steps a trajectory records a row at: 0, every, 2 every, ..., steps."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if every < 1:
+        raise ValueError(f"sample_every must be >= 1, got {every}")
     return list(range(0, steps, every)) + [steps]
 
 
@@ -450,47 +452,20 @@ def _scalar_values(fs: Sequence[Callable[[float], float]], slots: Sequence[str],
     return np.array(values, dtype=np.float64)
 
 
-def run_timeordered(scheme3: Scheme, parts: Mapping, t0: float,
-                    dt: float, steps: int, psi: QuantumState, *,
-                    first: int = 0) -> QuantumState:
-    """Steps ``first`` .. ``first + steps - 1`` of a scheme with a shift-time
-    slot T on a driven system.
-
-    ``parts`` maps each other slot to a pair ``(f, H)``: f is a real scalar
-    function of t, H a Hermitian matrix or ``HermitianPart``, and the part
-    at time t is f(t) H.  The shift-time slot is consumed into stage offsets
-    tau; in step k each remaining stage applies exp(-i c dt f(t) H) at
-    t = t0 + k dt + tau dt, right to left.
-
-    Every H is diagonalised once per call (a ``HermitianPart`` lends its
-    cached decomposition), so stage s acts in its slot's fixed eigenbasis
-    V_s as the phases exp(-i c dt f(t) w_s).  A step enters V_0 (V_0^H),
-    moves from each stage's eigenbasis to the next through V_{s+1}^H V_s,
-    and returns through the last stage's V at its end, so every step starts
-    and ends in the computational basis.  The factors are built per chunk of
-    (step, stage) pairs, at most ``_CHUNK_BYTES`` of them: one call of f per
-    (slot, t) in application order, one stacked exponential of the phases,
-    and the move matrices scaled column by column.  A chunk's stage times are
-    ``(t0 + k*dt) + tau*dt`` over a float64 array of its step indices k, the
-    same floats as the scalar expression.  Applying the factors one by one
-    gives the same bits however a run is split: single steps, chunks, or
-    segments that keep ``t0`` and pass their first step index.
-
-    A stage time that is not finite is refused with a ``ValueError`` naming
-    it, before any f is called; so is an f(t) that is not a finite real
-    number, naming its slot and the first such t in application order.
-    """
+def _timeordered_pass(scheme3: Scheme, parts: Mapping, t0: float, dt: float,
+                      marks: Sequence[int], v: np.ndarray):
+    """The state after each step count in ``marks`` (strictly ascending) of one
+    ``run_timeordered`` run set up once: a whole run's bits at every mark."""
     plan = _plan(scheme3, parts, timed=True)
     for lab, part in parts.items():
         if not (isinstance(part, (tuple, list)) and len(part) == 2 and callable(part[0])):
             raise ValueError(f"part {lab} must be a pair (f, H) of a scalar function "
                              "of t and a Hermitian matrix")
     pm = _parts_map({lab: h for lab, (_, h) in parts.items()})
-    taus = [tau * dt for _, _, tau in plan]
-    offsets = np.array(taus)
+    offsets = np.array([tau * dt for _, _, tau in plan])
     # stage times are monotone in k and in tau, so these four bound them all
-    for k in (first, first + steps - 1):
-        for tau_dt in (min(taus), max(taus)):
+    for k in (0, marks[-1] - 1):
+        for tau_dt in (float(offsets.min()), float(offsets.max())):
             t = (t0 + k * dt) + tau_dt
             if not math.isfinite(t):
                 raise ValueError(f"stage time t0 + k*dt + tau*dt = {t} at step k = {k} "
@@ -505,11 +480,13 @@ def run_timeordered(scheme3: Scheme, parts: Mapping, t0: float,
                     for a, b in set(pairs)}
     moves = np.array([basis_change[pair] for pair in pairs] + [pm[slots[-1]].eigenvectors])
     zs = np.array([-1j * c * dt for _, c, _ in plan])
-    v = psi.vector
     per_chunk = max(1, _CHUNK_BYTES // (16 * v.size * v.size))
     # flat index i of the (step, stage) pairs: step i // len(plan), stage i % len(plan)
-    end = (first + steps) * len(plan)
-    for start in range(first * len(plan), end, per_chunk):
+    end = marks[-1] * len(plan)
+    # mark m is read just before step m's first factor, or after the run's last
+    reads, step = iter(marks), 0
+    mark = next(reads)
+    for start in range(0, end, per_chunk):
         k, stage = np.divmod(np.arange(start, min(start + per_chunk, end)), len(plan))
         times = (t0 + k.astype(np.float64) * dt) + offsets[stage]
         stage_list = stage.tolist()
@@ -517,8 +494,39 @@ def run_timeordered(scheme3: Scheme, parts: Mapping, t0: float,
         phases = np.exp((zs[stage] * f_t)[:, None] * eigenvalues[stage])
         for s, factor in zip(stage_list, moves[stage] * phases[:, None, :]):
             if s == 0:
+                if step == mark:
+                    yield v
+                    mark = next(reads)
+                step += 1
                 v = enter.dot(v)
             v = factor.dot(v)
+    yield v
+
+
+def run_timeordered(scheme3: Scheme, parts: Mapping, t0: float,
+                    dt: float, steps: int, psi: QuantumState) -> QuantumState:
+    """``steps`` steps of a scheme with a shift-time slot T on a driven system.
+
+    ``parts`` maps each other slot to a pair ``(f, H)``: f is a real scalar
+    function of t, H a Hermitian matrix or ``HermitianPart``, and the part
+    at time t is f(t) H.  The shift-time slot is consumed into stage offsets
+    tau; in step k each remaining stage applies exp(-i c dt f(t) H) at
+    t = t0 + k dt + tau dt, right to left.
+
+    Each H is diagonalised once per run (a ``HermitianPart`` lends its
+    cached decomposition), and stage s acts in its slot's fixed eigenbasis
+    as the phases exp(-i c dt f(t) w_s).  f is called once per (slot, t) in
+    application order, t the float ``(t0 + k*dt) + tau*dt``, a chunk of at
+    most ``_CHUNK_BYTES`` of factors at a time; the factors are applied one
+    by one, so a run has the bits of single steps from ``t0 + k*dt``.
+
+    Refused with a ``ValueError``: a negative ``steps``; a stage time that
+    is not finite, named, before any f is called; an f(t) that is not a
+    finite real number, naming its slot and the first such t in order.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    (v,) = _timeordered_pass(scheme3, parts, t0, dt, [steps], psi.vector)
     return QuantumState(v)
 
 
@@ -530,20 +538,13 @@ def driven_two_level() -> dict[str, tuple[Callable[[float], float], HermitianPar
 
 def run_driven(scheme3: Scheme, dt: float, steps: int, sample_every: int, t0: float):
     """Rows (t, Re psi_0, Im psi_0, Re psi_1, Im psi_1, ||psi||) at ``sample_marks``
-    of the driven two-level system from the up state; row k sits at t0 + k dt."""
-    parts = driven_two_level()
-    psi = QuantumState.up(2)
-
-    def row(k: int) -> tuple:
-        v = psi.vector
-        return (t0 + k * dt, v[0].real, v[0].imag, v[1].real, v[1].imag, psi.norm)
-
-    rows = [row(0)]
+    of one ``run_timeordered`` run of the driven two-level system from the up
+    state; row k sits at t0 + k dt, and no bit depends on ``sample_every``."""
     marks = sample_marks(steps, sample_every)
-    for k, k_next in zip(marks, marks[1:]):
-        psi = run_timeordered(scheme3, parts, t0, dt, k_next - k, psi, first=k)
-        rows.append(row(k_next))
-    return rows
+    states = _timeordered_pass(scheme3, driven_two_level(), t0, dt, marks,
+                               QuantumState.up(2).vector)
+    return [(t0 + k * dt, v[0].real, v[0].imag, v[1].real, v[1].imag,
+             float(np.linalg.norm(v))) for k, v in zip(marks, states)]
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +630,7 @@ def hermitian_pair_error(scheme: Scheme, a: np.ndarray, b: np.ndarray,
     u_step = step_operator(scheme, parts, dt)
     u_total = np.linalg.matrix_power(u_step, steps)
     u_exact = h.expfactor(-1j * steps * dt)
-    psi0 = np.zeros(a.shape[0], dtype=complex)
-    psi0[0] = 1.0
+    psi0 = QuantumState.up(a.shape[0]).vector
     return float(np.linalg.norm(u_total @ psi0 - u_exact @ psi0))
 
 

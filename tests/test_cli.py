@@ -464,8 +464,8 @@ def test_timedep_rows_sit_at_t0_plus_k_dt(tmp_path, capsys):
 
 
 def test_timedep_final_state_matches_one_run(tmp_path, capsys):
-    # every segment steps on from t0 by its first step index, so the rows do
-    # not depend on --sample-every, not even in the last bit
+    # the rows are read off one pass over the whole run, so they do not
+    # depend on --sample-every, not even in the last bit
     ref = propagate.run_timeordered(schemes.CATALOG["timeordered4"](),
                                     propagate.driven_two_level(),
                                     0.3, 0.02, 50, propagate.QuantumState.up(2)).vector

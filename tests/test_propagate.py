@@ -11,12 +11,12 @@ from expprod.propagate import (
     SeparableHamiltonian, convergence, dominant_period, driven_error,
     driven_two_level, drift, error_slope, euler_step,
     hermitian_pair_error, jacobian_determinant, kick, perturbational_composition,
-    precession_period, run_precession, run_timeordered,
+    precession_period, run_driven, run_precession, run_timeordered,
     run_umeno, sample_marks, spin_error, spin_parts, stage_unitaries, step_count,
     step_operator, symplectic_step, transverse_coupling_coefficient, umeno_hamiltonian,
     unitary_step,
 )
-from expprod.propagate import _hermitian_exp, _not_hermitian
+from expprod.propagate import _hermitian_exp, _not_hermitian, _timeordered_pass
 from expprod.schemes import (
     CATALOG, Scheme, Stage, hybrid_fourth, hybrid_second, ruth, stage_plan,
     strang, timeordered1, timeordered2, trotter,
@@ -405,6 +405,19 @@ def test_sample_marks_end_at_the_last_step():
     assert sample_marks(2, 5) == [0, 2]
 
 
+@pytest.mark.parametrize("run,message", [
+    (lambda: run_precession(trotter(), GAMMA, 0.01, -5, 1), "steps must be >= 0, got -5"),
+    (lambda: run_precession(trotter(), GAMMA, 0.01, 5, 0), "sample_every must be >= 1, got 0"),
+    (lambda: run_umeno(trotter(), 0.01, 10, -1), "sample_every must be >= 1, got -1"),
+    (lambda: run_driven(timeordered2(), 0.01, -3, 1, 0.0), "steps must be >= 0, got -3"),
+    (lambda: run_timeordered(timeordered2(), driven_two_level(), 0.0, 0.01, -4,
+                             QuantumState.up(2)), "steps must be >= 0, got -4"),
+], ids=["precession", "precession-every", "umeno", "driven", "timeordered"])
+def test_runners_refuse_negative_steps_and_sampling_below_one(run, message):
+    with pytest.raises(ValueError, match=message):
+        run()
+
+
 def test_time_reversibility_of_symmetric_schemes():
     h = umeno_hamiltonian()
     x0 = PhasePoint(np.array([0.4, -0.2]), np.array([1.5, 0.7]))
@@ -630,18 +643,50 @@ def test_run_timeordered_is_repeated_single_steps(g):
     assert np.array_equal(run.vector, psi.vector)
 
 
-def test_run_timeordered_segments_from_a_first_step_index():
-    # segments that keep t0 and pass their first step index rebuild one run
-    # bit for bit
+def test_one_pass_reads_every_mark_as_a_whole_run():
+    # the state read at each mark of one pass is a whole run to that mark, bit
+    # for bit; the 750 factors fill one chunk of 455 (N = 3) and part of a
+    # second, and the marks fall inside both
     g, parts = timeordered4(), _random_driven_parts(3, seed=5)
     t0, dt, steps = 0.3, 0.02, 50
     psi0 = QuantumState(np.eye(3, dtype=complex)[0])
-    run = run_timeordered(g, parts, t0, dt, steps, psi0)
     marks = sample_marks(steps, 7)
-    psi = psi0
-    for k, k_next in zip(marks, marks[1:]):
-        psi = run_timeordered(g, parts, t0, dt, k_next - k, psi, first=k)
-    assert np.array_equal(run.vector, psi.vector)
+    states = list(_timeordered_pass(g, parts, t0, dt, marks, psi0.vector))
+    assert len(states) == len(marks)
+    for k, v in zip(marks, states):
+        assert np.array_equal(v, run_timeordered(g, parts, t0, dt, k, psi0).vector), k
+
+
+def test_run_driven_sets_up_once(monkeypatch):
+    # one setup and the chunks of one whole run (1024 factors at N = 2; 30
+    # steps of 15 stages fill one chunk, 100 steps two), however many rows
+    import expprod.propagate as propagate
+
+    calls = []
+    for name in ("_plan", "_parts_map", "_scalar_values"):
+        real = getattr(propagate, name)
+        monkeypatch.setattr(propagate, name,
+                            lambda *a, real=real, name=name, **kw: calls.append(name)
+                            or real(*a, **kw))
+    assert len(run_driven(timeordered4(), 0.01, 30, 1, 0.3)) == 31
+    assert calls == ["_plan", "_parts_map", "_scalar_values"]
+    calls.clear()
+    assert len(run_driven(timeordered4(), 0.01, 100, 1, 0.3)) == 101
+    assert calls == ["_plan", "_parts_map", "_scalar_values", "_scalar_values"]
+
+
+def test_a_late_non_finite_stage_time_is_refused_before_any_f(monkeypatch):
+    # the stage times of step 29 overflow; the trajectory is refused whole,
+    # before its first rows are stepped
+    import expprod.propagate as propagate
+
+    calls = []
+    parts = {lab: (lambda t, f=f: calls.append(t) or f(t), h)
+             for lab, (f, h) in driven_two_level().items()}
+    monkeypatch.setattr(propagate, "driven_two_level", lambda: parts)
+    with pytest.raises(ValueError, match=r"stage time .* = inf at step k = 29 "):
+        run_driven(timeordered4(), 1e307, 30, 5, 1e308)
+    assert calls == []
 
 
 def _per_sample_eigh(g, parts, t0, dt, steps, psi):
@@ -706,7 +751,8 @@ def test_landau_zener_transition_probability(gap):
 def test_run_timeordered_asks_for_the_scalar_stage_times(g):
     # the chunk-built stage times are the floats of the scalar expression
     # t0 + k*dt + tau*dt, asked for once per (slot, t) in application order,
-    # over more than one chunk of factors (1024 at N = 2) and from step 7
+    # over more than two chunks of factors (1024 at N = 2) read at marks
+    # every 7 steps, which fall inside chunks
     from expprod.propagate import _CHUNK_BYTES
 
     base = driven_two_level()
@@ -722,11 +768,16 @@ def test_run_timeordered_asks_for_the_scalar_stage_times(g):
 
     parts = {"A": recorded("A", base["A"]), "B": recorded("B", base["B"])}
     plan = stage_plan(g)
-    t0, dt, first = 0.3, 0.0137, 7
-    steps = 2 * (_CHUNK_BYTES // (16 * 4)) // len(plan) + 3
-    run_timeordered(g, parts, t0, dt, steps, QuantumState.up(2), first=first)
+    t0, dt = 0.3, 0.0137
+    per_chunk = _CHUNK_BYTES // (16 * 4)
+    steps = 2 * per_chunk // len(plan) + 3
+    assert steps * len(plan) > 2 * per_chunk
+    marks = sample_marks(steps, 7)
+    assert any(m * len(plan) % per_chunk for m in marks)
+    states = list(_timeordered_pass(g, parts, t0, dt, marks, QuantumState.up(2).vector))
+    assert len(states) == len(marks)
     assert asked == [(slot, t0 + k * dt + tau * dt)
-                     for k in range(first, first + steps) for slot, _, tau in plan]
+                     for k in range(steps) for slot, _, tau in plan]
     assert all(type(t) is float for _, t in asked)
 
 
