@@ -98,6 +98,15 @@ def write_manifest(args, **resolved) -> None:
     write_json(f"{args.out}.manifest.json", doc, sort_keys=True)
 
 
+def _emit_json(args, doc, **resolved) -> None:
+    """Print ``doc`` as JSON indented by 2; with ``--out``, write the same bytes
+    there and the manifest with the values the run resolved."""
+    print(json.dumps(doc, indent=2))
+    if args.out:
+        write_json(args.out, doc)
+        write_manifest(args, **resolved)
+
+
 def parse_stage_coeff(text: str) -> Fraction:
     """Coefficient grammar: [sign][number[*]]x[/integer] ('x', '-x', 'x/2',
     '7x/24', '2*x', '0.5x') or a plain number ('1/2', '0.75').
@@ -270,10 +279,7 @@ def cmd_solve(args) -> int:
         doc["solution_exact"] = {p: frac_str(v) for p, v in rational.items()}
     if not report.converged:
         doc["diagnostics"] = report.message
-    print(json.dumps(doc, indent=2))
-    if args.out:
-        write_json(args.out, doc)
-        write_manifest(args)
+    _emit_json(args, doc)
     return 0 if report.converged else NONCONVERGENCE
 
 
@@ -391,10 +397,7 @@ def cmd_anneal(args) -> int:
         "seed": result.seed,
         "schedule": sched,
     }
-    print(json.dumps(doc, indent=2))
-    if args.out:
-        write_json(args.out, doc)
-        write_manifest(args, schedule=sched)
+    _emit_json(args, doc, schedule=sched)
     return 0
 
 
@@ -412,10 +415,7 @@ def cmd_extrapolate(args) -> int:
         "errors": result.errors, "residuals": result.residuals,
         "observable": args.observable,
     }
-    print(json.dumps(doc, indent=2))
-    if args.out:
-        write_json(args.out, doc)
-        write_manifest(args, sweeps=sweeps)
+    _emit_json(args, doc, sweeps=sweeps)
     return 0
 
 

@@ -18,7 +18,8 @@ is checked Hermitian within 1e-12 (in the Frobenius norm, relative to
 max(1, ||H||)).  Time-ordered stepping needs no decomposition per stage
 time: a driven part f(t) H shares H's eigenvectors at every t, so a stage
 is a move into its slot's fixed eigenbasis and the phases
-exp(-i c dt f(t) w); a sampled run is one pass, read at its marks.
+exp(-i c dt f(t) w); a sampled run is one pass over chunks of whole steps,
+read at its marks.
 Classical side: a ``SeparableHamiltonian`` is |p|^2/2 + V(q); kick and
 drift are the exact flows of V and of |p|^2/2 (the generators are
 nilpotent), so every composed step is symplectic.  The deliberately bad
@@ -36,8 +37,9 @@ finest dt of each end time, accurate to about 1e-12 at t = 1.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -50,11 +52,11 @@ from .schemes import CATALOG, Scheme, stage_plan
 # Quantum stepping
 # ---------------------------------------------------------------------------
 
-# bytes of stage factors that one chunk of time-ordered steps holds at most.
-# Larger chunks run no faster (one exponential call already covers 1024 2x2
-# factors) but hold more: over 20000 steps of timeordered4 on the driven
-# two-level system the peak RSS is 32.9 MB at 64 KB, as at one factor per
-# chunk, and 59.9 MB at 4 MB.
+# bytes of stage factors one chunk of whole time-ordered steps holds at most
+# (or one step's, if more).  Larger chunks run no faster (one exponential call
+# already covers ~1000 2x2 factors) but hold more: over 20000 steps of
+# timeordered4 on the driven two-level system the peak RSS is 32.9 MB at
+# 64 KB, as at one factor per chunk, and 59.9 MB at 4 MB.
 _CHUNK_BYTES = 1 << 16
 
 # the two-level fixture: A = sigma_z for the precession and driven systems,
@@ -113,14 +115,12 @@ class HermitianPart:
 
 @dataclass
 class QuantumState:
-    """A complex state vector; the norm is tracked alongside."""
+    """A complex state vector."""
 
     vector: np.ndarray
-    norm: float = field(init=False)
 
     def __post_init__(self):
         self.vector = np.asarray(self.vector, dtype=complex)
-        self.norm = float(np.linalg.norm(self.vector))
 
     @classmethod
     def up(cls, dim: int = 2) -> "QuantumState":
@@ -329,7 +329,7 @@ class SeparableHamiltonian:
         return float(0.5 * float(x.p @ x.p) + self.potential(x.q))
 
 
-def drift(h: SeparableHamiltonian, dt: float, x: PhasePoint) -> PhasePoint:
+def drift(dt: float, x: PhasePoint) -> PhasePoint:
     """Exact kinetic flow: q advances by dt p, p unchanged."""
     return PhasePoint(x.p, x.q + dt * x.p)
 
@@ -354,7 +354,7 @@ def symplectic_step(scheme: Scheme, h: SeparableHamiltonian, dt: float,
                     x: PhasePoint) -> PhasePoint:
     """Compose kick/drift maps per the scheme stages (right to left)."""
     for kind, c in _kick_drift_plan(scheme):
-        x = (drift if kind == "drift" else kick)(h, c * dt, x)
+        x = drift(c * dt, x) if kind == "drift" else kick(h, c * dt, x)
     return x
 
 
@@ -431,40 +431,44 @@ def jacobian_determinant(step: Callable[[PhasePoint], PhasePoint], x: PhasePoint
 # ---------------------------------------------------------------------------
 
 def _scalar_values(fs: Sequence[Callable[[float], float]], slots: Sequence[str],
-                   stages: Sequence[int], times: Sequence[float]) -> np.ndarray:
-    """fs[s](t) for every (stage s, t) pair in order, as one float64 array.
+                   times: np.ndarray) -> np.ndarray:
+    """fs[s](t) at each stage time t = times[k, s] of a (steps, stages) grid,
+    asked in row order, as a float64 array of the grid's shape.
 
     Raises ``ValueError`` naming the slot and t of the first value that is
     not a finite real number (a bool, int or float, Python's or numpy's).
     """
-    values = [fs[s](t) for s, t in zip(stages, times)]
+    flat = times.ravel().tolist()
+    values = [f(t) for f, t in zip(itertools.cycle(fs), flat)]
     try:
         out = np.array(values)
     except ValueError:   # values of different shapes
         out = None
     if (out is not None and out.ndim == 1 and out.dtype.kind in "biuf"
             and np.isfinite(out).all()):
-        return out.astype(np.float64, copy=False)
-    for s, t, x in zip(stages, times, values):
+        return out.astype(np.float64, copy=False).reshape(times.shape)
+    for slot, t, x in zip(itertools.cycle(slots), flat, values):
         a = np.asarray(x)
         if a.ndim or a.dtype.kind not in "biuf" or not np.isfinite(a):
-            raise ValueError(f"part {slots[s]}: f({t}) = {x!r} is not a finite real number")
-    return np.array(values, dtype=np.float64)
+            raise ValueError(f"part {slot}: f({t}) = {x!r} is not a finite real number")
+    return np.array(values, dtype=np.float64).reshape(times.shape)
 
 
 def _timeordered_pass(scheme3: Scheme, parts: Mapping, t0: float, dt: float,
                       marks: Sequence[int], v: np.ndarray):
-    """The state after each step count in ``marks`` (strictly ascending) of one
-    ``run_timeordered`` run set up once: a whole run's bits at every mark."""
+    """The state at each step count of ``marks`` (ascending; the last is the
+    run's length) of one ``run_timeordered`` run set up once: a whole run's
+    bits at every mark."""
     plan = _plan(scheme3, parts, timed=True)
     for lab, part in parts.items():
         if not (isinstance(part, (tuple, list)) and len(part) == 2 and callable(part[0])):
             raise ValueError(f"part {lab} must be a pair (f, H) of a scalar function "
                              "of t and a Hermitian matrix")
     pm = _parts_map({lab: h for lab, (_, h) in parts.items()})
+    steps = marks[-1]
     offsets = np.array([tau * dt for _, _, tau in plan])
     # stage times are monotone in k and in tau, so these four bound them all
-    for k in (0, marks[-1] - 1):
+    for k in (0, steps - 1) if steps else ():
         for tau_dt in (float(offsets.min()), float(offsets.max())):
             t = (t0 + k * dt) + tau_dt
             if not math.isfinite(t):
@@ -480,26 +484,22 @@ def _timeordered_pass(scheme3: Scheme, parts: Mapping, t0: float, dt: float,
                     for a, b in set(pairs)}
     moves = np.array([basis_change[pair] for pair in pairs] + [pm[slots[-1]].eigenvectors])
     zs = np.array([-1j * c * dt for _, c, _ in plan])
-    per_chunk = max(1, _CHUNK_BYTES // (16 * v.size * v.size))
-    # flat index i of the (step, stage) pairs: step i // len(plan), stage i % len(plan)
-    end = marks[-1] * len(plan)
-    # mark m is read just before step m's first factor, or after the run's last
-    reads, step = iter(marks), 0
+    per_chunk = max(1, _CHUNK_BYTES // (16 * len(plan) * v.size * v.size))
+    # a mark is read just before its step's first factor, or after the last step
+    reads = iter(marks)
     mark = next(reads)
-    for start in range(0, end, per_chunk):
-        k, stage = np.divmod(np.arange(start, min(start + per_chunk, end)), len(plan))
-        times = (t0 + k.astype(np.float64) * dt) + offsets[stage]
-        stage_list = stage.tolist()
-        f_t = _scalar_values(stage_f, slots, stage_list, times.tolist())
-        phases = np.exp((zs[stage] * f_t)[:, None] * eigenvalues[stage])
-        for s, factor in zip(stage_list, moves[stage] * phases[:, None, :]):
-            if s == 0:
-                if step == mark:
-                    yield v
-                    mark = next(reads)
-                step += 1
-                v = enter.dot(v)
-            v = factor.dot(v)
+    for first in range(0, steps, per_chunk):
+        k = np.arange(first, min(first + per_chunk, steps))
+        times = (t0 + k[:, None] * dt) + offsets
+        phases = np.exp((zs * _scalar_values(stage_f, slots, times))[..., None] * eigenvalues)
+        factors = iter((moves * phases[..., None, :]).reshape(-1, v.size, v.size))
+        for step in k.tolist():
+            if step == mark:
+                yield v
+                mark = next(reads)
+            v = enter.dot(v)
+            for factor in itertools.islice(factors, len(plan)):
+                v = factor.dot(v)
     yield v
 
 
@@ -516,17 +516,18 @@ def run_timeordered(scheme3: Scheme, parts: Mapping, t0: float,
     Each H is diagonalised once per run (a ``HermitianPart`` lends its
     cached decomposition), and stage s acts in its slot's fixed eigenbasis
     as the phases exp(-i c dt f(t) w_s).  f is called once per (slot, t) in
-    application order, t the float ``(t0 + k*dt) + tau*dt``, a chunk of at
-    most ``_CHUNK_BYTES`` of factors at a time; the factors are applied one
-    by one, so a run has the bits of single steps from ``t0 + k*dt``.
+    application order, t the float ``(t0 + k*dt) + tau*dt``, over a chunk of
+    whole steps at a time (at most ``_CHUNK_BYTES`` of factors, or one step);
+    the factors are applied one by one, so a run has the bits of single
+    steps from ``t0 + k*dt``.  A 0-step run returns ``psi``'s state.
 
     Refused with a ``ValueError``: a negative ``steps``; a stage time that
     is not finite, named, before any f is called; an f(t) that is not a
     finite real number, naming its slot and the first such t in order.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    (v,) = _timeordered_pass(scheme3, parts, t0, dt, [steps], psi.vector)
+    # read at step 0 and at the end; sample_marks refuses a negative count
+    marks = sample_marks(steps, max(steps, 1))
+    *_, v = _timeordered_pass(scheme3, parts, t0, dt, marks, psi.vector)
     return QuantumState(v)
 
 
@@ -639,21 +640,19 @@ def hermitian_pair_error(scheme: Scheme, a: np.ndarray, b: np.ndarray,
 MAX_DRIVEN_STEPS = 100_000
 
 
-def driven_error(scheme3: Scheme, dt: float | Sequence[float],
-                 t_final: float) -> float | list[float]:
-    """G-scheme error on the driven two-level system vs a fine-step reference.
+def driven_error(scheme3: Scheme, dts: Sequence[float], t_final: float) -> list[float]:
+    """G-scheme error at each dt of ``dts`` on the driven two-level system vs a
+    fine-step reference.
 
-    ``dt`` is one step, which gives one error, or a sequence of steps, which
-    gives a list.  Step dt runs ``step_count(t_final, dt)`` steps and ends at
-    that count times dt.  The reference is the catalog's ``timeordered4`` at
-    1/32 of the finest dt that ends at the same time, run once for every end
-    time.  On the default grid (finest dt 1/32, t_final 1) it agrees with
+    Step dt runs ``step_count(t_final, dt)`` steps and ends at that count
+    times dt.  The reference is the catalog's ``timeordered4`` at 1/32 of the
+    finest dt that ends at the same time, run once for every end time.  On
+    the default grid (finest dt 1/32, t_final 1) it agrees with
     ``timeordered4`` at 1/64 of that dt within 3.7e-13, and ``timeordered4``'s
     own error at dt 1/32, 1.1097e-8, reads the same to 2e-6 relative against
     a run at 1/256 of it.  A study of more than ``MAX_DRIVEN_STEPS`` steps,
     the references' included, is refused with a ``ValueError`` before any step.
     """
-    dts = [dt] if np.ndim(dt) == 0 else list(dt)
     parts = driven_two_level()
 
     def final_state(scheme: Scheme, step: float, steps: int) -> np.ndarray:
@@ -670,9 +669,8 @@ def driven_error(scheme3: Scheme, dt: float | Sequence[float],
                          f"included; the cap is {MAX_DRIVEN_STEPS}")
     reference = CATALOG["timeordered4"]()
     ref = {end: final_state(reference, finest[end] / 32, n) for end, n in ref_steps.items()}
-    errors = [float(np.linalg.norm(final_state(scheme3, d, n) - ref[n * d]))
-              for d, n in zip(dts, steps)]
-    return errors[0] if np.ndim(dt) == 0 else errors
+    return [float(np.linalg.norm(final_state(scheme3, d, n) - ref[n * d]))
+            for d, n in zip(dts, steps)]
 
 
 @dataclass(frozen=True)
@@ -687,8 +685,8 @@ class Convergence:
 
 
 _SPIN_GAMMA = 0.75
-# ||H|| in the fit's step cap dt ||H|| <= 1: sqrt(1 + 0.75^2) on the spin fixture
-_FIT_NORM = {"spin": 1.25, "driven": 1.0}
+# ||H|| in the fit's step cap dt ||H|| <= 1
+_FIT_NORM = {"spin": math.hypot(1.0, _SPIN_GAMMA), "driven": 1.0}
 
 
 def convergence(scheme: Scheme, system: str = "spin", dts: Sequence[float] | None = None,

@@ -852,6 +852,23 @@ def test_manifests_echo_the_resolved_configuration(tmp_path, capsys):
     assert manifest["config"]["schedule"] == qmc.anneal_schedule()
 
 
+@pytest.mark.parametrize("argv,resolved", [
+    (["solve", "--pattern", "ABA", "--order", "2", "--fix", "p3=0.5"], {}),
+    (["anneal", "--model", str(MODELS / "pair.json"), "--sweeps", "2"],
+     {"schedule": qmc.anneal_schedule()}),
+    (["extrapolate", "--model", str(MODELS / "pair.json"), "--n-list", "2,3,4"],
+     {"sweeps": 0}),
+], ids=["solve", "anneal", "extrapolate"])
+def test_json_commands_write_their_stdout_document(tmp_path, capsys, argv, resolved):
+    out_path = tmp_path / "doc.json"
+    code, out, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == out.encode()
+    manifest = json.loads((tmp_path / "doc.json.manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert resolved.items() <= manifest["config"].items()
+
+
 def test_anneal_one_stage_schedule_is_config_error(tmp_path, capsys):
     model = tmp_path / "frus.json"
     model.write_text(json.dumps(qmc.frustrated_square().to_json()))

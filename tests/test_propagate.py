@@ -280,9 +280,8 @@ def harmonic() -> SeparableHamiltonian:
 
 
 def test_drift_is_free_flight():
-    h = umeno_hamiltonian()
     x = PhasePoint(np.array([1.0, -2.0]), np.array([0.5, 0.5]))
-    out = drift(h, 0.1, x)
+    out = drift(0.1, x)
     assert np.allclose(out.q, x.q + 0.1 * x.p)
     assert np.allclose(out.p, x.p)
 
@@ -299,8 +298,8 @@ def test_kick_matches_potential_gradient():
 def test_kick_drift_do_not_commute():
     h = umeno_hamiltonian()
     x = PhasePoint(np.array([0.3, -0.7]), np.array([1.1, 0.4]))
-    a = kick(h, 0.2, drift(h, 0.2, x))
-    b = drift(h, 0.2, kick(h, 0.2, x))
+    a = kick(h, 0.2, drift(0.2, x))
+    b = drift(0.2, kick(h, 0.2, x))
     assert not np.allclose(a.p, b.p) or not np.allclose(a.q, b.q)
 
 
@@ -608,24 +607,28 @@ def _random_driven_parts(n: int, seed: int) -> dict:
             "B": (lambda t: math.sin(2 * t), herm())}
 
 
-@pytest.mark.parametrize("n", [2, 24])
-def test_run_timeordered_across_chunk_boundaries_is_bit_identical(n):
-    # a chunk holds _CHUNK_BYTES of factors: 2 chunks and some at n = 2
-    # (boundaries fall inside steps, since 15 stages do not divide a chunk), and
-    # less than one step per chunk at n = 24
+@pytest.mark.parametrize("n,g", [(2, timeordered4()), (24, timeordered2())], ids=["2", "24"])
+def test_run_timeordered_across_chunk_boundaries_is_bit_identical(n, g):
+    # a chunk is the whole steps whose factors fit in _CHUNK_BYTES: 68 steps of
+    # timeordered4's 15 stages at n = 2, 2 of timeordered2's 3 at n = 24.  The
+    # run crosses two chunk boundaries, and the marks of one pass fall both on
+    # and off chunk starts
     from expprod.propagate import _CHUNK_BYTES
 
-    g = timeordered4()
-    stages = len(stage_plan(g))
-    per_chunk = max(1, _CHUNK_BYTES // (16 * n * n))
-    steps = 2 * per_chunk // stages + 3
-    assert steps * stages > 2 * per_chunk
+    per_chunk = _CHUNK_BYTES // (16 * len(stage_plan(g)) * n * n)
+    steps = 2 * per_chunk + 3
+    marks = sample_marks(steps, per_chunk // 2)
+    assert {m % per_chunk == 0 for m in marks[1:]} == {True, False}
     parts = _random_driven_parts(n, seed=n)
     t0, dt = 0.3, 0.02
     psi0 = QuantumState(np.eye(n, dtype=complex)[0])
+    states = dict(zip(marks, _timeordered_pass(g, parts, t0, dt, marks, psi0.vector)))
     psi = psi0
     for k in range(steps):
+        if k in states:
+            assert np.array_equal(states[k], psi.vector), k
         psi = run_timeordered(g, parts, t0 + k * dt, dt, 1, psi)
+    assert np.array_equal(states[steps], psi.vector)
     run = run_timeordered(g, parts, t0, dt, steps, psi0)
     assert np.array_equal(run.vector, psi.vector)
     assert np.array_equal(run_timeordered(g, parts, t0, dt, 0, psi0).vector, psi0.vector)
@@ -645,8 +648,8 @@ def test_run_timeordered_is_repeated_single_steps(g):
 
 def test_one_pass_reads_every_mark_as_a_whole_run():
     # the state read at each mark of one pass is a whole run to that mark, bit
-    # for bit; the 750 factors fill one chunk of 455 (N = 3) and part of a
-    # second, and the marks fall inside both
+    # for bit; the 50 steps fill one chunk of 30 (N = 3) and part of a second,
+    # and the marks fall inside both
     g, parts = timeordered4(), _random_driven_parts(3, seed=5)
     t0, dt, steps = 0.3, 0.02, 50
     psi0 = QuantumState(np.eye(3, dtype=complex)[0])
@@ -658,8 +661,8 @@ def test_one_pass_reads_every_mark_as_a_whole_run():
 
 
 def test_run_driven_sets_up_once(monkeypatch):
-    # one setup and the chunks of one whole run (1024 factors at N = 2; 30
-    # steps of 15 stages fill one chunk, 100 steps two), however many rows
+    # one setup and the chunks of one whole run (68 steps of 15 stages at
+    # N = 2: 30 steps fill one chunk, 100 steps two), however many rows
     import expprod.propagate as propagate
 
     calls = []
@@ -686,6 +689,22 @@ def test_a_late_non_finite_stage_time_is_refused_before_any_f(monkeypatch):
     monkeypatch.setattr(propagate, "driven_two_level", lambda: parts)
     with pytest.raises(ValueError, match=r"stage time .* = inf at step k = 29 "):
         run_driven(timeordered4(), 1e307, 30, 5, 1e308)
+    assert calls == []
+
+
+def test_a_run_checks_the_stage_times_of_the_steps_it_takes():
+    # t0 + k*dt + tau*dt leaves the float range only at k = -1 here, or at
+    # k = 0 once t0 is positive: a 0-step run forms no stage time and returns
+    # its start state, and a 1-step run is refused before any f is called
+    calls = []
+    parts = {lab: (lambda t, f=f: calls.append(t) or f(t), h)
+             for lab, (f, h) in driven_two_level().items()}
+    up = QuantumState.up(2)
+    for t0 in (-1.7e308, 1.7e308):
+        psi = run_timeordered(timeordered2(), parts, t0, 1e308, 0, up)
+        assert np.array_equal(psi.vector, [1, 0])
+    with pytest.raises(ValueError, match=r"stage time .* = inf at step k = 0 "):
+        run_timeordered(timeordered2(), parts, 1.7e308, 1e308, 1, up)
     assert calls == []
 
 
@@ -723,7 +742,7 @@ def test_run_timeordered_diagonalises_no_sample(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape))
     psi = run_timeordered(timeordered4(), parts, 0.0, 0.05, 4, QuantumState.up(64))
     assert calls == []
-    assert abs(psi.norm - 1.0) < 1e-12
+    assert abs(np.linalg.norm(psi.vector) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("gap", [0.5, 1.0])
@@ -791,7 +810,7 @@ def test_step_count_is_at_least_one():
     assert step_count(1.0, 5.0) == step_count(1.0, 10.0) == 1
     # one step past 2 t_final measures the scheme's error there, not roundoff
     assert spin_error(strang(), GAMMA, 5.0, 1.0) > 1e-3
-    assert driven_error(timeordered2(), 5.0, 1.0) > 1e-3
+    assert driven_error(timeordered2(), [5.0], 1.0)[0] > 1e-3
 
 
 def test_driven_study_step_cap_is_checked_before_any_step(monkeypatch):
@@ -804,9 +823,9 @@ def test_driven_study_step_cap_is_checked_before_any_step(monkeypatch):
     # dt 1/n over t_final 1: n steps plus a 32 n-step reference
     n = propagate.MAX_DRIVEN_STEPS // 33
     with pytest.raises(AssertionError, match="stepped"):
-        driven_error(timeordered2(), 1.0 / n, 1.0)
+        driven_error(timeordered2(), [1.0 / n], 1.0)[0]
     with pytest.raises(ValueError, match=f"takes {33 * (n + 1)} steps"):
-        driven_error(timeordered2(), 1.0 / (n + 1), 1.0)
+        driven_error(timeordered2(), [1.0 / (n + 1)], 1.0)[0]
     # room for the largest driven grid of the tests: dt 1/4, 1/2 to t_final 99
     assert 396 + 198 + 32 * 396 < propagate.MAX_DRIVEN_STEPS
 
