@@ -200,6 +200,22 @@ def get_scheme(name: str) -> schemes.Scheme:
     return schemes.CATALOG[name]()
 
 
+def stepped_scheme(command: str, name: str, timed: bool) -> schemes.Scheme:
+    """The catalog scheme ``command`` steps; one whose slots it cannot step is
+    refused naming the commands that can: a scheme with a shift-time slot T
+    unless ``timed``, one without it when ``timed``."""
+    sch = get_scheme(name)
+    if timed and "T" not in sch.slots:
+        raise ConfigError(f"{command} needs a scheme with a T slot (slots=ABT in `scheme "
+                          "list`); step a two-slot scheme with `precession`, `umeno` or "
+                          "`converge --system spin`")
+    if not timed and "T" in sch.slots:
+        raise ConfigError(f"{command} steps two-slot schemes (slots=AB in `scheme list`); "
+                          "step a scheme with a T slot with `timedep` or "
+                          "`converge --system driven`")
+    return sch
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -297,7 +313,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    sch = get_scheme(args.scheme)
+    sch = stepped_scheme(f"converge --system {args.system}", args.scheme,
+                         timed=args.system == "driven")
     dts = parse_range(args.dt_list) if args.dt_list else None
     _require_positive(dt_list=dts, t_final=args.t_final)
     study = propagate.convergence(sch, args.system, dts, args.t_final)
@@ -339,7 +356,8 @@ def _emit_trajectory(args, header: list[str], rows) -> int:
 def cmd_precession(args) -> int:
     _require_positive(dt=args.dt, steps=args.steps, sample_every=args.sample_every)
     _require_finite(gamma=args.gamma)
-    method = "perturbative" if args.scheme == "perturbative" else get_scheme(args.scheme)
+    method = ("perturbative" if args.scheme == "perturbative"
+              else stepped_scheme("precession", args.scheme, timed=False))
     rows = propagate.run_precession(method, args.gamma, args.dt, args.steps,
                                     args.sample_every)
     return _emit_trajectory(args, ["t", "energy", "norm"], rows)
@@ -347,7 +365,8 @@ def cmd_precession(args) -> int:
 
 def cmd_umeno(args) -> int:
     _require_positive(dt=args.dt, steps=args.steps, sample_every=args.sample_every)
-    method = "euler" if args.scheme == "euler" else get_scheme(args.scheme)
+    method = ("euler" if args.scheme == "euler"
+              else stepped_scheme("umeno", args.scheme, timed=False))
     rows = propagate.run_umeno(method, args.dt, args.steps, args.sample_every)
     return _emit_trajectory(args, ["t", "energy", "q1", "q2"], rows)
 
@@ -355,9 +374,7 @@ def cmd_umeno(args) -> int:
 def cmd_timedep(args) -> int:
     _require_positive(dt=args.dt, steps=args.steps, sample_every=args.sample_every)
     _require_finite(t0=args.t0)
-    sch = get_scheme(args.scheme)
-    if "T" not in sch.slots:
-        raise ConfigError("timedep needs a scheme with a T slot (slots=ABT in `scheme list`)")
+    sch = stepped_scheme("timedep", args.scheme, timed=True)
     rows = propagate.run_driven(sch, args.dt, args.steps, args.sample_every, args.t0)
     return _emit_trajectory(args, ["t", "re0", "im0", "re1", "im1", "norm"], rows)
 

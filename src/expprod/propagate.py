@@ -22,8 +22,11 @@ exp(-i c dt f(t) w); a sampled run is one pass over chunks of whole steps,
 read at its marks.
 Classical side: a ``SeparableHamiltonian`` is |p|^2/2 + V(q); kick and
 drift are the exact flows of V and of |p|^2/2 (the generators are
-nilpotent), so every composed step is symplectic.  The deliberately bad
-first-order baselines for comparison runs are built inside
+nilpotent), so every composed step is symplectic.  ``run_umeno`` steps a
+scheme in Python floats as one stream of (kick, drift) items between two
+marks, each kick paired with the drift after it, with the float operations
+of applying the stages one by one, so its rows keep their bits.  The
+deliberately bad first-order baselines for comparison runs are built inside
 ``run_precession`` (the perturbative I - i dt H) and ``run_umeno`` (the
 Euler update); ``euler_step`` is that Euler update on its own, the tests'
 reference.
@@ -374,36 +377,57 @@ def umeno_hamiltonian() -> SeparableHamiltonian:
 UMENO_IC = PhasePoint(np.zeros(2), np.array([2.0, 1.0]))
 
 
+def _kick_drift_items(scheme: Scheme, dt: float) -> list[tuple[float | None, float | None]]:
+    """The plan of one step as (kick c dt, drift c dt) items in application order.
+
+    Each kick is paired with the drift that follows it; a drift with no kick
+    before it, or a kick with no drift after it, stands alone beside None.
+    """
+    items = []
+    for kind, c in _kick_drift_plan(scheme):
+        if kind == "drift" and items and items[-1][1] is None and items[-1][0] is not None:
+            items[-1] = (items[-1][0], c * dt)
+        else:
+            items.append((c * dt, None) if kind == "kick" else (None, c * dt))
+    return items
+
+
 def run_umeno(method, dt: float, steps: int, sample_every: int):
     """Time series (t, E, q1, q2) at ``sample_marks`` for the chaotic two-dof
     demo, from ``UMENO_IC``.
 
     ``method`` is a two-slot Scheme (kick/drift composition) or "euler".
+    Every step runs in Python float arithmetic.  A scheme's step is folded
+    once into (kick, drift) items, and each interval between marks steps one
+    stream of whole steps' items, the kick before the drift of an item; the
+    Euler update has its own loop.  Each float operation and its order are
+    those of applying the stages one by one, so the rows keep their bits.
     """
     (p1, p2), (q1, q2) = UMENO_IC.p.tolist(), UMENO_IC.q.tolist()
     rows = [(0.0, 0.5 * (p1 * p1 + p2 * p2) + 0.5 * q1 * q1 * q2 * q2, q1, q2)]
     if isinstance(method, str):
         if method != "euler":
             raise ValueError(f"unknown method {method!r}")
-        stepper = None
+        items, minus_dt = None, -dt
     else:
-        stepper = [(kind, c * dt) for kind, c in _kick_drift_plan(method)]
+        items = _kick_drift_items(method, dt)
+        stream = itertools.cycle(items)
     marks = sample_marks(steps, sample_every)
     for k, k_next in zip(marks, marks[1:]):
-        for _ in range(k_next - k):
-            if stepper is None:
-                dp1 = -dt * q1 * q2 * q2
-                dp2 = -dt * q1 * q1 * q2
+        if items is None:
+            for _ in range(k_next - k):
+                dp1 = minus_dt * q1 * q2 * q2
+                dp2 = minus_dt * q1 * q1 * q2
                 q1, q2 = q1 + dt * p1, q2 + dt * p2
                 p1, p2 = p1 + dp1, p2 + dp2
-            else:
-                for kind, c in stepper:
-                    if kind == "kick":
-                        p1 -= c * q1 * q2 * q2
-                        p2 -= c * q1 * q1 * q2
-                    else:
-                        q1 += c * p1
-                        q2 += c * p2
+        else:
+            for kick_c, drift_c in itertools.islice(stream, (k_next - k) * len(items)):
+                if kick_c is not None:
+                    p1 -= kick_c * q1 * q2 * q2
+                    p2 -= kick_c * q1 * q1 * q2
+                if drift_c is not None:
+                    q1 += drift_c * p1
+                    q2 += drift_c * p2
         energy = 0.5 * (p1 * p1 + p2 * p2) + 0.5 * q1 * q1 * q2 * q2
         rows.append((k_next * dt, energy, q1, q2))
     return rows

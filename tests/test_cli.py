@@ -518,6 +518,30 @@ def test_every_scheme_through_every_stepping_command(tmp_path, capsys, command, 
         assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command,name,expected", [
+    ("precession", "timeordered2",
+     "precession steps two-slot schemes (slots=AB in `scheme list`); step a scheme with a "
+     "T slot with `timedep` or `converge --system driven`"),
+    ("umeno", "timeordered4",
+     "umeno steps two-slot schemes (slots=AB in `scheme list`); step a scheme with a "
+     "T slot with `timedep` or `converge --system driven`"),
+    ("converge", "timeordered1",
+     "converge --system spin steps two-slot schemes (slots=AB in `scheme list`); step a "
+     "scheme with a T slot with `timedep` or `converge --system driven`"),
+    ("converge_driven", "strang",
+     "converge --system driven needs a scheme with a T slot (slots=ABT in `scheme list`); "
+     "step a two-slot scheme with `precession`, `umeno` or `converge --system spin`"),
+    ("timedep", "trotter",
+     "timedep needs a scheme with a T slot (slots=ABT in `scheme list`); step a two-slot "
+     "scheme with `precession`, `umeno` or `converge --system spin`"),
+], ids=["precession", "umeno", "converge", "converge_driven", "timedep"])
+def test_a_scheme_with_the_wrong_slots_names_the_commands_that_step_it(
+        capsys, command, name, expected):
+    code, out, err = run(capsys, *STEPPING_COMMANDS[command], "--scheme", name)
+    assert code == cli.CONFIG_ERROR
+    assert (out, err) == ("", f"config error: {expected}\n")
+
+
 # data files (and converge's stdout) recorded before the propagation layer
 # read schemes through one stage plan; static stepping must not move a bit.
 # The three unitary precession pins were re-recorded when the 2x2 step moved
@@ -1242,6 +1266,12 @@ _FUZZ_BASE = [
     ["precession", "--scheme", "strang", "--gamma", "0.75", "--dt", "0.01", "--steps", "20",
      "--sample-every", "10"],
     ["umeno", "--scheme", "strang", "--dt", "0.01", "--steps", "20", "--sample-every", "10"],
+    # the Euler loop, a kick-first plan of three full kick-drift pairs, and a
+    # shift-time scheme umeno refuses
+    ["umeno", "--scheme", "euler", "--dt", "0.01", "--steps", "20", "--sample-every", "10"],
+    ["umeno", "--scheme", "ruth", "--dt", "0.01", "--steps", "20", "--sample-every", "7"],
+    ["umeno", "--scheme", "timeordered2", "--dt", "0.01", "--steps", "20",
+     "--sample-every", "10"],
     ["timedep", "--scheme", "timeordered2", "--dt", "0.01", "--steps", "20", "--t0", "0",
      "--sample-every", "10"],
     ["qmc", "--model", _PAIR, "--n", "4", "--sweeps", "20", "--therm", "4", "--seed", "1"],

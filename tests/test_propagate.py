@@ -16,7 +16,9 @@ from expprod.propagate import (
     step_operator, symplectic_step, transverse_coupling_coefficient, umeno_hamiltonian,
     unitary_step,
 )
-from expprod.propagate import _hermitian_exp, _not_hermitian, _timeordered_pass
+from expprod.propagate import (
+    _hermitian_exp, _kick_drift_items, _kick_drift_plan, _not_hermitian, _timeordered_pass,
+)
 from expprod.schemes import (
     CATALOG, Scheme, Stage, hybrid_fourth, hybrid_second, ruth, stage_plan,
     strang, timeordered1, timeordered2, trotter,
@@ -396,6 +398,70 @@ def test_umeno_float_loop_matches_symplectic_step(name):
             expected.append((k * dt, h.energy(x), x.q[0], x.q[1]))
     rows = run_umeno(scheme, dt=dt, steps=2000, sample_every=300)
     np.testing.assert_allclose(rows, expected, rtol=1e-12, atol=0)
+
+
+def _umeno_per_step_loop(method, dt, steps, sample_every):
+    """The per-step float loop ``run_umeno`` replaced: each step runs the plan's
+    stages one by one, comparing each stage's kind; Euler tests for its method
+    and negates dt inside every step."""
+    (p1, p2), (q1, q2) = UMENO_IC.p.tolist(), UMENO_IC.q.tolist()
+    rows = [(0.0, 0.5 * (p1 * p1 + p2 * p2) + 0.5 * q1 * q1 * q2 * q2, q1, q2)]
+    stepper = None if method == "euler" else [(kind, c * dt)
+                                              for kind, c in _kick_drift_plan(method)]
+    marks = sample_marks(steps, sample_every)
+    for k, k_next in zip(marks, marks[1:]):
+        for _ in range(k_next - k):
+            if stepper is None:
+                dp1 = -dt * q1 * q2 * q2
+                dp2 = -dt * q1 * q1 * q2
+                q1, q2 = q1 + dt * p1, q2 + dt * p2
+                p1, p2 = p1 + dp1, p2 + dp2
+            else:
+                for kind, c in stepper:
+                    if kind == "kick":
+                        p1 -= c * q1 * q2 * q2
+                        p2 -= c * q1 * q1 * q2
+                    else:
+                        q1 += c * p1
+                        q2 += c * p2
+        energy = 0.5 * (p1 * p1 + p2 * p2) + 0.5 * q1 * q1 * q2 * q2
+        rows.append((k_next * dt, energy, q1, q2))
+    return rows
+
+
+# a drift first and a kick last (a lone drift, then a lone kick), and a kick
+# first and last (a pair, then a lone kick)
+_DRIFT_FIRST = Scheme(("A", "B"), (Stage("B", Fraction(1)), Stage("A", Fraction(1))),
+                      claimed_order=1)
+_KICK_FIRST_AND_LAST = Scheme(("A", "B"), (Stage("B", Fraction(1, 2)), Stage("A", Fraction(1)),
+                                           Stage("B", Fraction(1, 2))), claimed_order=1)
+_UMENO_METHODS = {**{name: CATALOG[name]() for name in
+                     ("trotter", "strang", "ruth", "suzuki4", "triple_jump4", "suzuki6")},
+                  "drift_first": _DRIFT_FIRST, "kick_first_and_last": _KICK_FIRST_AND_LAST,
+                  "euler": "euler"}
+
+
+@pytest.mark.parametrize("every", [1, 7, 300, 2001])
+@pytest.mark.parametrize("name", sorted(_UMENO_METHODS))
+def test_run_umeno_keeps_the_bits_of_the_per_step_loop(name, every):
+    method = _UMENO_METHODS[name]
+    rows = run_umeno(method, dt=1e-3, steps=2000, sample_every=every)
+    assert rows == _umeno_per_step_loop(method, 1e-3, 2000, every)
+
+
+@pytest.mark.parametrize("name,shape", [
+    ("trotter", [(True, True)]),
+    ("strang", [(False, True), (True, True)]),
+    ("ruth", [(True, True)] * 3),
+    ("suzuki4", [(False, True)] + [(True, True)] * 5),
+    ("drift_first", [(False, True), (True, False)]),
+    ("kick_first_and_last", [(True, True), (True, False)]),
+])
+def test_kick_drift_items_pair_each_kick_with_the_drift_after_it(name, shape):
+    items = _kick_drift_items(_UMENO_METHODS[name], 0.5)
+    assert [(kick is not None, drift is not None) for kick, drift in items] == shape
+    plan = [c * 0.5 for _, c in _kick_drift_plan(_UMENO_METHODS[name])]
+    assert [c for item in items for c in item if c is not None] == plan
 
 
 def test_sample_marks_end_at_the_last_step():
