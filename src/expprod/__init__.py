@@ -3,7 +3,7 @@
 Subpackages:
 
 - ``ncalg``      exact noncommutative series, Lyndon-basis Lie projection,
-                 dense-matrix operator calculus
+                 the dense commutator
 - ``schemes``    named splitting schemes and their catalog, fractal
                  compositions, shift-time expansion, JSON serialization
 - ``orders``     order-condition generation, verification, Newton solving

@@ -321,7 +321,7 @@ def cmd_converge(args) -> int:
     doc: dict = {"scheme": args.scheme, "system": args.system,
                  "dt": study.dts, "error": study.errors, "slope": study.slope}
     if study.slope is None:
-        doc["diagnostics"] = "fewer than 2 points above the roundoff floor"
+        doc["diagnostics"] = "fewer than 2 distinct dt above the roundoff floor"
     else:
         doc["points_used"] = study.points_used
     print(json.dumps(doc))

@@ -7,8 +7,8 @@ of x it multiplies.  Coefficients are exact rationals, promoted to
 polynomials over named parameters when symbolic stage coefficients are
 in play.
 
-The module provides stage exponentials, their products and the series
-logarithm, and the rewrite of homogeneous Lie elements into the Lyndon
+The module provides stage exponentials, their products and the logarithm
+of a product, and the rewrite of homogeneous Lie elements into the Lyndon
 basis of the free Lie algebra.  A stage is a generator with a coefficient;
 the generator is a label of the alphabet, a bracket tree over labels such
 as ``("B", ("A", "B"))`` (a label is a tree of one leaf), or a
@@ -25,9 +25,8 @@ each degree's residuals of the log off its numerators.  A product is a
 stage list or ``Copies``, scaled copies of a base product, whose
 numerators are built once and rescaled per copy.
 ``series_mul`` is the plain Fraction product, kept as the reference.
-A handful of dense-matrix utilities (commutator powers, the directional
-derivative of expm) back the numeric identities exercised by the tests;
-``frechet_exp`` alone needs scipy, which comes with the ``test`` extra.
+``commutator`` is the one dense-matrix function: ``propagate`` folds a
+bracket stage's matrix with it.
 ``LieCombination.to_json`` is the JSON of ``bch``; nothing reads a series
 back from JSON.
 """
@@ -373,14 +372,6 @@ def product_log(stages: Product, order: int,
     return _to_series(*_log_numerators(*_product_numerators(stages, order, labels)), labels)
 
 
-def series_log(s: NcSeries) -> NcSeries:
-    """Series logarithm: sum_{k>=1} (-1)^{k+1} (s - I)^k / k, truncated."""
-    if as_exact(s.constant_term()) != Fraction(1):
-        raise ValueError("series logarithm requires constant term exactly 1")
-    q = math.lcm(*map(_denominator, s.terms.values()))
-    return _to_series(*_log_numerators(_numerators(s.terms, q, s.order), q), s.labels)
-
-
 # ---------------------------------------------------------------------------
 # Lyndon words and the free Lie algebra
 # ---------------------------------------------------------------------------
@@ -515,9 +506,6 @@ class LieCombination:
                 _accumulate(out, word, c * mult)
         return out
 
-    def to_series(self, order: int) -> NcSeries:
-        return NcSeries(order, self.labels, self.word_expansion())
-
     def pretty(self) -> str:
         if not self.terms:
             return "0"
@@ -571,69 +559,8 @@ def lie_project(s: NcSeries) -> LieCombination:
 
 
 # ---------------------------------------------------------------------------
-# Dense-matrix operator calculus
+# Dense matrices
 # ---------------------------------------------------------------------------
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
-
-
-def delta_power(a: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """n-fold application of the inner derivation X -> [A, X]."""
-    out = np.asarray(x)
-    for _ in range(n):
-        out = commutator(a, out)
-    return out
-
-
-def left_minus_ad_power(a: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """Apply (L_A - delta_A)^n to X, expanded as a binomial of hyperoperators.
-
-    Left multiplication commutes with its own inner derivation, so the
-    binomial theorem applies term by term.
-    """
-    out = np.zeros_like(np.asarray(x, dtype=complex))
-    apow = np.eye(a.shape[0], dtype=complex)
-    apowers = [apow]
-    for _ in range(n):
-        apowers.append(apowers[-1] @ a)
-    for k in range(n + 1):
-        term = apowers[n - k] @ delta_power(a, x, k)
-        out = out + (-1) ** k * math.comb(n, k) * term
-    return out
-
-
-def conjugation_series(a: np.ndarray, b: np.ndarray, x: float, kmax: int = 12) -> np.ndarray:
-    """Truncated expansion sum_k x^k delta_A^k B / k!."""
-    out = np.zeros_like(np.asarray(b, dtype=complex))
-    term = np.asarray(b, dtype=complex)
-    out += term
-    for k in range(1, kmax + 1):
-        term = commutator(a, term) * (x / k)
-        out = out + term
-    return out
-
-
-def frechet_exp(a: np.ndarray, da: np.ndarray) -> np.ndarray:
-    """Directional derivative of the matrix exponential at A along dA.
-
-    Computed by the doubled-dimension block trick: expm([[A, dA], [0, A]])
-    carries the derivative in its upper-right block.  The block matrix is
-    not normal, so this takes scipy's ``expm``; scipy comes with the
-    ``test`` extra and is imported here only.
-    """
-    import scipy.linalg
-
-    a = np.asarray(a)
-    da = np.asarray(da)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("A must be a square matrix")
-    if a.shape != da.shape:
-        raise ValueError("A and dA must have identical shapes")
-    n = a.shape[0]
-    dtype = np.result_type(a.dtype, da.dtype, float)
-    block = np.zeros((2 * n, 2 * n), dtype=dtype)
-    block[:n, :n] = a
-    block[:n, n:] = da
-    block[n:, n:] = a
-    return scipy.linalg.expm(block)[:n, n:]

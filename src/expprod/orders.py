@@ -21,7 +21,7 @@ import numpy as np
 
 from .ncalg import lie_project, log_residuals, lyndon_words, product_log
 from .poly import CompiledPolys, RationalPoly
-from .schemes import Scheme
+from .schemes import Scheme, ruth
 
 # Truncation cap of the exact series work: condition generation and
 # order verification refuse a higher target order.
@@ -64,9 +64,6 @@ class OrderConditionSet:
     def compiled(self) -> CompiledPolys:
         """The equations compiled once; every solve and check of this set shares it."""
         return CompiledPolys((eq.poly for eq in self.equations), self.parameters)
-
-    def of_degree(self, degree: int) -> tuple[ConditionEq, ...]:
-        return tuple(eq for eq in self.equations if eq.degree == degree)
 
 
 @dataclass
@@ -282,15 +279,26 @@ def ruth_family(p6_values: Sequence[float]) -> list[FamilyPoint]:
     """Trace Ruth's one-parameter family of third-order ABABAB solutions.
 
     Each grid value pins the last stage coefficient p6; the solve starts
-    from the previous converged point (Ruth's solution seeds the point
-    nearest to p6 = 1).  Failed points are flagged and continuation
-    restarts from the nearest converged neighbor.
+    from the previous converged point (the first five coefficients of
+    ``schemes.ruth()`` seed the point nearest to p6 = 1).  Failed points are
+    flagged and continuation restarts from the nearest converged neighbor.
+
+    Every solution has p3 (6 p6 - 2) = 4 p6 - 1, a polynomial combination of
+    the conditions (the tests hold its cofactors), so no solution has
+    p6 = 1/3 and p3 diverges there.  A step from a point near the pole does
+    not reach the other side: on ``family --p6 0.2:1.4:0.05`` the last point
+    that converges is 0.35, while a grid that starts below 1/3 converges from
+    Ruth's seed.  A lex Groebner basis of the conditions (computed outside
+    this package) leaves p5 a root of a quadratic whose discriminant has the
+    sign of (4 p6 - 1)(12 p6^3 + 9 p6^2 - 6 p6 + 1), so no real solution has
+    -1.21708 < p6 < 1/4 (the cubic's one real root is -1.21708).  Toward
+    p6 = 1/4, p3 -> 0 while p2 and p4 diverge with opposite signs; below
+    -1.21708 ``solve`` converges again (checked at p6 = -1.25 ... -3).
     """
     conds = order_conditions("ABABAB", 3)
     p6_list = [float(v) for v in p6_values]
     points: list[FamilyPoint | None] = [None] * len(p6_list)
-    current = {"p1": 7.0 / 24.0, "p2": 2.0 / 3.0, "p3": 0.75, "p4": -2.0 / 3.0,
-               "p5": -1.0 / 24.0}
+    current = {p: float(stage.coeff) for p, stage in zip(conds.parameters[:5], ruth().stages)}
     solved: list[tuple[float, dict[str, float]]] = []
     # sweep outward from the seed-nearest grid point
     for idx in sorted(range(len(p6_list)), key=lambda i: abs(p6_list[i] - 1.0)):

@@ -11,15 +11,14 @@ a Hermitian matrix, taken once per call for each distinct stage target:
 a letter reads the cached one of its part, a commutator stage diagonalises
 its bracket (the matrices of its labels folded by ``ncalg.bracket_fold``)
 brought to Hermitian form.  So every stage is unitary to roundoff and the
-norm cannot drift.  ``stage_unitaries`` builds the factors of all stages of
-one target with one stacked exponential over that target's
-eigendecomposition, bit-identical to one factor at a time.  A part's matrix
-is checked Hermitian within 1e-12 (in the Frobenius norm, relative to
-max(1, ||H||)).  Time-ordered stepping needs no decomposition per stage
-time: a driven part f(t) H shares H's eigenvectors at every t, so a stage
-is a move into its slot's fixed eigenbasis and the phases
-exp(-i c dt f(t) w); a sampled run is one pass over chunks of whole steps,
-read at its marks.
+norm cannot drift.  ``stage_unitaries`` builds the factors of all stages
+with one stacked exponential over their targets' eigendecompositions,
+bit-identical to one factor at a time.  A part's matrix is checked
+Hermitian within 1e-12 (in the Frobenius norm, relative to max(1, ||H||)).
+Time-ordered stepping needs no decomposition per stage time: a driven part
+f(t) H shares H's eigenvectors at every t, so a stage is a move into its
+slot's fixed eigenbasis and the phases exp(-i c dt f(t) w); a sampled run
+is one pass over chunks of whole steps, read at its marks.
 Classical side: a ``SeparableHamiltonian`` is |p|^2/2 + V(q); kick and
 drift are the exact flows of V and of |p|^2/2 (the generators are
 nilpotent), so every composed step is symplectic.  ``run_umeno`` steps a
@@ -28,8 +27,7 @@ marks, each kick paired with the drift after it, with the float operations
 of applying the stages one by one, so its rows keep their bits.  The
 deliberately bad first-order baselines for comparison runs are built inside
 ``run_precession`` (the perturbative I - i dt H) and ``run_umeno`` (the
-Euler update); ``euler_step`` is that Euler update on its own, the tests'
-reference.
+Euler update).
 
 The ``cli`` commands only call this module and write what it returns: every
 trajectory run records rows at the steps ``sample_marks`` names, and
@@ -63,7 +61,7 @@ from .schemes import CATALOG, Scheme, stage_plan
 _CHUNK_BYTES = 1 << 16
 
 # the two-level fixture: A = sigma_z for the precession and driven systems,
-# sigma_x in their B and in the perturbational composition
+# sigma_x in their B
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Z.flags.writeable = _SIGMA_X.flags.writeable = False
@@ -110,10 +108,6 @@ class HermitianPart:
     def expfactor(self, z: complex) -> np.ndarray:
         """exp(z H) through the cached eigendecomposition."""
         return _hermitian_exp(self.eigenvalues, self.eigenvectors, z)
-
-    def reconstruction_error(self) -> float:
-        rebuilt = (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-        return float(np.linalg.norm(rebuilt - self.matrix))
 
 
 @dataclass
@@ -188,18 +182,18 @@ def stage_unitaries(scheme: Scheme, parts: Mapping, dt: float) -> np.ndarray:
     """Stage matrices in application (right-to-left) order for exp(-i dt H),
     as one (K, N, N) stack.
 
-    The stages of one target share its eigendecomposition and one stacked
-    exponential, which gives the same bits as building each factor on its own.
+    The stages of one target share its eigendecomposition, and all stages
+    take one stacked exponential, which gives the same bits as building each
+    factor on its own.
     """
     plan = _plan(scheme, parts)
-    pm = _parts_map(parts)
-    dim = next(iter(pm.values())).dim
-    out = np.empty((len(plan), dim, dim), dtype=complex)
-    for target, (w, v, power) in _target_eighs(plan, pm).items():
-        rows = [i for i, (t, _, _) in enumerate(plan) if t == target]
-        zs = np.array([-1j * plan[i][1] * dt ** power for i in rows])
-        out[rows] = _hermitian_exp(w, v, zs[:, None, None])
-    return out
+    table = _target_eighs(plan, _parts_map(parts))
+    row = {target: i for i, target in enumerate(table)}
+    rows = [row[target] for target, _, _ in plan]
+    w = np.array([vals for vals, _, _ in table.values()])[rows]
+    v = np.array([vecs for _, vecs, _ in table.values()])[rows]
+    zs = np.array([-1j * c * dt ** table[target][2] for target, c, _ in plan])
+    return _hermitian_exp(w[:, None, :], v, zs[:, None, None])
 
 
 def step_operator(scheme: Scheme, parts: Mapping, dt: float) -> np.ndarray:
@@ -282,29 +276,6 @@ def run_precession(method, gamma: float, dt: float, steps: int, sample_every: in
     return rows
 
 
-def dominant_period(times: Sequence[float], values: Sequence[float]) -> float:
-    """Period of the dominant oscillation via an interpolated FFT peak."""
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(values, dtype=float)
-    y = y - y.mean()
-    window = np.hanning(len(y))
-    spec = np.abs(np.fft.rfft(y * window))
-    spec[0] = 0.0
-    k = int(np.argmax(spec))
-    if 0 < k < len(spec) - 1:
-        # parabolic interpolation on the log magnitudes
-        la, lb, lc = (math.log(max(s, 1e-300)) for s in spec[k - 1:k + 2])
-        denom = la - 2 * lb + lc
-        shift = 0.5 * (la - lc) / denom if denom != 0 else 0.0
-        k_interp = k + max(-0.5, min(0.5, shift))
-    else:
-        k_interp = float(k)
-    dt_sample = t[1] - t[0]
-    total = dt_sample * len(y)
-    freq = k_interp / total
-    return 1.0 / freq
-
-
 # ---------------------------------------------------------------------------
 # Classical stepping
 # ---------------------------------------------------------------------------
@@ -359,11 +330,6 @@ def symplectic_step(scheme: Scheme, h: SeparableHamiltonian, dt: float,
     for kind, c in _kick_drift_plan(scheme):
         x = drift(c * dt, x) if kind == "drift" else kick(h, c * dt, x)
     return x
-
-
-def euler_step(h: SeparableHamiltonian, dt: float, x: PhasePoint) -> PhasePoint:
-    """Simultaneous first-order update; breaks phase-space volume."""
-    return PhasePoint(x.p - dt * h.grad_v(x.q), x.q + dt * x.p)
 
 
 def umeno_hamiltonian() -> SeparableHamiltonian:
@@ -431,23 +397,6 @@ def run_umeno(method, dt: float, steps: int, sample_every: int):
         energy = 0.5 * (p1 * p1 + p2 * p2) + 0.5 * q1 * q1 * q2 * q2
         rows.append((k_next * dt, energy, q1, q2))
     return rows
-
-
-def jacobian_determinant(step: Callable[[PhasePoint], PhasePoint], x: PhasePoint) -> float:
-    """det of the phase-space Jacobian of a map, by central differences of width 1e-6."""
-    h = 1e-6
-    base = np.concatenate([x.p, x.q])
-    n = base.size
-    jac = np.zeros((n, n))
-    for j in range(n):
-        plus = base.copy()
-        minus = base.copy()
-        plus[j] += h
-        minus[j] -= h
-        xp = step(PhasePoint(plus[:n // 2], plus[n // 2:]))
-        xm = step(PhasePoint(minus[:n // 2], minus[n // 2:]))
-        jac[:, j] = (np.concatenate([xp.p, xp.q]) - np.concatenate([xm.p, xm.q])) / (2 * h)
-    return float(np.linalg.det(jac))
 
 
 # ---------------------------------------------------------------------------
@@ -573,60 +522,13 @@ def run_driven(scheme3: Scheme, dt: float, steps: int, sample_every: int, t0: fl
 
 
 # ---------------------------------------------------------------------------
-# Perturbational composition
-# ---------------------------------------------------------------------------
-
-class LogBranchError(ValueError):
-    """The matrix-log eigenvalues straddle the principal branch cut."""
-
-
-def _principal_log_symmetric(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    if np.any(w <= 0):
-        raise LogBranchError(
-            "product eigenvalues reach the branch cut; reduce x")
-    return (v * np.log(w)) @ v.conj().T
-
-
-def transverse_coupling_coefficient(x: float) -> float:
-    """First-order transverse response of the symmetric weak-field product.
-
-    Numerically extracts the sigma_x component of dPhi/dgamma at gamma = 0,
-    where exp(Phi(x, gamma)) = exp(x gamma sx/2) exp(x sz) exp(x gamma sx/2),
-    via a central difference of half-width 1e-6 and the principal matrix
-    logarithm, divided by x.  The closed form is x*coth(x).
-    """
-    if x == 0:
-        return 1.0
-    mid = HermitianPart(_SIGMA_Z).expfactor(x)
-    sx_part = HermitianPart(_SIGMA_X)
-
-    def sigx_component(gamma: float) -> float:
-        cap = sx_part.expfactor(0.5 * x * gamma)
-        phi = _principal_log_symmetric(cap @ mid @ cap)
-        return float(np.trace(_SIGMA_X @ phi).real) / 2.0
-
-    derivative = (sigx_component(1e-6) - sigx_component(-1e-6)) / 2e-6
-    return derivative / x
-
-
-def perturbational_composition(x_grid: Sequence[float]) -> list[tuple[float, float, float]]:
-    """Rows (x, analytic x*coth x, numerically extracted coefficient)."""
-    rows = []
-    for x in x_grid:
-        analytic = 1.0 if x == 0 else x / math.tanh(x)
-        rows.append((float(x), analytic, transverse_coupling_coefficient(float(x))))
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # Empirical-order sweeps
 # ---------------------------------------------------------------------------
 
 def error_slope(dts: Sequence[float], errors: Sequence[float]) -> float:
     """Least-squares slope of log(error) against log(dt)."""
-    if len(dts) < 2:
-        raise ValueError("a slope needs at least 2 points")
+    if len(set(dts)) < 2:
+        raise ValueError("a slope needs at least 2 distinct dt")
     return float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
 
 
@@ -699,7 +601,8 @@ def driven_error(scheme3: Scheme, dts: Sequence[float], t_final: float) -> list[
 
 @dataclass(frozen=True)
 class Convergence:
-    """An error-vs-dt study; ``slope`` is None when fewer than 2 points are fit."""
+    """An error-vs-dt study; ``slope`` is None when the kept points have fewer
+    than 2 distinct dt."""
 
     dts: list[float]
     errors: list[float]
@@ -722,7 +625,8 @@ def convergence(scheme: Scheme, system: str = "spin", dts: Sequence[float] | Non
     Defaults: dt 1/4 ... 1/32 driven; spin 2^(-k/2), k = 0..8, from order 6
     on, else the precession period times 2^-k, k = 6..12; t_final 2 from
     order 6 on, else 1.  The fit keeps the points with dt ||H|| <= 1 whose error
-    tops the roundoff floor max(1e-13, 2 eps stages steps), eps = float64 epsilon.
+    tops the roundoff floor max(1e-13, 2 eps stages steps), eps = float64 epsilon;
+    a slope needs 2 distinct dt among them.
     """
     if system not in _FIT_NORM:
         raise ValueError(f"unknown system {system!r}; expected 'spin' or 'driven'")
@@ -741,5 +645,5 @@ def convergence(scheme: Scheme, system: str = "spin", dts: Sequence[float] | Non
         floor = max(1e-13, 2 * 2.2e-16 * len(scheme.stages) * step_count(t_final, dt))
         if err > floor and dt * _FIT_NORM[system] <= 1.0:
             kept.append((dt, err))
-    slope = error_slope(*zip(*kept)) if len(kept) >= 2 else None
+    slope = error_slope(*zip(*kept)) if len({dt for dt, _ in kept}) >= 2 else None
     return Convergence(list(dts), errors, t_final, slope, len(kept))

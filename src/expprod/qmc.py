@@ -8,10 +8,9 @@ of this map (u = beta*Gamma/n, gamma_n, delta_n and the sigma_x line), which
 every estimator and reference reads.  One evaluator reads the mapped
 system: for a (..., sites, n) stack of spin fields it sums, in integers,
 each bond over the layers and each spin times its ring neighbour; the
-action, the sampled observables and the enumeration all come from it, with
-one Ising energy -sum_b J_b zz_b summed in bond order.  At n = 1 a layer
-is its own ring neighbour, so the ring term is a constant that no flip
-changes.
+action and the sampled observables come from it, with one Ising energy
+-sum_b J_b zz_b summed in bond order.  At n = 1 a layer is its own ring
+neighbour, so the ring term is a constant that no flip changes.
 
 Sampling is checkerboard Metropolis over a replica axis.  The spins split
 into classes, a greedy colour of the site graph times a layer class (even
@@ -25,9 +24,8 @@ the same alone or in a batch (``anneal_batch``); ``metropolis_run`` and
 ``anneal`` are batches of one.  One exact reference anchors every
 estimator: a symmetric eigendecomposition of the symmetrised transfer
 matrix at finite n, or of the Hamiltonian at n = infinity, read out through
-one density matrix.  Configuration enumeration stays as an independent
-oracle, and a least-squares fit in 1/n extrapolates away the finite-n
-systematic error.
+one density matrix.  A least-squares fit in 1/n extrapolates away the
+finite-n systematic error.
 """
 
 from __future__ import annotations
@@ -593,50 +591,6 @@ def exact_reference(model: IsingModel, n: int | None = None) -> ExactObservables
                             sigma_x=sigma_x)
 
 
-def enumeration_reference(model: IsingModel, n: int) -> ExactObservables:
-    """The finite-n observables by summing all 2^(sites*n) configurations.
-
-    An oracle independent of ``exact_reference``, capped at 24 spins.  The
-    weights are e^(action - shift), with shift the running maximum of the
-    action over the chunks so far; the sums are rescaled when it grows, so
-    no weight overflows however cold the model.
-    """
-    nspin = model.sites * n
-    if nspin > 24:
-        raise ValueError("finite-n enumeration capped at sites*n <= 24")
-    coup = couplings(model, n)
-    count = 1 << nspin
-    chunk = min(count, 1 << 20)
-    shift = -math.inf
-    z_acc = 0.0
-    zz_acc = np.zeros(len(model.bonds))
-    tc_acc = 0.0
-    # spin (i, m) lives at bit i*n + m; chunks keep memory flat
-    for start in range(0, count, chunk):
-        idx = np.arange(start, min(start + chunk, count), dtype="<u4")
-        bits = np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1, bitorder="little")
-        spins = (bits[:, :nspin].view(np.int8) * 2 - 1).reshape(-1, model.sites, n)
-        bond, ring = _worldline_sums(model, spins)
-        action = -(model.beta / n) * _ising_energy(model, bond) + coup.gamma_n * ring
-        top = float(action.max())
-        if top > shift:
-            rescale = math.exp(shift - top)
-            z_acc, zz_acc, tc_acc = z_acc * rescale, zz_acc * rescale, tc_acc * rescale
-            shift = top
-        weights = np.exp(action - shift)
-        z_acc += float(weights.sum())
-        zz_acc += (weights @ bond) / n
-        tc_acc += float(weights @ ring) / nspin
-    bond_zz = list(zz_acc / z_acc)
-    trotter_corr = tc_acc / z_acc
-    diag_energy = float(_ising_energy(model, bond_zz))
-    sigma_x = coup.sigma_x(trotter_corr)
-    # the dropped delta_n constant restores the true Z
-    return ExactObservables(log_z=shift + math.log(z_acc) + nspin * coup.delta_n,
-                            bond_zz=bond_zz, trotter_corr=trotter_corr,
-                            diag_energy=diag_energy, sigma_x=sigma_x)
-
-
 def matrix_trace_bond_zz(model: IsingModel, n: int) -> list[float]:
     """Finite-n <sigma_z sigma_z> per bond, read from ``exact_reference``."""
     return exact_reference(model, n).bond_zz
@@ -814,14 +768,3 @@ def ferromagnetic_chain(sites: int, beta: float = 8.0, gamma: float = 2.5) -> Is
     bonds = tuple((i, i + 1, 1.0) for i in range(sites - 1))
     return IsingModel(sites=sites, bonds=bonds, gamma=gamma, beta=beta)
 
-
-def frustrated_square(beta: float = 16.0, gamma: float = 2.5) -> IsingModel:
-    """Four sites with competing couplings and a genuine single-flip trap.
-
-    Greedy descent from a quarter of the configurations ends in a local
-    minimum two energy units above the ground state, so an instant cold
-    quench is measurably worse than a slow field ramp.
-    """
-    bonds = ((0, 1, -2.0), (1, 2, -2.0), (2, 3, -2.0), (3, 0, -2.0),
-             (0, 2, -2.0), (1, 3, -1.0))
-    return IsingModel(sites=4, bonds=bonds, gamma=gamma, beta=beta)

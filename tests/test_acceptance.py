@@ -9,20 +9,24 @@ import math
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from expprod import orders, propagate, qmc
+from expprod import cli, orders, propagate, qmc
 from expprod.ncalg import lie_project, product_log
 from expprod.poly import RationalPoly
 from expprod.schemes import (
     CATALOG, evaluation_offsets, hybrid_fourth, ruth, strang, timeordered1,
     timeordered2, trotter,
 )
+import reference
 
 suzuki4, suzuki6, suzuki8, timeordered4 = (
     CATALOG[name] for name in ("suzuki4", "suzuki6", "suzuki8", "timeordered4"))
+FRUSTRATED4 = cli.load_model(
+    str(Path(__file__).resolve().parent.parent / "scripts" / "models" / "frustrated4.json"))
 
 
 @contextmanager
@@ -135,7 +139,7 @@ def test_criterion_5_structure_preservation():
         es = [r[1] for r in rows][1:]
         deviation = max(abs(e - 1) for e in es)
         assert deviation <= 1.0 * dt            # frozen regression constant C = 1.0
-        measured = propagate.dominant_period(ts, es)
+        measured = reference.dominant_period(ts, es)
         assert abs(measured - period) / period <= 0.02
 
         pert = propagate.run_precession("perturbative", gamma, dt, steps,
@@ -158,7 +162,7 @@ def test_criterion_5_structure_preservation():
         rng = np.random.default_rng(5)
         for scheme in (trotter(), strang(), suzuki4()):
             x = propagate.PhasePoint(rng.normal(size=2), rng.normal(size=2))
-            det = propagate.jacobian_determinant(
+            det = reference.jacobian_determinant(
                 lambda y: propagate.symplectic_step(scheme, h, 0.01, y), x)
             assert abs(det - 1.0) <= 1e-8
 
@@ -190,7 +194,7 @@ def test_criterion_6_timeordered_correctness():
 def test_criterion_7_perturbational_composition():
     with criterion(7, "weak-transverse-field coefficient equals x*coth(x)", 1.0):
         for x in (0.1, 0.5, 1.0, 2.0):
-            extracted = propagate.transverse_coupling_coefficient(x)
+            extracted = reference.transverse_coupling_coefficient(x)
             assert abs(extracted - x / math.tanh(x)) <= 1e-6
 
 
@@ -198,11 +202,10 @@ def test_criterion_8_qmc_exactness_ladder():
     with criterion(8, "enumeration / trace / sampling / extrapolation ladder", 600.0):
         single = qmc.IsingModel(sites=1, bonds=(), gamma=1.0, beta=1.0)
         pair = qmc.IsingModel(sites=2, bonds=((0, 1, 1.0),), gamma=1.0, beta=1.0)
-        frustrated4 = qmc.frustrated_square()
         chain6 = qmc.ferromagnetic_chain(6, beta=2.0, gamma=1.0)
         for model, n in [(single, 2), (single, 4), (pair, 2), (pair, 4), (pair, 8),
-                         (frustrated4, 2), (frustrated4, 4), (chain6, 3)]:
-            en = qmc.enumeration_reference(model, n)
+                         (FRUSTRATED4, 2), (FRUSTRATED4, 4), (chain6, 3)]:
+            en = reference.enumeration_reference(model, n)
             tr = qmc.exact_reference(model, n)
             for got, want in [(tr.log_z, en.log_z), (tr.trotter_corr, en.trotter_corr),
                               (tr.diag_energy, en.diag_energy), (tr.sigma_x, en.sigma_x),
@@ -235,7 +238,7 @@ def test_criterion_9_annealing_sanity():
                    for r in qmc.anneal_batch(chain, 8, sched, 60, range(20)))
         assert hits >= 19                        # >= 95% of 20 seeds
 
-        frus = qmc.frustrated_square()
+        frus = FRUSTRATED4
         eg = qmc.ground_energy_enumeration(frus)
         slow = sum(abs(r.energy - eg) < 1e-9
                    for r in qmc.anneal_batch(frus, 8, sched, 60, range(50)))

@@ -382,6 +382,16 @@ def test_converge_ruth_slope(capsys):
     assert abs(json.loads(out)["slope"] - 3.0) < 0.2
 
 
+@pytest.mark.parametrize("dt_list", ["0.1,0.1", "0.1,0.1,0.1"])
+def test_converge_at_one_distinct_dt_has_no_slope(capsys, dt_list):
+    # a repeated dt is one point of the fit, however often it is listed
+    code, out, err = run(capsys, "converge", "--scheme", "strang", "--dt-list", dt_list)
+    assert code == cli.NONCONVERGENCE
+    assert json.loads(out)["slope"] is None
+    assert json.loads(out)["diagnostics"] == "fewer than 2 distinct dt above the roundoff floor"
+    assert err == ""
+
+
 # ---------------------------------------------------------------------------
 # demo runs
 # ---------------------------------------------------------------------------
@@ -839,11 +849,8 @@ def test_fractional_sweep_counts_are_config_errors(chain_model, capsys, argv):
     assert "must be a whole number" in err
 
 
-def test_anneal_cli(tmp_path, capsys):
-    model = tmp_path / "frus.json"
-    from expprod.qmc import frustrated_square
-
-    model.write_text(json.dumps(frustrated_square().to_json()))
+def test_anneal_cli(capsys):
+    model = MODELS / "frustrated4.json"
     code, out, _ = run(capsys, "anneal", "--model", str(model), "--n", "8",
                        "--schedule", "2.5:1e-4:14", "--sweeps", "60", "--seed", "3")
     assert code == 0
@@ -866,8 +873,7 @@ def test_manifests_echo_the_resolved_configuration(tmp_path, capsys):
     assert code == 0
     manifest = json.loads((tmp_path / "suzuki4.json.manifest.json").read_text())
     assert manifest["config"] == {"action": "check", "name": "suzuki4", "order": 5}
-    model = tmp_path / "frus.json"
-    model.write_text(json.dumps(qmc.frustrated_square().to_json()))
+    model = MODELS / "frustrated4.json"
     ann = tmp_path / "anneal.json"
     code, _, _ = run(capsys, "anneal", "--model", str(model), "--sweeps", "2",
                      "--out", str(ann))
@@ -893,9 +899,8 @@ def test_json_commands_write_their_stdout_document(tmp_path, capsys, argv, resol
     assert resolved.items() <= manifest["config"].items()
 
 
-def test_anneal_one_stage_schedule_is_config_error(tmp_path, capsys):
-    model = tmp_path / "frus.json"
-    model.write_text(json.dumps(qmc.frustrated_square().to_json()))
+def test_anneal_one_stage_schedule_is_config_error(capsys):
+    model = MODELS / "frustrated4.json"
     code, out, err = run(capsys, "anneal", "--model", str(model),
                          "--schedule", "2.5:1e-4:1")
     assert code == cli.CONFIG_ERROR
@@ -1260,6 +1265,8 @@ _FUZZ_BASE = [
     ["solve", "--pattern", "ABA", "--order", "3", "--guess", "p1=0.5,p2=0.5,p3=0.5"],
     ["family", "--p6", "1,1.1"],
     ["converge", "--scheme", "strang", "--dt-list", "0.1:0.2:0.1", "--t-final", "0.5"],
+    # one distinct dt: no slope, exit 3
+    ["converge", "--scheme", "strang", "--dt-list", "0.1,0.1"],
     # a fuzzed --t-final 99 runs the dt/32 reference for 12672 steps, well under a second
     ["converge", "--scheme", "timeordered2", "--system", "driven", "--dt-list", "0.25,0.5",
      "--t-final", "1"],

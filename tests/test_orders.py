@@ -15,6 +15,7 @@ from expprod.poly import CompiledPolys, RationalPoly
 from expprod.schemes import (
     CATALOG, fractal, hybrid_fourth, hybrid_second, ruth, strang, trotter,
 )
+from reference import of_degree
 
 suzuki4 = CATALOG["suzuki4"]
 
@@ -43,7 +44,7 @@ def fractal_poly(mult, power):
 
 def test_first_order_conditions_are_sum_rules():
     conds = order_conditions("ABABAB", 1)
-    eqs = conds.of_degree(1)
+    eqs = of_degree(conds, 1)
     assert len(eqs) == 2
     p = {i: RationalPoly.var(f"p{i}") for i in range(1, 7)}
     assert eqs[0].poly == p[1] + p[3] + p[5] - 1
@@ -52,7 +53,7 @@ def test_first_order_conditions_are_sum_rules():
 
 def test_second_order_condition_reduces_to_q_form():
     conds = order_conditions("ABABAB", 2)
-    eq2 = conds.of_degree(2)
+    eq2 = of_degree(conds, 2)
     assert len(eq2) == 1
     p = {i: RationalPoly.var(f"p{i}") for i in range(1, 7)}
     reduced = (eq2[0].poly
@@ -98,16 +99,16 @@ def test_pattern_reversal_maps_conditions_onto_themselves():
 
     for degree in (1, 2, 3):
         orig = {}
-        for eq in conds.of_degree(degree):
+        for eq in of_degree(conds, degree):
             orig[str(eq.poly)] = eq.poly
-        for eq in rev.of_degree(degree):
+        for eq in of_degree(rev, degree):
             cand = mapped(eq.poly)
             assert any(cand == q or cand == q * Fraction(-1) for q in orig.values())
 
 
 def test_even_conditions_vanish_under_palindromic_parameters():
     conds = order_conditions("ABA", 2)
-    eq2 = conds.of_degree(2)[0].poly
+    eq2 = of_degree(conds, 2)[0].poly
     assert eq2.subs("p3", RationalPoly.var("p1")).is_zero()
 
 
@@ -642,6 +643,32 @@ def test_family_converged_points_have_small_residuals():
 def test_family_flags_the_complex_region():
     points = ruth_family([0.0])
     assert not points[0].converged
+
+
+def test_family_p3_has_a_pole_at_one_third():
+    # with p1 and p2 fixed by the sum rules, p3 (6 p6 - 2) - (4 p6 - 1) is a
+    # polynomial combination of the three other conditions: no solution has p6 = 1/3
+    p = {i: RationalPoly.var(f"p{i}") for i in range(1, 7)}
+    e2, e3a, e3b = (eq.poly.subs("p1", 1 - p[3] - p[5]).subs("p2", 1 - p[4] - p[6])
+                    for eq in order_conditions("ABABAB", 3).equations[2:])
+    c2 = (12 * p[3] * p[4] + 24 * p[3] * p[6] - 12 * p[3] + 12 * p[5] * p[6] - 12 * p[5]
+          - 12 * p[6] + 6)
+    assert c2 * e2 + (24 * p[6] - 24) * e3a - 24 * p[3] * e3b == (
+        6 * p[3] * p[6] - 2 * p[3] - 4 * p[6] + 1)
+
+
+def test_family_points_keep_the_p3_identity_on_both_sides_of_the_pole():
+    above = ruth_family([1.4, 1.0, 0.6, 0.4, 0.35, 0.34])
+    below = ruth_family([0.3, 0.28, 0.26, 0.255, 0.252, 0.251, 0.2505])
+    for pt in above + below:
+        assert pt.converged
+        p3 = pt.solution["p3"]
+        assert abs(p3 - (4 * pt.p6 - 1) / (2 * (3 * pt.p6 - 1))) <= 1e-13 * max(1.0, abs(p3))
+    # toward p6 = 1/4, p3 -> 0 while |p2| grows without bound
+    p2 = [abs(pt.solution["p2"]) for pt in below]
+    assert all(a < b for a, b in zip(p2, p2[1:])) and p2[-1] > 3
+    # a step from a point near the pole does not reach the other side
+    assert [pt.converged for pt in ruth_family([0.35, 0.3])] == [True, False]
 
 
 def test_family_csv_format(capsys):

@@ -7,14 +7,11 @@ import scipy.linalg
 
 from expprod.ncalg import bracket_fold, bracket_leaves, commutator
 from expprod.propagate import (
-    UMENO_IC, HermitianPart, LogBranchError, PhasePoint, QuantumState,
-    SeparableHamiltonian, convergence, dominant_period, driven_error,
-    driven_two_level, drift, error_slope, euler_step,
-    hermitian_pair_error, jacobian_determinant, kick, perturbational_composition,
+    UMENO_IC, HermitianPart, PhasePoint, QuantumState, SeparableHamiltonian, convergence,
+    driven_error, driven_two_level, drift, error_slope, hermitian_pair_error, kick,
     precession_period, run_driven, run_precession, run_timeordered,
     run_umeno, sample_marks, spin_error, spin_parts, stage_unitaries, step_count,
-    step_operator, symplectic_step, transverse_coupling_coefficient, umeno_hamiltonian,
-    unitary_step,
+    step_operator, symplectic_step, umeno_hamiltonian, unitary_step,
 )
 from expprod.propagate import (
     _hermitian_exp, _kick_drift_items, _kick_drift_plan, _not_hermitian, _timeordered_pass,
@@ -22,6 +19,10 @@ from expprod.propagate import (
 from expprod.schemes import (
     CATALOG, Scheme, Stage, hybrid_fourth, hybrid_second, ruth, stage_plan,
     strang, timeordered1, timeordered2, trotter,
+)
+from reference import (
+    LogBranchError, _principal_log_symmetric, dominant_period, euler_step,
+    jacobian_determinant, reconstruction_error, transverse_coupling_coefficient,
 )
 
 suzuki4, suzuki6, suzuki8, timeordered4 = (
@@ -73,7 +74,7 @@ def test_eigendecomposition_reconstructs():
     rng = np.random.default_rng(0)
     m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     h = HermitianPart((m + m.conj().T) / 2)
-    assert h.reconstruction_error() < 1e-12
+    assert reconstruction_error(h) < 1e-12
 
 
 def test_expfactor_is_unitary():
@@ -527,6 +528,14 @@ def test_convergence_fits_only_points_above_the_floor_and_under_the_cap():
         convergence(strang(), system="dense")
 
 
+def test_a_slope_needs_two_distinct_dt():
+    study = convergence(strang(), "spin", [0.1, 0.1])
+    assert study.slope is None and study.points_used == 2
+    assert convergence(strang(), "spin", [0.1, 0.05, 0.1]).slope == pytest.approx(2.0, abs=0.2)
+    with pytest.raises(ValueError, match="2 distinct dt"):
+        error_slope([0.1, 0.1, 0.1], [1e-3, 1e-3, 1e-3])
+
+
 def test_hybrid_fourth_slope_on_random_hermitian_pairs():
     rng = np.random.default_rng(7)
 
@@ -967,7 +976,8 @@ def test_run_timeordered_refuses_a_non_finite_stage_time():
 
 def test_transverse_coefficient_limits():
     assert transverse_coupling_coefficient(0) == 1.0
-    rows = perturbational_composition([0.0, 0.01, 0.1])
+    rows = [(x, 1.0 if x == 0 else x / math.tanh(x), transverse_coupling_coefficient(x))
+            for x in (0.0, 0.01, 0.1)]
     for x, analytic, extracted in rows:
         assert extracted == pytest.approx(analytic, abs=1e-6)
         assert analytic == pytest.approx(1.0, abs=0.01)
@@ -985,7 +995,5 @@ def test_transverse_coefficient_grows_linearly():
 
 
 def test_branch_guard_raises_helpfully():
-    from expprod.propagate import _principal_log_symmetric
-
     with pytest.raises(LogBranchError):
         _principal_log_symmetric(np.array([[-1.0, 0.0], [0.0, 1.0]]))

@@ -10,10 +10,11 @@ from expprod import qmc
 from expprod.qmc import (
     FrozenTrotterError, IsingModel, _update_classes, _worldline_sums,
     anneal, anneal_batch, anneal_schedule, classical_action, couplings, diagonal_energy,
-    enumeration_reference, exact_reference, extrapolate_values, ferromagnetic_chain,
-    frustrated_square, ground_energy_enumeration, hamiltonian_parts, matrix_trace_bond_zz,
+    exact_reference, extrapolate_values, ferromagnetic_chain,
+    ground_energy_enumeration, hamiltonian_parts, matrix_trace_bond_zz,
     check_kept_sweeps, metropolis_run, trotter_extrapolate,
 )
+from reference import enumeration_reference
 
 MODELS = Path(__file__).resolve().parent.parent / "scripts" / "models"
 SINGLE = IsingModel(sites=1, bonds=(), gamma=1.0, beta=1.0)
@@ -389,9 +390,9 @@ def test_accumulated_action_matches_full_recompute():
 
 
 _CLASS_MODELS = pytest.mark.parametrize("model", [
-    PAIR, FRUSTRATED4, frustrated_square(), ferromagnetic_chain(5), SINGLE,
+    PAIR, FRUSTRATED4, CHAIN6, ferromagnetic_chain(5), SINGLE,
     IsingModel(sites=3, bonds=(), gamma=1.0, beta=1.0),
-], ids=["pair", "frustrated4", "frustrated_square", "chain5", "site", "bondless3"])
+], ids=["pair", "frustrated4", "chain6", "chain5", "site", "bondless3"])
 
 
 @_CLASS_MODELS
@@ -508,7 +509,7 @@ def test_mc_extrapolation_within_combined_errors():
 
 def test_schedule_must_decrease():
     with pytest.raises(ValueError):
-        anneal(frustrated_square(), 4, [1.0, 1.0], 10, 0)
+        anneal(FRUSTRATED4, 4, [1.0, 1.0], 10, 0)
 
 
 def test_zero_gamma_clamped_with_warning():
@@ -527,9 +528,9 @@ def test_ground_energy_enumeration_chain():
 @pytest.mark.parametrize("n", [8, 5])
 def test_anneal_batch_is_bit_identical_to_per_seed_runs(n):
     sched = anneal_schedule(2.5, 1e-3, 5)
-    batch = anneal_batch(frustrated_square(), n, sched, 10, [3, 0, 7])
+    batch = anneal_batch(FRUSTRATED4, n, sched, 10, [3, 0, 7])
     for seed, got in zip([3, 0, 7], batch):
-        alone = anneal(frustrated_square(), n, sched, 10, seed)
+        alone = anneal(FRUSTRATED4, n, sched, 10, seed)
         assert got.seed == alone.seed == seed
         assert got.energy == alone.energy
         assert got.stage_energies == alone.stage_energies
@@ -544,7 +545,7 @@ def test_chain_annealing_reaches_ground_state():
 
 
 def test_frustrated_instance_majority_and_quench_gap():
-    frus = frustrated_square()
+    frus = FRUSTRATED4
     eg = ground_energy_enumeration(frus)
     assert eg == -5.0
     sched = anneal_schedule()
