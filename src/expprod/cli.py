@@ -425,9 +425,8 @@ def cmd_extrapolate(args) -> int:
     result = qmc.trotter_extrapolate(model, n_list, sweeps, args.seed,
                                      observable=args.observable)
     doc = {
-        "c0": result.c0, "c1": result.c1, "c2": result.c2,
+        "c0": result.c0, "c2": result.c2, "c4": result.c4,
         "c0_std_error": result.c0_std_error,
-        "dominant_power": result.dominant_power,
         "n_list": result.n_list, "values": result.values,
         "errors": result.errors, "residuals": result.residuals,
         "observable": args.observable,
@@ -584,7 +583,8 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
         if flag not in flags:
             raise ConfigError(f"unknown config key {key!r} for {command}")
         if flag not in rest and value is not None:
-            injected.extend([flag, str(value)])
+            # one token, so that a value starting with "-" is not read as a flag
+            injected.append(f"{flag}={value}")
     return rest[:1] + injected + rest[1:]
 
 

@@ -625,8 +625,8 @@ def convergence(scheme: Scheme, system: str = "spin", dts: Sequence[float] | Non
     Defaults: dt 1/4 ... 1/32 driven; spin 2^(-k/2), k = 0..8, from order 6
     on, else the precession period times 2^-k, k = 6..12; t_final 2 from
     order 6 on, else 1.  The fit keeps the points with dt ||H|| <= 1 whose error
-    tops the roundoff floor max(1e-13, 2 eps stages steps), eps = float64 epsilon;
-    a slope needs 2 distinct dt among them.
+    tops the roundoff floor max(1e-13, 2 eps stages steps), eps = float64 epsilon,
+    each distinct dt once; a slope needs 2 of them.
     """
     if system not in _FIT_NORM:
         raise ValueError(f"unknown system {system!r}; expected 'spin' or 'driven'")
@@ -640,10 +640,10 @@ def convergence(scheme: Scheme, system: str = "spin", dts: Sequence[float] | Non
         t_final = 2.0 if high else 1.0
     errors = (driven_error(scheme, dts, t_final) if system == "driven"
               else [spin_error(scheme, _SPIN_GAMMA, dt, t_final) for dt in dts])
-    kept = []
+    kept = {}  # each distinct dt once, however often it is listed
     for dt, err in zip(dts, errors):
         floor = max(1e-13, 2 * 2.2e-16 * len(scheme.stages) * step_count(t_final, dt))
         if err > floor and dt * _FIT_NORM[system] <= 1.0:
-            kept.append((dt, err))
-    slope = error_slope(*zip(*kept)) if len({dt for dt, _ in kept}) >= 2 else None
+            kept[dt] = err
+    slope = error_slope(list(kept), list(kept.values())) if len(kept) >= 2 else None
     return Convergence(list(dts), errors, t_final, slope, len(kept))

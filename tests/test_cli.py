@@ -392,6 +392,18 @@ def test_converge_at_one_distinct_dt_has_no_slope(capsys, dt_list):
     assert err == ""
 
 
+def test_converge_fits_a_repeated_dt_once(capsys):
+    code, out, _ = run(capsys, "converge", "--scheme", "strang", "--dt-list", "0.1,0.05,0.1")
+    assert code == 0
+    repeated = json.loads(out)
+    code, out, _ = run(capsys, "converge", "--scheme", "strang", "--dt-list", "0.1,0.05")
+    assert code == 0
+    distinct = json.loads(out)
+    assert repeated["dt"] == [0.1, 0.05, 0.1]
+    assert repeated["points_used"] == distinct["points_used"] == 2
+    assert repeated["slope"] == distinct["slope"]
+
+
 # ---------------------------------------------------------------------------
 # demo runs
 # ---------------------------------------------------------------------------
@@ -1022,8 +1034,10 @@ def test_extrapolate_cli(tmp_path, chain_model, capsys):
                        "--n-list", "4,6,8", "--sweeps", "0")
     assert code == 0
     doc = json.loads(out)
-    assert doc["dominant_power"] in (1, 2)
-    assert abs(doc["c0"] - 0.5169083255250205) < 2e-3
+    assert set(doc) == {"c0", "c2", "c4", "c0_std_error", "n_list", "values", "errors",
+                        "residuals", "observable"}
+    assert abs(doc["c0"] - 0.5169083255250205) < 2e-6
+    assert doc["c0_std_error"] == 0.0
 
 
 def test_extrapolate_needs_two_kept_sweeps(capsys):
@@ -1080,7 +1094,7 @@ def test_extrapolate_cold_model_is_finite(tmp_path, capsys, observable):
                        "--sweeps", "0", "--observable", observable)
     assert code == 0
     doc = _strict_json(out)
-    assert all(math.isfinite(v) for v in [doc["c0"], doc["c1"], doc["c2"], *doc["values"]])
+    assert all(math.isfinite(v) for v in [doc["c0"], doc["c2"], doc["c4"], *doc["values"]])
 
 
 @pytest.mark.parametrize("sweeps", ["0", "20"])
@@ -1166,6 +1180,22 @@ def test_a_value_argparse_refuses_returns_config_error(tmp_path, capsys, via_con
     assert code == cli.CONFIG_ERROR
     assert out == ""
     assert "invalid int value: 'abc'" in err
+
+
+def test_family_takes_a_negative_p6_start_joined_or_from_a_config(tmp_path, capsys):
+    # --p6 -3:... reads the value as a flag; joined with "=" it is the value,
+    # and a config value is injected joined
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p6": "-3:-1.25:0.25"}))
+    code, joined, _ = run(capsys, "family", "--p6=-3:-1.25:0.25")
+    assert code == 0
+    code, from_config, _ = run(capsys, "--config", str(cfg), "family")
+    assert code == 0
+    assert from_config == joined
+    rows = [line.split(",") for line in joined.splitlines()[1:]]
+    # the real branch below p6 = -1.21708
+    assert [float(row[0]) for row in rows] == [-3 + 0.25 * k for k in range(8)]
+    assert all(row[-1] == "true" for row in rows)
 
 
 def test_help_still_exits_zero(capsys):
@@ -1264,9 +1294,13 @@ _FUZZ_BASE = [
     # no third-order ABA scheme: every iteration's line search is screened
     ["solve", "--pattern", "ABA", "--order", "3", "--guess", "p1=0.5,p2=0.5,p3=0.5"],
     ["family", "--p6", "1,1.1"],
+    # a negative start, joined to its flag
+    ["family", "--p6=-3:-1.25:0.25"],
     ["converge", "--scheme", "strang", "--dt-list", "0.1:0.2:0.1", "--t-final", "0.5"],
     # one distinct dt: no slope, exit 3
     ["converge", "--scheme", "strang", "--dt-list", "0.1,0.1"],
+    # a repeated dt among distinct ones, fitted once
+    ["converge", "--scheme", "strang", "--dt-list", "0.1,0.05,0.1"],
     # a fuzzed --t-final 99 runs the dt/32 reference for 12672 steps, well under a second
     ["converge", "--scheme", "timeordered2", "--system", "driven", "--dt-list", "0.25,0.5",
      "--t-final", "1"],
@@ -1295,16 +1329,21 @@ _FUZZ_TOKENS = ["0", "-1", "99", "nan", "inf", "-inf", "1e308", "1/0", "abc", ""
 
 
 def _fuzz_cases():
-    """(base, value index, piece index or None for the whole value)."""
+    """(base, value index, piece index or None for the whole value).
+
+    A joined ``--flag=value`` keeps its flag: only the value's pieces are fuzzed.
+    """
     cases = []
     for base in _FUZZ_BASE:
         for i, arg in enumerate(base[1:], start=1):
-            if arg.startswith("--"):
+            joined = arg.startswith("--")
+            if joined and "=" not in arg:
                 continue
             pieces = re.split(r"[,:=]", arg)
-            cases.append((base, i, None))
+            if not joined:
+                cases.append((base, i, None))
             if len(pieces) > 1:
-                cases.extend((base, i, k) for k in range(len(pieces)))
+                cases.extend((base, i, k) for k in range(joined, len(pieces)))
     return cases
 
 

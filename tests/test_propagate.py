@@ -529,9 +529,13 @@ def test_convergence_fits_only_points_above_the_floor_and_under_the_cap():
 
 
 def test_a_slope_needs_two_distinct_dt():
+    # a repeated dt is one point of the fit
     study = convergence(strang(), "spin", [0.1, 0.1])
-    assert study.slope is None and study.points_used == 2
-    assert convergence(strang(), "spin", [0.1, 0.05, 0.1]).slope == pytest.approx(2.0, abs=0.2)
+    assert study.slope is None and study.points_used == 1
+    repeated = convergence(strang(), "spin", [0.1, 0.05, 0.1])
+    distinct = convergence(strang(), "spin", [0.1, 0.05])
+    assert repeated.slope == distinct.slope == pytest.approx(2.0, abs=0.2)
+    assert repeated.points_used == distinct.points_used == 2
     with pytest.raises(ValueError, match="2 distinct dt"):
         error_slope([0.1, 0.1, 0.1], [1e-3, 1e-3, 1e-3])
 
