@@ -201,10 +201,14 @@ def get_scheme(name: str) -> schemes.Scheme:
 
 
 def stepped_scheme(command: str, name: str, timed: bool) -> schemes.Scheme:
-    """The catalog scheme ``command`` steps; one whose slots it cannot step is
+    """The catalog scheme ``command`` steps; one whose stages it cannot step is
     refused naming the commands that can: a scheme with a shift-time slot T
-    unless ``timed``, one without it when ``timed``."""
+    unless ``timed``, one without it when ``timed``, and one with a commutator
+    stage in ``umeno``."""
     sch = get_scheme(name)
+    if command == "umeno" and any(st.is_commutator() for st in sch.stages):
+        raise ConfigError("umeno steps no commutator stage; step a scheme with commutator "
+                          "stages with `precession` or `converge --system spin`")
     if timed and "T" not in sch.slots:
         raise ConfigError(f"{command} needs a scheme with a T slot (slots=ABT in `scheme "
                           "list`); step a two-slot scheme with `precession`, `umeno` or "
@@ -409,7 +413,6 @@ def cmd_anneal(args) -> int:
     doc = {
         "energy": result.energy,
         "configuration": [int(s) for s in result.configuration],
-        "gamma_floor_hit": result.gamma_floor_hit,
         "stage_energies": result.stage_energies,
         "seed": result.seed,
         "schedule": sched,

@@ -313,22 +313,14 @@ def kick(h: SeparableHamiltonian, dt: float, x: PhasePoint) -> PhasePoint:
     return PhasePoint(x.p - dt * h.grad_v(x.q), x.q)
 
 
-def _kick_drift_plan(scheme: Scheme) -> list[tuple[str, float]]:
-    """(kind, coeff) per stage in application order: slot A drifts, slot B kicks."""
-    flows = {"A": "drift", "B": "kick"}
-    plan = []
-    for target, c, _ in _plan(scheme, flows):
-        if not isinstance(target, str):
-            raise ValueError("commutator stages are not supported in classical stepping")
-        plan.append((flows[target], c))
-    return plan
-
-
 def symplectic_step(scheme: Scheme, h: SeparableHamiltonian, dt: float,
                     x: PhasePoint) -> PhasePoint:
     """Compose kick/drift maps per the scheme stages (right to left)."""
-    for kind, c in _kick_drift_plan(scheme):
-        x = drift(c * dt, x) if kind == "drift" else kick(h, c * dt, x)
+    for kick_c, drift_c in _kick_drift_items(scheme, dt):
+        if kick_c is not None:
+            x = kick(h, kick_c, x)
+        if drift_c is not None:
+            x = drift(drift_c, x)
     return x
 
 
@@ -344,17 +336,20 @@ UMENO_IC = PhasePoint(np.zeros(2), np.array([2.0, 1.0]))
 
 
 def _kick_drift_items(scheme: Scheme, dt: float) -> list[tuple[float | None, float | None]]:
-    """The plan of one step as (kick c dt, drift c dt) items in application order.
+    """One step's stages as (kick c dt, drift c dt) items in application
+    order: slot A drifts, slot B kicks.
 
     Each kick is paired with the drift that follows it; a drift with no kick
     before it, or a kick with no drift after it, stands alone beside None.
     """
     items = []
-    for kind, c in _kick_drift_plan(scheme):
-        if kind == "drift" and items and items[-1][1] is None and items[-1][0] is not None:
+    for target, c, _ in _plan(scheme, dict.fromkeys("AB")):
+        if not isinstance(target, str):
+            raise ValueError("commutator stages are not supported in classical stepping")
+        if target == "A" and items and items[-1][1] is None and items[-1][0] is not None:
             items[-1] = (items[-1][0], c * dt)
         else:
-            items.append((c * dt, None) if kind == "kick" else (None, c * dt))
+            items.append((c * dt, None) if target == "B" else (None, c * dt))
     return items
 
 

@@ -21,7 +21,10 @@ Swendsen-Wang move along the Trotter axis follows, one site colour at a
 time, so that world-lines decorrelate in a few sweeps at large n.  Every
 replica draws its uniforms from its own generator, so a seed's chain is
 the same alone or in a batch (``anneal_batch``); ``metropolis_run`` and
-``anneal`` are batches of one.  One exact reference anchors every
+``anneal`` are batches of one.  A run keeps per sweep only the float
+traces of its observables, and an anneal checks every field of its
+schedule with ``couplings`` before the first sweep, so a field of 0 is
+refused, not run.  One exact reference anchors every
 estimator: a symmetric eigendecomposition of the symmetrised transfer
 matrix at finite n, or of the Hamiltonian at n = infinity, read out through
 one density matrix.  A least-squares fit in 1/n^2 and 1/n^4 extrapolates
@@ -32,7 +35,6 @@ in 1/n.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -83,11 +85,6 @@ class IsingModel:
                                 _json_number(w, "a bond weight")) for i, j, w in bonds),
                    gamma=_json_number(doc["gamma"], "gamma"),
                    beta=_json_number(doc["beta"], "beta"))
-
-    def to_json(self) -> dict:
-        return {"sites": self.sites,
-                "bonds": [[i, j, jij] for i, j, jij in self.bonds],
-                "gamma": self.gamma, "beta": self.beta}
 
     def with_gamma(self, gamma: float) -> "IsingModel":
         return IsingModel(self.sites, self.bonds, gamma, self.beta)
@@ -208,10 +205,9 @@ class ObservableStats:
 class RunStats:
     """Binned means and standard errors of the sampled observables.
 
-    ``traces`` holds the per-sweep series behind them (one entry per kept
-    sweep): the bond-averaged ``bond_zz``, ``trotter_corr``, ``diag_energy``,
-    ``sigma_x`` and the exact ``config_index`` of the spin field.  It is not
-    part of the JSON record.
+    ``traces`` holds the per-sweep series behind them (one float per kept
+    sweep): the bond-averaged ``bond_zz``, ``trotter_corr``, ``diag_energy``
+    and ``sigma_x``.  It is not part of the JSON record.
     """
 
     sweeps: int
@@ -456,7 +452,6 @@ def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
                      dtype=np.int8)
     bond = np.empty((keep, len(model.bonds)), dtype=np.int64)
     ring = np.empty(keep, dtype=np.int64)
-    configs: list[int] = []
     for k in range(sweeps):
         sampler.sweep()
         if k < therm:
@@ -466,11 +461,7 @@ def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
         block[row] = sampler.spins[0]
         if row == len(block) - 1 or r == keep - 1:
             rows = slice(r - row, r + 1)
-            fields = block[:row + 1]
-            bond[rows], ring[rows] = _worldline_sums(model, fields)
-            # spin (i, m) is bit i*n + m; Python ints, so exact at any size
-            bits = np.packbits(fields.reshape(len(fields), -1) > 0, axis=1, bitorder="little")
-            configs.extend(int.from_bytes(word.tobytes(), "little") for word in bits)
+            bond[rows], ring[rows] = _worldline_sums(model, block[:row + 1])
     bond_tr = bond / n
     tc_tr = ring / (model.sites * n)
     de_tr = _ising_energy(model, bond_tr)
@@ -478,7 +469,6 @@ def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
     traces = {
         "bond_zz": bond_tr.mean(axis=1) if model.bonds else np.zeros(keep),
         "trotter_corr": tc_tr, "diag_energy": de_tr, "sigma_x": sx_tr,
-        "config_index": np.array(configs, dtype=np.int64 if model.sites * n <= 63 else object),
     }
     return RunStats(
         sweeps=sweeps, therm=therm, n=n, seed=seed,
@@ -680,15 +670,10 @@ def trotter_extrapolate(model: IsingModel, n_list: Sequence[int], sweeps: int,
 # Annealing
 # ---------------------------------------------------------------------------
 
-# the field a schedule's Gamma = 0 runs at
-GAMMA_FLOOR = 1e-6
-
-
 @dataclass
 class AnnealResult:
     energy: float
     configuration: np.ndarray
-    gamma_floor_hit: bool
     stage_energies: list[float]
     seed: int
 
@@ -698,9 +683,10 @@ def anneal_batch(model: IsingModel, n: int, gamma_schedule: Sequence[float],
     """Quantum annealing on the mapped system, one replica per seed.
 
     The field is ramped down stagewise.  The schedule must be strictly
-    decreasing; a final Gamma of 0 is clamped to ``GAMMA_FLOOR`` (the
-    inter-layer coupling diverges at 0).  Each result holds its chain's best
-    layer: its diagonal energy and configuration.  Replica r owns
+    decreasing, and every field passes ``couplings`` before the first sweep,
+    so a Gamma of 0 (whose inter-layer coupling diverges) is a
+    ``FrozenTrotterError``.  Each result holds its chain's best layer: its
+    diagonal energy and configuration.  Replica r owns
     ``default_rng(seeds[r])`` and no update reads another replica's spins,
     so a seed's result is bit-identical whether it runs alone or in a batch.
     """
@@ -709,19 +695,12 @@ def anneal_batch(model: IsingModel, n: int, gamma_schedule: Sequence[float],
     sched = [float(g) for g in gamma_schedule]
     if any(b >= a for a, b in zip(sched, sched[1:])):
         raise ValueError("gamma schedule must be strictly decreasing")
-    floor_hit = False
-    clamped = []
     for g in sched:
-        if g <= 0:
-            warnings.warn("gamma schedule reached 0; clamping to the floor")
-            g = GAMMA_FLOOR
-            floor_hit = True
-        clamped.append(g)
-    couplings(model.with_gamma(clamped[-1]), n)  # the smallest u; the sampler checks the first
-    sampler = _Sampler(model.with_gamma(clamped[0]), n,
+        couplings(model.with_gamma(g), n)
+    sampler = _Sampler(model.with_gamma(sched[0]), n,
                        [np.random.default_rng(seed) for seed in seeds])
     stage_energies = []
-    for g in clamped:
+    for g in sched:
         sampler.set_gamma(g)
         for _ in range(sweeps_per_stage):
             sampler.sweep()
@@ -731,7 +710,6 @@ def anneal_batch(model: IsingModel, n: int, gamma_schedule: Sequence[float],
     fields = sampler.spins
     return [AnnealResult(energy=float(energies[r, best[r]]),
                          configuration=fields[r, :, best[r]].copy(),
-                         gamma_floor_hit=floor_hit,
                          stage_energies=[float(e[r]) for e in stage_energies], seed=seed)
             for r, seed in enumerate(seeds)]
 

@@ -77,9 +77,6 @@ class AlgebraicConstant:
                 hi = mid
         return (lo + hi) / 2
 
-    def __float__(self) -> float:
-        return self.value
-
     def __repr__(self) -> str:
         return f"AlgebraicConstant({self.name}={self.decimal})"
 

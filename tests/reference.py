@@ -21,7 +21,9 @@ from expprod.poly import as_exact
 from expprod.propagate import (
     _SIGMA_X, _SIGMA_Z, HermitianPart, PhasePoint, SeparableHamiltonian,
 )
-from expprod.qmc import ExactObservables, IsingModel, _ising_energy, _worldline_sums, couplings
+from expprod.qmc import (
+    ExactObservables, IsingModel, _ising_energy, _Sampler, _worldline_sums, couplings,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +202,27 @@ def transverse_coupling_coefficient(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# qmc: configuration enumeration
+# qmc: configuration enumeration and the sampled configurations
 # ---------------------------------------------------------------------------
+
+def kept_configurations(model: IsingModel, n: int, sweeps: int, therm: int,
+                        seed: int) -> list[int]:
+    """The spin field of each kept sweep of ``metropolis_run(model, n, sweeps,
+    therm, seed)``, as the integer whose bit i*n + m is set where spin (i, m)
+    is up: Python ints, so exact at any size.
+
+    One replica of ``_Sampler`` on ``default_rng(seed)``, swept as the run
+    sweeps it, so the fields are the run's.
+    """
+    sampler = _Sampler(model, n, [np.random.default_rng(seed)])
+    configs = []
+    for k in range(sweeps):
+        sampler.sweep()
+        if k >= therm:
+            bits = np.packbits(sampler.spins[0].ravel() > 0, bitorder="little")
+            configs.append(int.from_bytes(bits.tobytes(), "little"))
+    return configs
+
 
 def enumeration_reference(model: IsingModel, n: int) -> ExactObservables:
     """The finite-n observables by summing all 2^(sites*n) configurations.

