@@ -27,9 +27,11 @@ schedule with ``couplings`` before the first sweep, so a field of 0 is
 refused, not run.  One exact reference anchors every
 estimator: a symmetric eigendecomposition of the symmetrised transfer
 matrix at finite n, or of the Hamiltonian at n = infinity, read out through
-one density matrix.  A least-squares fit in 1/n^2 and 1/n^4 extrapolates
-away the finite-n systematic error, which the symmetric split makes even
-in 1/n.
+one density matrix.  The real-time steppers of ``propagate`` take the
+model's two parts from ``ising_parts``: the Ising diagonal as a vector and
+the transverse field by Gamma, with no 2^sites x 2^sites matrix.  A
+least-squares fit in 1/n^2 and 1/n^4 extrapolates away the finite-n
+systematic error, which the symmetric split makes even in 1/n.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+
+from .propagate import DiagonalPart, TransverseField
 
 
 @dataclass(frozen=True)
@@ -513,6 +517,13 @@ def hamiltonian_parts(model: IsingModel) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def ising_parts(model: IsingModel) -> dict:
+    """A and B of ``hamiltonian_parts`` as the steppers' parts, with no
+    2^sites x 2^sites matrix: A by its diagonal, B by Gamma."""
+    return {"A": DiagonalPart(diagonal_energy(model, _basis_spins(model.sites))),
+            "B": TransverseField(model.gamma, model.sites)}
+
+
 @dataclass
 class ExactObservables:
     log_z: float
@@ -682,17 +693,19 @@ def anneal_batch(model: IsingModel, n: int, gamma_schedule: Sequence[float],
                  sweeps_per_stage: int, seeds: Sequence[int]) -> list[AnnealResult]:
     """Quantum annealing on the mapped system, one replica per seed.
 
-    The field is ramped down stagewise.  The schedule must be strictly
-    decreasing, and every field passes ``couplings`` before the first sweep,
-    so a Gamma of 0 (whose inter-layer coupling diverges) is a
-    ``FrozenTrotterError``.  Each result holds its chain's best layer: its
-    diagonal energy and configuration.  Replica r owns
+    The field is ramped down stagewise.  The schedule must hold at least one
+    field and be strictly decreasing, and every field passes ``couplings``
+    before the first sweep, so a Gamma of 0 (whose inter-layer coupling
+    diverges) is a ``FrozenTrotterError``.  Each result holds its chain's
+    best layer: its diagonal energy and configuration.  Replica r owns
     ``default_rng(seeds[r])`` and no update reads another replica's spins,
     so a seed's result is bit-identical whether it runs alone or in a batch.
     """
     if sweeps_per_stage < 1:
         raise ValueError("anneal needs at least 1 sweep per stage")
     sched = [float(g) for g in gamma_schedule]
+    if not sched:
+        raise ValueError("gamma schedule has no field")
     if any(b >= a for a, b in zip(sched, sched[1:])):
         raise ValueError("gamma schedule must be strictly decreasing")
     for g in sched:

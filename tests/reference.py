@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from expprod.ncalg import (
-    LieCombination, NcSeries, _denominator, _log_numerators, _numerators, _to_series, commutator,
+    LieCombination, NcSeries, _denominator, _log_numerators, _numerators, _to_series,
+    bracket_fold, bracket_leaves, commutator,
 )
 from expprod.orders import ConditionEq, OrderConditionSet
 from expprod.poly import as_exact
@@ -24,6 +25,7 @@ from expprod.propagate import (
 from expprod.qmc import (
     ExactObservables, IsingModel, _ising_energy, _Sampler, _worldline_sums, couplings,
 )
+from expprod.schemes import Scheme, stage_plan
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +122,34 @@ def reconstruction_error(h: HermitianPart) -> float:
     """Frobenius norm of V diag(w) V^H - H for the part's cached decomposition."""
     rebuilt = (h.eigenvectors * h.eigenvalues) @ h.eigenvectors.conj().T
     return float(np.linalg.norm(rebuilt - h.matrix))
+
+
+def eigh_unitary_steps(scheme: Scheme, parts: dict[str, HermitianPart], dt: float,
+                       v: np.ndarray, steps: int) -> np.ndarray:
+    """``steps`` scheme steps with every stage target's eigenbasis from ``eigh``.
+
+    An ``eigh`` of each distinct target's matrix (a letter's part, or a
+    bracket brought to Hermitian form as i^(1-L) times the folded
+    commutator of its L leaves), then per stage
+    ``vecs @ (phases * (v.conj() @ vecs).conj())``: the step of a part that
+    is diagonalised whatever its matrix.
+    """
+    bases = {}
+    for target, _, _ in stage_plan(scheme):
+        if target in bases:
+            continue
+        if isinstance(target, str):
+            bases[target] = (*np.linalg.eigh(parts[target].matrix), 1)
+        else:
+            leaves = bracket_leaves(target)
+            h = (-1j) ** (leaves - 1) * bracket_fold(target, lambda lab: parts[lab].matrix,
+                                                     commutator)
+            bases[target] = (*np.linalg.eigh(h), leaves)
+    for _ in range(steps):
+        for target, c, _ in stage_plan(scheme):
+            w, vecs, power = bases[target]
+            v = vecs @ (np.exp(-1j * c * dt ** power * w) * (v.conj() @ vecs).conj())
+    return v
 
 
 def dominant_period(times: Sequence[float], values: Sequence[float]) -> float:

@@ -1,5 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,21 +12,22 @@ import scipy.linalg
 
 from expprod.ncalg import bracket_fold, bracket_leaves, commutator
 from expprod.propagate import (
-    UMENO_IC, HermitianPart, PhasePoint, QuantumState, SeparableHamiltonian, convergence,
-    driven_error, driven_two_level, drift, error_slope, hermitian_pair_error, kick,
-    precession_period, run_driven, run_precession, run_timeordered,
-    run_umeno, sample_marks, spin_error, spin_parts, stage_unitaries, step_count,
-    step_operator, symplectic_step, umeno_hamiltonian, unitary_step,
+    UMENO_IC, DiagonalPart, HermitianPart, PhasePoint, QuantumState, SeparableHamiltonian,
+    TransverseField, convergence, driven_error, driven_two_level, drift, error_slope,
+    hermitian_pair_error, kick, precession_period, run_driven, run_precession,
+    run_timeordered, run_umeno, sample_marks, spin_error, spin_parts, stage_unitaries,
+    step_count, step_operator, symplectic_step, umeno_hamiltonian, unitary_step,
 )
 from expprod.propagate import (
     _hermitian_exp, _kick_drift_items, _not_hermitian, _timeordered_pass,
 )
+from expprod.qmc import IsingModel, ferromagnetic_chain, hamiltonian_parts, ising_parts
 from expprod.schemes import (
     CATALOG, Scheme, Stage, hybrid_fourth, hybrid_second, ruth, stage_plan,
     strang, timeordered1, timeordered2, trotter,
 )
 from reference import (
-    LogBranchError, _principal_log_symmetric, dominant_period, euler_step,
+    LogBranchError, _principal_log_symmetric, dominant_period, eigh_unitary_steps, euler_step,
     jacobian_determinant, reconstruction_error, transverse_coupling_coefficient,
 )
 
@@ -29,6 +35,25 @@ suzuki4, suzuki6, suzuki8, timeordered4 = (
     CATALOG[name] for name in ("suzuki4", "suzuki6", "suzuki8", "timeordered4"))
 
 GAMMA = 0.75
+
+ROOT = Path(__file__).resolve().parent.parent
+ISING_MODELS = {
+    "chain6": IsingModel.from_json(json.loads((ROOT / "scripts/models/chain6.json").read_text())),
+    "chain8": ferromagnetic_chain(8),
+    "frustrated4": IsingModel.from_json(
+        json.loads((ROOT / "scripts/models/frustrated4.json").read_text())),
+}
+
+
+def dense_parts(model: IsingModel) -> dict:
+    """The model's A and B as ``HermitianPart``s of its 2^sites x 2^sites matrices."""
+    return {lab: HermitianPart(m, lab) for lab, m in zip("AB", hamiltonian_parts(model))}
+
+
+def annealed(parts: dict, duration: float = 2.0) -> dict:
+    """The driven parts (t / T) A and (1 - t / T) B of an anneal over T = ``duration``."""
+    return {"A": (lambda t: t / duration, parts["A"]),
+            "B": (lambda t: 1 - t / duration, parts["B"])}
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +63,58 @@ GAMMA = 0.75
 def test_hermitian_part_rejects_non_hermitian():
     with pytest.raises(ValueError):
         HermitianPart(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("matrix", [[[math.nan]], [[math.inf, 0], [0, 1]],
+                                    [[1, math.nan], [math.nan, 1]]],
+                         ids=["nan", "inf-diagonal", "nan-off-diagonal"])
+def test_hermitian_part_rejects_non_finite_entries(matrix):
+    # refused before the Hermitian check, whose norms would warn on them
+    # (a warning fails the test: filterwarnings = error)
+    with pytest.raises(ValueError, match="non-finite entry"):
+        HermitianPart(np.array(matrix))
+
+
+def test_a_diagonal_matrix_is_its_own_eigenbasis(monkeypatch):
+    # exactly zero off the diagonal: no eigh, eigenvalues in place, and the
+    # identity for eigenvectors; one nonzero entry off it takes the eigh
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    diagonal = np.diag([3.0, -1.0, 2.0]) + 1e-14j * np.eye(3)
+    part = HermitianPart(diagonal)
+    assert calls == []
+    assert np.array_equal(part.eigenvalues, [3.0, -1.0, 2.0])
+    assert np.array_equal(part.eigenvectors, np.eye(3))
+    assert reconstruction_error(part) < 1e-13
+    HermitianPart(np.diag([3.0, -1.0, 2.0]) + 1e-300 * np.eye(3, k=1) + 1e-300 * np.eye(3, k=-1))
+    assert calls == [(3, 3)]
+
+
+@pytest.mark.parametrize("sites", [1, 2, 5, 6, 7, 11])
+def test_transverse_field_is_the_dense_field(sites):
+    # out_of(w * into(e_j)) is column j of -gamma sum_i sigma^x_i, the B of
+    # hamiltonian_parts; one to three blocks of sites
+    model = IsingModel(sites, (), 0.7, 1.0)
+    field = TransverseField(0.7, sites)
+    b = hamiltonian_parts(model)[1]
+    basis = np.eye(1 << sites, dtype=complex)
+    rebuilt = np.array([field.out_of(field.eigenvalues * field.into(e)) for e in basis]).T
+    assert np.abs(rebuilt - b).max() < 1e-14
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: DiagonalPart([1.0, math.nan]), "non-finite"),
+    (lambda: DiagonalPart([[1.0]]), "vector of real numbers"),
+    (lambda: DiagonalPart([]), "vector of real numbers"),
+    (lambda: DiagonalPart([1j, 2.0]), "vector of real numbers"),
+    (lambda: TransverseField(math.inf, 3), "must be finite"),
+    (lambda: TransverseField(1.0, 0), "at least one site"),
+    (lambda: TransverseField(1.0, 2.0), "at least one site"),
+])
+def test_matrix_free_parts_refuse_bad_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 @pytest.mark.parametrize("big", [1e200, 1e308])
@@ -93,22 +170,85 @@ def test_zero_dt_is_identity():
     assert np.allclose(out.vector, psi.vector)
 
 
-@pytest.mark.parametrize("scheme", [suzuki4(), hybrid_fourth()], ids=["suzuki4", "hybrid_fourth"])
-def test_unitary_step_matches_the_stage_factors(scheme):
-    # every stage acts in its target's eigenbasis, not as a factor
+@pytest.mark.parametrize("scheme,model", [
+    (suzuki4(), None), (hybrid_fourth(), None),
+    *((suzuki4(), name) for name in ISING_MODELS),
+], ids=["suzuki4", "hybrid_fourth", *(f"suzuki4-{name}" for name in ISING_MODELS)])
+def test_unitary_step_matches_the_stage_factors(scheme, model):
+    # every stage acts in its target's eigenbasis, not as a factor; a model's
+    # ising_parts step against the factors of its dense parts, within 1e-12
     rng = np.random.default_rng(3)
 
     def rand_herm(n):
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         return (m + m.conj().T) / 2
 
-    parts = {"A": HermitianPart(rand_herm(12)), "B": HermitianPart(rand_herm(12))}
-    psi = QuantumState(rng.normal(size=12) + 1j * rng.normal(size=12))
+    if model is None:
+        parts = dense = {"A": HermitianPart(rand_herm(12)), "B": HermitianPart(rand_herm(12))}
+        psi = QuantumState(rng.normal(size=12) + 1j * rng.normal(size=12))
+        tol = 1e-13
+    else:
+        parts, dense = ising_parts(ISING_MODELS[model]), dense_parts(ISING_MODELS[model])
+        n = parts["A"].dim
+        psi = QuantumState(rng.normal(size=n) + 1j * rng.normal(size=n))
+        psi = QuantumState(psi.vector / np.linalg.norm(psi.vector))
+        tol = 1e-12
     ref = psi.vector
-    for m in stage_unitaries(scheme, parts, 0.05):
+    for m in stage_unitaries(scheme, dense, 0.05):
         ref = m @ ref
     out = unitary_step(scheme, parts, 0.05, psi)
-    assert np.linalg.norm(out.vector - ref) < 1e-13 * np.linalg.norm(ref)
+    assert np.linalg.norm(out.vector - ref) < tol * np.linalg.norm(ref)
+
+
+def test_unitary_step_keeps_the_bits_of_an_eigh_of_every_part():
+    # the chain's A is diagonal: it now steps as one product per amplitude
+    # with no eigh, and B as before; the bits are those of an eigh of each
+    # part's matrix (an eigh of a diagonal matrix gives its diagonal and a
+    # 0/1 permutation, so the gather through it is exact)
+    parts = dense_parts(ferromagnetic_chain(8))
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    psi /= np.linalg.norm(psi)
+    out = QuantumState(psi)
+    for _ in range(20):
+        out = unitary_step(suzuki4(), parts, 0.01, out)
+    assert np.array_equal(out.vector, eigh_unitary_steps(suzuki4(), parts, 0.01, psi, 20))
+    two_slot = [s for s in (make() for make in CATALOG.values()) if "T" not in s.slots]
+    assert {"trotter", "hybrid_fourth", "suzuki8"} <= {s.name for s in two_slot}
+    for scheme in two_slot:
+        out = unitary_step(scheme, parts, 0.05, QuantumState(psi)).vector
+        assert np.array_equal(out, eigh_unitary_steps(scheme, parts, 0.05, psi, 1)), scheme.name
+
+
+def test_ising_parts_take_no_eigh(monkeypatch):
+    # A by its diagonal, B by Gamma: neither is diagonalised, by a static or
+    # a time-ordered step, nor is the chain's diagonal A given as a matrix
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape))
+    model = ISING_MODELS["chain6"]
+    parts = ising_parts(model)
+    psi = QuantumState.up(64)
+    for scheme in (trotter(), suzuki4()):
+        assert abs(np.linalg.norm(unitary_step(scheme, parts, 0.05, psi).vector) - 1) < 1e-13
+    for g in (timeordered1(), timeordered2(), timeordered4()):
+        out = run_timeordered(g, annealed(parts), 0.0, 0.05, 4, psi)
+        assert abs(np.linalg.norm(out.vector) - 1.0) < 1e-13
+    diagonal = HermitianPart(hamiltonian_parts(model)[0])
+    unitary_step(suzuki4(), {"A": diagonal, "B": parts["B"]}, 0.05, psi)
+    assert calls == []
+
+
+def test_a_part_with_no_matrix_is_refused_where_a_matrix_is_needed():
+    # stage factors and commutator stages need matrices: the slot is named,
+    # and no 2^L x 2^L matrix is built in their place
+    parts = ising_parts(ISING_MODELS["chain6"])
+    with pytest.raises(ValueError, match="slot 'A' has a part with no matrix"):
+        stage_unitaries(suzuki4(), parts, 0.05)
+    dense_a = {**parts, "A": HermitianPart(np.eye(64))}
+    with pytest.raises(ValueError, match="slot 'B' has a part with no matrix"):
+        step_operator(suzuki4(), dense_a, 0.05)
+    with pytest.raises(ValueError, match="slot 'B' has a part with no matrix, and a commutator"):
+        unitary_step(hybrid_fourth(), dense_a, 0.05, QuantumState.up(64))
 
 
 def test_letter_stages_step_in_the_cached_eigenbases_bit_for_bit():
@@ -800,17 +940,36 @@ def _per_sample_eigh(g, parts, t0, dt, steps, psi):
     return v
 
 
+def _mixed_parts(sites: int, seed: int) -> tuple[dict, dict]:
+    """A dense random A beside a ``TransverseField`` B, and the same with B's matrix."""
+    (f, a), _ = _random_driven_parts(1 << sites, seed).values()
+    field = hamiltonian_parts(IsingModel(sites, (), 0.8, 1.0))[1]
+    return ({"A": (f, HermitianPart(a)), "B": (math.cos, TransverseField(0.8, sites))},
+            {"A": (f, a), "B": (math.cos, field)})
+
+
+# (n, parts, the same parts with matrices for the reference, dt, steps); a
+# model's ising_parts annealed over T = 2 against its dense parts
+_PER_SAMPLE_CASES = {
+    "driven": (2, driven_two_level(), None, 0.01, 250),
+    "random2": (2, _random_driven_parts(2, seed=11), None, 0.02, 100),
+    "random24": (24, _random_driven_parts(24, seed=12), None, 0.02, 30),
+    **{name: (1 << model.sites, annealed(ising_parts(model)), annealed(dense_parts(model)),
+              0.05, steps)
+       for (name, model), steps in zip(ISING_MODELS.items(), (10, 2, 20))},
+    "mixed6": (64, *_mixed_parts(6, seed=13), 0.05, 10),
+}
+
+
 @pytest.mark.parametrize("g", [timeordered1(), timeordered2(), timeordered4()],
                          ids=["g1", "g2", "g4"])
-@pytest.mark.parametrize("n,parts,dt,steps", [
-    (2, driven_two_level(), 0.01, 250),
-    (2, _random_driven_parts(2, seed=11), 0.02, 100),
-    (24, _random_driven_parts(24, seed=12), 0.02, 30),
-], ids=["driven", "random2", "random24"])
-def test_run_timeordered_matches_the_per_sample_eigh_loop(g, n, parts, dt, steps):
+@pytest.mark.parametrize("n,parts,reference,dt,steps", _PER_SAMPLE_CASES.values(),
+                         ids=_PER_SAMPLE_CASES.keys())
+def test_run_timeordered_matches_the_per_sample_eigh_loop(g, n, parts, reference, dt, steps):
     psi = QuantumState(np.eye(n, dtype=complex)[-1])
     out = run_timeordered(g, parts, 0.3, dt, steps, psi).vector
-    assert np.linalg.norm(out - _per_sample_eigh(g, parts, 0.3, dt, steps, psi)) < 1e-12
+    ref = _per_sample_eigh(g, reference or parts, 0.3, dt, steps, psi)
+    assert np.linalg.norm(out - ref) < 1e-12
 
 
 def test_run_timeordered_diagonalises_no_sample(monkeypatch):
@@ -822,6 +981,46 @@ def test_run_timeordered_diagonalises_no_sample(monkeypatch):
     psi = run_timeordered(timeordered4(), parts, 0.0, 0.05, 4, QuantumState.up(64))
     assert calls == []
     assert abs(np.linalg.norm(psi.vector) - 1.0) < 1e-12
+
+
+_SIXTEEN_SITES = """
+import json, resource
+import numpy as np
+from expprod import propagate, qmc, schemes
+parts = qmc.ising_parts(qmc.ferromagnetic_chain(16))
+driven = {"A": (lambda t: t / 2.0, parts["A"]), "B": (lambda t: 1 - t / 2.0, parts["B"])}
+psi = propagate.QuantumState(np.full(1 << 16, 2.0 ** -8, dtype=complex))
+out = propagate.run_timeordered(schemes.CATALOG["timeordered4"](), driven, 0.0, 0.05, 3, psi)
+held = [a for part in parts.values() for value in vars(part).values()
+        for a in (value if isinstance(value, list) else [value]) if isinstance(a, np.ndarray)]
+print(json.dumps({"largest": max(a.size for a in held),
+                  "norm": float(np.linalg.norm(out.vector)),
+                  "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+
+# Linux carries a process's peak RSS over fork and exec into its child's
+# ru_maxrss, so the run starts from a bare interpreter, not from the test
+# process, whose peak would hide the run's (about 14 MB carry over, not
+# the hundreds of MB a test session reaches)
+_LAUNCHER = ("import subprocess, sys; "
+             "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)")
+
+
+def test_a_sixteen_site_anneal_builds_no_dense_matrix():
+    # three timeordered4 steps of a 16-site chain, 65536 states, whose
+    # 2^16 x 2^16 matrix would take 64 GiB.  The parts hold no array of more
+    # than 2^16 entries, and the run peaks under 200 MB (ru_maxrss is in KiB)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _LAUNCHER, _SIXTEEN_SITES],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["largest"] == 1 << 16
+    assert abs(result["norm"] - 1.0) < 1e-12
+    assert result["peak_mb"] < 200
 
 
 @pytest.mark.parametrize("gap", [0.5, 1.0])

@@ -599,6 +599,9 @@ def test_mc_extrapolation_within_combined_errors():
 def test_schedule_must_decrease():
     with pytest.raises(ValueError):
         anneal(FRUSTRATED4, 4, [1.0, 1.0], 10, 0)
+    # an empty schedule is refused like every other one, not by an IndexError
+    with pytest.raises(ValueError, match="no field"):
+        anneal(FRUSTRATED4, 4, [], 10, 0)
 
 
 def test_zero_gamma_in_a_schedule_is_refused_without_a_warning():
