@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import ncalg, orders, propagate, qmc, schemes
-from .poly import frac_str
+from .poly import RationalPoly, frac_str
 
 CONFIG_ERROR = 2
 NONCONVERGENCE = 3
@@ -268,18 +268,26 @@ def cmd_scheme(args) -> int:
     elif args.action == "check":
         m = sch.claimed_order + 1 if args.order is None else args.order
         achieved = orders.verify_order(sch, m)
-        print(json.dumps({"scheme": args.name, "claimed": sch.claimed_order,
-                          "verified": achieved}))
+        verdict = {"scheme": args.name, "claimed": sch.claimed_order, "verified": achieved}
+        print(json.dumps(verdict))
         if achieved < sch.claimed_order:
             return NONCONVERGENCE
     if args.out:
-        write_json(args.out, sch.to_json())
+        if args.action == "check":  # the verdict's printed bytes
+            Path(args.out).write_text(json.dumps(verdict) + "\n")
+        else:
+            write_json(args.out, sch.to_json())
         write_manifest(args)
     return 0
 
 
 def cmd_solve(args) -> int:
-    conds = orders.order_conditions(args.pattern, args.order)
+    if len(args.pattern) < args.order:
+        raise ConfigError("pattern shorter than the target order is infeasible")
+    if not set(args.pattern) <= {"A", "B"}:
+        raise ConfigError("pattern must be over the slots A and B")
+    stages = [(lab, RationalPoly.var(f"p{i + 1}")) for i, lab in enumerate(args.pattern)]
+    conds = orders.order_conditions(stages, args.order)
     fixed = parse_assignments(args.fix) if args.fix else {}
     if args.guess:
         guess = parse_assignments(args.guess)
@@ -305,7 +313,7 @@ def cmd_solve(args) -> int:
 
 def cmd_family(args) -> int:
     header = ["p6", "p1", "p2", "p3", "p4", "p5", "max_residual", "converged"]
-    rows = [(pt.p6, *(pt.solution[p] for p in header[1:6]), pt.max_residual,
+    rows = [(*(pt.solution[p] for p in header[:6]), pt.max_residual,
              "true" if pt.converged else "false")
             for pt in orders.ruth_family(parse_range(args.p6))]
     if args.out:

@@ -1,13 +1,13 @@
 """Order conditions: generation, verification, and Newton solving.
 
-The condition generator runs the series logarithm of a stage pattern with
+The condition generator runs the series logarithm of a stage list with
 symbolic coefficients and Lie-projects each homogeneous component; every
 Lyndon-word coefficient that must vanish (and the degree-1 sum-to-one
 conditions) becomes one polynomial equation.  Verification reads each
 degree's residuals off the series kernel's integer numerators, with no
 rational per word.  The solver is a damped least-squares Newton iteration
-with exact polynomial gradients.  The module returns equations, reports
-and family points; it formats nothing (the CLI writes every table).
+with exact polynomial gradients.  The module returns equations and
+reports; it formats nothing (the CLI writes every table).
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ncalg import lie_project, log_residuals, lyndon_words, product_log
-from .poly import CompiledPolys, RationalPoly
+from .ncalg import bracket_fold, lie_project, log_residuals, lyndon_words, product_log
+from .poly import Coeff, CompiledPolys, RationalPoly
 from .schemes import Scheme, ruth
 
 # Truncation cap of the exact series work: condition generation and
@@ -79,21 +79,20 @@ class SolveReport:
         return max((abs(r) for r in self.residuals), default=0.0)
 
 
-def order_conditions(pattern: str, m: int) -> OrderConditionSet:
-    """Polynomial conditions for an alternating slot pattern to reach order m.
+def order_conditions(stages: Sequence[tuple[str | tuple, Coeff]], m: int) -> OrderConditionSet:
+    """Polynomial conditions for a stage list to reach order m.
 
-    Degree-1 equations are the per-slot sum-to-one conditions; for each
-    degree 2..m there is one equation per Lyndon word of that length,
-    namely the word's coefficient in the log of the product.
+    ``stages`` holds (target, coefficient) pairs, as ``product_log`` takes
+    them.  Labels are the targets' sorted leaves; parameters are the
+    coefficients' variables in order of first appearance.  Degree 1 gives
+    the per-label sum-to-one conditions, and each degree 2..m one equation
+    per Lyndon word of that length: its coefficient in the log of the product.
     """
     _check_order(m)
-    if len(pattern) < m:
-        raise ValueError("pattern shorter than the target order is infeasible")
-    labels = tuple(sorted(set(pattern)))
-    if not set(pattern) <= {"A", "B"}:
-        raise ValueError("pattern must be over the slots A and B")
-    params = tuple(f"p{i + 1}" for i in range(len(pattern)))
-    stages = [(lab, RationalPoly.var(p)) for lab, p in zip(pattern, params)]
+    labels = tuple(sorted({leaf for target, _ in stages
+                           for leaf in bracket_fold(target, lambda lab: (lab,), tuple.__add__)}))
+    params = tuple(dict.fromkeys(name for _, c in stages if isinstance(c, RationalPoly)
+                                 for name in sorted(c.variables())))
     log = product_log(stages, m, labels)
     combo = lie_project(log)
     equations = []
@@ -172,7 +171,7 @@ def solve(conds: OrderConditionSet, fixed: Mapping[str, object] | None = None,
     guess = dict(guess or {})
     unknown = sorted((fixed.keys() | guess.keys()) - set(conds.parameters))
     if unknown:
-        raise ValueError(f"parameters {unknown} are not in the pattern")
+        raise ValueError(f"parameters {unknown} are not in the conditions")
     free = [p for p in conds.parameters if p not in fixed]
     missing = [p for p in free if p not in guess]
     if missing:
@@ -267,21 +266,14 @@ def rationalize_solution(conds: OrderConditionSet,
     return candidate
 
 
-@dataclass
-class FamilyPoint:
-    p6: float
-    solution: dict[str, float]
-    max_residual: float
-    converged: bool
-
-
-def ruth_family(p6_values: Sequence[float]) -> list[FamilyPoint]:
+def ruth_family(p6_values: Sequence[float]) -> list[SolveReport]:
     """Trace Ruth's one-parameter family of third-order ABABAB solutions.
 
-    Each grid value pins the last stage coefficient p6; the solve starts
-    from the previous converged point (the first five coefficients of
-    ``schemes.ruth()`` seed the point nearest to p6 = 1).  Failed points are
-    flagged and continuation restarts from the nearest converged neighbor.
+    The conditions are ``schemes.ruth()``'s stages with the i-th coefficient
+    a free p_i.  Each grid value pins the last, p6; the solve starts from
+    the previous converged point (Ruth's own first five coefficients seed
+    the point nearest to p6 = 1).  Failed points are flagged unconverged and
+    continuation restarts from the nearest converged neighbor.
 
     Every solution has p3 (6 p6 - 2) = 4 p6 - 1, a polynomial combination of
     the conditions (the tests hold its cofactors), so no solution has
@@ -295,19 +287,19 @@ def ruth_family(p6_values: Sequence[float]) -> list[FamilyPoint]:
     p6 = 1/4, p3 -> 0 while p2 and p4 diverge with opposite signs; below
     -1.21708 ``solve`` converges again (checked at p6 = -1.25 ... -3).
     """
-    conds = order_conditions("ABABAB", 3)
+    scheme = ruth()
+    conds = order_conditions([(st.target, RationalPoly.var(f"p{i + 1}"))
+                              for i, st in enumerate(scheme.stages)], scheme.claimed_order)
     p6_list = [float(v) for v in p6_values]
-    points: list[FamilyPoint | None] = [None] * len(p6_list)
-    current = {p: float(stage.coeff) for p, stage in zip(conds.parameters[:5], ruth().stages)}
+    reports: list[SolveReport | None] = [None] * len(p6_list)
+    current = {p: float(st.coeff) for p, st in zip(conds.parameters[:-1], scheme.stages)}
     solved: list[tuple[float, dict[str, float]]] = []
     # sweep outward from the seed-nearest grid point
     for idx in sorted(range(len(p6_list)), key=lambda i: abs(p6_list[i] - 1.0)):
         p6 = p6_list[idx]
         if solved:
             current = dict(min(solved, key=lambda sv: abs(sv[0] - p6))[1])
-        report = solve(conds, fixed={"p6": p6}, guess=current)
-        solution = {p: report.solution[p] for p in conds.parameters}
-        points[idx] = FamilyPoint(p6, solution, report.max_residual, report.converged)
+        report = reports[idx] = solve(conds, fixed={"p6": p6}, guess=current)
         if report.converged:
-            solved.append((p6, {p: v for p, v in solution.items() if p != "p6"}))
-    return points
+            solved.append((p6, {p: v for p, v in report.solution.items() if p != "p6"}))
+    return reports

@@ -18,7 +18,7 @@ from expprod.ncalg import (
     bracket_fold, bracket_leaves, commutator,
 )
 from expprod.orders import ConditionEq, OrderConditionSet
-from expprod.poly import as_exact
+from expprod.poly import RationalPoly, as_exact
 from expprod.propagate import (
     _SIGMA_X, _SIGMA_Z, HermitianPart, PhasePoint, SeparableHamiltonian,
 )
@@ -112,6 +112,12 @@ def frechet_exp(a: np.ndarray, da: np.ndarray) -> np.ndarray:
 def of_degree(conds: OrderConditionSet, degree: int) -> tuple[ConditionEq, ...]:
     """The equations of one degree, in the set's order."""
     return tuple(eq for eq in conds.equations if eq.degree == degree)
+
+
+def pattern_stages(pattern: str) -> list[tuple[str, RationalPoly]]:
+    """The stage list of a slot pattern, one fresh coefficient p_i per letter:
+    the list ``solve --pattern`` builds."""
+    return [(lab, RationalPoly.var(f"p{i + 1}")) for i, lab in enumerate(pattern)]
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_criterion_2_magic_constants():
 
 def test_criterion_3_ruth_reproduction():
     with criterion(3, "third-order six-stage solution, exact and recovered", 5.0):
-        conds = orders.order_conditions("ABABAB", 3)
+        conds = orders.order_conditions(reference.pattern_stages("ABABAB"), 3)
         point = {"p1": Fraction(7, 24), "p2": Fraction(2, 3), "p3": Fraction(3, 4),
                  "p4": Fraction(-2, 3), "p5": Fraction(-1, 24), "p6": Fraction(1)}
         residuals = [eq.poly.evaluate(point) for eq in conds.equations]

@@ -904,7 +904,9 @@ def test_manifests_echo_the_resolved_configuration(tmp_path, capsys):
      {"schedule": qmc.anneal_schedule()}),
     (["extrapolate", "--model", str(MODELS / "pair.json"), "--n-list", "2,3,4"],
      {"sweeps": 0}),
-], ids=["solve", "anneal", "extrapolate"])
+    (["scheme", "check", "suzuki4"], {"action": "check", "name": "suzuki4"}),
+    (["bch", "--stages", "A:x/2,B:x,A:x/2", "--order", "3", "--format", "json"], {}),
+], ids=["solve", "anneal", "extrapolate", "scheme_check", "bch"])
 def test_json_commands_write_their_stdout_document(tmp_path, capsys, argv, resolved):
     out_path = tmp_path / "doc.json"
     code, out, _ = run(capsys, *argv, "--out", str(out_path))
@@ -1171,6 +1173,23 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "bogus_key" in err
 
 
+@pytest.mark.parametrize("doc,argv,message", [
+    (None, ["family", "--p6", "1", "--config"], "--config needs a file path"),
+    (None, ["--config", "{cfg}", "family"], "cannot read config file"),
+    ([1, 2], ["--config", "{cfg}", "family"], "config file must hold a JSON object"),
+    ({}, ["--config={cfg}"], "config file given but no subcommand"),
+    ({}, ["--config", "{cfg}", "nosuch"], "unknown subcommand 'nosuch'"),
+], ids=["last_token", "unreadable", "array", "no_subcommand", "unknown_subcommand"])
+def test_config_file_refusals(tmp_path, capsys, doc, argv, message):
+    cfg = tmp_path / "cfg.json"
+    if doc is not None:
+        cfg.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(a.format(cfg=cfg) for a in argv))
+    assert code == cli.CONFIG_ERROR
+    assert out == ""
+    assert f"config error: {message}" in err
+
+
 @pytest.mark.parametrize("doc,argv", [
     ({"help": True}, ["precession", "--steps", "10"]),
     ({"action": "list"}, ["scheme", "list"]),
@@ -1269,6 +1288,7 @@ _PAIR = str(MODELS / "pair.json")
     ["precession", "--gamma", "inf", "--dt", "0.01", "--steps", "20", "--sample-every", "10"],
     ["timedep", "--t0", "nan", "--steps", "20"],
     ["converge", "--scheme", "strang", "--dt-list", "0.1:1e308:0.1"],
+    ["family", "--p6", "0.1:0.5"],
 ], ids=lambda argv: " ".join(Path(a).name if a.endswith(".json") else a for a in argv))
 def test_invalid_numeric_flags_are_config_errors(capsys, argv):
     with warnings.catch_warnings():

@@ -15,7 +15,7 @@ from expprod.poly import CompiledPolys, RationalPoly
 from expprod.schemes import (
     CATALOG, fractal, hybrid_fourth, hybrid_second, ruth, strang, trotter,
 )
-from reference import of_degree
+from reference import of_degree, pattern_stages
 
 suzuki4 = CATALOG["suzuki4"]
 
@@ -43,7 +43,7 @@ def fractal_poly(mult, power):
 # ---------------------------------------------------------------------------
 
 def test_first_order_conditions_are_sum_rules():
-    conds = order_conditions("ABABAB", 1)
+    conds = order_conditions(pattern_stages("ABABAB"), 1)
     eqs = of_degree(conds, 1)
     assert len(eqs) == 2
     p = {i: RationalPoly.var(f"p{i}") for i in range(1, 7)}
@@ -52,7 +52,7 @@ def test_first_order_conditions_are_sum_rules():
 
 
 def test_second_order_condition_reduces_to_q_form():
-    conds = order_conditions("ABABAB", 2)
+    conds = order_conditions(pattern_stages("ABABAB"), 2)
     eq2 = of_degree(conds, 2)
     assert len(eq2) == 1
     p = {i: RationalPoly.var(f"p{i}") for i in range(1, 7)}
@@ -65,7 +65,7 @@ def test_second_order_condition_reduces_to_q_form():
 
 
 def test_third_order_conditions_satisfied_by_known_point():
-    conds = order_conditions("ABABAB", 3)
+    conds = order_conditions(pattern_stages("ABABAB"), 3)
     assert len(conds.equations) == 5
     assert all(eq.poly.evaluate(RUTH_POINT) == 0 for eq in conds.equations)
     # the reduced cubic identities hold at the known point:
@@ -75,16 +75,19 @@ def test_third_order_conditions_satisfied_by_known_point():
     assert 3 * (2 * p["p2"] * p["p3"] * p["p4"] + p["p6"]) == 1
 
 
-def test_conditions_infeasible_pattern_rejected():
-    with pytest.raises(ValueError):
-        order_conditions("AB", 3)
-    with pytest.raises(ValueError):
-        order_conditions("ABABAB", 9)
+def test_conditions_infeasible_pattern_rejected(capsys):
+    # `solve --pattern` builds the stage list and refuses these before any conditions
+    for pattern, order, message in (
+            ("AB", 3, "pattern shorter than the target order is infeasible"),
+            ("ABABAB", 9, "pattern shorter than the target order is infeasible"),
+            ("ABC", 2, "pattern must be over the slots A and B")):
+        assert cli.main(["solve", "--pattern", pattern, "--order", str(order)]) == cli.CONFIG_ERROR
+        assert message in capsys.readouterr().err
 
 
 def test_pattern_reversal_maps_conditions_onto_themselves():
-    conds = order_conditions("ABAB", 3)
-    rev = order_conditions("BABA", 3)
+    conds = order_conditions(pattern_stages("ABAB"), 3)
+    rev = order_conditions(pattern_stages("BABA"), 3)
     m = len("ABAB")
     relabel = {f"p{i}": RationalPoly.var(f"p{m + 1 - i}") for i in range(1, m + 1)}
 
@@ -107,7 +110,7 @@ def test_pattern_reversal_maps_conditions_onto_themselves():
 
 
 def test_even_conditions_vanish_under_palindromic_parameters():
-    conds = order_conditions("ABA", 2)
+    conds = order_conditions(pattern_stages("ABA"), 2)
     eq2 = of_degree(conds, 2)[0].poly
     assert eq2.subs("p3", RationalPoly.var("p1")).is_zero()
 
@@ -244,7 +247,7 @@ def test_solver_reproduces_fractal_constants(coeffs, guess, target):
 
 
 def test_solver_recovers_ruth_from_perturbed_guess():
-    conds = order_conditions("ABABAB", 3)
+    conds = order_conditions(pattern_stages("ABABAB"), 3)
     guess = {"p1": 7 / 24 + 0.05, "p2": 2 / 3 - 0.04, "p3": 3 / 4 + 0.03,
              "p4": -2 / 3 + 0.05, "p5": -1 / 24 - 0.02}
     report = solve(conds, fixed={"p6": 1}, guess=guess)
@@ -263,13 +266,13 @@ def test_solver_reports_nonconvergence_without_raising():
 
 
 def test_solver_missing_guess():
-    conds = order_conditions("AB", 1)
+    conds = order_conditions(pattern_stages("AB"), 1)
     with pytest.raises(ValueError):
         solve(conds, guess={"p1": 1.0})
 
 
 def test_solution_substitution_kills_correction_norms():
-    conds = order_conditions("ABABAB", 3)
+    conds = order_conditions(pattern_stages("ABABAB"), 3)
     report = solve(conds, fixed={"p6": 1},
                    guess={k: float(v) + 0.01 for k, v in RUTH_POINT.items()
                           if k != "p6"})
@@ -285,11 +288,49 @@ def test_solution_substitution_kills_correction_norms():
 
 
 def test_rationalize_solution():
-    conds = order_conditions("ABABAB", 3)
+    conds = order_conditions(pattern_stages("ABABAB"), 3)
     sol = {k: float(v) for k, v in RUTH_POINT.items()}
     assert rationalize_solution(conds, sol) == RUTH_POINT
     sol["p1"] += 1e-3
     assert rationalize_solution(conds, sol) is None
+
+
+_C, _A1, _B1 = (RationalPoly.var(name) for name in ("c", "a1", "b1"))
+
+
+@pytest.mark.parametrize("stages,order,guess,expected", [
+    # hybrid_fourth with its caps' coefficient left free
+    ([(st.target, _C if st.is_commutator() else st.coeff) for st in hybrid_fourth().stages],
+     4, {"c": 0.0}, {"c": Fraction(1, 432)}),
+    # a three-slot list: the conditions give timeordered2's coefficients
+    ([("T", RationalPoly.var("t1")), ("A", _A1), ("B", _B1), ("A", RationalPoly.var("a2")),
+      ("T", RationalPoly.var("t2"))], 2, dict.fromkeys(("t1", "a1", "b1", "a2", "t2"), 0.3),
+     {"t1": Fraction(1, 2), "a1": Fraction(1, 2), "b1": Fraction(1), "a2": Fraction(1, 2),
+      "t2": Fraction(1, 2)}),
+], ids=["hybrid_fourth_cap", "three_slot"])
+def test_stage_list_conditions_solve_to_exact_coefficients(stages, order, guess, expected):
+    conds = order_conditions(stages, order)
+    assert conds.parameters == tuple(expected)
+    report = solve(conds, guess=guess)
+    assert report.converged and report.iterations == 2
+    assert rationalize_solution(conds, report.solution) == expected
+
+
+def test_commutator_capped_fourth_order_solve_has_positive_coefficients():
+    # C A B A B A C with C = [B,[A,B]]: a fourth-order product with no negative
+    # coefficient, of the kind Suzuki (1995) and Chin (1997) derived
+    cap = ("B", ("A", "B"))
+    stages = [(cap, _C), ("A", _A1), ("B", _B1), ("A", 1 - 2 * _A1), ("B", _B1), ("A", _A1),
+              (cap, _C)]
+    conds = order_conditions(stages, 4)
+    assert conds.parameters == ("c", "a1", "b1")
+    report = solve(conds, guess={"a1": 0.2, "b1": 0.5, "c": 0.0})
+    assert report.converged and report.max_residual <= 1e-13
+    root3 = math.sqrt(3)
+    for name, value in {"a1": (3 - root3) / 6, "b1": 0.5, "c": (2 - root3) / 48}.items():
+        assert abs(report.solution[name] - value) <= 1e-13
+    a1, b1, c = (report.solution[p] for p in ("a1", "b1", "c"))
+    assert min(a1, 1 - 2 * a1, b1, c) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +342,7 @@ def _kernel_cases():
     """(conditions, kernel) for the third-order family and one order-4 pattern."""
     cases = []
     for pattern, m in (("ABABAB", 3), ("ABABABA", 4)):
-        conds = order_conditions(pattern, m)
+        conds = order_conditions(pattern_stages(pattern), m)
         cases.append((conds, CompiledPolys((eq.poly for eq in conds.equations),
                                            conds.parameters)))
     return cases
@@ -406,7 +447,7 @@ def test_solve_and_rationalize_make_no_fraction_evaluation(monkeypatch):
         return evaluate(self, assignment)
 
     monkeypatch.setattr(RationalPoly, "evaluate", counted)
-    conds = order_conditions("ABABAB", 3)
+    conds = order_conditions(pattern_stages("ABABAB"), 3)
     report = solve(conds, fixed={"p6": 1.0},
                    guess={k: float(v) + 0.01 for k, v in RUTH_POINT.items() if k != "p6"})
     assert report.converged
@@ -527,7 +568,7 @@ def _family_solves(grid: str):
 
 @pytest.mark.parametrize("grid", ["0:1.4:0.2", "0.2:1.4:0.05"])
 def test_screened_solve_matches_plain_on_family_grids(grid):
-    conds = order_conditions("ABABAB", 3)
+    conds = order_conditions(pattern_stages("ABABAB"), 3)
     reports = []
     for fixed, guess in _family_solves(grid):
         outcome = _outcome(solve, conds, fixed, guess)
@@ -546,13 +587,13 @@ def test_screened_solve_matches_plain_on_family_grids(grid):
                                 "p5": -0.7541563017600739}),
 ], ids=["aba3_stall", "aba3_overflow", "ruth_overflow", "fold_creep"])
 def test_screened_solve_matches_plain_on_named_cases(pattern, order, fixed, guess):
-    conds = order_conditions(pattern, order)
+    conds = order_conditions(pattern_stages(pattern), order)
     assert _outcome(solve, conds, fixed, guess) == _outcome(_plain_solve, conds, fixed, guess)
 
 
 @functools.cache
 def _conditions(pattern, order):
-    return order_conditions(pattern, order)
+    return order_conditions(pattern_stages(pattern), order)
 
 
 _GUESS_VALUE = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
@@ -612,7 +653,7 @@ def test_family_grid_screen_is_sound_and_saves_exact_evaluations(monkeypatch):
 
 
 def test_solve_message_is_empty_on_convergence():
-    conds = order_conditions("ABABAB", 3)
+    conds = order_conditions(pattern_stages("ABABAB"), 3)
     report = solve(conds, fixed={"p6": 1}, guess={k: float(v) + 0.01 for k, v in RUTH_POINT.items()
                                                   if k != "p6"})
     assert report.converged and report.message == ""
@@ -627,7 +668,7 @@ def test_solve_message_is_empty_on_convergence():
 
 def test_family_contains_ruth_at_p6_equal_one():
     points = ruth_family([0.8, 0.9, 1.0, 1.1])
-    by_p6 = {round(pt.p6, 6): pt for pt in points}
+    by_p6 = {round(pt.solution["p6"], 6): pt for pt in points}
     pt = by_p6[1.0]
     assert pt.converged
     for name, exact in RUTH_POINT.items():
@@ -650,7 +691,7 @@ def test_family_p3_has_a_pole_at_one_third():
     # polynomial combination of the three other conditions: no solution has p6 = 1/3
     p = {i: RationalPoly.var(f"p{i}") for i in range(1, 7)}
     e2, e3a, e3b = (eq.poly.subs("p1", 1 - p[3] - p[5]).subs("p2", 1 - p[4] - p[6])
-                    for eq in order_conditions("ABABAB", 3).equations[2:])
+                    for eq in order_conditions(pattern_stages("ABABAB"), 3).equations[2:])
     c2 = (12 * p[3] * p[4] + 24 * p[3] * p[6] - 12 * p[3] + 12 * p[5] * p[6] - 12 * p[5]
           - 12 * p[6] + 6)
     assert c2 * e2 + (24 * p[6] - 24) * e3a - 24 * p[3] * e3b == (
@@ -663,7 +704,8 @@ def test_family_points_keep_the_p3_identity_on_both_sides_of_the_pole():
     for pt in above + below:
         assert pt.converged
         p3 = pt.solution["p3"]
-        assert abs(p3 - (4 * pt.p6 - 1) / (2 * (3 * pt.p6 - 1))) <= 1e-13 * max(1.0, abs(p3))
+        p6 = pt.solution["p6"]
+        assert abs(p3 - (4 * p6 - 1) / (2 * (3 * p6 - 1))) <= 1e-13 * max(1.0, abs(p3))
     # toward p6 = 1/4, p3 -> 0 while |p2| grows without bound
     p2 = [abs(pt.solution["p2"]) for pt in below]
     assert all(a < b for a, b in zip(p2, p2[1:])) and p2[-1] > 3

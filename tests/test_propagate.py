@@ -63,6 +63,8 @@ def annealed(parts: dict, duration: float = 2.0) -> dict:
 def test_hermitian_part_rejects_non_hermitian():
     with pytest.raises(ValueError):
         HermitianPart(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="must be a square matrix"):
+        HermitianPart(np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("matrix", [[[math.nan]], [[math.inf, 0], [0, 1]],
@@ -111,6 +113,8 @@ def test_transverse_field_is_the_dense_field(sites):
     (lambda: TransverseField(math.inf, 3), "must be finite"),
     (lambda: TransverseField(1.0, 0), "at least one site"),
     (lambda: TransverseField(1.0, 2.0), "at least one site"),
+    (lambda: unitary_step(strang(), {"A": DiagonalPart([1.0, 2.0]), "B": TransverseField(1.0, 2)},
+                          0.1, QuantumState.up(2)), "mismatched dimensions"),
 ])
 def test_matrix_free_parts_refuse_bad_input(make, message):
     with pytest.raises(ValueError, match=message):
@@ -618,7 +622,10 @@ def test_sample_marks_end_at_the_last_step():
     (lambda: run_driven(timeordered2(), 0.01, -3, 1, 0.0), "steps must be >= 0, got -3"),
     (lambda: run_timeordered(timeordered2(), driven_two_level(), 0.0, 0.01, -4,
                              QuantumState.up(2)), "steps must be >= 0, got -4"),
-], ids=["precession", "precession-every", "umeno", "driven", "timeordered"])
+    (lambda: run_precession("euler", GAMMA, 0.01, 5, 1), "unknown method 'euler'"),
+    (lambda: run_umeno("perturbative", 0.01, 10, 1), "unknown method 'perturbative'"),
+], ids=["precession", "precession-every", "umeno", "driven", "timeordered",
+        "precession-method", "umeno-method"])
 def test_runners_refuse_negative_steps_and_sampling_below_one(run, message):
     with pytest.raises(ValueError, match=message):
         run()

@@ -354,6 +354,13 @@ def test_t_coefficients_must_sum_to_one():
         evaluation_offsets(bad)
 
 
+def test_evaluation_offsets_refuses_a_commutator_stage():
+    timed = Scheme(("A", "B", "T"), (schemes.Stage(("A", "B"), Fraction(1)),
+                                     schemes.Stage("T", Fraction(1))), claimed_order=1)
+    with pytest.raises(ValueError, match="commutator stages are not supported with a T slot"):
+        evaluation_offsets(timed)
+
+
 # ---------------------------------------------------------------------------
 # serialization and catalog
 # ---------------------------------------------------------------------------
