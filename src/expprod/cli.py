@@ -6,10 +6,12 @@ trajectory records, live in ``propagate`` and the other library modules.
 Tables are formatted and written only here, line by line: ``write_csv``
 streams any iterable of rows to a file, and the tables printed to stdout
 come from the same line formatter; JSON data files and manifests go
-through ``write_json``.
+through ``write_json``, and ``scheme`` writes the text it prints.
 Exit codes: 0 success, 2 configuration error (an ``--out`` that cannot be
 written included), 3 numerical non-convergence or an arithmetic error such
-as an overflow (with JSON diagnostics on stdout).  Every file-writing run
+as an overflow (with JSON diagnostics on stdout).  An exit 2 writes no
+file; an exit 0 or 3 writes the result it prints, and an exit 3 that
+prints only diagnostics writes none.  Every file-writing run
 also writes a manifest echoing every parsed flag, with the values the run
 resolved in place of defaults; timestamps live only in the manifest, so
 data files are byte-identical across reruns at a fixed seed.
@@ -258,27 +260,28 @@ def cmd_scheme(args) -> int:
     if not args.name:
         raise ConfigError("scheme show/flatten/check need a scheme name")
     sch = get_scheme(args.name)
+    code = 0
     if args.action == "show":
-        print(json.dumps(sch.to_json(), indent=2))
+        text = json.dumps(sch.to_json(), indent=2)
     elif args.action == "flatten":
+        lines = []
         for st in sch.stages:
             slot, extra = (("commutator", json.dumps(st.target)) if st.is_commutator()
                            else (st.target, ""))
-            print(f"{slot:10s} {_fmt(schemes.coeff_value(st.coeff))} {extra}")
-    elif args.action == "check":
+            lines.append(f"{slot:10s} {_fmt(schemes.coeff_value(st.coeff))} {extra}")
+        text = "\n".join(lines)
+    else:
         m = sch.claimed_order + 1 if args.order is None else args.order
         achieved = orders.verify_order(sch, m)
-        verdict = {"scheme": args.name, "claimed": sch.claimed_order, "verified": achieved}
-        print(json.dumps(verdict))
+        text = json.dumps({"scheme": args.name, "claimed": sch.claimed_order,
+                           "verified": achieved})
         if achieved < sch.claimed_order:
-            return NONCONVERGENCE
-    if args.out:
-        if args.action == "check":  # the verdict's printed bytes
-            Path(args.out).write_text(json.dumps(verdict) + "\n")
-        else:
-            write_json(args.out, sch.to_json())
+            code = NONCONVERGENCE
+    print(text)
+    if args.out:  # the printed bytes, on exit 3 too
+        Path(args.out).write_text(text + "\n")
         write_manifest(args)
-    return 0
+    return code
 
 
 def cmd_solve(args) -> int:

@@ -18,13 +18,14 @@ and odd layers; at odd n >= 3 also layer n - 1 alone; at n = 1 the one
 layer), and no two spins of a class share a bond or a ring link, so a
 sweep updates the classes in turn, each as one numpy step.  At n >= 2 a
 Swendsen-Wang move along the Trotter axis follows, one site colour at a
-time, so that world-lines decorrelate in a few sweeps at large n.  Every
-replica draws its uniforms from its own generator, so a seed's chain is
-the same alone or in a batch (``anneal_batch``); ``metropolis_run`` and
-``anneal`` are batches of one.  A run keeps per sweep only the float
-traces of its observables, and an anneal checks every field of its
-schedule with ``couplings`` before the first sweep, so a field of 0 is
-refused, not run.  One exact reference anchors every
+time, so that world-lines decorrelate in a few sweeps at large n.  A sweep
+reads index tables and views built once per sampler, and keeps no running
+action.  Every replica draws its uniforms from its own generator, so a
+seed's chain is the same alone or in a batch (``anneal_batch``);
+``metropolis_run`` and ``anneal`` are batches of one.  A run keeps per
+sweep only the float traces of its observables, and an anneal checks every
+field of its schedule with ``couplings`` before the first sweep, so a field
+of 0 is refused, not run.  One exact reference anchors every
 estimator: a symmetric eigendecomposition of the symmetrised transfer
 matrix at finite n, or of the Hamiltonian at n = infinity, read out through
 one density matrix.  The real-time steppers of ``propagate`` take the
@@ -185,19 +186,6 @@ def _worldline_sums(model: IsingModel, spins: np.ndarray) -> tuple[np.ndarray, n
     return bond, ring
 
 
-def classical_action(model: IsingModel, coup: TrotterCouplings,
-                     spins: np.ndarray) -> float:
-    """Log-weight of a sites x n spin field (the constant delta_n term is dropped).
-
-    action = (beta/n) sum_m sum_bonds J_ij s_i^m s_j^m
-             + gamma_n sum_m sum_i s_i^m s_i^(m+1)
-    """
-    if spins.shape != (model.sites, coup.n):
-        raise ValueError("configuration dimensions do not match model and n")
-    bond, ring = _worldline_sums(model, spins)
-    return -(model.beta / coup.n) * float(_ising_energy(model, bond)) + coup.gamma_n * float(ring)
-
-
 @dataclass
 class ObservableStats:
     mean: float
@@ -223,8 +211,6 @@ class RunStats:
     trotter_corr: ObservableStats
     diag_energy: ObservableStats
     sigma_x: ObservableStats
-    final_action: float
-    accumulated_action: float
     traces: dict[str, np.ndarray] = field(repr=False, compare=False)
 
     def to_json(self) -> dict:
@@ -238,8 +224,6 @@ class RunStats:
             "trotter_corr": obs(self.trotter_corr),
             "diag_energy": obs(self.diag_energy),
             "sigma_x": obs(self.sigma_x),
-            "final_action": self.final_action,
-            "accumulated_action": self.accumulated_action,
         }
 
 
@@ -301,7 +285,10 @@ class _Sampler:
     action.  At n >= 2 the cluster move follows (``_cluster_move``).  No
     update reads another replica's spins, so a replica's chain does not
     depend on the batch it runs in.  ``accept`` and ``attempt`` count the
-    single-spin flips; ``action_delta`` sums every move's change.
+    single-spin flips.  A sweep rebuilds no table: each class's views of the
+    spins, uniforms and flips, its links as flat indices into ``flat``
+    (``state.reshape(-1)``) and each colour's tables are built here, and
+    ``set_gamma`` rewrites the ring weights and the join probability.
     """
 
     def __init__(self, model: IsingModel, n: int, rngs: Sequence[np.random.Generator]):
@@ -335,27 +322,38 @@ class _Sampler:
         links = self.position[links[order]]
         self.weights = np.zeros(links.shape)
         self.weights[:, :degree] = (-2.0 * model.beta / n) * np.repeat(coupling, n, axis=0)[order]
-        bounds = np.cumsum([0] + [len(c) for c in classes])
-        self.classes = [(slice(a, b), links[a:b], self.weights[a:b])
-                        for a, b in zip(bounds, bounds[1:])]
-        # the cluster move's tables: each site's world-line as positions in
-        # layer order, and per colour its sites, world-lines and bond links
-        self.lines = self.position[flat]
-        self.next_layer = np.roll(np.arange(n), -1)
-        self.colours = [(sites, self.lines[sites], links[self.lines[sites]][..., :degree],
-                         self.weights[self.lines[sites]][..., :degree])
-                        for sites in _site_colours(model)]
-        self.set_gamma(model.gamma)
         self.state = np.stack([rng.integers(0, 2, size=model.sites * n).astype(np.int8)[order]
                                for rng in self.rngs]) * 2 - 1
         replicas, size = self.state.shape
+        self.flat = self.state.reshape(-1)
         self.rand = np.empty((replicas, 3 * size))
-        self.moved = np.empty(self.state.shape)     # delta of each flip, 0 elsewhere
-        # one slot per (replica, site, run of joined layers) in the cluster move
-        self.slot = (np.arange(replicas * model.sites) * n).reshape(replicas, model.sites, 1)
+        self.flips = np.empty(self.state.shape, dtype=bool)
+        offset = np.arange(0, replicas * size, size)[:, None]  # replica r at r*size
+        bounds = np.cumsum([0] + [len(c) for c in classes])
+        self.classes = [(self.state[:, a:b], self.rand[:, a:b], self.flips[:, a:b],
+                         offset[..., None] + links[a:b], self.weights[a:b])
+                        for a, b in zip(bounds, bounds[1:])]
+        # the cluster move's tables: each site's world-line as flat indices
+        # in layer order, its join and flip uniforms and its first run slot;
+        # per colour its world-lines, their intra-layer links and weights, and
+        # their slots in the (replicas, sites, n) run labels, all flat
+        lines = self.position[flat]
+        self.lines = offset[..., None] + lines
+        self.next_layer = np.roll(np.arange(n), -1)
+        self.join_rand = self.rand[:, size:2 * size].reshape(self.lines.shape)
+        self.flip_rand = self.rand[:, 2 * size:]
+        self.slot = offset[..., None] + flat[:, :1]
+        self.colours = []
+        for sites in _site_colours(model):
+            rows = lines[sites].ravel()
+            line = (offset + rows).ravel()
+            self.colours.append((
+                line, (offset[..., None] + links[rows, :degree]).reshape(len(line), degree),
+                np.tile(self.weights[rows, :degree], (replicas, 1)),
+                (offset + flat[sites].ravel()).ravel()))
+        self.set_gamma(model.gamma)
         self.accept = 0
         self.attempt = 0
-        self.action_delta = np.zeros(replicas)
 
     @property
     def spins(self) -> np.ndarray:
@@ -367,27 +365,23 @@ class _Sampler:
         self.coup = couplings(self.model, self.n)
         # at n = 1 a layer is its own ring neighbour: s*s = 1 whatever the flip
         self.weights[:, -2:] = -2.0 * self.coup.gamma_n if self.n > 1 else 0.0
+        self.join = -math.expm1(-2 * self.coup.gamma_n)
 
     def sweep(self) -> None:
-        s, rand, moved = self.state, self.rand, self.moved
-        size = s.shape[1]
-        before = s.copy()
-        for rng, row in zip(self.rngs, rand):
+        flat = self.flat
+        for rng, row in zip(self.rngs, self.rand):
             rng.random(out=row)
-        for cls, links, weights in self.classes:
-            spin = s[:, cls]
-            delta = spin * (s[:, links] * weights).sum(axis=-1)
-            flip = rand[:, cls] < np.exp(np.minimum(delta, 0.0))
+        for spin, rand, flip, links, weights in self.classes:
+            delta = spin * np.add.reduce(flat[links] * weights, axis=-1)
+            np.less(rand, np.exp(np.minimum(delta, 0.0)), out=flip)
             np.negative(spin, out=spin, where=flip)
-            np.multiply(delta, flip, out=moved[:, cls])
-        # each spin is tried once, so the spins that differ flipped
-        self.accept += int(np.count_nonzero(s != before))
-        self.attempt += s.size
-        self.action_delta += moved.sum(axis=1)
+        # each spin is tried once, so the flips are the accepted moves
+        self.accept += int(np.count_nonzero(self.flips))
+        self.attempt += self.flips.size
         if self.n > 1:
-            self._cluster_move(rand[:, size:2 * size], rand[:, 2 * size:])
+            self._cluster_move()
 
-    def _cluster_move(self, join_rand: np.ndarray, flip_rand: np.ndarray) -> None:
+    def _cluster_move(self) -> None:
         """Swendsen-Wang along the Trotter axis (Swendsen & Wang, PRL 58, 86 (1987)).
 
         Each ring link between equal spins joins them when its uniform is
@@ -397,29 +391,26 @@ class _Sampler:
         intra-layer action.  A flipped run keeps every joined link's ends
         equal, so one set of links serves every colour.
         """
-        s = self.state
-        lines = s[:, self.lines]
-        ring = lines * lines[..., self.next_layer]
-        broken = (ring < 0) | (join_rand.reshape(lines.shape) >= -math.expm1(-2 * self.coup.gamma_n))
+        flat = self.flat
+        lines = flat[self.lines]
+        broken = lines != lines[..., self.next_layer]
+        broken |= self.join_rand >= self.join
         # layer m's run counts the broken links below it; when the link from
         # layer n - 1 to layer 0 holds, the last run is the first one
         breaks = broken.cumsum(axis=-1)
         slot = breaks - broken
         slot %= np.maximum(breaks[..., -1:], 1)
         slot += self.slot
-        for sites, line, links, weights in self.colours:
-            spin = s[:, line]
-            delta = spin * (s[:, links] * weights).sum(axis=-1)
-            at = slot[:, sites]
-            total = np.bincount(at.ravel(), weights=delta.ravel(), minlength=flip_rand.size)
-            flip = (flip_rand < np.exp(np.minimum(total, 0.0)).reshape(flip_rand.shape)).ravel()[at]
+        slot = slot.reshape(-1)
+        flip_rand = self.flip_rand.reshape(-1)
+        for line, links, weights, slots in self.colours:
+            spin = flat[line]
+            delta = spin * np.add.reduce(flat[links] * weights, axis=-1)
+            at = slot[slots]
+            total = np.bincount(at, weights=delta, minlength=flip_rand.size)
+            flip = (flip_rand < np.exp(np.minimum(total, 0.0)))[at]
             np.negative(spin, out=spin, where=flip)
-            s[:, line] = spin
-            self.action_delta += (delta * flip).sum(axis=(1, 2))
-        # a ring link changes sign when exactly one of its ends flipped
-        flipped = s[:, self.lines] != lines
-        cut = flipped != flipped[..., self.next_layer]
-        self.action_delta -= 2 * self.coup.gamma_n * (ring * cut).sum(axis=(1, 2))
+            flat[line] = spin
 
 
 # kept spin fields are read in blocks of at most this many bytes
@@ -450,7 +441,6 @@ def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
     if not sweeps > therm >= 0:
         raise ValueError("need sweeps > therm >= 0")
     sampler = _Sampler(model, n, [np.random.default_rng(seed)])
-    start_action = classical_action(model, sampler.coup, sampler.spins[0])
     keep = sweeps - therm
     block = np.empty((max(1, min(keep, _BLOCK_BYTES // (model.sites * n))), model.sites, n),
                      dtype=np.int8)
@@ -481,8 +471,6 @@ def metropolis_run(model: IsingModel, n: int, sweeps: int, therm: int,
         trotter_corr=_binned(tc_tr),
         diag_energy=_binned(de_tr),
         sigma_x=_binned(sx_tr),
-        final_action=classical_action(model, sampler.coup, sampler.spins[0]),
-        accumulated_action=start_action + float(sampler.action_delta[0]),
         traces=traces,
     )
 

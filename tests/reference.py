@@ -23,7 +23,8 @@ from expprod.propagate import (
     _SIGMA_X, _SIGMA_Z, HermitianPart, PhasePoint, SeparableHamiltonian,
 )
 from expprod.qmc import (
-    ExactObservables, IsingModel, _ising_energy, _Sampler, _worldline_sums, couplings,
+    ExactObservables, IsingModel, TrotterCouplings, _ising_energy, _Sampler, _worldline_sums,
+    couplings,
 )
 from expprod.schemes import Scheme, stage_plan
 
@@ -240,6 +241,19 @@ def transverse_coupling_coefficient(x: float) -> float:
 # ---------------------------------------------------------------------------
 # qmc: configuration enumeration and the sampled configurations
 # ---------------------------------------------------------------------------
+
+def classical_action(model: IsingModel, coup: TrotterCouplings,
+                     spins: np.ndarray) -> float:
+    """Log-weight of a sites x n spin field (the constant delta_n term is dropped).
+
+    action = (beta/n) sum_m sum_bonds J_ij s_i^m s_j^m
+             + gamma_n sum_m sum_i s_i^m s_i^(m+1)
+    """
+    if spins.shape != (model.sites, coup.n):
+        raise ValueError("configuration dimensions do not match model and n")
+    bond, ring = _worldline_sums(model, spins)
+    return -(model.beta / coup.n) * float(_ising_energy(model, bond)) + coup.gamma_n * float(ring)
+
 
 def kept_configurations(model: IsingModel, n: int, sweeps: int, therm: int,
                         seed: int) -> list[int]:

@@ -831,7 +831,7 @@ def _qmc_out_digests(tmp_path, capsys, model, n, sweeps, seed):
 def test_qmc_out_files_pinned(tmp_path, capsys):
     # stats and traces of one fixed-seed chain, byte for byte
     assert _qmc_out_digests(tmp_path, capsys, "pair.json", "8", "500", "9") == {
-        "run.json": "787550b8dd8b2305bc0cc5c436404b54ebbce062909d2404ef6b412c9e4cb73f",
+        "run.json": "7a96c35c7c276a09f22470f10456dc499b446a58e49e5b5768383cd2e6d8178a",
         "run.traces.csv": "cc3b7aecb8b2ed39ac32226e40aed94a61b3361c8e0314060ad969eb8d057a7e",
     }
 
@@ -839,7 +839,7 @@ def test_qmc_out_files_pinned(tmp_path, capsys):
 def test_qmc_out_files_pinned_on_a_chain(tmp_path, capsys):
     # five bonds, so the order of the bond sums behind diag_energy is pinned too
     assert _qmc_out_digests(tmp_path, capsys, "chain6.json", "6", "400", "5") == {
-        "run.json": "39c45b5bdad672c5d68b2d48ee5ef9e930e641e7c14dc6a3f1bc1c5023c2c964",
+        "run.json": "d3d437ea4cf518fe61f8187ffdbf549456e34ec276f34b76d1b8773bb88c8ce7",
         "run.traces.csv": "eab9a6a6367a2f18cb71cbd2b8c34f338d435278426e21e75b09e58dbad2671b",
     }
 
@@ -873,6 +873,17 @@ def test_anneal_cli(capsys):
     assert doc.keys() == {"energy", "configuration", "stage_energies", "seed", "schedule"}
     assert doc["energy"] <= -3.0
     assert len(doc["configuration"]) == 4
+
+
+def test_anneal_out_file_pinned(tmp_path, capsys):
+    # the README's anneal command, byte for byte
+    out_path = tmp_path / "a.json"
+    code, _, _ = run(capsys, "anneal", "--model", str(MODELS / "frustrated4.json"),
+                     "--schedule", "2.5:1e-4:14", "--sweeps", "60", "--seed", "3",
+                     "--out", str(out_path))
+    assert code == 0
+    assert (hashlib.sha256(out_path.read_bytes()).hexdigest()
+            == "8d36f737621e317f26ff02bc28a402870f8f7c0fc0473ff3d059661453db9fcd")
 
 
 def test_manifests_echo_the_resolved_configuration(tmp_path, capsys):
@@ -915,6 +926,46 @@ def test_json_commands_write_their_stdout_document(tmp_path, capsys, argv, resol
     manifest = json.loads((tmp_path / "doc.json.manifest.json").read_text())
     assert manifest["command"] == argv[0]
     assert resolved.items() <= manifest["config"].items()
+
+
+@pytest.mark.parametrize("name", ["hybrid_fourth", "suzuki4"])
+def test_scheme_flatten_writes_its_stdout_table(tmp_path, capsys, name):
+    out_path = tmp_path / "flat.txt"
+    code, out, _ = run(capsys, "scheme", "flatten", name, "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == out.encode()
+    assert (tmp_path / "flat.txt.manifest.json").exists()
+
+
+_EXIT_3_RUNS = {
+    "solve": ["solve", "--pattern", "ABA", "--order", "3", "--guess", "p1=0.5,p2=0.5,p3=0.5"],
+    "converge": ["converge", "--scheme", "strang", "--dt-list", "0.1,0.1"],
+    "scheme_check": ["scheme", "check", "suzuki4"],
+}
+_EXIT_2_FLAGS = {"solve": ["--fix", "p9=1"], "converge": ["--t-final", "-1"],
+                 "scheme_check": ["--order", "0"]}
+
+
+@pytest.mark.parametrize("command", list(_EXIT_3_RUNS))
+def test_exit_2_writes_nothing_and_exit_3_writes_what_it_prints(tmp_path, capsys,
+                                                               monkeypatch, command):
+    out_path = tmp_path / "out"
+    code, out, _ = run(capsys, *_EXIT_3_RUNS[command], *_EXIT_2_FLAGS[command],
+                       "--out", str(out_path))
+    assert code == cli.CONFIG_ERROR
+    assert list(tmp_path.iterdir()) == []
+    # no catalog scheme fails its check, so this one verifies below its claim
+    monkeypatch.setattr(orders, "verify_order", lambda sch, m: sch.claimed_order - 1)
+    code, out, _ = run(capsys, *_EXIT_3_RUNS[command], "--out", str(out_path))
+    assert code == cli.NONCONVERGENCE
+    assert (tmp_path / "out.manifest.json").exists()
+    if command == "converge":  # the printed points, as the CSV table
+        doc = json.loads(out)
+        rows = [line.split(",") for line in out_path.read_text().splitlines()]
+        assert rows == [["dt", "error"], *([cli._fmt(d), cli._fmt(e)]
+                                           for d, e in zip(doc["dt"], doc["error"]))]
+    else:
+        assert out_path.read_bytes() == out.encode()
 
 
 def test_anneal_one_stage_schedule_is_config_error(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -11,13 +12,13 @@ import pytest
 from expprod import qmc
 from expprod.ncalg import Copies, product_log, stage_product
 from expprod.qmc import (
-    FrozenTrotterError, IsingModel, _update_classes, _worldline_sums,
-    anneal, anneal_batch, anneal_schedule, classical_action, couplings, diagonal_energy,
+    FrozenTrotterError, IsingModel, _Sampler, _update_classes, _worldline_sums,
+    anneal, anneal_batch, anneal_schedule, couplings, diagonal_energy,
     exact_reference, extrapolate_values, ferromagnetic_chain,
     ground_energy_enumeration, hamiltonian_parts, matrix_trace_bond_zz,
     check_kept_sweeps, metropolis_run, trotter_extrapolate,
 )
-from reference import enumeration_reference, kept_configurations
+from reference import classical_action, enumeration_reference, kept_configurations
 
 MODELS = Path(__file__).resolve().parent.parent / "scripts" / "models"
 SINGLE = IsingModel(sites=1, bonds=(), gamma=1.0, beta=1.0)
@@ -339,7 +340,6 @@ def test_detailed_balance_chi2_on_four_configurations():
 def test_one_layer_samples_the_classical_weights():
     # at n = 1 the layer is its own ring neighbour, so the inter-layer term
     # is constant: configuration weights are e^{beta J s0 s1}
-    stats = metropolis_run(PAIR, 1, sweeps=40000, therm=2000, seed=3)
     cfg = kept_configurations(PAIR, 1, sweeps=40000, therm=2000, seed=3)[::10]
     counts = np.bincount(cfg, minlength=4).astype(float)
     weights = np.array([math.exp(PAIR.beta * (1 if code in (0, 3) else -1))
@@ -349,7 +349,6 @@ def test_one_layer_samples_the_classical_weights():
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     # 3 dof; 16.27 is the 0.1% point
     assert chi2 < 16.27
-    assert stats.accumulated_action == stats.final_action
 
 
 def test_kept_configurations_decode_to_the_run_traces_beyond_63_spins():
@@ -389,12 +388,50 @@ def test_kept_sweeps_rule():
         trotter_extrapolate(PAIR, [4, 6, 8], 1, 0)
 
 
-def test_accumulated_action_matches_full_recompute():
-    stats = metropolis_run(PAIR, 8, sweeps=10000, therm=0, seed=5)
-    assert stats.final_action == pytest.approx(stats.accumulated_action, abs=1e-9)
-    # odd n: the last layer is a class of its own
-    stats = metropolis_run(FRUSTRATED4, 5, sweeps=2000, therm=0, seed=5)
-    assert stats.final_action == pytest.approx(stats.accumulated_action, abs=1e-9)
+@pytest.mark.parametrize("model,n", [
+    (FRUSTRATED4, 5), (PAIR, 1), (PAIR, 4),
+    (IsingModel(sites=3, bonds=(), gamma=1.0, beta=1.0), 3),
+], ids=["frustrated4-5", "pair-1", "pair-4", "bondless3-3"])
+def test_sweep_tables_give_each_move_its_action_change(model, n):
+    # the tables a sweep reads, over 3 replicas, at the model's field and
+    # after set_gamma: a class's delta of each spin is the change of
+    # classical_action when that spin alone flips, and a colour's total over
+    # a set of one world-line's layers (a run, or any other set: they share
+    # no bond) is the change of the intra-layer action (gamma_n = 0) when
+    # that set alone flips
+    sampler = _Sampler(model, n, [np.random.default_rng(seed) for seed in (1, 2, 3)])
+    state, flat, size = sampler.state, sampler.flat, model.sites * n
+    bounds = np.cumsum([0] + [len(c) for c in _update_classes(model, n)])
+    rng = np.random.default_rng(0)
+
+    def change(coup, at):
+        # flat indices r*size + position, all in one replica r
+        r = at[0] // size
+        before = classical_action(model, coup, sampler.spins[r])
+        flat[at] *= -1
+        after = classical_action(model, coup, sampler.spins[r])
+        flat[at] *= -1
+        return after - before
+
+    for gamma in (model.gamma, model.gamma / 3):
+        sampler.set_gamma(gamma)
+        sampler.sweep()
+        for (spin, _, _, links, weights), a, b in zip(sampler.classes, bounds, bounds[1:]):
+            assert np.shares_memory(spin, state) and spin.tolist() == state[:, a:b].tolist()
+            delta = spin * np.add.reduce(flat[links] * weights, axis=-1)
+            for r, k in np.ndindex(delta.shape):
+                assert delta[r, k] == pytest.approx(
+                    change(sampler.coup, [r * size + a + k]), abs=1e-12)
+        intra = dataclasses.replace(sampler.coup, gamma_n=0.0)
+        # a random set label per (replica, site, layer), offset by r*size + i*n
+        # as the run slots are, so no set leaves its world-line
+        labels = rng.integers(0, n, size=size * 3) + np.repeat(np.arange(0, 3 * size, n), n)
+        for line, links, weights, slots in sampler.colours:
+            delta = flat[line] * np.add.reduce(flat[links] * weights, axis=-1)
+            at = labels[slots]
+            total = np.bincount(at, weights=delta)
+            for run in np.unique(at):
+                assert total[run] == pytest.approx(change(intra, line[at == run]), abs=1e-12)
 
 
 _CLASS_MODELS = pytest.mark.parametrize("model", [
@@ -626,6 +663,17 @@ def test_anneal_batch_is_bit_identical_to_per_seed_runs(n):
         assert got.energy == alone.energy
         assert got.stage_energies == alone.stage_energies
         assert got.configuration.tobytes() == alone.configuration.tobytes()
+
+
+def test_anneal_batch_results_pinned():
+    # three replicas at odd n, so the replica offsets of every sweep table
+    # are read; any change to the anneal chain shows here
+    batch = anneal_batch(FRUSTRATED4, 5, anneal_schedule(2.5, 1e-3, 5), 10, [3, 0, 7])
+    assert [(r.energy, r.configuration.tolist(), r.stage_energies) for r in batch] == [
+        (-5.0, [-1, 1, -1, 1], [-5.0, -5.0, -5.0, -5.0, -5.0]),
+        (-3.0, [-1, -1, 1, 1], [-5.0, -5.0, -5.0, -5.0, -3.0]),
+        (-5.0, [-1, 1, -1, 1], [-5.0, -5.0, -5.0, -5.0, -5.0]),
+    ]
 
 
 def test_chain_annealing_reaches_ground_state():
