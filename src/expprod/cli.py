@@ -546,8 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--n-list", required=True, help="comma list, e.g. 4,8,16")
     p.add_argument("--sweeps", default="0", help="0 = exact finite-n reference")
-    p.add_argument("--observable", choices=["bond_zz", "sigma_x", "diag_energy"],
-                   default="bond_zz")
+    p.add_argument("--observable", choices=qmc.EXTRAPOLATED, default="bond_zz")
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_extrapolate)

@@ -30,15 +30,15 @@ exp(-i c dt f(t) w) in its slot's fixed eigenbasis and the move on to the
 next stage's; between two parts given as matrices that move is one basis
 change, premultiplied with the phases.  A sampled run is one pass over
 chunks of whole steps, read at its marks.
-Classical side: a ``SeparableHamiltonian`` is |p|^2/2 + V(q); kick and
-drift are the exact flows of V and of |p|^2/2 (the generators are
-nilpotent), so every composed step is symplectic.  ``run_umeno`` steps a
-scheme in Python floats as one stream of (kick, drift) items between two
-marks, each kick paired with the drift after it, with the float operations
-of applying the stages one by one, so its rows keep their bits.  The
-deliberately bad first-order baselines for comparison runs are built inside
-``run_precession`` (the perturbative I - i dt H) and ``run_umeno`` (the
-Euler update).
+Classical side: ``symplectic_step`` steps H = |p|^2/2 + V(q) on float
+arrays p, q given V's gradient; kick and drift are the exact flows of V and
+of |p|^2/2 (the generators are nilpotent), so every step is symplectic.
+``run_umeno`` steps a scheme in Python floats as one stream of (kick, drift)
+items between two marks, each kick paired with the drift after it, with the
+float operations of applying the stages one by one, so its rows keep their
+bits.  The deliberately bad first-order baselines for comparison runs are
+built inside ``run_precession`` (the perturbative I - i dt H) and
+``run_umeno`` (the Euler update).
 
 The ``cli`` commands only call this module and write what it returns: every
 trajectory run records rows at the steps ``sample_marks`` names, and
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -196,9 +197,14 @@ class TransverseField:
     def __init__(self, gamma: float, sites: int):
         if not math.isfinite(gamma):
             raise ValueError(f"transverse field must be finite, got {gamma}")
-        if isinstance(sites, bool) or not isinstance(sites, int) or sites < 1:
+        try:   # any integer, numpy's too, but no bool
+            count = -1 if isinstance(sites, bool) else operator.index(sites)
+        except TypeError:
+            count = -1
+        if count < 1:
             raise ValueError(f"a transverse field needs at least one site, got {sites!r}")
-        self.gamma, self.sites = float(gamma), sites
+        self.gamma = float(gamma)
+        self.sites = sites = count
         states = np.arange(1 << sites)
         flips = sum((states >> i) & 1 for i in range(sites))
         self.eigenvalues = -self.gamma * (sites - 2.0 * flips)
@@ -416,59 +422,26 @@ def run_precession(method, gamma: float, dt: float, steps: int, sample_every: in
 # Classical stepping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhasePoint:
-    p: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        if not (np.all(np.isfinite(self.p)) and np.all(np.isfinite(self.q))):
-            raise ValueError("phase-space point has non-finite entries")
-
-
-@dataclass(frozen=True)
-class SeparableHamiltonian:
-    """H(p, q) = |p|^2/2 + V(q), with V given through its gradient and value."""
-
-    grad_v: Callable[[np.ndarray], np.ndarray]
-    potential: Callable[[np.ndarray], float]
-
-    def energy(self, x: PhasePoint) -> float:
-        return float(0.5 * float(x.p @ x.p) + self.potential(x.q))
-
-
-def drift(dt: float, x: PhasePoint) -> PhasePoint:
-    """Exact kinetic flow: q advances by dt p, p unchanged."""
-    return PhasePoint(x.p, x.q + dt * x.p)
-
-
-def kick(h: SeparableHamiltonian, dt: float, x: PhasePoint) -> PhasePoint:
-    """Exact potential flow: p absorbs -grad V(q), q unchanged."""
-    return PhasePoint(x.p - dt * h.grad_v(x.q), x.q)
-
-
-def symplectic_step(scheme: Scheme, h: SeparableHamiltonian, dt: float,
-                    x: PhasePoint) -> PhasePoint:
-    """Compose kick/drift maps per the scheme stages (right to left)."""
+def symplectic_step(scheme: Scheme, grad_v: Callable[[np.ndarray], np.ndarray], dt: float,
+                    p, q) -> tuple[np.ndarray, np.ndarray]:
+    """One step of H = |p|^2/2 + V(q) from (p, q): the stages right to left,
+    slot B the kick p - c dt grad_v(q), slot A the drift q + c dt p.  A
+    non-finite p, q or result is a ``ValueError``."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValueError("phase-space point has non-finite entries")
     for kick_c, drift_c in _kick_drift_items(scheme, dt):
         if kick_c is not None:
-            x = kick(h, kick_c, x)
+            p = p - kick_c * grad_v(q)
         if drift_c is not None:
-            x = drift(drift_c, x)
-    return x
+            q = q + drift_c * p
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
+        raise ValueError(f"a step of dt = {dt} left the float range")
+    return p, q
 
 
-def umeno_hamiltonian() -> SeparableHamiltonian:
-    """V = q1^2 q2^2 / 2 (the chaotic demo system); the tests' reference for ``run_umeno``."""
-    return SeparableHamiltonian(
-        grad_v=lambda q: np.array([q[0] * q[1] ** 2, q[0] ** 2 * q[1]]),
-        potential=lambda q: 0.5 * float(q[0] ** 2 * q[1] ** 2),
-    )
-
-
-UMENO_IC = PhasePoint(np.zeros(2), np.array([2.0, 1.0]))
+# (p, q) of the chaotic demo system V = q1^2 q2^2 / 2
+UMENO_IC = ((0.0, 0.0), (2.0, 1.0))
 
 
 def _kick_drift_items(scheme: Scheme, dt: float) -> list[tuple[float | None, float | None]]:
@@ -491,7 +464,7 @@ def _kick_drift_items(scheme: Scheme, dt: float) -> list[tuple[float | None, flo
 
 def run_umeno(method, dt: float, steps: int, sample_every: int):
     """Time series (t, E, q1, q2) at ``sample_marks`` for the chaotic two-dof
-    demo, from ``UMENO_IC``.
+    demo V = q1^2 q2^2 / 2, from the floats ``UMENO_IC``.
 
     ``method`` is a two-slot Scheme (kick/drift composition) or "euler".
     Every step runs in Python float arithmetic.  A scheme's step is folded
@@ -500,7 +473,7 @@ def run_umeno(method, dt: float, steps: int, sample_every: int):
     Euler update has its own loop.  Each float operation and its order are
     those of applying the stages one by one, so the rows keep their bits.
     """
-    (p1, p2), (q1, q2) = UMENO_IC.p.tolist(), UMENO_IC.q.tolist()
+    (p1, p2), (q1, q2) = UMENO_IC
     rows = [(0.0, 0.5 * (p1 * p1 + p2 * p2) + 0.5 * q1 * q1 * q2 * q2, q1, q2)]
     if isinstance(method, str):
         if method != "euler":
@@ -688,9 +661,11 @@ def run_driven(scheme3: Scheme, dt: float, steps: int, sample_every: int, t0: fl
 # ---------------------------------------------------------------------------
 
 def error_slope(dts: Sequence[float], errors: Sequence[float]) -> float:
-    """Least-squares slope of log(error) against log(dt)."""
+    """Least-squares slope of log(error) against log(dt), each > 0."""
     if len(set(dts)) < 2:
         raise ValueError("a slope needs at least 2 distinct dt")
+    if min(*dts, *errors) <= 0:
+        raise ValueError(f"a log-log slope needs every dt and error > 0, got {dts}, {errors}")
     return float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
 
 
@@ -702,11 +677,11 @@ def spin_error(scheme: Scheme, gamma: float, dt: float, t_final: float) -> float
 def step_count(t_final: float, dt: float) -> int:
     """Steps of size dt that approximate t_final; at least one.
 
-    Raises ``ValueError`` when t_final / dt is not a finite number.
+    Raises ``ValueError`` when t_final / dt is negative or not a finite number.
     """
-    steps = t_final / dt
-    if not math.isfinite(steps):
-        raise ValueError(f"t_final / dt = {t_final} / {dt} is not a finite step count")
+    steps = t_final / dt if dt else math.nan
+    if not (math.isfinite(steps) and steps >= 0):
+        raise ValueError(f"t_final / dt = {t_final} / {dt} is not a finite step count >= 0")
     return max(1, int(round(steps)))
 
 

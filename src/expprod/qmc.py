@@ -637,15 +637,23 @@ def extrapolate_values(n_list: Sequence[int], values: Sequence[float],
         residuals=(y - design @ coeffs).tolist(), n_list=ns, values=y.tolist(), errors=errs)
 
 
+# the observables trotter_extrapolate and the extrapolate command take
+EXTRAPOLATED = ("bond_zz", "sigma_x", "diag_energy")
+
+
 def trotter_extrapolate(model: IsingModel, n_list: Sequence[int], sweeps: int,
                         seed: int, observable: str = "bond_zz") -> ExtrapolationResult:
-    """Extrapolate a QMC observable to n -> infinity.
+    """Extrapolate a QMC observable (one of ``EXTRAPOLATED``) to n -> infinity.
 
     ``sweeps = 0`` uses the exact finite-n reference instead of sampling
     (no statistical error); otherwise one independent chain per n, its error
     binned from the observable's trace (bond-averaged for ``bond_zz``, which
-    a model without bonds does not have).
+    a model without bonds does not have).  Any other observable is refused
+    before the first chain or eigendecomposition.
     """
+    if observable not in EXTRAPOLATED:
+        raise ValueError(f"cannot extrapolate {observable!r}; the observables are "
+                         f"{', '.join(EXTRAPOLATED)}")
     if observable == "bond_zz" and not model.bonds:
         raise ValueError("bond_zz needs a model with at least one bond")
     if sweeps:

@@ -19,9 +19,7 @@ from expprod.ncalg import (
 )
 from expprod.orders import ConditionEq, OrderConditionSet
 from expprod.poly import RationalPoly, as_exact
-from expprod.propagate import (
-    _SIGMA_X, _SIGMA_Z, HermitianPart, PhasePoint, SeparableHamiltonian,
-)
+from expprod.propagate import _SIGMA_X, _SIGMA_Z, HermitianPart
 from expprod.qmc import (
     ExactObservables, IsingModel, TrotterCouplings, _ising_energy, _Sampler, _worldline_sums,
     couplings,
@@ -182,15 +180,28 @@ def dominant_period(times: Sequence[float], values: Sequence[float]) -> float:
     return 1.0 / freq
 
 
-def euler_step(h: SeparableHamiltonian, dt: float, x: PhasePoint) -> PhasePoint:
-    """Simultaneous first-order update; breaks phase-space volume."""
-    return PhasePoint(x.p - dt * h.grad_v(x.q), x.q + dt * x.p)
+def umeno_grad_v(q: np.ndarray) -> np.ndarray:
+    """grad V of ``run_umeno``'s chaotic demo system, V = q1^2 q2^2 / 2."""
+    return np.array([q[0] * q[1] ** 2, q[0] ** 2 * q[1]])
 
 
-def jacobian_determinant(step: Callable[[PhasePoint], PhasePoint], x: PhasePoint) -> float:
-    """det of the phase-space Jacobian of a map, by central differences of width 1e-6."""
+def umeno_energy(p: np.ndarray, q: np.ndarray) -> float:
+    """|p|^2/2 + q1^2 q2^2 / 2."""
+    return float(0.5 * float(p @ p) + 0.5 * float(q[0] ** 2 * q[1] ** 2))
+
+
+def euler_step(grad_v: Callable[[np.ndarray], np.ndarray], dt: float,
+               p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Simultaneous first-order update of (p, q); breaks phase-space volume."""
+    return p - dt * grad_v(q), q + dt * p
+
+
+def jacobian_determinant(step: Callable[[np.ndarray, np.ndarray], tuple], p: np.ndarray,
+                         q: np.ndarray) -> float:
+    """det of the phase-space Jacobian of a map (p, q) -> (p, q), by central
+    differences of width 1e-6."""
     h = 1e-6
-    base = np.concatenate([x.p, x.q])
+    base = np.concatenate([p, q])
     n = base.size
     jac = np.zeros((n, n))
     for j in range(n):
@@ -198,9 +209,9 @@ def jacobian_determinant(step: Callable[[PhasePoint], PhasePoint], x: PhasePoint
         minus = base.copy()
         plus[j] += h
         minus[j] -= h
-        xp = step(PhasePoint(plus[:n // 2], plus[n // 2:]))
-        xm = step(PhasePoint(minus[:n // 2], minus[n // 2:]))
-        jac[:, j] = (np.concatenate([xp.p, xp.q]) - np.concatenate([xm.p, xm.q])) / (2 * h)
+        xp = np.concatenate(step(plus[:n // 2], plus[n // 2:]))
+        xm = np.concatenate(step(minus[:n // 2], minus[n // 2:]))
+        jac[:, j] = (xp - xm) / (2 * h)
     return float(np.linalg.det(jac))
 
 

@@ -3,6 +3,7 @@ no name that only the tests call (their references live in
 ``tests/reference.py``)."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -32,6 +33,40 @@ def _names_read(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
 def _library_layout() -> str:
     readme = (ROOT / "README.md").read_text()
     return readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+
+
+def _library_api() -> dict[str, list[tuple[str, ...]]]:
+    """README's library API bullets: each module's names, a name in "(with
+    ...)" given as (class, method) of the backticked name before it."""
+    text = _library_layout().split("module by module:", 1)[1].strip().split("\n\n", 1)[0]
+    api = {}
+    for bullet in ("\n" + text).split("\n- ")[1:]:
+        module, rest = re.match(r"`(\w+)`:(.*)", bullet, re.DOTALL).groups()
+        names, owner = [], None
+        for m in re.finditer(r"\(with ([^)]*)\)|`(\w+)`", rest):
+            if m[1] is None:
+                owner = m[2]
+                names.append((owner,))
+            else:
+                names += [(owner, method) for method in re.findall(r"`(\w+)`", m[1])]
+        api[module] = names
+    return api
+
+
+def test_every_library_api_name_in_the_readme_resolves():
+    # a name removed from the package cannot linger in README's list
+    api = _library_api()
+    assert sorted(api) == ["ncalg", "orders", "poly", "propagate", "qmc", "schemes"]
+    missing = []
+    for module, names in api.items():
+        namespace = importlib.import_module(f"expprod.{module}")
+        for path in names:
+            obj = namespace
+            for part in path:
+                obj = getattr(obj, part, None)
+            if obj is None:
+                missing.append(f"{module}.{'.'.join(path)}")
+    assert missing == []
 
 
 def test_no_package_module_mentions_scipy():

@@ -12,11 +12,10 @@ import scipy.linalg
 
 from expprod.ncalg import bracket_fold, bracket_leaves, commutator
 from expprod.propagate import (
-    UMENO_IC, DiagonalPart, HermitianPart, PhasePoint, QuantumState, SeparableHamiltonian,
-    TransverseField, convergence, driven_error, driven_two_level, drift, error_slope,
-    hermitian_pair_error, kick, precession_period, run_driven, run_precession,
-    run_timeordered, run_umeno, sample_marks, spin_error, spin_parts, stage_unitaries,
-    step_count, step_operator, symplectic_step, umeno_hamiltonian, unitary_step,
+    UMENO_IC, DiagonalPart, HermitianPart, QuantumState, TransverseField, convergence,
+    driven_error, driven_two_level, error_slope, hermitian_pair_error, precession_period,
+    run_driven, run_precession, run_timeordered, run_umeno, sample_marks, spin_error,
+    spin_parts, stage_unitaries, step_count, step_operator, symplectic_step, unitary_step,
 )
 from expprod.propagate import (
     _hermitian_exp, _kick_drift_items, _not_hermitian, _timeordered_pass,
@@ -28,7 +27,8 @@ from expprod.schemes import (
 )
 from reference import (
     LogBranchError, _principal_log_symmetric, dominant_period, eigh_unitary_steps, euler_step,
-    jacobian_determinant, reconstruction_error, transverse_coupling_coefficient,
+    jacobian_determinant, reconstruction_error, transverse_coupling_coefficient, umeno_energy,
+    umeno_grad_v,
 )
 
 suzuki4, suzuki6, suzuki8, timeordered4 = (
@@ -105,6 +105,13 @@ def test_transverse_field_is_the_dense_field(sites):
     assert np.abs(rebuilt - b).max() < 1e-14
 
 
+@pytest.mark.parametrize("sites", [np.int64(3), np.uint8(3)])
+def test_transverse_field_takes_any_integer_site_count(sites):
+    field = TransverseField(0.7, sites)
+    assert type(field.sites) is int and field.sites == 3
+    assert field.eigenvalues.tolist() == TransverseField(0.7, 3).eigenvalues.tolist()
+
+
 @pytest.mark.parametrize("make,message", [
     (lambda: DiagonalPart([1.0, math.nan]), "non-finite"),
     (lambda: DiagonalPart([[1.0]]), "vector of real numbers"),
@@ -113,6 +120,9 @@ def test_transverse_field_is_the_dense_field(sites):
     (lambda: TransverseField(math.inf, 3), "must be finite"),
     (lambda: TransverseField(1.0, 0), "at least one site"),
     (lambda: TransverseField(1.0, 2.0), "at least one site"),
+    (lambda: TransverseField(1.0, True), "at least one site"),
+    (lambda: TransverseField(1.0, np.True_), "at least one site"),
+    (lambda: TransverseField(1.0, np.int64(0)), "at least one site"),
     (lambda: unitary_step(strang(), {"A": DiagonalPart([1.0, 2.0]), "B": TransverseField(1.0, 2)},
                           0.1, QuantumState.up(2)), "mismatched dimensions"),
 ])
@@ -422,94 +432,91 @@ def test_precession_scalar_loop_matches_the_matrix_loop(name):
 # classical stepping
 # ---------------------------------------------------------------------------
 
-def harmonic() -> SeparableHamiltonian:
-    return SeparableHamiltonian(grad_v=lambda q: q, potential=lambda q: 0.5 * float(q @ q))
+def harmonic_grad_v(q):
+    return q
 
 
-def test_drift_is_free_flight():
-    x = PhasePoint(np.array([1.0, -2.0]), np.array([0.5, 0.5]))
-    out = drift(0.1, x)
-    assert np.allclose(out.q, x.q + 0.1 * x.p)
-    assert np.allclose(out.p, x.p)
-
-
-def test_kick_matches_potential_gradient():
-    h = umeno_hamiltonian()
-    x = PhasePoint(np.zeros(2), np.array([2.0, 1.0]))
-    out = kick(h, 0.1, x)
-    # grad V = (q1 q2^2, q1^2 q2) = (2, 4)
-    assert np.allclose(out.p, [-0.2, -0.4])
-    assert np.allclose(out.q, x.q)
-
-
-def test_kick_drift_do_not_commute():
-    h = umeno_hamiltonian()
-    x = PhasePoint(np.array([0.3, -0.7]), np.array([1.1, 0.4]))
-    a = kick(h, 0.2, drift(0.2, x))
-    b = drift(0.2, kick(h, 0.2, x))
-    assert not np.allclose(a.p, b.p) or not np.allclose(a.q, b.q)
+def harmonic_energy(p, q):
+    return 0.5 * float(p @ p) + 0.5 * float(q @ q)
 
 
 def test_gradients_consistent_with_energy():
-    h = umeno_hamiltonian()
     rng = np.random.default_rng(1)
     _, q = rng.normal(size=(2, 2))
-    eps = 1e-6
+    p, eps = np.zeros(2), 1e-6
     for i in range(2):
         dq = np.zeros(2)
         dq[i] = eps
-        num = (h.potential(q + dq) - h.potential(q - dq)) / (2 * eps)
-        assert num == pytest.approx(h.grad_v(q)[i], rel=1e-6, abs=1e-8)
+        num = (umeno_energy(p, q + dq) - umeno_energy(p, q - dq)) / (2 * eps)
+        assert num == pytest.approx(umeno_grad_v(q)[i], rel=1e-6, abs=1e-8)
 
 
 def test_harmonic_energy_error_bounded():
-    h = harmonic()
     dt = 1e-3
-    x = PhasePoint(np.array([0.0]), np.array([1.0]))
-    e0 = h.energy(x)
+    p, q = np.array([0.0]), np.array([1.0])
+    e0 = harmonic_energy(p, q)
     worst = 0.0
     for _ in range(100_000):
-        x = symplectic_step(strang(), h, dt, x)
-        worst = max(worst, abs(h.energy(x) - e0))
+        p, q = symplectic_step(strang(), harmonic_grad_v, dt, p, q)
+        worst = max(worst, abs(harmonic_energy(p, q) - e0))
     assert worst <= 3e-7
 
 
 def test_euler_step_grows_harmonic_energy_exactly():
-    h = harmonic()
     dt = 1e-2
-    x = PhasePoint(np.array([0.3]), np.array([0.8]))
-    e0 = h.energy(x)
-    x1 = euler_step(h, dt, x)
-    assert h.energy(x1) == pytest.approx(e0 * (1 + dt ** 2), rel=1e-12)
+    p, q = np.array([0.3]), np.array([0.8])
+    e0 = harmonic_energy(p, q)
+    p1, q1 = euler_step(harmonic_grad_v, dt, p, q)
+    assert harmonic_energy(p1, q1) == pytest.approx(e0 * (1 + dt ** 2), rel=1e-12)
 
 
 @pytest.mark.parametrize("scheme", [trotter(), strang(), suzuki4()],
                          ids=["trotter", "strang", "suzuki4"])
 def test_symplectic_jacobian_determinant(scheme):
-    for h in (umeno_hamiltonian(), harmonic()):
+    for grad_v in (umeno_grad_v, harmonic_grad_v):
         rng = np.random.default_rng(42)
-        x = PhasePoint(rng.normal(size=2), rng.normal(size=2))
-        det = jacobian_determinant(lambda y: symplectic_step(scheme, h, 0.01, y), x)
+        p, q = rng.normal(size=2), rng.normal(size=2)
+        det = jacobian_determinant(lambda p, q: symplectic_step(scheme, grad_v, 0.01, p, q), p, q)
         assert abs(det - 1.0) < 1e-8
 
 
 @pytest.mark.parametrize("scheme", [hybrid_second(), hybrid_fourth(), timeordered2()],
                          ids=["hybrid_second", "hybrid_fourth", "timeordered2"])
 def test_classical_stepping_refuses_commutators_and_shift_time(scheme):
-    x = PhasePoint(np.zeros(2), np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
-        symplectic_step(scheme, umeno_hamiltonian(), 0.01, x)
+        symplectic_step(scheme, umeno_grad_v, 0.01, *UMENO_IC)
     with pytest.raises(ValueError):
         run_umeno(scheme, dt=0.01, steps=10, sample_every=5)
 
 
 def test_classical_stepping_refuses_an_unmapped_slot():
     # A drifts and B kicks; a slot with any other label has no classical flow
-    x = PhasePoint(np.zeros(2), np.array([2.0, 1.0]))
     leapfrog_ac = Scheme(("A", "C"), (Stage("A", Fraction(1, 2)), Stage("C", Fraction(1)),
                                       Stage("A", Fraction(1, 2))), claimed_order=2)
     with pytest.raises(ValueError, match="'C'"):
-        symplectic_step(leapfrog_ac, umeno_hamiltonian(), 0.01, x)
+        symplectic_step(leapfrog_ac, umeno_grad_v, 0.01, *UMENO_IC)
+
+
+@pytest.mark.parametrize("p,q", [([0.0, math.nan], [1.0, 1.0]), ([0.0, 0.0], [math.inf, 0.0])],
+                         ids=["nan-p", "inf-q"])
+def test_symplectic_step_refuses_a_non_finite_point_before_any_stage(p, q):
+    def no_kick(q):
+        raise AssertionError("kicked")
+
+    with pytest.raises(ValueError, match="non-finite"):
+        symplectic_step(strang(), no_kick, 0.01, p, q)
+
+
+def test_symplectic_step_refuses_a_step_that_leaves_the_float_range():
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="left the float range"):
+        symplectic_step(trotter(), umeno_grad_v, 1e300, [1.0, 1.0], [1.0, 1.0])
+
+
+def test_symplectic_step_takes_plain_sequences_and_returns_float_arrays():
+    p, q = symplectic_step(strang(), umeno_grad_v, 0.01, [0, 0], [2, 1])
+    p_ref, q_ref = symplectic_step(strang(), umeno_grad_v, 0.01, *UMENO_IC)
+    assert p.dtype == q.dtype == np.float64
+    assert p.tolist() == p_ref.tolist() and q.tolist() == q_ref.tolist()
 
 
 def test_umeno_run_reproduces_caption():
@@ -534,13 +541,13 @@ def test_umeno_euler_energy_grows():
 def test_umeno_float_loop_matches_symplectic_step(name):
     # run_umeno inlines the kick/drift maps in floats; the generic composition
     # sampled at steps 0, 300, ..., 1800 and the last step must agree with it
-    scheme, h, dt = CATALOG[name](), umeno_hamiltonian(), 1e-3
-    x = UMENO_IC
-    expected = [(0.0, h.energy(x), x.q[0], x.q[1])]
+    scheme, dt = CATALOG[name](), 1e-3
+    p, q = map(np.array, UMENO_IC)
+    expected = [(0.0, umeno_energy(p, q), q[0], q[1])]
     for k in range(1, 2001):
-        x = symplectic_step(scheme, h, dt, x)
+        p, q = symplectic_step(scheme, umeno_grad_v, dt, p, q)
         if k % 300 == 0 or k == 2000:
-            expected.append((k * dt, h.energy(x), x.q[0], x.q[1]))
+            expected.append((k * dt, umeno_energy(p, q), q[0], q[1]))
     rows = run_umeno(scheme, dt=dt, steps=2000, sample_every=300)
     np.testing.assert_allclose(rows, expected, rtol=1e-12, atol=0)
 
@@ -549,7 +556,7 @@ def _umeno_per_step_loop(method, dt, steps, sample_every):
     """The per-step float loop ``run_umeno`` replaced: each step runs the
     scheme's ``stage_plan`` stages one by one, slot B a kick and slot A a
     drift; Euler tests for its method and negates dt inside every step."""
-    (p1, p2), (q1, q2) = UMENO_IC.p.tolist(), UMENO_IC.q.tolist()
+    (p1, p2), (q1, q2) = UMENO_IC
     rows = [(0.0, 0.5 * (p1 * p1 + p2 * p2) + 0.5 * q1 * q1 * q2 * q2, q1, q2)]
     stepper = None if method == "euler" else [
         ("kick" if slot == "B" else "drift", c * dt) for slot, c, _ in stage_plan(method)]
@@ -632,12 +639,11 @@ def test_runners_refuse_negative_steps_and_sampling_below_one(run, message):
 
 
 def test_time_reversibility_of_symmetric_schemes():
-    h = umeno_hamiltonian()
-    x0 = PhasePoint(np.array([0.4, -0.2]), np.array([1.5, 0.7]))
+    p0, q0 = np.array([0.4, -0.2]), np.array([1.5, 0.7])
     for scheme in (strang(), suzuki4()):
-        x = symplectic_step(scheme, h, 0.05, x0)
-        back = symplectic_step(scheme, h, -0.05, x)
-        assert np.linalg.norm(back.p - x0.p) + np.linalg.norm(back.q - x0.q) < 1e-10
+        p, q = symplectic_step(scheme, umeno_grad_v, 0.05, p0, q0)
+        p, q = symplectic_step(scheme, umeno_grad_v, -0.05, p, q)
+        assert np.linalg.norm(p - p0) + np.linalg.norm(q - q0) < 1e-10
     parts = spin_parts(GAMMA)
     psi0 = QuantumState(np.array([0.6, 0.8j]))
     psi = unitary_step(strang(), parts, 0.05, psi0)
@@ -1096,6 +1102,27 @@ def test_step_count_is_at_least_one():
     # one step past 2 t_final measures the scheme's error there, not roundoff
     assert spin_error(strang(), GAMMA, 5.0, 1.0) > 1e-3
     assert driven_error(timeordered2(), [5.0], 1.0)[0] > 1e-3
+
+
+def test_step_count_refuses_a_negative_or_non_finite_ratio():
+    for t_final, dt in ((1.0, -0.1), (-1.0, 0.1), (1.0, 0.0), (math.inf, 0.1)):
+        with pytest.raises(ValueError, match="not a finite step count >= 0"):
+            step_count(t_final, dt)
+
+
+@pytest.mark.parametrize("system", ["spin", "driven"])
+def test_a_negative_dt_grid_is_refused_before_any_step(capfd, system):
+    scheme = timeordered2() if system == "driven" else strang()
+    with pytest.raises(ValueError, match="step count >= 0"):
+        convergence(scheme, system, [-0.1, -0.05, -0.025])
+    assert capfd.readouterr().out == ""
+
+
+@pytest.mark.parametrize("dts,errors", [([0.1, 0.05], [1e-3, 0.0]), ([0.1, -0.05], [1e-3, 1e-4]),
+                                        ([0.1, 0.0], [1e-3, 1e-4])])
+def test_error_slope_refuses_a_point_off_the_log_scale(dts, errors):
+    with pytest.raises(ValueError, match="every dt and error > 0"):
+        error_slope(dts, errors)
 
 
 def test_driven_study_step_cap_is_checked_before_any_step(monkeypatch):

@@ -623,6 +623,21 @@ def test_sampled_bond_zz_error_bins_the_bond_averaged_trace():
         assert result.errors[k] == pytest.approx(bins.std(ddof=1) / math.sqrt(20), rel=1e-12)
 
 
+@pytest.mark.parametrize("sweeps", [0, 100])
+@pytest.mark.parametrize("observable", ["foo", "log_z", "trotter_corr"])
+def test_extrapolation_refuses_other_observables_before_any_chain(monkeypatch, observable,
+                                                                  sweeps):
+    # log_z has an exact value but no sampled trace; trotter_corr has both
+    # but is not one of the three observables extrapolation takes
+    def no_chain(*args, **kwargs):
+        raise AssertionError("ran a chain or an eigendecomposition")
+
+    monkeypatch.setattr(qmc, "metropolis_run", no_chain)
+    monkeypatch.setattr(qmc, "exact_reference", no_chain)
+    with pytest.raises(ValueError, match="bond_zz, sigma_x, diag_energy"):
+        trotter_extrapolate(PAIR, [4, 6, 8], sweeps, 0, observable=observable)
+
+
 def test_mc_extrapolation_within_combined_errors():
     result = trotter_extrapolate(PAIR, [4, 8, 16], sweeps=20000, seed=11)
     quantum = exact_reference(PAIR).bond_zz[0]
